@@ -5,15 +5,15 @@ from .cyclo import CycloElem, constants, map_i, map_j, reduce_to_kp
 from .diagram import KnotRef, PDCode, SliceWord
 from .laurent import LaurentFrac, LaurentPoly
 from .matring import RingMatrix
-from .polyalg import PowerSumSeries, RingPoly
+from .polyalg import InvariantCheckError, PowerSumSeries, RingPoly
 from .skein import bracket_pd, bracket_word, closure_B, knot_scalars, transfer_Q
 from .tqft import (TVInvariant, UnsupportedSpecialization, branched_series,
                    colored_double_invariant, connected_sum, cover_series,
                    double_invariant, tangle_invariant)
 
 __all__ = [
-    "CycloElem", "KnotRef", "LaurentFrac", "LaurentPoly", "PDCode",
-    "PowerSumSeries", "RingMatrix", "RingPoly", "SliceWord", "TVInvariant",
+    "CycloElem", "InvariantCheckError", "KnotRef", "LaurentFrac",
+    "LaurentPoly", "PDCode", "PowerSumSeries", "RingMatrix", "RingPoly", "SliceWord", "TVInvariant",
     "UnsupportedSpecialization", "bracket_pd", "bracket_word",
     "branched_series", "closure_B", "colored_double_invariant",
     "connected_sum", "constants", "cover_series", "double_invariant",

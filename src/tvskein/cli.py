@@ -28,7 +28,6 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .cyclo import CycloElem
 from .diagram import DiagramError, KnotRef, PDCode, SliceWord
 from .golden import SUITES, golden_suite
 from .recoupling import ColorError
@@ -92,18 +91,14 @@ def validate_invariant_json(obj):
     return True
 
 
-def _coeff_str(x):
-    return str(x) if not isinstance(x, CycloElem) else str(x)
-
-
 def invariant_to_json(inv):
     obj = {
         "p": inv.p,
-        "gamma": [{"xExp": k, "coeff": _coeff_str(c)}
+        "gamma": [{"xExp": k, "coeff": str(c)}
                   for k, c in enumerate(inv.gamma.coeffs)],
-        "D": _coeff_str(inv.constant_term),
+        "D": str(inv.constant_term),
         "flatRank": inv.flat_rank,
-        "matrix": [[_coeff_str(inv.matrix[i, j]) for j in range(inv.matrix.cols)]
+        "matrix": [[str(inv.matrix[i, j]) for j in range(inv.matrix.cols)]
                    for i in range(inv.matrix.rows)],
         "eigen": [{"re": z.real, "im": z.imag} for z in inv.numeric_eigen],
         "period": inv.period,
@@ -265,7 +260,6 @@ def cmd_sum(args, out):
     cd = ColorData.at(args.p)
 
     def blocks(ref):
-        sign = -1 if False else 1
         out = {}
         if not ref.is_double():
             raise DiagramError("pass twisted doubles D(k,J) to `sum`")

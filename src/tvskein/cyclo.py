@@ -28,6 +28,7 @@ import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .laurent import LaurentPoly, bracket_e, mu_eig, quantum_int
 
@@ -37,32 +38,29 @@ from .laurent import LaurentPoly, bracket_e, mu_eig, quantum_int
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n):
-    """Coefficients (low->high) of the n-th cyclotomic polynomial."""
+    """Coefficients (low->high) of the n-th cyclotomic polynomial.
+
+    For n > 1, phi_n = prod_(d | n) (1 - x^d)^mu(n/d), expanded in exact
+    integers as a power series modulo x^(deg + 1); divisors d > deg act
+    trivially there.
+    """
     if n == 1:
         return (-1, 1)
-    # (x^n - 1) / prod_{d | n, d < n} phi_d
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    for d in range(1, n):
-        if n % d == 0:
-            den = cyclotomic_poly(d)
-            num = _int_poly_div(num, den)
-    return tuple(num)
-
-
-def _int_poly_div(num, den):
-    num = [Fraction(c) for c in num]
-    dn = len(den) - 1
-    q = [Fraction(0)] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i] / den[-1]
-        if c:
-            q[i - dn] = c
-            for j, d in enumerate(den):
-                num[i - dn + j] -= c * d
-    assert all(c == 0 for c in num), "cyclotomic division not exact"
-    assert all(c.denominator == 1 for c in q)
-    return [int(c) for c in q]
+    deg = n
+    for q in _prime_factors(n):
+        deg = deg // q * (q - 1)
+    out = [1] + [0] * deg
+    for d in range(1, deg + 1):
+        if n % d:
+            continue
+        mu = _mobius(n // d)
+        if mu == 1:
+            for i in range(deg, d - 1, -1):
+                out[i] -= out[i - d]
+        elif mu == -1:
+            for i in range(d, deg + 1):
+                out[i] += out[i - d]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -337,6 +335,13 @@ class CycloElem:
             return hash((self.p, "zero"))
         return hash((self.p, self.coeffs, self.grade))
 
+    def trace(self):
+        """Trace of a grade-0 element from k_p to Q: the sum of its
+        images under every embedding A_p -> primitive 2p-th root."""
+        if self.grade and not self.is_zero():
+            raise ValueError("the trace to Q is defined on kappa-grade 0")
+        return sum(c * w for c, w in zip(self.coeffs, _trace_vector(self.p)))
+
     # -- embeddings -----------------------------------------------------
 
     def embed(self, root_index=1):
@@ -431,6 +436,26 @@ def _poly_sub(a, b):
     n = max(len(a), len(b))
     return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
             for i in range(n)]
+
+
+def _mobius(n):
+    primes = _prime_factors(n)
+    prod = 1
+    for q in primes:
+        prod *= q
+    return 0 if prod != n else (-1) ** len(primes)
+
+
+@lru_cache(maxsize=None)
+def _trace_vector(p):
+    """Tr(A^i) from k_p to Q for the power basis: Ramanujan sums c_2p(i)."""
+    n = 2 * p
+    out = []
+    for i in range(level_degree(p)):
+        g = gcd(n, i)
+        out.append(sum(_mobius(n // d) * d
+                       for d in range(1, g + 1) if g % d == 0))
+    return tuple(out)
 
 
 def _prime_factors(n):
@@ -555,7 +580,6 @@ def fold_kappa3(x):
 @lru_cache(maxsize=None)
 def _embedding(p, root_index):
     """(image of A, image of kappa) for the chosen primitive root."""
-    from math import gcd
     if gcd(root_index, 2 * p) != 1:
         raise ValueError(f"root index {root_index} is not coprime to 2p={2 * p}")
     a = cmath.exp(1j * cmath.pi * root_index / p)

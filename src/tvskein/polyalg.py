@@ -16,9 +16,18 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import gcd
 
-from .cyclo import CycloElem
-from .rings import ring_of
+from .cyclo import CycloElem, cyclotomic_poly, level_degree
+from .rings import QQ, CycloField, ring_of
+
+
+class InvariantCheckError(ArithmeticError):
+    """An internal consistency check of an exact computation failed."""
+
+
+class NormUnavailable(ValueError):
+    """The coefficients admit no norm to Q that this module computes."""
 
 
 class RingPoly:
@@ -32,10 +41,6 @@ class RingPoly:
             cs.pop()
         self.ring = ring
         self.coeffs = cs
-
-    @staticmethod
-    def from_roots_free(ring, coeffs):
-        return RingPoly(ring, coeffs)
 
     @staticmethod
     def zero(ring):
@@ -318,7 +323,8 @@ def tensor_product(p, q):
         if j < m:
             ypow = ypow * comp
     det = berkowitz_det(acc)
-    assert det.is_monic(), "composed product lost monicity"
+    if not det.is_monic():
+        raise InvariantCheckError("composed product lost monicity")
     return det
 
 
@@ -393,8 +399,8 @@ def _numeric_simple(gamma, root_index):
             if abs(step) < 1e-15:
                 break
         polished.append(z)
-    for z in polished:
-        assert abs(f(z)) < 1e-8, "root polishing failed"
+    if any(abs(f(z)) >= 1e-8 for z in polished):
+        raise InvariantCheckError("root polishing failed")
     polished.sort(key=lambda z: (round(abs(z), 9), round(cmath.phase(z), 9)))
     return polished
 
@@ -402,32 +408,106 @@ def _numeric_simple(gamma, root_index):
 # -- root-of-unity periodicity ----------------------------------------------
 
 
-def root_periodicity(gamma, bound):
-    """Least m <= bound with every root of gamma an m-th root of unity.
+def root_periodicity(gamma):
+    """Least m with every root of gamma an m-th root of unity, else None.
 
-    Decided exactly: strip gcd(gamma, x^m - 1) factors until nothing
-    is left (multiplicity is allowed, so the radical is what must
-    divide x^m - 1).  Returns None if no m <= bound works.
+    Decided exactly, with no bound on m.  Galois conjugation keeps the
+    order of a root of unity, so gamma has the period of its norm
+    N = prod_sigma sigma(gamma) in Q[x], which is tested for being a
+    product of cyclotomic polynomials (Bradford-Davenport, "Effective
+    tests for cyclotomic polynomials", 1988): a non-integral N has a
+    root that is no root of unity; otherwise every Phi_m with
+    phi(m) <= deg is divided out as often as it divides, anything left
+    over means None, and the period is the lcm of the m divided out.
     """
     if not gamma.is_monic() or _is_zero(gamma.constant_term()):
         raise ValueError("periodicity needs a monic polynomial with "
                          "nonzero constant term")
+    norm = _rational_norm(gamma)
+    if norm is None:
+        return None
+    return _cyclotomic_period(norm)
+
+
+def _rational_norm(gamma):
+    """Integer coefficients of the norm of gamma to Q, or None.
+
+    None means the norm is not integral.  Over k_p the power sums of
+    the norm are t_d = Tr(s_d(gamma)), and Newton's identities
+    k e_k = sum_i (-1)^(i-1) e_(k-i) t_i rebuild it; a non-integral t_d
+    or e_k already shows a non-integral norm.
+    """
     ring = gamma.ring
-    if not ring.is_field:
-        raise ValueError("periodicity is decided over a field")
-    if gamma.degree() == 0:
-        return 1
-    for m in range(1, bound + 1):
-        xm1 = RingPoly(ring, [-ring.one] + [ring.zero] * (m - 1) + [ring.one])
-        h = gamma
-        while h.degree() > 0:
-            g = h.gcd(xm1)
-            if g.degree() == 0:
+    if ring is QQ:
+        if any(c.denominator != 1 for c in gamma.coeffs):
+            return None
+        return [int(c) for c in gamma.coeffs]
+    if not isinstance(ring, CycloField):
+        raise NormUnavailable(f"no norm to Q from {ring.name}")
+    if any(c.grade and not c.is_zero() for c in gamma.coeffs):
+        raise NormUnavailable("the norm needs coefficients of kappa-grade 0")
+    deg = gamma.degree() * level_degree(ring.p)
+    sums = power_sums(gamma, deg)
+    t, e = [], [1]
+    for k in range(1, deg + 1):
+        tk = sums[k].trace()
+        if tk.denominator != 1:
+            return None
+        t.append(int(tk))
+        ke = sum((-1) ** (i - 1) * e[k - i] * t[i - 1] for i in range(1, k + 1))
+        if ke % k:
+            return None
+        e.append(ke // k)
+    return [(-1) ** (deg - j) * e[deg - j] for j in range(deg + 1)]
+
+
+def _cyclotomic_period(poly):
+    """lcm of the orders of the roots of a monic integer polynomial.
+
+    None unless the polynomial is a product of cyclotomic polynomials.
+    Those are reciprocal up to sign (Phi_1 = x - 1 is the only factor
+    that flips it), which rejects most other inputs at once.  Every m
+    with phi(m) <= deg satisfies m <= 2 deg^2, since phi(m)^2 >= m/2.
+    """
+    if poly[::-1] != poly and poly[::-1] != [-c for c in poly]:
+        return None
+    deg = len(poly) - 1
+    phi = _totients(2 * deg * deg)
+    period = 1
+    for m in range(1, len(phi)):
+        if len(poly) == 1:
+            break
+        if phi[m] > len(poly) - 1:
+            continue
+        cyc = cyclotomic_poly(m)
+        while len(poly) >= len(cyc):
+            q = _divide_exact(poly, cyc)
+            if q is None:
                 break
-            h, rem = h.divmod(g)
-            assert rem.is_zero()
-        else:
-            return m
-        if h.degree() == 0:
-            return m
-    return None
+            poly = q
+            period = period * m // gcd(period, m)
+    return period if len(poly) == 1 else None
+
+
+def _totients(n):
+    """phi(0..n) by a sieve."""
+    phi = list(range(n + 1))
+    for q in range(2, n + 1):
+        if phi[q] == q:
+            for j in range(q, n + 1, q):
+                phi[j] -= phi[j] // q
+    return phi
+
+
+def _divide_exact(num, den):
+    """num / den for integer lists with den monic, or None if inexact."""
+    rem = list(num)
+    dn = len(den) - 1
+    q = [0] * (len(rem) - dn)
+    for i in range(len(rem) - 1, dn - 1, -1):
+        c = rem[i]
+        if c:
+            q[i - dn] = c
+            for j in range(dn + 1):
+                rem[i - dn + j] -= c * den[j]
+    return None if any(rem[:dn]) else q

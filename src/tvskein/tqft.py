@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cyclo import (CycloElem, constants, fold_kappa3, map_i, map_j,
                     reduce_to_kp, u_element)
@@ -115,7 +115,7 @@ class TVInvariant:
     gamma: RingPoly
     constant_term: object
     flat_rank: int
-    invariant_factors: list
+    flat_matrix: RingMatrix
     numeric_eigen: list = field(default_factory=list)
     period: int | None = None
     notes: dict = field(default_factory=dict)
@@ -123,24 +123,24 @@ class TVInvariant:
     def power_sums(self, d_max):
         return power_sums(self.gamma, d_max)
 
+    @cached_property
+    def invariant_factors(self):
+        """Similarity invariants of the flat part, computed on first read."""
+        return similarity_invariants(self.flat_matrix) if self.flat_rank else []
 
-PERIOD_BOUND_FACTOR = 8
 
-
-def make_invariant(matrix, p=None, period_bound=None, root_index=1, notes=None):
+def make_invariant(matrix, p=None, root_index=1, notes=None):
     """Flat-decompose a transfer matrix and bundle the invariants."""
     fd = flat_decompose(matrix)
     gamma = fd.gamma
-    inv = similarity_invariants(fd.flat_matrix) if fd.flat_rank else []
     eig = []
     period = None
     if p is not None and fd.flat_rank:
         eig = numeric_roots(gamma, root_index)
-        bound = period_bound or PERIOD_BOUND_FACTOR * max(p, 2)
-        period = root_periodicity(gamma, bound)
+        period = root_periodicity(gamma)
     return TVInvariant(p=p, matrix=matrix, gamma=gamma,
                        constant_term=fd.constant_term,
-                       flat_rank=fd.flat_rank, invariant_factors=inv,
+                       flat_rank=fd.flat_rank, flat_matrix=fd.flat_matrix,
                        numeric_eigen=eig, period=period, notes=notes or {})
 
 
@@ -313,7 +313,7 @@ def general_B_matrix(j_ref, k, p, cd=None):
     return RingMatrix(ring, rows)
 
 
-def double_invariant(j_ref, k, p, period_bound=None):
+def double_invariant(j_ref, k, p):
     """Z_p(D_k(J)) as a TVInvariant."""
     if isinstance(j_ref, str):
         j_ref = KnotRef.parse(j_ref)
@@ -324,28 +324,26 @@ def double_invariant(j_ref, k, p, period_bound=None):
     if p == 2:
         return make_invariant(z2_matrix(j_ref, k), 2)
     if p == 5:
-        return make_invariant(z5_matrix(j_ref, k), 5, period_bound)
+        return make_invariant(z5_matrix(j_ref, k), 5)
     if p == 6:
         m2 = z2_matrix(j_ref, k)
         m6 = m2.map(lambda x: map_i(x, 3), kp_field(6))
-        return make_invariant(m6, 6, period_bound)
+        return make_invariant(m6, 6)
     if p % 2 == 0 and (p // 2) % 2 == 1:
-        return tensor_double(j_ref, k, p, period_bound)
-    return general_double(j_ref, k, p, period_bound)
+        return tensor_double(j_ref, k, p)
+    return general_double(j_ref, k, p)
 
 
-def tensor_double(j_ref, k, p, period_bound=None):
+def tensor_double(j_ref, k, p):
     """Z_2p'(K) = i(Z_2(K)) (x) j(Z_p'(K)) for odd p' = p/2 >= 3."""
     ph = p // 2
     inv2 = make_invariant(z2_matrix(j_ref, k), 2)
     invh = double_invariant(j_ref, k, ph)
-    f2 = flat_decompose(inv2.matrix).flat_matrix
-    fh = flat_decompose(invh.matrix).flat_matrix
     ring = kp_field(p)
-    g2 = f2.map(lambda x: map_i(x, ph), ring)
-    gh = fh.map(lambda x: map_j(x, ph), ring)
+    g2 = inv2.flat_matrix.map(lambda x: map_i(x, ph), ring)
+    gh = invh.flat_matrix.map(lambda x: map_j(x, ph), ring)
     m = g2.kron(gh)
-    inv = make_invariant(m, p, period_bound)
+    inv = make_invariant(m, p)
     # Gamma must agree with the composed product of the level polynomials
     gam2 = RingPoly(ring, [map_i(c, ph) for c in inv2.gamma.coeffs])
     gamh = RingPoly(ring, [map_j(c, ph) for c in invh.gamma.coeffs])
@@ -354,7 +352,7 @@ def tensor_double(j_ref, k, p, period_bound=None):
     return inv
 
 
-def general_double(j_ref, k, p, period_bound=None):
+def general_double(j_ref, k, p):
     """The general small-admissible-sum path (p >= 3)."""
     cd = ColorData.at(p)
     pack = constants(p)
@@ -368,7 +366,7 @@ def general_double(j_ref, k, p, period_bound=None):
     bm = general_B_matrix(j_ref, k, p, cd)
     from .matring import inverse
     m = bm * inverse(lm)
-    return make_invariant(m, p, period_bound)
+    return make_invariant(m, p)
 
 
 # -- colored doubles ---------------------------------------------------------------
@@ -446,7 +444,7 @@ def colored_B_matrix(j_ref, k, p, c, cd=None):
     return RingMatrix(ring, rows)
 
 
-def colored_double_invariant(j_ref, k, p, c, period_bound=None):
+def colored_double_invariant(j_ref, k, p, c):
     """Z_p(D_k(J), c) for a good color c."""
     if isinstance(j_ref, str):
         j_ref = KnotRef.parse(j_ref)
@@ -459,11 +457,10 @@ def colored_double_invariant(j_ref, k, p, c, period_bound=None):
     if not cd.is_good(c):
         raise ColorError(f"{c} is not a good color at p={p}")
     if c == 0:
-        return double_invariant(j_ref, k, p, period_bound)
+        return double_invariant(j_ref, k, p)
     if p == 5 and c == 2:
         return make_invariant(
-            RingMatrix(kp_field(5), [[z5_color2_scalar(j_ref, k)]]), 5,
-            period_bound)
+            RingMatrix(kp_field(5), [[z5_color2_scalar(j_ref, k)]]), 5)
     s = _scalars(j_ref)
     for e in cd.S(c):
         if reduce_to_kp(s.colored(e), p).is_zero():
@@ -473,7 +470,7 @@ def colored_double_invariant(j_ref, k, p, c, period_bound=None):
     bm = colored_B_matrix(j_ref, k, p, c, cd)
     from .matring import inverse
     m = bm * inverse(lm)
-    return make_invariant(m, p, period_bound)
+    return make_invariant(m, p)
 
 
 def z5_color2_scalar(j_ref, k):
@@ -515,8 +512,8 @@ def connected_sum(left, right, p, outer_color=0):
                 continue
             if j not in left or k not in right:
                 raise KeyError(f"missing color blocks ({j}, {k})")
-            fl = flat_decompose(left[j].matrix).flat_matrix
-            fr = flat_decompose(right[k].matrix).flat_matrix
+            fl = left[j].flat_matrix
+            fr = right[k].flat_matrix
             if fl.rows == 0 or fr.rows == 0:
                 continue
             blocks.append(fl.kron(fr))

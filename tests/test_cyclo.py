@@ -1,11 +1,13 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from tvskein.cyclo import (CycloElem, combine_graded, constants, fold_kappa3,
-                           level_degree, map_i, map_j, reduce_to_kp, u_element)
+from tvskein.cyclo import (CycloElem, combine_graded, constants,
+                           cyclotomic_poly, fold_kappa3, level_degree, map_i,
+                           map_j, reduce_to_kp, u_element)
 from tvskein.laurent import DELTA, LaurentPoly
 
 
@@ -77,6 +79,33 @@ def test_embedding_is_homomorphism():
             assert abs((x + y).embed() - (x.embed() + y.embed())) < 1e-9
             checked += 2
     assert checked == 2000
+
+
+def test_cyclotomic_poly_divisor_product():
+    for n in range(1, 61):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi = cyclotomic_poly(d)
+                out = [0] * (len(prod) + len(phi) - 1)
+                for i, a in enumerate(prod):
+                    for j, b in enumerate(phi):
+                        out[i + j] += a * b
+                prod = out
+        assert prod == [-1] + [0] * (n - 1) + [1]
+
+
+def test_trace_is_sum_of_embeddings():
+    rnd = random.Random(5)
+    for p in (2, 5, 6, 7, 10, 12):
+        deg = level_degree(p)
+        units = [j for j in range(1, 2 * p) if math.gcd(j, 2 * p) == 1]
+        for _ in range(20):
+            x = CycloElem(p, tuple(Fraction(rnd.randint(-5, 5), rnd.randint(1, 3))
+                                   for _ in range(deg)))
+            assert abs(x.trace() - sum(x.embed(j) for j in units)) < 1e-9
+    with pytest.raises(ValueError):
+        CycloElem(5, (1,), 3).trace()
 
 
 def test_principal_embedding_values():

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from tvskein.cyclo import CycloElem
+from tvskein.cyclo import CycloElem, cyclotomic_poly
 from tvskein.matring import RingMatrix, trace_powers
-from tvskein.polyalg import (RingPoly, numeric_roots, power_sums,
-                             root_periodicity, tensor_product)
+from tvskein.polyalg import (InvariantCheckError, NormUnavailable, RingPoly,
+                             numeric_roots, power_sums, root_periodicity,
+                             tensor_product)
 from tvskein.rings import QQ, MPoly, MPolyRing, kp_field
+from tvskein.tqft import double_invariant
 
 
 def test_power_sums_symbolic():
@@ -95,13 +97,91 @@ def test_numeric_roots_cyclotomic():
     assert all(abs(z - 1) < 1e-7 for z in numeric_roots(g2))
 
 
+def test_named_check_failures(monkeypatch):
+    import numpy as np
+    import tvskein.matring as matring
+    # x^2 + 1 has f'(0) = 0, so a root guess of 0 cannot be polished
+    monkeypatch.setattr(np, "roots", lambda cs: [0j, 0j])
+    with pytest.raises(InvariantCheckError):
+        numeric_roots(RingPoly(QQ, [1, 0, 1]))
+    monkeypatch.setattr(matring, "berkowitz_det",
+                        lambda m: RingPoly(QQ, [1, 2]))
+    with pytest.raises(InvariantCheckError):
+        tensor_product(RingPoly(QQ, [-2, 1]), RingPoly(QQ, [-3, 1]))
+
+
 def test_root_periodicity():
     k5 = kp_field(5)
     ab = CycloElem.a_power(5, 1) + CycloElem.a_power(5, -1)
     g = RingPoly(k5, [k5.one, -ab, k5.one])
-    assert root_periodicity(g, 40) == 10
-    assert root_periodicity(RingPoly(QQ, [-1, 1]), 5) == 1
+    assert root_periodicity(g) == 10
+    assert root_periodicity(RingPoly(QQ, [-1, 1])) == 1
     # roots of x^2 - x + 1 are primitive sixth roots
-    assert root_periodicity(RingPoly(QQ, [1, -1, 1]), 10) == 6
+    assert root_periodicity(RingPoly(QQ, [1, -1, 1])) == 6
     # no certificate for a non-unit root
-    assert root_periodicity(RingPoly(QQ, [-2, 1]), 30) is None
+    assert root_periodicity(RingPoly(QQ, [-2, 1])) is None
+
+
+def _int_poly(*factors):
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def test_root_periodicity_cyclotomic_products():
+    phi79 = _int_poly(cyclotomic_poly(7), cyclotomic_poly(9))
+    assert root_periodicity(RingPoly(QQ, phi79)) == 63
+    # over k_5 the period 63 lies above the old scan bound 8p = 40
+    assert root_periodicity(RingPoly(kp_field(5), phi79)) == 63
+    # repeated factors
+    phi3 = cyclotomic_poly(3)
+    assert root_periodicity(RingPoly(QQ, _int_poly(phi3, phi3,
+                                                    cyclotomic_poly(4)))) == 12
+    # integral and reciprocal, but its roots are real and off the circle
+    assert root_periodicity(RingPoly(QQ, [1, -3, 1])) is None
+    # non-integral
+    assert root_periodicity(RingPoly(QQ, [Fraction(-1, 2), 1])) is None
+
+
+def test_root_periodicity_unsupported_coefficients():
+    k5 = kp_field(5)
+    graded = CycloElem(5, (1,), 3)
+    with pytest.raises(NormUnavailable):
+        root_periodicity(RingPoly(k5, [graded, k5.zero, k5.one]))
+    r = MPolyRing(1)
+    with pytest.raises(NormUnavailable):
+        root_periodicity(RingPoly(r, [MPoly.var(1, 0), r.one]))
+
+
+def _divides_unit_power(gamma, m):
+    """Whether gamma divides (x^m - 1)^deg(gamma), reducing mod gamma."""
+    ring = gamma.ring
+    xm1 = RingPoly(ring, [-ring.one] + [ring.zero] * (m - 1) + [ring.one])
+    acc = RingPoly.one(ring)
+    for _ in range(gamma.degree()):
+        acc = (acc * xm1).divmod(gamma)[1]
+    return acc.is_zero()
+
+
+def _prime_divisors(m):
+    return [q for q in range(2, m + 1)
+            if m % q == 0 and all(q % r for r in range(2, q))]
+
+
+@pytest.mark.parametrize("j_ref,k,expect", [("U", 4, 15), ("U", 1, 10),
+                                            ("RT", 0, None)])
+def test_root_periodicity_divisibility_oracle(j_ref, k, expect):
+    gamma = double_invariant(j_ref, k, 5).gamma
+    m = root_periodicity(gamma)
+    assert m == expect
+    if m is None:
+        assert not any(_divides_unit_power(gamma, n) for n in range(1, 41))
+        return
+    assert _divides_unit_power(gamma, m)
+    assert not any(_divides_unit_power(gamma, m // q)
+                   for q in _prime_divisors(m))

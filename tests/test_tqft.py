@@ -231,6 +231,24 @@ def test_matrix_periods_exact_powering():
     assert m is not None and 15 % m == 0
 
 
+def test_invariant_factors_lazy(monkeypatch):
+    import tvskein.tqft as tqft
+    from tvskein.matring import flat_decompose, similarity_invariants
+    calls = []
+
+    def counted(mat):
+        calls.append(mat)
+        return similarity_invariants(mat)
+
+    monkeypatch.setattr(tqft, "similarity_invariants", counted)
+    inv = double_invariant("U", 1, 7)
+    assert calls == []
+    expect = similarity_invariants(flat_decompose(inv.matrix).flat_matrix)
+    assert inv.invariant_factors == expect
+    assert inv.invariant_factors == expect
+    assert len(calls) == 1
+
+
 def test_invariant_factors_stable_under_shift():
     rnd = random.Random(21)
     done = 0
