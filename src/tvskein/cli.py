@@ -13,20 +13,13 @@ Input files: ``.sw`` slice words, ``.pd`` JSON planar diagrams.  Output
 formats: text (default), json, csv (covers only).  Exit codes: 0 on
 success, 2 on validation errors, 3 when a specialization is undefined
 at the requested level.
-
-The environment variable SKEIN_THREADS (positive integer; default: the
-available parallelism) bounds the worker pool used for grids of
-independent cover values; results are assembled in input order, so
-output is deterministic regardless of the pool size.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .diagram import DiagramError, KnotRef, PDCode, SliceWord
 from .golden import SUITES, golden_suite
@@ -132,19 +125,6 @@ def _load_diagram(path):
     return SliceWord.parse(text)
 
 
-def _threads():
-    val = os.environ.get("SKEIN_THREADS")
-    if val is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(val)
-    except ValueError:
-        raise DiagramError(f"SKEIN_THREADS must be a positive integer, got {val!r}")
-    if n < 1:
-        raise DiagramError(f"SKEIN_THREADS must be a positive integer, got {val!r}")
-    return n
-
-
 def cmd_bracket(args, out):
     d = _load_diagram(args.file)
     if isinstance(d, SliceWord):
@@ -207,6 +187,8 @@ def cmd_double(args, out):
 def _parse_range(text):
     if ".." in text:
         a, b = text.split("..", 1)
+        if int(b) < int(a):
+            raise ValueError(f"empty range {text!r}")
         return range(int(a), int(b) + 1)
     d = int(text)
     return range(d, d + 1)
@@ -220,23 +202,8 @@ def cmd_covers(args, out):
         rows = [(r.d, str(r.normalized), str(r.value)) for r in recs]
         header = ("d", "eta_normalized", "value")
     else:
-        # chunk the grid across the worker pool; ordered reassembly
-        nthreads = _threads()
-        chunks = [ds[i::nthreads] for i in range(nthreads)]
-        chunks = [c for c in chunks if c]
-
-        def work(chunk):
-            return {r.d: r for r in cover_series(ref, args.k, args.p, chunk)}
-
-        merged = {}
-        if len(chunks) == 1:
-            merged = work(chunks[0])
-        else:
-            with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                for part in pool.map(work, chunks):
-                    merged.update(part)
-        rows = [(d, str(merged[d].value), str(merged[d].corrected))
-                for d in ds]
+        recs = cover_series(ref, args.k, args.p, ds)
+        rows = [(r.d, str(r.value), str(r.corrected)) for r in recs]
         header = ("d", "value", "kappa_corrected")
     if args.format == "csv":
         print(",".join(header), file=out)

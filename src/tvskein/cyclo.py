@@ -33,6 +33,10 @@ from math import gcd
 from .laurent import LaurentPoly, bracket_e, mu_eig, quantum_int
 
 
+class InvariantCheckError(ArithmeticError):
+    """An internal consistency check of an exact computation failed."""
+
+
 # -- cyclotomic polynomials -------------------------------------------
 
 
@@ -65,24 +69,47 @@ def cyclotomic_poly(n):
 
 @lru_cache(maxsize=None)
 def _level_data(p):
-    """(degree, phi coefficients, reduction rows, A^-1 vector) for k_p."""
+    """(degree, phi coefficients) for k_p."""
     phi = cyclotomic_poly(2 * p)
-    deg = len(phi) - 1
-    # reduction of A^(deg + j) as a vector, for j = 0 .. deg - 2
-    rows = []
-    # A^deg = -sum_{i<deg} phi_i A^i   (phi monic)
-    base = [Fraction(-phi[i]) for i in range(deg)]
-    rows.append(tuple(base))
-    for _ in range(deg - 2):
-        prev = rows[-1]
-        nxt = [Fraction(0)] + list(prev[:-1])
-        if prev[-1]:
-            for i in range(deg):
-                nxt[i] += prev[-1] * base[i]
-        rows.append(tuple(nxt))
-    # A^-1 = -(phi_1 + phi_2 A + ... + A^(deg-1)) / phi_0 ; phi_0 = 1 for 2p > 1
-    ainv = tuple(Fraction(-phi[i + 1], phi[0]) for i in range(deg))
-    return deg, phi, tuple(rows), ainv
+    return len(phi) - 1, phi
+
+
+@lru_cache(maxsize=None)
+def _a_powers(p):
+    """The reduced coefficient vectors of A_p^e for e = 0 .. 2p - 1.
+
+    Built by shift-and-reduce: A^(e+1) is A^e shifted up one place, with
+    the overflowing top coefficient folded back through
+    A^deg = -sum_(i < deg) phi_i A^i.  The entries are integers, since
+    phi_2p is monic over Z.
+    """
+    deg, phi = _level_data(p)
+    vec = (1,) + (0,) * (deg - 1)
+    out = [vec]
+    for _ in range(2 * p - 1):
+        top = vec[-1]
+        vec = (0,) + vec[:-1]
+        if top:
+            vec = tuple(v - top * phi[i] for i, v in enumerate(vec))
+        out.append(vec)
+    return tuple(out)
+
+
+def _monomial_sum(p, terms):
+    """sum c * A_p^e over (e, c) pairs, as a grade-0 coefficient list."""
+    n = 2 * p
+    by_class = {}
+    for e, c in terms:
+        if c:
+            e %= n
+            by_class[e] = by_class.get(e, 0) + c
+    table = _a_powers(p)
+    acc = [0] * level_degree(p)
+    for e, c in by_class.items():
+        for i, t in enumerate(table[e]):
+            if t:
+                acc[i] += c * t
+    return acc
 
 
 def level_degree(p):
@@ -98,12 +125,13 @@ def level_d(p):
 
 
 def _reduce_vec(vec, p):
-    deg, _, rows, _ = _level_data(p)
+    deg = level_degree(p)
+    table = _a_powers(p)
     out = list(vec[:deg]) + [Fraction(0)] * max(0, deg - len(vec))
     for j in range(deg, len(vec)):
         c = vec[j]
         if c:
-            row = rows[j - deg]
+            row = table[j % (2 * p)]
             for i in range(deg):
                 if row[i]:
                     out[i] += c * row[i]
@@ -143,19 +171,7 @@ class CycloElem:
     @staticmethod
     def a_power(p, k):
         """A_p^k for any integer k (A_p has order 2p)."""
-        deg, _, _, ainv = _level_data(p)
-        k %= 2 * p
-        if k == 0:
-            return CycloElem.one(p)
-        gen = CycloElem(p, (0, 1))
-        out = CycloElem.one(p)
-        base = gen
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return CycloElem(p, _a_powers(p)[k % (2 * p)])
 
     # -- predicates -----------------------------------------------------
 
@@ -277,7 +293,7 @@ class CycloElem:
         """Inverse in the fraction field (phi_2p is irreducible over Q)."""
         if self.is_zero():
             raise ZeroDivisionError("inverting zero in k_p")
-        deg, phi, _, _ = _level_data(self.p)
+        deg, phi = _level_data(self.p)
         # extended Euclid in Q[A] for the A-part
         a = list(self.coeffs)
         b = [Fraction(c) for c in phi]
@@ -307,15 +323,8 @@ class CycloElem:
 
     def bar(self):
         """A -> A^-1, kappa -> kappa^-1 (grade negation with u-folding)."""
-        deg, _, _, _ = _level_data(self.p)
-        ainv = CycloElem.a_power(self.p, -1)
-        out = CycloElem.zero(self.p)
-        apow = CycloElem.one(self.p)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out = out + apow * c
-            if i + 1 < deg:
-                apow = apow * ainv
+        terms = ((-i, c) for i, c in enumerate(self.coeffs))
+        out = CycloElem(self.p, _monomial_sum(self.p, terms))
         if self.grade == 0:
             return out
         folded = out._mul_grade0(u_element(self.p).inv())
@@ -486,11 +495,7 @@ def reduce_to_kp(x, p, grade=0):
     """Reduce a LaurentPoly (or scalar) to its unique k_p representative."""
     if isinstance(x, (int, Fraction)):
         return CycloElem(p, (x,), grade)
-    out = CycloElem.zero(p, grade)
-    acc = CycloElem.zero(p)
-    for e, c in x.terms.items():
-        acc = acc + CycloElem.a_power(p, e) * c
-    return CycloElem(p, acc.coeffs, grade)
+    return CycloElem(p, _monomial_sum(p, x.terms.items()), grade)
 
 
 # -- constants ----------------------------------------------------------
@@ -555,9 +560,8 @@ def constants(p):
         tot = CycloElem.zero(p)
         for s in range(n):
             tot = tot + br[s] * br[s]
-        check = eta * eta * tot
-        assert check == CycloElem(p, one.coeffs, (6 % 6)), \
-            f"eta normalisation failed at p={p}"
+        if eta * eta * tot != one:
+            raise InvariantCheckError(f"eta normalisation failed at p={p}")
     return ConstantPack(p=p, n=n, delta=delta, mu=mu, bracket_e=br, beta=beta,
                         eta=eta, kappa3=kappa3,
                         omega_coeffs=tuple(omega) if p >= 2 else (),
@@ -600,7 +604,8 @@ def _embedding(p, root_index):
         e = abs(cand ** 3 - target_k3)
         if err is None or e < err:
             best, err = cand, e
-    assert err < 1e-9, f"no compatible sixth root at p={p}"
+    if not err < 1e-9:
+        raise InvariantCheckError(f"no compatible sixth root at p={p}")
     return a, best
 
 
@@ -615,14 +620,8 @@ def map_i(x, p):
         raise ValueError("i_p is defined on k_2")
     if x.grade != 0:
         raise ValueError("transfer maps are implemented on kappa-grade 0")
-    gen = CycloElem.a_power(2 * p, p * p)
-    out = CycloElem.zero(2 * p)
-    apow = CycloElem.one(2 * p)
-    for c in x.coeffs:
-        if c:
-            out = out + apow * c
-        apow = apow * gen
-    return out
+    terms = ((i * p * p, c) for i, c in enumerate(x.coeffs))
+    return CycloElem(2 * p, _monomial_sum(2 * p, terms))
 
 
 def map_j(x, p):
@@ -633,14 +632,8 @@ def map_j(x, p):
         raise ValueError(f"j_p at p={p} is defined on k_{p}")
     if x.grade != 0:
         raise ValueError("transfer maps are implemented on kappa-grade 0")
-    gen = CycloElem.a_power(2 * p, p + 1)
-    out = CycloElem.zero(2 * p)
-    apow = CycloElem.one(2 * p)
-    for c in x.coeffs:
-        if c:
-            out = out + apow * c
-        apow = apow * gen
-    return out
+    terms = ((i * (p + 1), c) for i, c in enumerate(x.coeffs))
+    return CycloElem(2 * p, _monomial_sum(2 * p, terms))
 
 
 def combine_graded(x2, xp, p):

@@ -67,12 +67,6 @@ GAMMA5_TABLES = {
               ("-A - A^2 - 6*A^3", "2*A - A^2 + A^3")],
 }
 
-PROP510 = [("-1", "1", None),            # x - 1 handled separately
-           ("1", None, "A + A^-1"),
-           ("A^-1", None, "1 + A^-1"),
-           ("A^-1", None, "1 + A^-2"),
-           ("A^-2", None, "A^-1")]
-
 PROP75 = {0: None, 1: "1", 2: "1 - A^3", 3: "1 - A - A^3", 4: "-A^2"}
 
 RT_COVER_CYCLE = ["-A^4", "A^3", "2*A^2", "A", "-1", "-2*A^-1", "A^3", "-A^2",
@@ -80,10 +74,6 @@ RT_COVER_CYCLE = ["-A^4", "A^3", "2*A^2", "A", "-1", "-2*A^-1", "A^3", "-A^2",
 
 COVERS_81_D17 = "188 + 152*A + 136*A^2"
 BRANCHED_81_D17 = "1175 + 762*A + 1123*A^2"
-
-# optional golden constant for the genus-two computation (not produced here)
-GAMMA5_8_8_FACTOR = ("-1 + A + A^3", "-A - A^2 - A^3", "1 + A^2",
-                     "-1 - A - A^2", "1")
 
 
 def _perm_variants(mat):

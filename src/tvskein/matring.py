@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from dataclasses import dataclass
 
-from .polyalg import PowerSumSeries, RingPoly, _is_zero
+from .polyalg import InvariantCheckError, PowerSumSeries, RingPoly, _is_zero
 
 
 class RingMatrix:
@@ -303,14 +303,18 @@ def flat_decompose(z):
     zn = z ** n
     # column basis of image(Z^n): pivot columns of Z^n
     _, piv = _rref(zn)
-    assert len(piv) == r, "flat rank disagrees with normalized charpoly degree"
+    if len(piv) != r:
+        raise InvariantCheckError(
+            "flat rank disagrees with normalized charpoly degree")
     basis = RingMatrix(ring, [[zn.data[i][c] for c in piv] for i in range(n)])
     # action: Z * basis = basis * M
     m = solve(basis, z * basis)
     gamma_flat = berkowitz_charpoly(m)
-    assert gamma_flat == gamma, "flat charpoly mismatch"
+    if gamma_flat != gamma:
+        raise InvariantCheckError("flat charpoly mismatch")
     d = gamma.constant_term()
-    assert not _is_zero(d)
+    if _is_zero(d):
+        raise InvariantCheckError("normalized charpoly has zero constant term")
     return FlatDecomposition(z, r, m, gamma, d)
 
 

@@ -18,12 +18,9 @@ import cmath
 from fractions import Fraction
 from math import gcd
 
-from .cyclo import CycloElem, cyclotomic_poly, level_degree
+from .cyclo import (CycloElem, InvariantCheckError, cyclotomic_poly,
+                    level_degree)
 from .rings import QQ, CycloField, ring_of
-
-
-class InvariantCheckError(ArithmeticError):
-    """An internal consistency check of an exact computation failed."""
 
 
 class NormUnavailable(ValueError):

@@ -189,15 +189,6 @@ def tl_trace(x, n):
 # -- projector insertion in the skein engine --------------------------------
 
 
-def proj_block_terms(n):
-    """f_n as splice blocks: list of (block matching, LaurentFrac coeff).
-
-    Block indices: inputs 0..n-1 then outputs n..2n-1, matching the
-    engine's splice convention directly.
-    """
-    return [(d, c) for d, c in jones_wenzl(n).items()]
-
-
 @lru_cache(maxsize=None)
 def proj_block_terms_scaled(n):
     """f_n cleared of denominators: (terms over Z[A,A^-1], denominator).

@@ -712,9 +712,13 @@ def scalars_from_kauffman(f_terms):
     F_J(a, z), normalised to 1 on the unknot.  The two substitutions are
       <J>   = ((a + a^-1)/z - 1) F_J  at  a = -A^3,    z = A + A^-1
       [[J]] = -((a + a^-1)/z - 1) F_J at  a = -i A^8,  z = i(A^4 - A^-4)
-    and both results are certified to land in Z[A, A^-1].
+    and both results are certified to land in Z[A, A^-1].  A negative
+    z-exponent (which a knot's F_J does not have) raises ValueError.
     """
     from fractions import Fraction as _F
+
+    if any(j < 0 for _, j in f_terms):
+        raise ValueError("negative z-exponent in a knot's Kauffman polynomial")
 
     class _G:
         """Gaussian-rational coefficient: re + im*i."""

@@ -28,8 +28,8 @@ from .diagram import DiagramError, KnotRef, SliceWord
 from .laurent import LaurentFrac, LaurentPoly
 from .matring import (RingMatrix, berkowitz_det, flat_decompose,
                       normalized_charpoly, similarity_invariants)
-from .polyalg import (RingPoly, numeric_roots, power_sums,
-                      root_periodicity, tensor_product)
+from .polyalg import (InvariantCheckError, RingPoly, numeric_roots,
+                      power_sums, root_periodicity, tensor_product)
 from .recoupling import ColorError, full_twist, tet, theta, unknot_value
 from .rings import QA, ZA, kp_field
 from .skein import closure_B, knot_scalars, pairing_matrix_D, transfer_Q
@@ -116,7 +116,6 @@ class TVInvariant:
     constant_term: object
     flat_rank: int
     flat_matrix: RingMatrix
-    numeric_eigen: list = field(default_factory=list)
     period: int | None = None
     notes: dict = field(default_factory=dict)
 
@@ -128,20 +127,25 @@ class TVInvariant:
         """Similarity invariants of the flat part, computed on first read."""
         return similarity_invariants(self.flat_matrix) if self.flat_rank else []
 
+    @cached_property
+    def numeric_eigen(self):
+        """Roots of Gamma under A_p -> exp(pi i / p), computed on first read."""
+        if self.p is None or not self.flat_rank:
+            return []
+        return numeric_roots(self.gamma)
 
-def make_invariant(matrix, p=None, root_index=1, notes=None):
+
+def make_invariant(matrix, p=None, notes=None):
     """Flat-decompose a transfer matrix and bundle the invariants."""
     fd = flat_decompose(matrix)
     gamma = fd.gamma
-    eig = []
     period = None
     if p is not None and fd.flat_rank:
-        eig = numeric_roots(gamma, root_index)
         period = root_periodicity(gamma)
     return TVInvariant(p=p, matrix=matrix, gamma=gamma,
                        constant_term=fd.constant_term,
                        flat_rank=fd.flat_rank, flat_matrix=fd.flat_matrix,
-                       numeric_eigen=eig, period=period, notes=notes or {})
+                       period=period, notes=notes or {})
 
 
 def trivial_invariant(p):
@@ -251,6 +255,51 @@ def z5_matrix(j_ref, k):
     ])
 
 
+def _channel_sums(s, p, cd, left, right, *weights):
+    """Channel sums of the doubled pattern, one matrix per weight.
+
+    Entry (i, t) of the matrix for ``weight`` is the sum, over the colors
+    r with (i, r, t) small admissible, of weight(r, i, t) <J_r> in k_p.
+    Each <J_r> is reduced once, and only for the colors some sum reaches:
+    a color beyond them can cost minutes of colored bracket.
+    """
+    brackets = {}
+    out = [[[None] * len(right) for _ in left] for _ in weights]
+    for a, i in enumerate(left):
+        for b, t in enumerate(right):
+            accs = [CycloElem.zero(p)] * len(weights)
+            for r in cd.colors():
+                if not cd.small(i, r, t):
+                    continue
+                if r not in brackets:
+                    brackets[r] = reduce_to_kp(s.colored(r), p)
+                for w, weight in enumerate(weights):
+                    accs[w] = accs[w] + weight(r, i, t) * brackets[r]
+            for w, acc in enumerate(accs):
+                out[w][a][b] = acc
+    return out
+
+
+def _twist(p, power=1):
+    """The weight (r, i, t) -> full_twist(r, i, t)^power in k_p."""
+    return lambda r, i, t: reduce_to_kp(full_twist(r, i, t) ** power, p)
+
+
+def _pattern_product(left, right, diag, beta, ring):
+    """beta * left * diag(diag) * right^T over k_p."""
+    rows = []
+    for li in left:
+        scaled = [x * d for x, d in zip(li, diag)]
+        row = []
+        for rj in right:
+            acc = ring.zero
+            for x, y in zip(scaled, rj):
+                acc = acc + x * y
+            row.append(acc * beta)
+        rows.append(row)
+    return RingMatrix(ring, rows)
+
+
 def general_L_matrix(j_ref, p, cd=None):
     """L(J): pairing matrix of the e-basis through the doubled pattern.
 
@@ -259,58 +308,25 @@ def general_L_matrix(j_ref, p, cd=None):
     (verified against the level-5 closed form in the test suite).
     """
     cd = cd or ColorData.at(p)
-    pack = constants(p)
-    n = pack.n
-    ring = kp_field(p)
-    s = _scalars(j_ref)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = ring.zero
-            for r in cd.colors():
-                if not cd.small(i, r, j):
-                    continue
-                term = reduce_to_kp(full_twist(r, i, j), p) * \
-                    reduce_to_kp(s.colored(r), p)
-                acc = acc + term
-            row.append(acc)
-        rows.append(row)
-    return RingMatrix(ring, rows)
+    basis = range(constants(p).n)
+    lm, = _channel_sums(_scalars(j_ref), p, cd, basis, basis, _twist(p))
+    return RingMatrix(kp_field(p), lm)
 
 
 def general_B_matrix(j_ref, k, p, cd=None):
-    """B(J, k): the twisted side of the general doubled-pattern pairing."""
+    """B(J, k): the twisted side of the general doubled-pattern pairing.
+
+    The sum over the pattern channel s carries <e_s> and <e_s>^-1,
+    which cancel, so B = beta U diag(mu(s)^(2k+1)) W^T with
+    U[i, s] = sum_r ft(r, i, s) <J_r> and W[j, s] = sum_r ft(r, j, s)^k <J_r>.
+    """
     cd = cd or ColorData.at(p)
     pack = constants(p)
-    n = pack.n
-    ring = kp_field(p)
-    s = _scalars(j_ref)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = ring.zero
-            for sc in range(n):
-                es_inv = pack.bracket_e[sc].inv()
-                tw = pack.mu[sc] ** ((2 * k + 1) % (4 * p))
-                inner = ring.zero
-                for r in cd.colors():
-                    if not cd.small(i, r, sc):
-                        continue
-                    t1 = reduce_to_kp(full_twist(r, i, sc), p) * \
-                        reduce_to_kp(s.colored(r), p)
-                    for rp in cd.colors():
-                        if not cd.small(j, rp, sc):
-                            continue
-                        ftw = reduce_to_kp(full_twist(rp, j, sc), p)
-                        t2 = ftw ** (k % (2 * p))
-                        t2 = t2 * reduce_to_kp(s.colored(rp), p)
-                        inner = inner + t1 * t2 * es_inv
-                acc = acc + pack.bracket_e[sc] * tw * inner
-            row.append(acc * pack.beta)
-        rows.append(row)
-    return RingMatrix(ring, rows)
+    basis = range(pack.n)
+    u, w = _channel_sums(_scalars(j_ref), p, cd, basis, basis,
+                         _twist(p), _twist(p, k % (2 * p)))
+    tw = [pack.mu[t] ** ((2 * k + 1) % (4 * p)) for t in basis]
+    return _pattern_product(u, w, tw, pack.beta, kp_field(p))
 
 
 def double_invariant(j_ref, k, p):
@@ -347,8 +363,9 @@ def tensor_double(j_ref, k, p):
     # Gamma must agree with the composed product of the level polynomials
     gam2 = RingPoly(ring, [map_i(c, ph) for c in inv2.gamma.coeffs])
     gamh = RingPoly(ring, [map_j(c, ph) for c in invh.gamma.coeffs])
-    assert inv.gamma == tensor_product(gam2, gamh), \
-        "tensor splitting disagrees with the composed product"
+    if inv.gamma != tensor_product(gam2, gamh):
+        raise InvariantCheckError(
+            "tensor splitting disagrees with the composed product")
     return inv
 
 
@@ -386,62 +403,40 @@ def _frac_to_kp(x, p):
 def colored_L_matrix(j_ref, p, c, cd=None):
     """Colored pairing matrix over S(c, p); channel loops carry <J_r>."""
     cd = cd or ColorData.at(p)
-    ring = kp_field(p)
-    s = _scalars(j_ref)
     S = cd.S(c)
-    rows = []
-    for i in S:
-        row = []
-        for j in S:
-            acc = ring.zero
-            for r in cd.colors():
-                if not cd.small(i, r, j):
-                    continue
-                coeff = LaurentFrac(full_twist(r, i, j)) / theta(r, i, j) \
-                    * tet(c, j, j, r, i, i)
-                term = _frac_to_kp(coeff, p) * reduce_to_kp(s.colored(r), p)
-                acc = acc + term
-            row.append(acc)
-        rows.append(row)
-    return RingMatrix(ring, rows)
+
+    def weight(r, i, j):
+        coeff = LaurentFrac(full_twist(r, i, j)) / theta(r, i, j) \
+            * tet(c, j, j, r, i, i)
+        return _frac_to_kp(coeff, p)
+
+    lm, = _channel_sums(_scalars(j_ref), p, cd, S, S, weight)
+    return RingMatrix(kp_field(p), lm)
 
 
 def colored_B_matrix(j_ref, k, p, c, cd=None):
+    """The twisted side of the colored pairing, factorised like
+    ``general_B_matrix``: beta T1 diag(<e_s> mu(s)^(2k+1)) C2^T over the
+    pattern channels s with (c, s, s) small admissible."""
     cd = cd or ColorData.at(p)
     pack = constants(p)
-    ring = kp_field(p)
-    s = _scalars(j_ref)
     S = cd.S(c)
-    rows = []
-    for i in S:
-        row = []
-        for j in S:
-            acc = ring.zero
-            for sc in range(pack.n):
-                if not cd.small(c, sc, sc):
-                    continue
-                tw = pack.mu[sc] ** ((2 * k + 1) % (4 * p))
-                inner = ring.zero
-                for r in cd.colors():
-                    if not cd.small(i, r, sc):
-                        continue
-                    c1 = LaurentFrac(full_twist(r, i, sc)) / theta(r, i, sc) \
-                        * tet(c, i, i, r, sc, sc)
-                    t1 = _frac_to_kp(c1, p) * reduce_to_kp(s.colored(r), p)
-                    for rp in cd.colors():
-                        if not cd.small(j, rp, sc):
-                            continue
-                        ftw = reduce_to_kp(full_twist(rp, j, sc), p)
-                        twk = ftw ** (k % (2 * p))
-                        c2 = tet(c, j, j, rp, sc, sc) / theta(rp, j, sc) \
-                            / theta(c, sc, sc)
-                        c2p = _frac_to_kp(c2, p) * twk * \
-                            reduce_to_kp(s.colored(rp), p)
-                        inner = inner + t1 * c2p
-                acc = acc + pack.bracket_e[sc] * tw * inner
-            row.append(acc * pack.beta)
-        rows.append(row)
-    return RingMatrix(ring, rows)
+    chans = [t for t in range(pack.n) if cd.small(c, t, t)]
+    twist_k = _twist(p, k % (2 * p))
+
+    def first(r, i, t):
+        coeff = LaurentFrac(full_twist(r, i, t)) / theta(r, i, t) \
+            * tet(c, i, i, r, t, t)
+        return _frac_to_kp(coeff, p)
+
+    def second(r, j, t):
+        coeff = tet(c, j, j, r, t, t) / theta(r, j, t) / theta(c, t, t)
+        return _frac_to_kp(coeff, p) * twist_k(r, j, t)
+
+    t1, c2 = _channel_sums(_scalars(j_ref), p, cd, S, chans, first, second)
+    tw = [pack.bracket_e[t] * pack.mu[t] ** ((2 * k + 1) % (4 * p))
+          for t in chans]
+    return _pattern_product(t1, c2, tw, pack.beta, kp_field(p))
 
 
 def colored_double_invariant(j_ref, k, p, c):
@@ -527,7 +522,9 @@ def connected_sum(left, right, p, outer_color=0):
     gam = RingPoly.one(ring)
     for g in gammas:
         gam = gam * g
-    assert inv.gamma == gam
+    if inv.gamma != gam:
+        raise InvariantCheckError(
+            "connected sum disagrees with the product of block polynomials")
     return inv
 
 
@@ -570,7 +567,8 @@ def cover_series(j_ref, k, p, d_range):
     out = []
     for d in d_range:
         sig = total_signature(seifert, d)
-        assert sig % 2 == 0
+        if sig % 2:
+            raise InvariantCheckError(f"odd total signature {sig} at d={d}")
         # kappa^(-3 sigma_d) = u^(-sigma_d / 2)
         corr = vals[d] * _u_power(p, -sig // 2)
         out.append(CoverValue(d=d, value=vals[d], sigma_d=sig, corrected=corr))

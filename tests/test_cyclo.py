@@ -19,6 +19,30 @@ def test_reduction_examples():
     assert reduce_to_kp(LaurentPoly({2: 1}), 2) == CycloElem.from_int(2, -1)
 
 
+def test_power_table_matches_repeated_multiplication():
+    from tvskein.cyclo import _a_powers
+    for p in (5, 7, 9, 12):
+        a = CycloElem(p, (0, 1))
+        ainv = a.inv()
+        table = _a_powers(p)
+        assert len(table) == 2 * p
+        up, down = CycloElem.one(p), CycloElem.one(p)
+        for e in range(41):
+            for x, k in ((up, e), (down, -e)):
+                assert CycloElem.a_power(p, k) == x, (p, k)
+                assert CycloElem(p, table[k % (2 * p)]) == x, (p, k)
+                assert reduce_to_kp(LaurentPoly({k: 3}), p) == x * 3, (p, k)
+            up, down = up * a, down * ainv
+        rnd = random.Random(p)
+        for _ in range(20):
+            terms = {rnd.randint(-40, 40): rnd.randint(-5, 5) for _ in range(6)}
+            expect = CycloElem.zero(p)
+            for e, c in terms.items():
+                expect = expect + (a ** e if e >= 0 else ainv ** -e) * c
+            assert reduce_to_kp(LaurentPoly(terms), p, 2) == \
+                CycloElem(p, expect.coeffs, 2)
+
+
 def test_printed_beta_values():
     assert constants(2).beta == CycloElem(2, (Fraction(1, 2), Fraction(-1, 2)))
     b5 = constants(5).beta

@@ -181,6 +181,12 @@ def test_kauffman_channel():
     assert dd == rt.double0
 
 
+def test_kauffman_negative_z_exponent_rejected():
+    # range(j) with j < 0 used to drop such terms without a word
+    with pytest.raises(ValueError, match="negative z-exponent"):
+        scalars_from_kauffman({(0, 0): 1, (1, -1): 1})
+
+
 def test_transfer_vs_statesum_corpus():
     corpus = [ATLAS_PD["RT"], ATLAS_PD["LT"], ATLAS_PD["F8"],
               normalize_writhe(ATLAS_PD["RT"])[0],

@@ -6,10 +6,10 @@ import pytest
 from tvskein.cyclo import CycloElem, constants, map_j, reduce_to_kp
 from tvskein.diagram import SliceWord
 from tvskein.laurent import LaurentPoly
-from tvskein.polyalg import RingPoly, power_sums
+from tvskein.polyalg import RingPoly, numeric_roots, power_sums
 from tvskein.rings import kp_field
 from tvskein.skein import catalan
-from tvskein.tqft import (ColorData, UnsupportedSpecialization,
+from tvskein.tqft import (ColorData, UnsupportedSpecialization, _frac_to_kp,
                           branched_series, colored_double_invariant,
                           cover_series, double_invariant, general_double,
                           ordinary, ordinary_det_test, seifert_matrix_double,
@@ -268,3 +268,138 @@ def test_invariant_factors_stable_under_shift():
         f2 = similarity_invariants(flat_decompose(q2).flat_matrix)
         assert f1 == f2
         done += 1
+
+
+class _SyntheticScalars:
+    """Stand-in companion data: <J_r> is an arbitrary Laurent polynomial."""
+
+    name = "synthetic"
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def colored(self, r):
+        rnd = random.Random(self.seed * 100 + r)
+        return LaurentPoly({rnd.randint(-12, 12): rnd.randint(-4, 4)
+                            for _ in range(4)} or {0: 1})
+
+
+def _literal_general_B(s, k, p):
+    """B(J, k) as the printed quadruple sum over (s, r, r')."""
+    from tvskein.recoupling import full_twist
+    cd = ColorData.at(p)
+    pack = constants(p)
+    n = pack.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = CycloElem.zero(p)
+            for sc in range(n):
+                tw = pack.mu[sc] ** ((2 * k + 1) % (4 * p))
+                inner = CycloElem.zero(p)
+                for r in cd.colors():
+                    if not cd.small(i, r, sc):
+                        continue
+                    t1 = reduce_to_kp(full_twist(r, i, sc), p) * \
+                        reduce_to_kp(s.colored(r), p)
+                    for rp in cd.colors():
+                        if not cd.small(j, rp, sc):
+                            continue
+                        t2 = reduce_to_kp(full_twist(rp, j, sc), p) \
+                            ** (k % (2 * p)) * reduce_to_kp(s.colored(rp), p)
+                        inner = inner + t1 * t2 * pack.bracket_e[sc].inv()
+                acc = acc + pack.bracket_e[sc] * tw * inner
+            row.append(acc * pack.beta)
+        rows.append(row)
+    return rows
+
+
+def _literal_colored_B(s, k, p, c):
+    """The colored B matrix as the printed quadruple sum over (s, r, r')."""
+    from tvskein.laurent import LaurentFrac
+    from tvskein.recoupling import full_twist, tet, theta
+    cd = ColorData.at(p)
+    pack = constants(p)
+    S = cd.S(c)
+    rows = []
+    for i in S:
+        row = []
+        for j in S:
+            acc = CycloElem.zero(p)
+            for sc in range(pack.n):
+                if not cd.small(c, sc, sc):
+                    continue
+                tw = pack.mu[sc] ** ((2 * k + 1) % (4 * p))
+                inner = CycloElem.zero(p)
+                for r in cd.colors():
+                    if not cd.small(i, r, sc):
+                        continue
+                    c1 = LaurentFrac(full_twist(r, i, sc)) / theta(r, i, sc) \
+                        * tet(c, i, i, r, sc, sc)
+                    t1 = _frac_to_kp(c1, p) * reduce_to_kp(s.colored(r), p)
+                    for rp in cd.colors():
+                        if not cd.small(j, rp, sc):
+                            continue
+                        c2 = tet(c, j, j, rp, sc, sc) / theta(rp, j, sc) \
+                            / theta(c, sc, sc)
+                        t2 = _frac_to_kp(c2, p) \
+                            * reduce_to_kp(full_twist(rp, j, sc), p) \
+                            ** (k % (2 * p)) * reduce_to_kp(s.colored(rp), p)
+                        inner = inner + t1 * t2
+                acc = acc + pack.bracket_e[sc] * tw * inner
+            row.append(acc * pack.beta)
+        rows.append(row)
+    return rows
+
+
+def _entries(m):
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+@pytest.mark.parametrize("p", [7, 8, 9])
+def test_factorised_B_equals_quadruple_sum(monkeypatch, p):
+    import tvskein.tqft as tqft
+    from tvskein.tqft import colored_B_matrix, general_B_matrix
+    for seed in (None, 1):
+        s = tqft._scalars("U") if seed is None else _SyntheticScalars(seed)
+        monkeypatch.setattr(tqft, "_scalars", lambda ref, s=s: s)
+        for k in (-3, 2, p + 1):
+            assert _entries(general_B_matrix("U", k, p)) == \
+                _literal_general_B(s, k, p), (p, seed, k)
+        for k in (-1, 3):
+            assert _entries(colored_B_matrix("U", k, p, 2)) == \
+                _literal_colored_B(s, k, p, 2), (p, seed, k)
+
+
+def test_numeric_eigen_lazy(monkeypatch):
+    import tvskein.tqft as tqft
+    calls = []
+
+    def counted(gamma):
+        calls.append(gamma)
+        return numeric_roots(gamma)
+
+    monkeypatch.setattr(tqft, "numeric_roots", counted)
+    cover_series("U", 1, 7, range(1, 4))
+    branched_series("U", 1, 5, [1, 2])
+    inv = double_invariant("U", 1, 5)
+    assert calls == []
+    eig = inv.numeric_eigen
+    assert inv.numeric_eigen is eig and len(eig) == inv.flat_rank
+    assert len(calls) == 1
+
+
+def test_named_checks_in_tensor_split_and_connected_sum(monkeypatch):
+    import tvskein.tqft as tqft
+    from tvskein.polyalg import InvariantCheckError
+    from tvskein.tqft import connected_sum, tensor_double
+    blocks = {c: colored_double_invariant("U", 1, 5, c)
+              for c in ColorData.at(5).good_colors()}
+    # a composed product that cannot match Gamma
+    monkeypatch.setattr(tqft, "tensor_product",
+                        lambda f, g: RingPoly(f.ring, [f.ring.one] * 2))
+    with pytest.raises(InvariantCheckError, match="tensor splitting"):
+        tensor_double("U", 1, 10)
+    with pytest.raises(InvariantCheckError, match="connected sum"):
+        connected_sum(blocks, blocks, 5)
