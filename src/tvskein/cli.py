@@ -3,16 +3,17 @@
 Subcommands
     bracket FILE                 Kauffman bracket of a closed diagram
     tangle FILE [--p P]          transfer-matrix invariants of a tangle
-    double --J REF --k K --p P [--color C]
-    covers --J REF --k K --p P --d A..B [--branched]
+    double --J KNOT --k K --p P [--color C]
+    covers --J KNOT --k K --p P --d A..B [--branched]
     sum --left REF --right REF --p P [--color I]
     brieskorn --c C --p P
     check --suite NAME
 
-Input files: ``.sw`` slice words, ``.pd`` JSON planar diagrams.  Output
-formats: text (default), json, csv (covers only).  Exit codes: 0 on
-success, 2 on validation errors, 3 when a specialization is undefined
-at the requested level.
+KNOT is an atlas reference or a ``.pd`` file.  Input files: ``.sw``
+slice words, ``.pd`` JSON planar diagrams.  Output formats: text
+(default), json, csv (covers only).  Exit codes: 0 on success, 2 on
+validation errors, 3 when a specialization is undefined at the
+requested level.
 """
 
 from __future__ import annotations
@@ -125,6 +126,13 @@ def _load_diagram(path):
     return SliceWord.parse(text)
 
 
+def _knot(text):
+    """A ``--J`` argument: a ``.pd`` file or an atlas reference."""
+    if text.endswith(".pd"):
+        return _load_diagram(text)
+    return KnotRef.parse(text)
+
+
 def cmd_bracket(args, out):
     d = _load_diagram(args.file)
     if isinstance(d, SliceWord):
@@ -175,7 +183,7 @@ def cmd_tangle(args, out):
 
 
 def cmd_double(args, out):
-    ref = KnotRef.parse(args.J)
+    ref = _knot(args.J)
     if args.color is None:
         inv = double_invariant(ref, args.k, args.p)
     else:
@@ -195,7 +203,7 @@ def _parse_range(text):
 
 
 def cmd_covers(args, out):
-    ref = KnotRef.parse(args.J)
+    ref = _knot(args.J)
     ds = list(_parse_range(args.d))
     if args.branched:
         recs = branched_series(ref, args.k, args.p, ds)

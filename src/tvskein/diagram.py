@@ -10,7 +10,8 @@ are closed diagrams in the 2-sphere.
 ``PDCode`` carries planar-diagram data: one 4-tuple of arc labels per
 crossing, listed counterclockwise starting at the incoming understrand,
 plus the crossing sign.  Crossingless unknot components are tracked
-separately in ``free_loops``.
+separately in ``free_loops``.  ``pd_to_braid`` lowers a PD code to a
+closed braid, which ``braid_closure`` turns into a slice word.
 
 The atlas fixes the knots the twisted-double pipeline quotes by symbol:
 U, RT, LT, F8 and connected sums, each backed by a zero-writhe word.
@@ -21,6 +22,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+
+from .cyclo import InvariantCheckError
 
 
 class DiagramError(ValueError):
@@ -93,11 +96,6 @@ class SliceWord:
         return SliceWord(self.bottom, tuple(
             (swap.get(k, k), p) for k, p in self.tokens))
 
-    def concat(self, other):
-        if other.bottom != self.bottom:
-            raise DiagramError("concatenation needs equal boundary widths")
-        return SliceWord(self.bottom, self.tokens + other.tokens)
-
     def cyclic_shift(self, t):
         """Rotate the word at token boundary t (width there must match)."""
         if self.widths()[t] != self.bottom:
@@ -153,6 +151,186 @@ def braid_closure(strands, braid_word):
         tokens.append(("cross+" if g > 0 else "cross-", strands + i))
     tokens += [("cap", i) for i in range(strands, 0, -1)]
     return SliceWord(0, tuple(tokens))
+
+
+def pd_to_braid(pd):
+    """The diagram as a closed braid ``(strands, generators)``.
+
+    Vogel's algorithm ("Representation of links by braids: a new
+    algorithm", Comment. Math. Helv. 65, 1990).  The arcs are oriented
+    a -> c through the under strand, and d -> b (sign +1) or b -> d
+    (sign -1) through the over strand.  While some face has edges of two
+    different Seifert circles that run the same way round it, a
+    Reidemeister II move across that face adds two crossings of opposite
+    sign; the number of circles stays the same, and Vogel's height
+    argument gives termination.  The circles are then nested coherently
+    and become the strands.  ``generators`` follows ``braid_closure``:
+    +i is a crossing of sign +1 between strands i and i+1.  The connected
+    pieces of a split diagram lie side by side, and free loops are idle
+    strands.
+    """
+    entered, root = {}, {}
+
+    def find(arc):
+        while root.setdefault(arc, arc) != arc:
+            arc = root[arc]
+        return arc
+
+    for row in pd.crossings:
+        for s in _IN_SLOTS[row[4]]:
+            entered[row[s]] = entered.get(row[s], 0) + 1
+        for arc in row[1:4]:
+            root[find(arc)] = find(row[0])
+    for arc in root:
+        if entered.get(arc) != 1:
+            end = "entered" if arc in entered else "left"
+            raise DiagramError(f"arc {arc} is {end} at both ends")
+    pieces = {}
+    for row in pd.crossings:
+        pieces.setdefault(find(row[0]), []).append(row)
+    strands, gens = pd.free_loops, []
+    for rows in pieces.values():
+        s, g = _vogel(rows)
+        gens += [v + strands if v > 0 else v - strands for v in g]
+        strands += s
+    return strands, gens
+
+
+# Slots are 0..3 = a..d, counterclockwise.  The incoming slots of a
+# crossing by sign, and the Seifert smoothing: each incoming slot joins
+# the adjacent outgoing slot.
+_IN_SLOTS = {1: (0, 3), -1: (0, 1)}
+_SMOOTH = {1: {0: 1, 3: 2}, -1: {0: 3, 1: 2}}
+
+
+def _vogel(crossings):
+    """Braid of one connected diagram, given as PD rows."""
+    label = {}
+    rows = [[label.setdefault(a, len(label)) for a in x[:4]]
+            for x in crossings]
+    signs = [x[4] for x in crossings]
+    while True:
+        pic = _SeifertPicture(rows, signs)
+        move = pic.defect()
+        if move is None:
+            return pic.braid()
+        x_arc, y_arc, along = move
+        # x passes over y twice; x keeps its label up to the first new
+        # crossing, y up to the first it meets, and four fresh labels
+        # name the rest
+        n = 2 * len(rows)
+        x2, x3, y2, y3 = n, n + 1, n + 2, n + 3
+        for arc, last in ((x_arc, x3), (y_arc, y3)):
+            hx, hs = pic.head[arc]
+            rows[hx][hs] = last
+        if along:
+            rows += [[y2, x_arc, y3, x2], [y_arc, x3, y2, x2]]
+            signs += [-1, 1]
+        else:
+            rows += [[y2, x2, y3, x_arc], [y_arc, x2, y2, x3]]
+            signs += [1, -1]
+
+
+class _SeifertPicture:
+    """Orientation, Seifert circles and faces of a connected diagram.
+
+    A dart (x, s) leaves crossing x through slot s along the arc
+    ``rows[x][s]``; it runs along the arc when s is the arc's tail.
+    Following the arc to its far end (y, t) and turning to the next slot
+    (y, t + 1) walks round a face.  Circles and faces are named by their
+    first arc and dart.
+    """
+
+    def __init__(self, rows, signs):
+        self.rows, self.signs = rows, signs
+        self.ends = {}
+        for x, row in enumerate(rows):
+            for s, arc in enumerate(row):
+                self.ends.setdefault(arc, []).append((x, s))
+        self.head = {arc: e if e[1] in _IN_SLOTS[signs[e[0]]] else f
+                     for arc, (e, f) in self.ends.items()}
+        self.circle = {}
+        for start in self.ends:
+            arc = start
+            while arc not in self.circle:
+                self.circle[arc] = start
+                arc = self.next_arc(arc)
+        self.face_of, self.faces = {}, {}
+        for start in ((x, s) for x in range(len(rows)) for s in range(4)):
+            dart = start
+            while dart not in self.face_of:
+                self.face_of[dart] = start
+                self.faces.setdefault(start, []).append(dart)
+                y, t = self.far_end(dart)
+                dart = (y, (t + 1) % 4)
+        if len(self.faces) != len(rows) + 2:
+            raise DiagramError("PD code does not describe a planar diagram")
+
+    def next_arc(self, arc):
+        """The arc after ``arc`` on its Seifert circle."""
+        x, t = self.head[arc]
+        return self.rows[x][_SMOOTH[self.signs[x]][t]]
+
+    def far_end(self, dart):
+        e, f = self.ends[self.rows[dart[0]][dart[1]]]
+        return f if e == dart else e
+
+    def circle_of(self, dart):
+        return self.circle[self.rows[dart[0]][dart[1]]]
+
+    def defect(self):
+        """(x, y, along) for two edges of different circles that run the
+        same way round a face, or None when there is no such face."""
+        for darts in self.faces.values():
+            first = {}
+            for x, s in darts:
+                arc = self.rows[x][s]
+                along = self.head[arc] != (x, s)
+                if along not in first:
+                    first[along] = arc
+                elif self.circle[first[along]] != self.circle[arc]:
+                    return first[along], arc, along
+        return None
+
+    def braid(self):
+        """Read the braid off coherently nested circles.
+
+        A chain of faces from a face bounded by one circle crosses each
+        circle once, at its cut arc; the crossings on each circle are
+        listed from there, and a crossing is read off once it heads the
+        lists of both its circles.
+        """
+        face = next(darts for darts in self.faces.values()
+                    if len({self.circle_of(d) for d in darts}) == 1)
+        lists, done = [], set()
+        while True:
+            fresh = [d for d in face if self.circle_of(d) not in done]
+            if not fresh:
+                break
+            done.add(self.circle_of(fresh[0]))
+            cut = arc = self.rows[fresh[0][0]][fresh[0][1]]
+            order = []
+            while not order or arc != cut:
+                order.append(self.head[arc][0])
+                arc = self.next_arc(arc)
+            lists.append(order)
+            face = self.faces[self.face_of[self.far_end(fresh[0])]]
+        pos = [0] * len(lists)
+        word = []
+        while len(word) < len(self.rows):
+            heads = {}
+            for i, order in enumerate(lists):
+                if pos[i] < len(order):
+                    heads.setdefault(order[pos[i]], []).append(i)
+            ready = [(x, ij) for x, ij in heads.items() if len(ij) == 2]
+            if not ready:
+                raise InvariantCheckError("no crossing heads the lists of "
+                                          "both its circles")
+            for x, (i, j) in ready:
+                word.append(self.signs[x] * (i + 1))
+                pos[i] += 1
+                pos[j] += 1
+        return len(lists), word
 
 
 def add_word_kinks(word, count, sign):
@@ -371,8 +549,8 @@ ATLAS_PD = {
     "U": PDCode((), free_loops=1),
     "RT": PDCode(((4, 2, 5, 1, 1), (6, 4, 1, 3, 1), (2, 6, 3, 5, 1))),
     "LT": PDCode(((1, 4, 2, 5, -1), (3, 6, 4, 1, -1), (5, 2, 6, 3, -1))),
-    "F8": PDCode(((4, 2, 5, 1, -1), (8, 6, 1, 5, 1),
-                  (6, 3, 7, 4, -1), (2, 7, 3, 8, 1))),
+    "F8": PDCode(((4, 2, 5, 1, 1), (8, 6, 1, 5, 1),
+                  (6, 3, 7, 4, -1), (2, 7, 3, 8, -1))),
 }
 
 

@@ -232,10 +232,10 @@ class LaurentPoly:
             neg = c < 0
             c = abs(c)
             if e == 0:
-                body = _fmt_coeff(c)
+                body = str(c)
             else:
                 var = "A" if e == 1 else f"A^{e}"
-                body = var if c == 1 else f"{_fmt_coeff(c)}*{var}"
+                body = var if c == 1 else f"{c}*{var}"
             if not parts:
                 parts.append(("-" if neg else "") + body)
             else:
@@ -288,10 +288,6 @@ class LaurentPoly:
                 exp = 0
             out[exp] = out.get(exp, 0) + sign * coeff
         return LaurentPoly(out)
-
-
-def _fmt_coeff(c):
-    return str(c)
 
 
 def _as_laurent(x):

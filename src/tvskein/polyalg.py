@@ -51,10 +51,6 @@ class RingPoly:
     def x(ring):
         return RingPoly(ring, [ring.zero, ring.one])
 
-    @staticmethod
-    def x_minus(ring, root):
-        return RingPoly(ring, [-ring.coerce(root), ring.one])
-
     def degree(self):
         return len(self.coeffs) - 1
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import LaurentFrac, LaurentPoly, bracket_e, mu_eig, quantum_int
-from .skein import SkeinEngine
+from .skein import SkeinEngine, _zero
 
 
 class ColorError(ValueError):
@@ -231,20 +231,12 @@ class WebEngine(SkeinEngine):
             res = self.apply_block(states, pos, n, n, block, coeff)
             for m, c in res.items():
                 self._merge(out, m, c)
-        return {m: c for m, c in out.items() if not _w_zero(c)}
-
-    def block(self, states, pos, c_in, c_out, pairs):
-        return self.apply_block(states, pos, c_in, c_out, pairs)
+        return {m: c for m, c in out.items() if not _zero(c)}
 
     def value(self, states):
         """The closed evaluation as a reduced element of Q(A)."""
         num = states.get((), LaurentPoly())
         return LaurentFrac(num, self.denominator)
-
-
-def _w_zero(x):
-    z = getattr(x, "is_zero", None)
-    return z() if callable(z) else not x
 
 
 # -- colored web programs -----------------------------------------------------
@@ -319,14 +311,14 @@ def theta_web(a, b, c):
     _check_adm(a, b, c)
     eng = WebEngine()
     states = {(): eng.ring.one}
-    states = eng.block(states, 0, 0, a + b + c, create_block(a, b, c))
+    states = eng.apply_block(states, 0, 0, a + b + c, create_block(a, b, c))
     if a:
         states = eng.proj(states, 0, a)
     if b:
         states = eng.proj(states, a, b)
     if c:
         states = eng.proj(states, a + b, c)
-    states = eng.block(states, 0, a + b + c, 0, create_block(a, b, c))
+    states = eng.apply_block(states, 0, a + b + c, 0, create_block(a, b, c))
     return eng.value(states)
 
 
@@ -336,18 +328,18 @@ def tet_web(A, B, E, D, C, F):
         _check_adm(*tri)
     eng = WebEngine()
     states = {(): eng.ring.one}
-    states = eng.block(states, 0, 0, B + A + E, create_block(B, A, E))
+    states = eng.apply_block(states, 0, 0, B + A + E, create_block(B, A, E))
     for pos, col in ((0, B), (B, A), (B + A, E)):
         if col:
             states = eng.proj(states, pos, col)
-    states = eng.block(states, B, A, C + F, split_block(A, C, F))
+    states = eng.apply_block(states, B, A, C + F, split_block(A, C, F))
     for pos, col in ((B, C), (B + C, F)):
         if col:
             states = eng.proj(states, pos, col)
-    states = eng.block(states, 0, B + C, D, merge_block(B, C, D))
+    states = eng.apply_block(states, 0, B + C, D, merge_block(B, C, D))
     if D:
         states = eng.proj(states, 0, D)
-    states = eng.block(states, 0, D + F + E, 0, create_block(D, F, E))
+    states = eng.apply_block(states, 0, D + F + E, 0, create_block(D, F, E))
     return eng.value(states)
 
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .diagram import DiagramError, PDCode, SliceWord, cable_word, normalize_writhe
+from .diagram import (DiagramError, PDCode, SliceWord, add_word_kinks,
+                      braid_closure, cable_word, pd_to_braid)
 from .laurent import DELTA, LaurentPoly
 
 _A = LaurentPoly({1: 1})
@@ -383,195 +384,9 @@ def bracket_pd_statesum(pd, ring=None):
     return total
 
 
-def pd_to_word(pd):
-    """Convert a planar diagram to a closed slice word by a greedy sweep.
-
-    Places one crossing at a time, always attaching along a contiguous
-    run of open arcs; backtracks over placement orders when the greedy
-    choice gets stuck.  Raises DiagramError if no sweep is found.
-    """
-    if not pd.crossings:
-        toks = []
-        for _ in range(pd.free_loops):
-            toks += [("cup", 1), ("cap", 1)]
-        return SliceWord(0, tuple(toks))
-
-    n = len(pd.crossings)
-
-    def attempt(order):
-        tokens = []
-        frontier = []              # open arc labels on the disk boundary
-
-        def rotate_to(r):
-            # the frontier lives on a circle; rotating the basepoint is free
-            nonlocal frontier
-            r %= max(len(frontier), 1)
-            if r:
-                tokens.append(("rot", r, len(frontier)))
-                frontier = frontier[r:] + frontier[:r]
-
-        for ci in order:
-            a, b, c, d, _s = pd.crossings[ci]
-            slots = [a, b, c, d]
-            # which slots attach: arcs already on frontier
-            attach = [k for k in range(4)
-                      if slots[k] in frontier and slots.count(slots[k]) == 1]
-            # pick a contiguous ccw run of slots to attach
-            k_down = len(attach)
-            placed = False
-            for rot in range(4):
-                run = [(rot + t) % 4 for t in range(k_down)]
-                if sorted(run) != sorted(attach):
-                    continue
-                # ccw down-slots must meet the boundary circle left to right
-                pos = [frontier.index(slots[k]) for k in run]
-                w = len(frontier)
-                if not pos:
-                    continue
-                if any((pos[t] - pos[0]) % w != t for t in range(k_down)):
-                    continue
-                if pos[0] + k_down > w:
-                    rotate_to(pos[0])
-                    p = 0
-                else:
-                    p = pos[0]
-                up = [(rot + k_down + t) % 4 for t in range(4 - k_down)]
-                up_arcs = list(reversed([slots[k] for k in up]))
-                tokens.append(("pd-cross", p, k_down, run[0]))
-                frontier[p:p + k_down] = up_arcs
-                placed = True
-                break
-            if not placed:
-                if k_down == 0 and not frontier:
-                    # start a fresh region
-                    tokens.append(("pd-cross", 0, 0, 0))
-                    frontier[0:0] = list(reversed([slots[k] for k in range(4)]))
-                    placed = True
-                else:
-                    return None
-            # close arcs whose both ends are now open (cyclically adjacent)
-            changed = True
-            while changed:
-                changed = False
-                w = len(frontier)
-                for i in range(w):
-                    j = (i + 1) % w
-                    if w >= 2 and frontier[i] == frontier[j]:
-                        if j == 0:
-                            rotate_to(i)
-                            i, j = 0, 1
-                        tokens.append(("cap", i + 1))
-                        del frontier[i:i + 2]
-                        changed = True
-                        break
-            # a same-arc pair stuck apart is a failed embedding
-            from collections import Counter
-            cnt = Counter(frontier)
-            if any(v > 1 for v in cnt.values()):
-                return None
-        if frontier:
-            return None
-        return tokens
-
-    import itertools
-    orders = [list(range(n))]
-    tried = 0
-    best = attempt(orders[0])
-    if best is None:
-        for perm in itertools.permutations(range(n)):
-            tried += 1
-            if tried > 50000:
-                break
-            best = attempt(list(perm))
-            if best is not None:
-                break
-    if best is None:
-        raise DiagramError("no planar sweep found for this diagram")
-    # expand pd-cross pseudo-tokens into cup/cap/cross via smoothing blocks
-    return _expand_pd_tokens(best, pd)
-
-
-def _expand_pd_tokens(tokens, pd):
-    """Lower pd-cross pseudo-tokens into an evaluable program.
-
-    A placed crossing becomes one generalised event; the engine handles
-    it directly, so here we only repackage.
-    """
-    return _PDProgram(tokens, pd.free_loops)
-
-
-class _PDProgram:
-    """Internal: a swept planar diagram ready for evaluation."""
-
-    def __init__(self, tokens, free_loops):
-        self.tokens = tokens
-        self.free_loops = free_loops
-
-
 def bracket_pd(pd, ring=None):
-    """Kauffman bracket of a planar diagram via the sweep engine."""
-    from .rings import ZA
-    ring = ring or ZA
-    prog = pd_to_word(pd)
-    if isinstance(prog, SliceWord):
-        return bracket_word(prog, ring)
-    eng = SkeinEngine(ring)
-    states = {tuple(): ring.one}
-    for tok in prog.tokens:
-        if tok[0] == "cap":
-            states = eng.cap(states, tok[1] - 1)
-        elif tok[0] == "rot":
-            _, r, w = tok
-            states = {_rotate_matching(m, r): c for m, c in states.items()}
-        else:
-            _, p, k_down, rot0 = tok
-            states = _apply_pd_cross(eng, states, p, k_down, rot0)
-    val = states.get((), ring.zero)
-    for _ in range(prog.free_loops):
-        val = val * eng.delta
-    return val
-
-
-def _rotate_matching(m, r):
-    """Rotate the disk-boundary basepoint: position i becomes i - r."""
-    w = len(m)
-    if not w:
-        return m
-    r %= w
-    return tuple((m[(i + r) % w] - r) % w for i in range(w))
-
-
-def _apply_pd_cross(eng, states, p, k_down, rot0):
-    """Apply a swept crossing: A and B smoothings as planar blocks.
-
-    Slots 0..3 are the PD positions (ccw from incoming under); the
-    attached run is rot0..rot0+k_down-1 (mod 4), appearing reversed on
-    the frontier at positions p..p+k_down-1.  The A-smoothing joins
-    slots (0,1) and (2,3); B joins (1,2) and (3,0).
-    """
-    down = [(rot0 + t) % 4 for t in range(k_down)]
-    up = [(rot0 + k_down + t) % 4 for t in range(4 - k_down)]
-    # ccw down-slots sit left to right; ccw up-slots emerge right to left
-    slot_to_block = {}
-    for t, s in enumerate(down):
-        slot_to_block[s] = t
-    for t, s in enumerate(up):
-        slot_to_block[s] = k_down + (4 - k_down - 1 - t)
-    out = None
-    for pairs, factor in ((((0, 1), (2, 3)), eng.a),
-                          (((1, 2), (3, 0)), eng.a_inv)):
-        block = [None] * 4
-        for x, y in pairs:
-            bx, by = slot_to_block[x], slot_to_block[y]
-            block[bx] = by
-            block[by] = bx
-        res = eng.apply_block(states, p, k_down, 4 - k_down, tuple(block), factor)
-        if out is None:
-            out = res
-        else:
-            for m, c in res.items():
-                eng._merge(out, m, c)
-    return {m: c for m, c in out.items() if not _zero(c)}
+    """Kauffman bracket of a planar diagram, lowered to a closed braid."""
+    return bracket_word(braid_closure(*pd_to_braid(pd)), ring)
 
 
 # -- colored brackets and knot scalars ----------------------------------------
@@ -664,11 +479,18 @@ def knot_scalars(ref):
             raise DiagramError("knot scalars need a closed diagram")
         return KnotScalars("<word>", word=ref)
     if isinstance(ref, PDCode):
-        pd0, _ = normalize_writhe(ref)
-        word = pd_to_word(pd0)
-        if not isinstance(word, SliceWord):
-            raise DiagramError("diagram could not be swept to a slice word")
-        return KnotScalars("<pd>", word=word)
+        # kinks go on the lowered word: each kink in the PD code would
+        # add a Seifert circle, and so a strand to every cabled bracket
+        if not ref.is_knot():
+            raise DiagramError("knot scalars need a knot diagram, got "
+                               f"{ref.component_count()} components")
+        if ref not in _SCALAR_CACHE:
+            strands, gens = pd_to_braid(ref)
+            w = sum(1 if g > 0 else -1 for g in gens)
+            word = add_word_kinks(braid_closure(strands, gens), abs(w),
+                                  -1 if w > 0 else 1)
+            _SCALAR_CACHE[ref] = KnotScalars("<pd>", word=word)
+        return _SCALAR_CACHE[ref]
     if isinstance(ref, str):
         ref = KnotRef.parse(ref)
     if ref.symbol in _SCALAR_CACHE:

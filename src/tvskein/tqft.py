@@ -191,8 +191,7 @@ def tangle_invariant(word, p=None):
     trace = q.trace()
     wrapping = None
     if n >= 2:
-        b = closure_B(word)
-        if not berkowitz_det(b.map(lambda x: LaurentFrac(x), QA)).is_zero():
+        if not berkowitz_det(closure_B(word)).is_zero():
             wrapping = 2 * n
     from .skein import catalan
     bound_ok = True

@@ -26,6 +26,18 @@ def test_bracket_pd_file(tmp_path):
     assert rc == 0 and "<D>" in out
 
 
+def test_double_from_pd_file(tmp_path):
+    f = tmp_path / "rt.pd"
+    f.write_text('{"crossings": [[4,2,5,1,"+"],[6,4,1,3,"+"],[2,6,3,5,"+"]]}')
+    args = ["--k", "1", "--p", "5", "--format", "json"]
+    rc, from_pd = _run(["double", "--J", str(f)] + args)
+    assert rc == 0
+    assert from_pd == _run(["double", "--J", "RT"] + args)[1]
+    rc, from_pd = _run(["covers", "--J", str(f), "--d", "1..4"] + args)
+    assert rc == 0
+    assert from_pd == _run(["covers", "--J", "RT", "--d", "1..4"] + args)[1]
+
+
 def test_tangle_command(tmp_path):
     f = tmp_path / "straight.sw"
     f.write_text("2n=4\n")

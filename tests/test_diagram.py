@@ -2,7 +2,8 @@ import pytest
 
 from tvskein.diagram import (ATLAS_PD, ATLAS_WORDS, DiagramError, KnotRef,
                              PDCode, SliceWord, add_word_kinks, braid_closure,
-                             cable_word, normalize_writhe, pd_add_kink)
+                             cable_word, normalize_writhe, pd_add_kink,
+                             pd_to_braid)
 
 
 def test_parse_print_roundtrip():
@@ -64,6 +65,39 @@ def test_pd_json_roundtrip():
     pd = ATLAS_PD["F8"]
     assert PDCode.parse(pd.to_json()) == pd
     assert PDCode.parse('[[1,4,2,5,"+"],[3,6,4,1,"+"],[5,2,6,3,"+"]]').writhe() == 3
+
+
+def test_atlas_pd_lowers_to_braids():
+    strands = {"U": 1, "RT": 2, "LT": 2, "F8": 3}
+    for name, pd in ATLAS_PD.items():
+        s, gens = pd_to_braid(pd)
+        assert s == strands[name]
+        assert len(gens) == len(pd.crossings)
+        assert sum(1 if g > 0 else -1 for g in gens) == pd.writhe()
+    assert pd_to_braid(PDCode((), free_loops=2)) == (2, [])
+    assert pd_to_braid(PDCode(())) == (0, [])
+
+
+def test_pd_orientation_and_planarity_checks():
+    # the figure eight with crossings 0 and 3 carrying the wrong sign:
+    # arc 2 is entered at both of its ends
+    bad_f8 = PDCode(((4, 2, 5, 1, -1), (8, 6, 1, 5, 1),
+                     (6, 3, 7, 4, -1), (2, 7, 3, 8, 1)))
+    assert bad_f8.writhe() == 0
+    with pytest.raises(DiagramError, match="arc 2 is entered at both ends"):
+        pd_to_braid(bad_f8)
+    # one crossing whose two strands close up through each other: one
+    # face where a planar diagram has three
+    with pytest.raises(DiagramError, match="planar"):
+        pd_to_braid(PDCode(((1, 2, 1, 2, 1),)))
+
+
+def test_split_diagrams_lie_side_by_side():
+    rt = ATLAS_PD["RT"]
+    hopf = PDCode(((11, 13, 12, 14, 1), (13, 11, 14, 12, 1)))
+    s, gens = pd_to_braid(PDCode(rt.crossings + hopf.crossings, free_loops=1))
+    assert s == 1 + 2 + 2
+    assert sorted(abs(g) for g in gens) == [2, 2, 2, 4, 4]
 
 
 def test_normalize_writhe_counts():

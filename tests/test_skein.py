@@ -5,7 +5,8 @@ import pytest
 from tvskein.cyclo import CycloElem, reduce_to_kp
 from tvskein.diagram import (ATLAS_PD, ATLAS_WORDS, DiagramError, PDCode,
                              SliceWord, add_word_kinks, braid_closure,
-                             cable_word, normalize_writhe, pd_add_kink)
+                             cable_word, normalize_writhe, pd_add_kink,
+                             pd_to_braid)
 from tvskein.laurent import A, DELTA, MU, LaurentPoly, quantum_int
 from tvskein.matring import berkowitz_det
 from tvskein.rings import QA, ZA
@@ -41,6 +42,98 @@ def rand_word(rnd, n, extra):
         toks.append(("cup", rnd.randint(1, w + 1)))
         w += 2
     return SliceWord(2 * n, tuple(toks))
+
+
+def word_to_pd(word):
+    """PD code of a closed slice word, each component oriented by a walk.
+
+    Tokens stack bottom to top and frontier positions run left to right,
+    so the slots of a crossing are SW, SE, NE, NW counterclockwise.  The
+    identity smoothing of ``cross+`` carries A, so its under strand is
+    SE-NW; ``cross-`` passes under along SW-NE.
+    """
+    parent = []
+
+    def find(u):
+        while parent[u] != u:
+            u = parent[u]
+        return u
+
+    def fresh():
+        parent.append(len(parent))
+        return len(parent) - 1
+
+    frontier, slots, kinds = [], [], []
+    for kind, pos in word.tokens:
+        i = pos - 1
+        if kind == "cup":
+            n = fresh()
+            frontier[i:i] = [n, n]
+        elif kind == "cap":
+            parent[find(frontier[i])] = find(frontier[i + 1])
+            del frontier[i:i + 2]
+        else:
+            nw, ne = fresh(), fresh()
+            slots.append((frontier[i], frontier[i + 1], ne, nw))
+            kinds.append(kind)
+            frontier[i:i + 2] = [nw, ne]
+    ends = {}
+    for x, row in enumerate(slots):
+        for k, seg in enumerate(row):
+            ends.setdefault(find(seg), []).append((x, k))
+    free = len({find(u) for u in range(len(parent))}) - len(ends)
+    # walk each component: enter at (x, k), leave at the opposite slot
+    entered = set()
+    for x0 in range(len(slots)):
+        for k0 in range(4):
+            if (x0, k0) in entered or (x0, (k0 + 2) % 4) in entered:
+                continue
+            x, k = x0, k0
+            while (x, k) not in entered:
+                entered.add((x, k))
+                out = (x, (k + 2) % 4)
+                e, f = ends[find(slots[x][out[1]])]
+                x, k = f if e == out else e
+    label = {root: i + 1 for i, root in enumerate(ends)}
+    rows = []
+    for x, row in enumerate(slots):
+        under = (1, 3) if kinds[x] == "cross+" else (0, 2)
+        a = next(k for k in under if (x, k) in entered)
+        sign = 1 if (x, (a + 3) % 4) in entered else -1
+        rows.append(tuple(label[find(row[(a + j) % 4])] for j in range(4))
+                    + (sign,))
+    return PDCode(tuple(rows), free)
+
+
+def seifert_circle_count(pd):
+    """Loops of the oriented smoothing: the A-smoothing at a positive
+    crossing, the B-smoothing at a negative one."""
+    parent = {}
+
+    def find(u):
+        while parent.setdefault(u, u) != u:
+            u = parent[u]
+        return u
+
+    for a, b, c, d, sign in pd.crossings:
+        for u, v in (((a, b), (c, d)) if sign > 0 else ((b, c), (d, a))):
+            parent[find(u)] = find(v)
+    arcs = {a for x in pd.crossings for a in x[:4]}
+    return len({find(a) for a in arcs}) + pd.free_loops
+
+
+def braid_components(strands, gens):
+    perm = list(range(strands))
+    for g in gens:
+        i = abs(g) - 1
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    seen, cycles = set(), 0
+    for start in range(strands):
+        cycles += start not in seen
+        while start not in seen:
+            seen.add(start)
+            start = perm[start]
+    return cycles
 
 
 def test_matchings_counts_and_order():
@@ -185,6 +278,38 @@ def test_kauffman_negative_z_exponent_rejected():
     # range(j) with j < 0 used to drop such terms without a word
     with pytest.raises(ValueError, match="negative z-exponent"):
         scalars_from_kauffman({(0, 0): 1, (1, -1): 1})
+
+
+def test_random_diagrams_lower_to_braids():
+    # closed words of at most 8 tokens: split pieces, free loops, links,
+    # and diagrams that need Vogel moves.  Longer words reach 9 Seifert
+    # circles, and the bracket of a closure grows like catalan(strands).
+    rnd = random.Random(5)
+    moved = 0
+    for _ in range(60):
+        word = rand_word(rnd, 0, rnd.randint(1, 8))
+        pd = word_to_pd(word)
+        assert bracket_pd(pd) == bracket_word(word) == bracket_pd_statesum(pd)
+        strands, gens = pd_to_braid(pd)
+        assert sum(1 if g > 0 else -1 for g in gens) == pd.writhe()
+        assert braid_components(strands, gens) == pd.component_count()
+        assert strands == seifert_circle_count(pd)
+        moved += len(gens) > len(pd.crossings)
+    assert moved >= 20
+
+
+def test_pd_knot_scalars_match_atlas():
+    for name in ("RT", "LT", "F8"):
+        pd = ATLAS_PD[name]
+        s, ref = knot_scalars(pd), knot_scalars(name)
+        assert s.bracket == ref.bracket
+        assert s.double0 == ref.double0
+        assert s.colored(2) == ref.colored(2)
+        # cached by value
+        assert knot_scalars(PDCode.parse(pd.to_json())) is s
+    hopf = PDCode(((1, 3, 2, 4, 1), (3, 1, 4, 2, 1)))
+    with pytest.raises(DiagramError, match="knot diagram"):
+        knot_scalars(hopf)
 
 
 def test_transfer_vs_statesum_corpus():
