@@ -13,7 +13,8 @@ KNOT is an atlas reference or a ``.pd`` file.  Input files: ``.sw``
 slice words, ``.pd`` JSON planar diagrams.  Output formats: text
 (default), json, csv (covers only).  Exit codes: 0 on success, 2 on
 validation errors, 3 when a specialization is undefined at the
-requested level.
+requested level, 4 when an internal consistency check of an exact
+computation fails.
 """
 
 from __future__ import annotations
@@ -341,6 +342,9 @@ def run(argv, out=None):
     except (DiagramError, ColorError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except ArithmeticError as e:
+        print(f"internal check failed: {e}", file=sys.stderr)
+        return 4
 
 
 def main():

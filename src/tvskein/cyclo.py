@@ -625,14 +625,21 @@ def map_i(x, p):
 
 
 def map_j(x, p):
-    """j_p : k_p -> k_2p (p odd), determined by A_p -> A_2p^(p+1)."""
+    """j_p : k_p -> k_2p (p odd), determined by A_p -> A_2p^e.
+
+    e is the residue mod 4p with e = 1 (mod p) and e = 2 (mod 4): p + 1
+    for p = 1 (mod 4) and 3p + 1 for p = 3 (mod 4).  Then gcd(e, 4p) = 2,
+    so A_2p^e is a primitive 2p-th root of unity and j_p is a ring map;
+    p + 1 alone fails that for p = 3 (mod 4).
+    """
     if p % 2 == 0 or p < 3:
         raise ValueError("j_p requires odd p >= 3")
     if x.p != p:
         raise ValueError(f"j_p at p={p} is defined on k_{p}")
     if x.grade != 0:
         raise ValueError("transfer maps are implemented on kappa-grade 0")
-    terms = ((i * (p + 1), c) for i, c in enumerate(x.coeffs))
+    e = p + 1 if p % 4 == 1 else 3 * p + 1
+    terms = ((i * e, c) for i, c in enumerate(x.coeffs))
     return CycloElem(2 * p, _monomial_sum(2 * p, terms))
 
 

@@ -406,7 +406,7 @@ def suite_branched8():
 
 def suite_witten11():
     out = []
-    for r in (3, 4, 5, 6):
+    for r in (3, 4, 5, 6, 7):
         res = witten_check(r)
         for knot, (ok, cp, gam) in res.items():
             out.append((f"torus-bundle matrix vs Gamma_{2*r}({knot})", ok,

@@ -7,9 +7,11 @@ with ordinary elimination, pivoting on the first nonzero entry so that
 every run reproduces the same flat basis.
 
 ``flat_decompose`` splits an endomorphism Z into its nilpotent part and
-the automorphism induced on image(Z^dim); the normalized characteristic
-polynomial of that automorphism, and its constant term, are the central
-invariants of the engine.
+the automorphism induced on the image of its powers; the normalized
+characteristic polynomial of that automorphism, and its constant term,
+are the central invariants of the engine.  The image is taken at the
+Fitting index: with r = deg Gamma the nilpotent part has index at most
+n - r, so the image is image(Z^(n-r)), and Z itself when r = n.
 """
 
 from __future__ import annotations
@@ -283,13 +285,19 @@ class FlatDecomposition:
 
     source: RingMatrix
     flat_rank: int
-    flat_matrix: RingMatrix     # action on a column basis of image(Z^n)
+    flat_matrix: RingMatrix     # action on a column basis of image(Z^(n-r))
     gamma: RingPoly             # normalized charpoly (monic)
     constant_term: object       # D = gamma's constant term
 
 
 def flat_decompose(z):
-    """Split Z into nilpotent and invertible parts over a field ring."""
+    """Split Z into nilpotent and invertible parts over a field ring.
+
+    With r = deg Gamma, the flat part acts on image(Z^(n-r)) in the basis
+    of the pivot columns of Z^(n-r).  These are the pivot columns of Z^n
+    too, and the matrix is the same, because Z^r commutes with Z and is
+    invertible on the image.  When r = n the flat part is Z itself.
+    """
     if z.rows != z.cols:
         raise ValueError("flat decomposition of a non-square matrix")
     ring = z.ring
@@ -300,16 +308,20 @@ def flat_decompose(z):
     if n == 0 or r == 0:
         flat = RingMatrix(ring, [])
         return FlatDecomposition(z, 0, flat, RingPoly.one(ring), ring.one)
-    zn = z ** n
-    # column basis of image(Z^n): pivot columns of Z^n
-    _, piv = _rref(zn)
+    zk = z if r == n else z ** (n - r)
+    _, piv = _rref(zk)
     if len(piv) != r:
         raise InvariantCheckError(
             "flat rank disagrees with normalized charpoly degree")
-    basis = RingMatrix(ring, [[zn.data[i][c] for c in piv] for i in range(n)])
-    # action: Z * basis = basis * M
-    m = solve(basis, z * basis)
-    gamma_flat = berkowitz_charpoly(m)
+    if r == n:
+        # M = Z, whose charpoly is the one computed above
+        m, gamma_flat = z, char
+    else:
+        basis = RingMatrix(ring, [[zk.data[i][c] for c in piv]
+                                  for i in range(n)])
+        # action: Z * basis = basis * M
+        m = solve(basis, z * basis)
+        gamma_flat = berkowitz_charpoly(m)
     if gamma_flat != gamma:
         raise InvariantCheckError("flat charpoly mismatch")
     d = gamma.constant_term()

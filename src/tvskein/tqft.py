@@ -26,13 +26,13 @@ from .cyclo import (CycloElem, constants, fold_kappa3, map_i, map_j,
                     reduce_to_kp, u_element)
 from .diagram import DiagramError, KnotRef, SliceWord
 from .laurent import LaurentFrac, LaurentPoly
-from .matring import (RingMatrix, berkowitz_det, flat_decompose,
-                      normalized_charpoly, similarity_invariants)
+from .matring import (RingMatrix, flat_decompose, inverse, normalized_charpoly,
+                      rank, similarity_invariants)
 from .polyalg import (InvariantCheckError, RingPoly, numeric_roots,
                       power_sums, root_periodicity, tensor_product)
 from .recoupling import ColorError, full_twist, tet, theta, unknot_value
-from .rings import QA, ZA, kp_field
-from .skein import closure_B, knot_scalars, pairing_matrix_D, transfer_Q
+from .rings import kp_field
+from .skein import knot_scalars, pairing_matrix_D, transfer_Q
 
 
 class UnsupportedSpecialization(ValueError):
@@ -100,7 +100,7 @@ def ordinary_det_test(p, n):
     ring = kp_field(p)
     dn = pairing_matrix_D(n)
     dp = dn.map(lambda x: reduce_to_kp(x, p), ring)
-    return not berkowitz_det(dp).is_zero()
+    return rank(dp) == dp.rows
 
 
 # -- invariant records ----------------------------------------------------------
@@ -178,27 +178,31 @@ class TangleInvariant:
 
 
 def tangle_invariant(word, p=None):
-    """Q(T), Gamma(L), D(L) and wrapping data; optionally specialized."""
+    """Q(T), Gamma(L), D(L) and wrapping data; optionally specialized.
+
+    Gamma(L) is the normalized Berkowitz charpoly of Q(T) over Z[A^+-1],
+    which needs no division, and the flat rank is its degree.  The
+    closure matrix is B(T) = Q(T) D(n) with det D(n) != 0 in Z[A^+-1]
+    (Ko-Smolinsky), so det B(T) != 0, and the wrapping number is 2n,
+    exactly when Gamma(L) has the full degree c(n).
+    """
     if word.bottom % 2:
         raise DiagramError("even tangles only")
     n = word.bottom // 2
     q = transfer_Q(word)
-    qf = q.map(lambda x: LaurentFrac(x), QA)
-    fd = flat_decompose(qf)
-    gamma_f = fd.gamma
-    gamma = RingPoly(ZA, [c.as_laurent() for c in gamma_f.coeffs])
+    gamma = normalized_charpoly(q)
+    flat_rank = gamma.degree()
     d_l = gamma.constant_term()
     trace = q.trace()
     wrapping = None
-    if n >= 2:
-        if not berkowitz_det(closure_B(word)).is_zero():
-            wrapping = 2 * n
+    if n >= 2 and flat_rank == q.rows:
+        wrapping = 2 * n
     from .skein import catalan
     bound_ok = True
     if wrapping is not None:
-        bound_ok = catalan(wrapping // 2) >= gamma.degree()
+        bound_ok = catalan(wrapping // 2) >= flat_rank
     out = TangleInvariant(word=word, q_matrix=q, gamma=gamma,
-                          constant_term=d_l, flat_rank=fd.flat_rank,
+                          constant_term=d_l, flat_rank=flat_rank,
                           trace=trace, wrapping=wrapping,
                           wrapping_bound_ok=bound_ok)
     if p is None:
@@ -207,7 +211,7 @@ def tangle_invariant(word, p=None):
         raise UnsupportedSpecialization(
             f"p={p} is special with respect to n={n}")
     dlp = reduce_to_kp(d_l, p)
-    if fd.flat_rank > 0 and dlp.is_zero():
+    if flat_rank > 0 and dlp.is_zero():
         raise UnsupportedSpecialization(f"D(L) vanishes at p={p}")
     ring = kp_field(p)
     qp = q.map(lambda x: reduce_to_kp(x, p), ring)
@@ -380,9 +384,17 @@ def general_double(j_ref, k, p):
                 f"is singular for J={s.name}")
     lm = general_L_matrix(j_ref, p, cd)
     bm = general_B_matrix(j_ref, k, p, cd)
-    from .matring import inverse
-    m = bm * inverse(lm)
-    return make_invariant(m, p)
+    return make_invariant(_pairing_quotient(bm, lm, p), p)
+
+
+def _pairing_quotient(bm, lm, p):
+    """B L^-1; a singular pairing L leaves the level undefined."""
+    try:
+        lm_inv = inverse(lm)
+    except ZeroDivisionError:
+        raise UnsupportedSpecialization(
+            f"the doubled-pattern pairing is singular at p={p}") from None
+    return bm * lm_inv
 
 
 # -- colored doubles ---------------------------------------------------------------
@@ -462,9 +474,7 @@ def colored_double_invariant(j_ref, k, p, c):
                 f"<J_{e}> vanishes at p={p} (color-{c} pairing singular)")
     lm = colored_L_matrix(j_ref, p, c, cd)
     bm = colored_B_matrix(j_ref, k, p, c, cd)
-    from .matring import inverse
-    m = bm * inverse(lm)
-    return make_invariant(m, p)
+    return make_invariant(_pairing_quotient(bm, lm, p), p)
 
 
 def z5_color2_scalar(j_ref, k):

@@ -110,7 +110,7 @@ def test_criterion_08_branched_covers():
 def test_criterion_09_torus_bundle_matrices():
     t0 = time.time()
     ok, detail = _suite_ok("witten11")
-    _report(9, "torus-bundle monodromy matrices r <= 6", ok, t0)
+    _report(9, "torus-bundle monodromy matrices r <= 7", ok, t0)
     assert time.time() - t0 < 180.0
 
 

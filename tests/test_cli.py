@@ -114,3 +114,27 @@ def test_check_suite():
     assert rc == 0 and "PASS" in out
     rc, _ = _run(["check", "--suite", "nope"])
     assert rc == 2
+
+
+def test_failed_internal_check_exit_code(monkeypatch, capsys):
+    import tvskein.tqft as tqft
+    from tvskein.polyalg import RingPoly
+    # a composed product that cannot match Gamma fails the tensor split
+    monkeypatch.setattr(tqft, "tensor_product",
+                        lambda f, g: RingPoly(f.ring, [f.ring.one] * 2))
+    rc, _ = _run(["double", "--J", "U", "--k", "1", "--p", "10"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed: tensor splitting")
+    assert err.count("\n") == 1
+
+
+def test_singular_pairing_exit_code(monkeypatch):
+    import tvskein.tqft as tqft
+    from tvskein.matring import RingMatrix
+    from tvskein.rings import kp_field
+    monkeypatch.setattr(tqft, "general_L_matrix",
+                        lambda j_ref, p, cd=None: RingMatrix.zero(
+                            kp_field(p), 3, 3))
+    rc, _ = _run(["double", "--J", "U", "--k", "1", "--p", "7"])
+    assert rc == 3

@@ -157,6 +157,17 @@ def test_transfer_maps():
     assert x.grade == 3 and x.p == 10
 
 
+def test_map_j_is_multiplicative():
+    # A_p -> A_2p^e is a ring map only if A_2p^e has order 2p
+    for p in range(3, 16, 2):
+        powers = [CycloElem.a_power(p, a) for a in range(2 * p)]
+        images = [map_j(x, p) for x in powers]
+        for a in range(2 * p):
+            for b in range(2 * p):
+                assert map_j(powers[a] * powers[b], p) == \
+                    images[a] * images[b], (p, a, b)
+
+
 def test_kappa_fold_levels():
     assert fold_kappa3(constants(3).kappa3) == CycloElem.from_int(3, -1)
     assert fold_kappa3(constants(4).kappa3) == CycloElem.from_int(4, 1)

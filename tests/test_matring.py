@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from tvskein.cyclo import CycloElem, reduce_to_kp
+from tvskein.cyclo import CycloElem, level_degree, reduce_to_kp
 from tvskein.laurent import DELTA, LaurentPoly
-from tvskein.matring import (RingMatrix, berkowitz_charpoly, berkowitz_det,
-                             flat_decompose, inverse, matrix_period,
-                             normalized_charpoly, similarity_invariants,
-                             trace_powers)
+from tvskein.matring import (RingMatrix, _rref, berkowitz_charpoly,
+                             berkowitz_det, flat_decompose, inverse,
+                             matrix_period, normalized_charpoly, rank,
+                             similarity_invariants, solve, trace_powers)
 from tvskein.polyalg import RingPoly, power_sums
 from tvskein.rings import QQ, ZA, kp_field
 
@@ -122,3 +122,78 @@ def test_matrix_period():
     # scalar periodicity reporting
     m, c = matrix_period(rot * Fraction(1), 10, scalars=True)
     assert (m, c) == (2, Fraction(-1))
+
+
+def _rand_entry(rnd, ring):
+    if ring is QQ:
+        return Fraction(rnd.randint(-3, 3))
+    return CycloElem(ring.p, tuple(rnd.randint(-2, 2)
+                                   for _ in range(level_degree(ring.p))))
+
+
+def _rand_invertible(rnd, ring, r):
+    while True:
+        g = RingMatrix(ring, [[_rand_entry(rnd, ring) for _ in range(r)]
+                              for _ in range(r)])
+        if rank(g) == r:
+            return g
+
+
+def _rand_unimodular(rnd, ring, n):
+    """A product of unit lower- and upper-triangular integer matrices."""
+    low = RingMatrix.identity(ring, n)
+    up = RingMatrix.identity(ring, n)
+    for i in range(n):
+        for j in range(i):
+            low[i, j] = ring.coerce(rnd.randint(-2, 2))
+            up[j, i] = ring.coerce(rnd.randint(-2, 2))
+    return low * up
+
+
+def _flat_by_full_power(z):
+    """The flat matrix in the basis of the pivot columns of Z^n."""
+    n = z.rows
+    zn = z ** n
+    _, piv = _rref(zn)
+    basis = RingMatrix(z.ring, [[zn[i, c] for c in piv] for i in range(n)])
+    return solve(basis, z * basis)
+
+
+@pytest.mark.parametrize("ring", [QQ, kp_field(7)], ids=["QQ", "k7"])
+def test_flat_decompose_at_fitting_index(ring):
+    # Z = U (N + G) U^-1, N one nilpotent Jordan block of index exactly
+    # n - r, G invertible: the flat part must equal the Z^n-basis one
+    rnd = random.Random(31)
+    for n in range(2, 6):
+        for r in range(1, n):
+            g = _rand_invertible(rnd, ring, r)
+            nil = RingMatrix.zero(ring, n - r, n - r)
+            for i in range(n - r - 1):
+                nil[i, i + 1] = ring.one
+            u = _rand_unimodular(rnd, ring, n)
+            z = u * nil.direct_sum(g) * inverse(u)
+            fd = flat_decompose(z)
+            assert fd.flat_rank == r
+            assert fd.gamma == berkowitz_charpoly(g)
+            assert fd.flat_matrix == _flat_by_full_power(z)
+
+
+def test_flat_decompose_full_rank_takes_no_power(monkeypatch):
+    exponents = []
+    power = RingMatrix.__pow__
+
+    def counted(self, k):
+        exponents.append(k)
+        return power(self, k)
+
+    monkeypatch.setattr(RingMatrix, "__pow__", counted)
+    rnd = random.Random(32)
+    for ring in (QQ, kp_field(7)):
+        z = _rand_invertible(rnd, ring, 4)
+        fd = flat_decompose(z)
+        assert fd.flat_matrix == z and fd.flat_rank == 4
+    assert exponents == []
+    # a rank-deficient Z is raised to its Fitting index n - r only
+    z = RingMatrix(QQ, [[0, 1, 0], [0, 0, 0], [0, 0, 2]])
+    assert flat_decompose(z).flat_rank == 1
+    assert exponents == [2]

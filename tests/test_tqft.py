@@ -5,17 +5,18 @@ import pytest
 
 from tvskein.cyclo import CycloElem, constants, map_j, reduce_to_kp
 from tvskein.diagram import SliceWord
-from tvskein.laurent import LaurentPoly
+from tvskein.laurent import LaurentFrac, LaurentPoly
+from tvskein.matring import RingMatrix, berkowitz_det, flat_decompose
 from tvskein.polyalg import RingPoly, numeric_roots, power_sums
-from tvskein.rings import kp_field
-from tvskein.skein import catalan
+from tvskein.rings import QA, ZA, kp_field
+from tvskein.skein import catalan, closure_B, pairing_matrix_D, transfer_Q
 from tvskein.tqft import (ColorData, UnsupportedSpecialization, _frac_to_kp,
                           branched_series, colored_double_invariant,
                           cover_series, double_invariant, general_double,
-                          ordinary, ordinary_det_test, seifert_matrix_double,
-                          signature_at, tangle_invariant, tau5_sigma_independent,
-                          tau5_value, total_signature, witten_check,
-                          z5_color2_scalar)
+                          ordinary, ordinary_det_test, s_kd,
+                          seifert_matrix_double, signature_at, tangle_invariant,
+                          tau5_sigma_independent, tau5_value, total_signature,
+                          witten_check, z5_color2_scalar)
 
 from test_skein import rand_word
 
@@ -403,3 +404,54 @@ def test_named_checks_in_tensor_split_and_connected_sum(monkeypatch):
         tensor_double("U", 1, 10)
     with pytest.raises(InvariantCheckError, match="connected sum"):
         connected_sum(blocks, blocks, 5)
+
+
+def test_tangle_gamma_and_wrapping_match_QA_oracles():
+    # Gamma(L) over Z[A^+-1] against the flat decomposition of Q(T) over
+    # Q(A); the wrapping test against the determinant of B(T)
+    rnd = random.Random(41)
+    singular = 0
+    for _ in range(60):
+        n = rnd.choice((2, 3))
+        w = rand_word(rnd, n, rnd.randint(1, 6))
+        ti = tangle_invariant(w)
+        fd = flat_decompose(transfer_Q(w).map(LaurentFrac, QA))
+        assert ti.gamma == RingPoly(ZA, [c.as_laurent()
+                                         for c in fd.gamma.coeffs])
+        assert ti.flat_rank == fd.flat_rank
+        wraps = not berkowitz_det(closure_B(w)).is_zero()
+        assert ti.wrapping == (2 * n if wraps else None)
+        singular += not wraps
+    assert 0 < singular < 60
+
+
+def test_pairing_matrix_nonsingular_over_ZA():
+    # det D(n) != 0 in Z[A^+-1] (Ko-Smolinsky), so det B(T) = 0 exactly
+    # when det Q(T) = 0: the fact the tangle wrapping test rests on
+    for n in range(5):
+        assert not berkowitz_det(pairing_matrix_D(n)).is_zero(), n
+
+
+def test_tensor_split_at_level_14():
+    # j_7 is a ring map, so the split passes its own check for every twist
+    for k in range(-3, 8):
+        inv14 = double_invariant("U", k, 14)
+        inv7 = double_invariant("U", k, 7)
+        ps14 = power_sums(inv14.gamma, 6)
+        ps7 = power_sums(inv7.gamma, 6)
+        for d in range(1, 7):
+            assert ps14[d] == map_j(ps7[d], 7) * s_kd(k, d), (k, d)
+
+
+def test_singular_pairing_is_unsupported(monkeypatch):
+    import tvskein.tqft as tqft
+    monkeypatch.setattr(tqft, "general_L_matrix",
+                        lambda j_ref, p, cd=None: RingMatrix.zero(
+                            kp_field(p), constants(p).n, constants(p).n))
+    with pytest.raises(UnsupportedSpecialization, match="singular"):
+        general_double("U", 1, 7)
+    monkeypatch.setattr(tqft, "colored_L_matrix",
+                        lambda j_ref, p, c, cd=None: RingMatrix.zero(
+                            kp_field(p), 1, 1))
+    with pytest.raises(UnsupportedSpecialization, match="singular"):
+        colored_double_invariant("U", 1, 7, 2)
