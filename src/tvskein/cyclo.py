@@ -30,11 +30,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .laurent import LaurentPoly, bracket_e, mu_eig, quantum_int
+from .laurent import LaurentPoly, bracket_e, mu_eig
 
 
 class InvariantCheckError(ArithmeticError):
     """An internal consistency check of an exact computation failed."""
+
+
+class UnsupportedSpecialization(ValueError):
+    """Specialization the theory leaves undefined (special p, D(L)_p = 0)."""
 
 
 # -- cyclotomic polynomials -------------------------------------------
@@ -515,9 +519,6 @@ class ConstantPack:
     kappa3: CycloElem            # the element kappa^3 (grade 3, unit A-part)
     omega_coeffs: tuple          # coefficients of Omega on the e_s basis
     kappa3_fold: int | None      # scalar kappa^3 identifies with when u = 1
-
-    def qint(self, m):
-        return reduce_to_kp(quantum_int(m), self.p)
 
 
 @lru_cache(maxsize=None)

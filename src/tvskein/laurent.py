@@ -77,14 +77,6 @@ class LaurentPoly:
     def coeff(self, exp):
         return self.terms.get(exp, Fraction(0))
 
-    def as_rational(self):
-        """Return the constant value if this is a constant, else None."""
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) == {0}:
-            return self.terms[0]
-        return None
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -199,13 +191,6 @@ class LaurentPoly:
                 elif en in num:
                     del num[en]
         return LaurentPoly(quot)
-
-    def divides(self, other):
-        try:
-            _as_laurent(other).exact_div(self)
-            return True
-        except (ValueError, ZeroDivisionError, ArithmeticError):
-            return False
 
     def __eq__(self, other):
         other = _as_laurent(other)
@@ -338,26 +323,6 @@ def _to_dense(p):
     return lo, [p.coeff(e) for e in range(lo, hi + 1)]
 
 
-def _from_dense(shift, coeffs):
-    return LaurentPoly({shift + i: c for i, c in enumerate(coeffs) if c})
-
-
-def _dense_divmod(num, den):
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    q = [Fraction(0)] * max(0, len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i] / lead
-        if c:
-            q[i - dn] = c
-            for j, d in enumerate(den):
-                num[i - dn + j] -= c * d
-    while num and not num[-1]:
-        num.pop()
-    return q, num
-
-
 def _to_int_primitive(coeffs):
     """Fraction list -> primitive integer list (content stripped)."""
     from math import gcd, lcm
@@ -436,7 +401,7 @@ class LaurentFrac:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, _reduced=False):
+    def __init__(self, num, den=None):
         num = _as_laurent(num)
         den = ONE if den is None else _as_laurent(den)
         if den.is_zero():
@@ -444,15 +409,14 @@ class LaurentFrac:
         if num.is_zero():
             self.num, self.den = LaurentPoly(), ONE
             return
-        if not _reduced:
-            g = poly_gcd(num, den)
-            if g.max_exp() > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            # normalise: denominator monic with min exponent 0
-            shift = LaurentPoly({-den.min_exp(): Fraction(1) / den.terms[den.max_exp()]})
-            num = num * shift
-            den = den * shift
+        g = poly_gcd(num, den)
+        if g.max_exp() > 0:
+            num = num.exact_div(g)
+            den = den.exact_div(g)
+        # normalise: denominator monic with min exponent 0
+        shift = LaurentPoly({-den.min_exp(): Fraction(1) / den.terms[den.max_exp()]})
+        num = num * shift
+        den = den * shift
         self.num, self.den = num, den
 
     @staticmethod

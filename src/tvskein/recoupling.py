@@ -7,10 +7,11 @@ killed by every cap-cup generator, and its closed trace is
 
 Colored evaluations come in two flavours that check each other:
 
-* closed formulas for the theta net and the tetrahedral net, written in
-  quantum factorials and evaluated exactly in Q(A) (the results are
-  honest Laurent polynomials, which the code verifies by exact
-  division), and
+* closed formulas for the theta net and the tetrahedral net, written
+  once over a table of quantum factorials [k]! and evaluated either in
+  Q(A) (``p=None``) or at a level k_p, from one factorial table built
+  per level; a [k]! that vanishes at the level makes a numerator zero
+  and a denominator raise ``UnsupportedSpecialization``, and
 * a brute-force web engine that builds the same nets out of cups, caps
   and literal projector insertions and evaluates the Kauffman bracket.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .cyclo import CycloElem, UnsupportedSpecialization, reduce_to_kp
 from .laurent import LaurentFrac, LaurentPoly, bracket_e, mu_eig, quantum_int
 from .skein import SkeinEngine, _zero
 
@@ -117,15 +119,6 @@ def _glue_diagrams(d1, d2, n):
             cur = d1[n + q] - n
     diag = tuple(pairs[k] for k in range(2 * n))
     return diag, loops
-
-
-def check_color_at_level(n, p):
-    """Raise unless f_n specializes to level p ([k]_p != 0 for k <= n)."""
-    from .cyclo import reduce_to_kp
-    for k in range(1, n + 1):
-        if reduce_to_kp(quantum_int(k), p).is_zero():
-            raise ColorError(
-                f"[{k}] vanishes at level {p}: color {n} is not admissible")
 
 
 @lru_cache(maxsize=None)
@@ -347,34 +340,61 @@ def tet_web(A, B, E, D, C, F):
 
 
 @lru_cache(maxsize=None)
-def qfact(n):
-    """Quantum factorial [n]! in Z[A,A^-1]."""
+def _laurent_qfact(n):
     out = LaurentPoly.one()
     for k in range(1, n + 1):
         out = out * quantum_int(k)
-    return out
+    return LaurentFrac(out)
 
 
 @lru_cache(maxsize=None)
-def theta(a, b, c):
-    """Theta net value, an element of Q(A)."""
+def _level_qfacts(p):
+    """[k]! in k_p for k = 0 .. p - 1."""
+    out = [CycloElem.one(p)]
+    for k in range(1, p):
+        out.append(out[-1] * reduce_to_kp(quantum_int(k), p))
+    return tuple(out)
+
+
+def qfact(n, p=None):
+    """Quantum factorial [n]!, in Q(A) for p None and in k_p otherwise.
+
+    At a level p >= 3, [p] = 0, so [n]! vanishes for every n >= p (and
+    from [p/2]! on when p is even).
+    """
+    if p is None:
+        return _laurent_qfact(n)
+    table = _level_qfacts(p)
+    return table[n] if n < len(table) else CycloElem.zero(p)
+
+
+def _ratio(num, den, p):
+    """num / den for a product den of quantum factorials."""
+    if den.is_zero():
+        raise UnsupportedSpecialization(
+            f"a quantum factorial in a recoupling denominator vanishes "
+            f"at level {p}")
+    return num / den
+
+
+@lru_cache(maxsize=None)
+def theta(a, b, c, p=None):
+    """Theta net value in Q(A) (p None) or k_p."""
     _check_adm(a, b, c)
-    m = (a + b - c) // 2
-    n = (b + c - a) // 2
-    p = (a + c - b) // 2
-    num = LaurentFrac(qfact(m + n + p + 1)) * LaurentFrac(qfact(m)) \
-        * LaurentFrac(qfact(n)) * LaurentFrac(qfact(p))
-    den = LaurentFrac(qfact(m + n)) * LaurentFrac(qfact(n + p)) \
-        * LaurentFrac(qfact(m + p))
-    val = num / den
-    if (m + n + p) % 2:
+    x = (a + b - c) // 2
+    y = (b + c - a) // 2
+    z = (a + c - b) // 2
+    num = qfact(x + y + z + 1, p) * qfact(x, p) * qfact(y, p) * qfact(z, p)
+    den = qfact(x + y, p) * qfact(y + z, p) * qfact(x + z, p)
+    val = _ratio(num, den, p)
+    if (x + y + z) % 2:
         val = -val
     return val
 
 
 @lru_cache(maxsize=None)
-def tet(A, B, E, D, C, F):
-    """Tetrahedral net value, an element of Q(A).
+def tet(A, B, E, D, C, F, p=None):
+    """Tetrahedral net value in Q(A) (p None) or k_p.
 
     Vertex triples: (A,B,E), (A,C,F), (B,C,D), (E,F,D).
     """
@@ -384,26 +404,27 @@ def tet(A, B, E, D, C, F):
     a_list = [sum(t) // 2 for t in tris]
     total = A + B + C + D + E + F
     b_list = [(total - A - D) // 2, (total - B - F) // 2, (total - C - E) // 2]
-    interior = LaurentFrac.one()
+    one = qfact(0, p)
+    interior = one
     for bj in b_list:
         for ai in a_list:
-            interior = interior * LaurentFrac(qfact(bj - ai))
-    edges = LaurentFrac.one()
+            interior = interior * qfact(bj - ai, p)
+    edges = one
     for e in (A, B, C, D, E, F):
-        edges = edges * LaurentFrac(qfact(e))
-    acc = LaurentFrac.zero()
+        edges = edges * qfact(e, p)
+    acc = one - one
     for z in range(max(a_list), min(b_list) + 1):
-        num = LaurentFrac(qfact(z + 1))
-        den = LaurentFrac.one()
+        num = qfact(z + 1, p)
+        den = one
         for ai in a_list:
-            den = den * LaurentFrac(qfact(z - ai))
+            den = den * qfact(z - ai, p)
         for bj in b_list:
-            den = den * LaurentFrac(qfact(bj - z))
-        term = num / den
+            den = den * qfact(bj - z, p)
+        term = _ratio(num, den, p)
         if z % 2:
             term = -term
         acc = acc + term
-    return interior / edges * acc
+    return _ratio(interior, edges, p) * acc
 
 
 def full_twist(r, i, j):

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .cyclo import (CycloElem, constants, fold_kappa3, map_i, map_j,
-                    reduce_to_kp, u_element)
+from .cyclo import (CycloElem, UnsupportedSpecialization, constants,
+                    fold_kappa3, map_i, map_j, reduce_to_kp, u_element)
 from .diagram import DiagramError, KnotRef, SliceWord
-from .laurent import LaurentFrac, LaurentPoly
+from .laurent import LaurentPoly
 from .matring import (RingMatrix, flat_decompose, inverse, normalized_charpoly,
                       rank, similarity_invariants)
 from .polyalg import (InvariantCheckError, RingPoly, numeric_roots,
@@ -33,10 +33,6 @@ from .polyalg import (InvariantCheckError, RingPoly, numeric_roots,
 from .recoupling import ColorError, full_twist, tet, theta, unknot_value
 from .rings import kp_field
 from .skein import knot_scalars, pairing_matrix_D, transfer_Q
-
-
-class UnsupportedSpecialization(ValueError):
-    """Specialization the theory leaves undefined (special p, D(L)_p = 0)."""
 
 
 # -- colors -------------------------------------------------------------------
@@ -155,11 +151,6 @@ def trivial_invariant(p):
     return make_invariant(m, p)
 
 
-def zero_invariant(p):
-    ring = kp_field(p)
-    return make_invariant(RingMatrix(ring, [[ring.zero]]), p)
-
-
 # -- tangle invariants -----------------------------------------------------------
 
 
@@ -174,7 +165,6 @@ class TangleInvariant:
     flat_rank: int
     trace: LaurentPoly          # Hoste-Przytycki image of the closed link
     wrapping: int | None        # certified wrapping number, when available
-    wrapping_bound_ok: bool     # c(w/2) >= deg Gamma
 
 
 def tangle_invariant(word, p=None):
@@ -197,14 +187,9 @@ def tangle_invariant(word, p=None):
     wrapping = None
     if n >= 2 and flat_rank == q.rows:
         wrapping = 2 * n
-    from .skein import catalan
-    bound_ok = True
-    if wrapping is not None:
-        bound_ok = catalan(wrapping // 2) >= flat_rank
     out = TangleInvariant(word=word, q_matrix=q, gamma=gamma,
                           constant_term=d_l, flat_rank=flat_rank,
-                          trace=trace, wrapping=wrapping,
-                          wrapping_bound_ok=bound_ok)
+                          trace=trace, wrapping=wrapping)
     if p is None:
         return out
     if not ordinary(p, n):
@@ -400,26 +385,14 @@ def _pairing_quotient(bm, lm, p):
 # -- colored doubles ---------------------------------------------------------------
 
 
-def _frac_to_kp(x, p):
-    """Reduce a Q(A) element into the level-p field."""
-    if isinstance(x, LaurentPoly):
-        return reduce_to_kp(x, p)
-    num = reduce_to_kp(x.num, p)
-    den = reduce_to_kp(x.den, p)
-    if den.is_zero():
-        raise UnsupportedSpecialization(f"pole at level {p}")
-    return num * den.inv()
-
-
 def colored_L_matrix(j_ref, p, c, cd=None):
     """Colored pairing matrix over S(c, p); channel loops carry <J_r>."""
     cd = cd or ColorData.at(p)
     S = cd.S(c)
+    twist = _twist(p)
 
     def weight(r, i, j):
-        coeff = LaurentFrac(full_twist(r, i, j)) / theta(r, i, j) \
-            * tet(c, j, j, r, i, i)
-        return _frac_to_kp(coeff, p)
+        return twist(r, i, j) / theta(r, i, j, p) * tet(c, j, j, r, i, i, p)
 
     lm, = _channel_sums(_scalars(j_ref), p, cd, S, S, weight)
     return RingMatrix(kp_field(p), lm)
@@ -433,16 +406,14 @@ def colored_B_matrix(j_ref, k, p, c, cd=None):
     pack = constants(p)
     S = cd.S(c)
     chans = [t for t in range(pack.n) if cd.small(c, t, t)]
-    twist_k = _twist(p, k % (2 * p))
+    twist, twist_k = _twist(p), _twist(p, k % (2 * p))
 
     def first(r, i, t):
-        coeff = LaurentFrac(full_twist(r, i, t)) / theta(r, i, t) \
-            * tet(c, i, i, r, t, t)
-        return _frac_to_kp(coeff, p)
+        return twist(r, i, t) / theta(r, i, t, p) * tet(c, i, i, r, t, t, p)
 
     def second(r, j, t):
-        coeff = tet(c, j, j, r, t, t) / theta(r, j, t) / theta(c, t, t)
-        return _frac_to_kp(coeff, p) * twist_k(r, j, t)
+        return tet(c, j, j, r, t, t, p) / theta(r, j, t, p) \
+            / theta(c, t, t, p) * twist_k(r, j, t)
 
     t1, c2 = _channel_sums(_scalars(j_ref), p, cd, S, chans, first, second)
     tw = [pack.bracket_e[t] * pack.mu[t] ** ((2 * k + 1) % (4 * p))
@@ -835,9 +806,7 @@ def tau5_value(j_ref, k, d):
 
     Evaluated numerically with v = exp(2 pi i / 40), A_10 = -v^2,
     kappa = v^3 (so kappa^6 = u holds on the nose); the branched value
-    carries the structure with sigma(alpha) = 3 sigma_d.  The result is
-    independent of the sigma input, which ``tau5_sigma_independent``
-    demonstrates.
+    carries the structure with sigma(alpha) = 3 sigma_d.
     """
     v = cmath.exp(2j * cmath.pi / 40)
     rec = branched_series(j_ref, k, 10, [d])[0]
@@ -850,22 +819,3 @@ def tau5_value(j_ref, k, d):
     binv_val = sum(complex(c) * a_val ** i for i, c in enumerate(binv.coeffs))
     sigma_alpha = 3 * sig
     return binv_val * v ** (-9 - 3 * sigma_alpha) * val
-
-
-def tau5_sigma_independent(j_ref, k, d):
-    """Evaluate the conversion at two structures; the results must agree."""
-    v = cmath.exp(2j * cmath.pi / 40)
-    rec = branched_series(j_ref, k, 10, [d])[0]
-    x = rec.value
-    sig0 = 3 * total_signature(seifert_matrix_double(k), d)
-    a_val = -v * v
-    binv = constants(10).beta.inv()
-    binv_val = sum(complex(c) * a_val ** i for i, c in enumerate(binv.coeffs))
-
-    def conv(sigma_shift):
-        # changing the structure multiplies the raw value by kappa^shift
-        val = sum(complex(c) * a_val ** i for i, c in enumerate(x.coeffs))
-        val *= (v ** 3) ** (x.grade + sigma_shift)
-        return binv_val * v ** (-9 - 3 * (sig0 + sigma_shift)) * val
-
-    return conv(0), conv(8)

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+from tvskein.cyclo import UnsupportedSpecialization, reduce_to_kp
 from tvskein.laurent import LaurentFrac, LaurentPoly, bracket_e, quantum_int
-from tvskein.recoupling import (ColorError, full_twist, jones_wenzl, tet,
-                                tet_web, theta, theta_web, tl_compose, tl_e,
-                                tl_trace)
+from tvskein.recoupling import (ColorError, full_twist, jones_wenzl, qfact,
+                                tet, tet_web, theta, theta_web, tl_compose,
+                                tl_e, tl_trace)
 
 
 def adm(a, b, c):
@@ -85,9 +86,11 @@ def test_tet_degenerations():
 
 
 def test_color_level_guard():
-    from tvskein.recoupling import check_color_at_level
-    check_color_at_level(3, 5)          # [1],[2],[3] nonzero at level 5
-    with pytest.raises(ColorError):
-        check_color_at_level(4, 8)      # [4] vanishes at level 8
-    with pytest.raises(ColorError):
-        check_color_at_level(5, 5)      # [5] vanishes at level 5
+    # [1], [2], [3] are nonzero at level 5
+    assert not qfact(3, 5).is_zero()
+    assert theta(3, 3, 0, 5) == reduce_to_kp(bracket_e(3), 5)
+    # [4] vanishes at level 8 and [5] at level 5: no denominator may hold them
+    for n, p in ((4, 8), (5, 5)):
+        assert qfact(n, p).is_zero()
+        with pytest.raises(UnsupportedSpecialization):
+            theta(n, n, 0, p)

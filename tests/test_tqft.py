@@ -10,13 +10,13 @@ from tvskein.matring import RingMatrix, berkowitz_det, flat_decompose
 from tvskein.polyalg import RingPoly, numeric_roots, power_sums
 from tvskein.rings import QA, ZA, kp_field
 from tvskein.skein import catalan, closure_B, pairing_matrix_D, transfer_Q
-from tvskein.tqft import (ColorData, UnsupportedSpecialization, _frac_to_kp,
+from tvskein.tqft import (ColorData, UnsupportedSpecialization,
                           branched_series, colored_double_invariant,
                           cover_series, double_invariant, general_double,
                           ordinary, ordinary_det_test, s_kd,
                           seifert_matrix_double, signature_at, tangle_invariant,
-                          tau5_sigma_independent, tau5_value, total_signature,
-                          witten_check, z5_color2_scalar)
+                          tau5_value, total_signature, witten_check,
+                          z5_color2_scalar)
 
 from test_skein import rand_word
 
@@ -75,7 +75,7 @@ def test_special_p_raises():
 def test_wrapping_of_straight_strands():
     w = SliceWord(4, ())
     ti = tangle_invariant(w)
-    assert ti.wrapping == 4 and ti.wrapping_bound_ok
+    assert ti.wrapping == 4
 
 
 def test_double_trivial_levels():
@@ -197,10 +197,10 @@ def test_tensor_consistency_level10():
 
 
 def test_tau5():
-    a, b = tau5_sigma_independent("U", 1, 3)
-    assert abs(a - b) < 1e-9
-    v = tau5_value("U", 1, 3)
-    assert abs(v - a) < 1e-9
+    # the 1-fold branched cover is S^3, whose tau_5 is 1
+    for j_name in ("U", "RT"):
+        for k in (-2, -1, 1, 2, 3):
+            assert abs(tau5_value(j_name, k, 1) - 1) < 1e-9, (j_name, k)
 
 
 def test_branched_unsupported_level():
@@ -314,6 +314,17 @@ def _literal_general_B(s, k, p):
             row.append(acc * pack.beta)
         rows.append(row)
     return rows
+
+
+def _frac_to_kp(x, p):
+    """Reduce a Q(A) element into the level-p field."""
+    if isinstance(x, LaurentPoly):
+        return reduce_to_kp(x, p)
+    num = reduce_to_kp(x.num, p)
+    den = reduce_to_kp(x.den, p)
+    if den.is_zero():
+        raise UnsupportedSpecialization(f"pole at level {p}")
+    return num * den.inv()
 
 
 def _literal_colored_B(s, k, p, c):
@@ -455,3 +466,72 @@ def test_singular_pairing_is_unsupported(monkeypatch):
                             kp_field(p), 1, 1))
     with pytest.raises(UnsupportedSpecialization, match="singular"):
         colored_double_invariant("U", 1, 7, 2)
+
+
+def _recorded_colored_weights(monkeypatch, p, c, k):
+    """(kind, value, (r, i, t)) for every weight that colored_L_matrix
+    and colored_B_matrix evaluate at (p, c, k)."""
+    import tvskein.tqft as tqft
+    real = tqft._channel_sums
+    seen = []
+
+    def recorded(kind, weight):
+        def call(r, i, t):
+            val = weight(r, i, t)
+            seen.append((kind, val, (r, i, t)))
+            return val
+        return call
+
+    def spy(s, p, cd, left, right, *weights):
+        kinds = ("L",) if len(weights) == 1 else ("first", "second")
+        return real(s, p, cd, left, right,
+                    *(recorded(n, w) for n, w in zip(kinds, weights)))
+
+    with monkeypatch.context() as m:
+        m.setattr(tqft, "_channel_sums", spy)
+        tqft.colored_L_matrix("U", p, c)
+        tqft.colored_B_matrix("U", k, p, c)
+    return seen
+
+
+def test_level_recoupling_equals_QA_then_reduce(monkeypatch):
+    from tvskein.recoupling import full_twist, tet, theta
+    k = 3
+    checked = set()
+    for p in range(5, 10):
+        cd = ColorData.at(p)
+        for c in cd.good_colors():
+            if c < 2 or c % 2:
+                continue
+            for kind, val, (r, i, t) in _recorded_colored_weights(
+                    monkeypatch, p, c, k):
+                th = (r, i, t)
+                te = (c, t, t, r, i, i) if kind == "L" else (c, i, i, r, t, t)
+                assert theta(*th, p) == _frac_to_kp(theta(*th), p), (p, th)
+                assert tet(*te, p) == _frac_to_kp(tet(*te), p), (p, te)
+                if kind == "second":
+                    qa = tet(*te) / theta(*th) / theta(c, t, t)
+                    twist = full_twist(r, i, t) ** (k % (2 * p))
+                else:
+                    qa = LaurentFrac(full_twist(r, i, t)) / theta(*th) \
+                        * tet(*te)
+                    twist = LaurentPoly.one()
+                want = _frac_to_kp(qa, p) * reduce_to_kp(twist, p)
+                assert val == want, (p, c, kind, r, i, t)
+                checked.add((p, c, kind, r, i, t))
+    assert len(checked) == 168
+
+
+def test_colored_double_forms_no_QA_value(monkeypatch):
+    import tvskein.laurent as laurent
+    from tvskein.recoupling import tet, theta
+    want = [colored_double_invariant("U", k, 9, 2).gamma for k in (-1, 2)]
+    theta.cache_clear()
+    tet.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("poly_gcd ran on the colored path")
+
+    monkeypatch.setattr(laurent, "poly_gcd", refuse)
+    got = [colored_double_invariant("U", k, 9, 2).gamma for k in (-1, 2)]
+    assert got == want
