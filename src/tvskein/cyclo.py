@@ -11,10 +11,13 @@ Per level p the ring data is
     d = p (p != 3,4,6),  1 (p = 3,4),  2 (p = 6)
     u = A^(-6 - p(p+1)/2) (p != 1,2),  1 (p = 1),  A (p = 2)
 
-The distinguished constants live in ``ConstantPack``: delta, the twist
-eigenvalues mu(s), the loop values <e_s>, and beta = kappa^-3 eta.  For
-p >= 3 beta is pinned by requiring that the once- and zero-surgered
-unknot invariants come out right, which forces
+The distinguished constants live in ``ConstantPack``: the twist
+eigenvalues mu(s), the loop values <e_s>, beta = kappa^-3 eta, and the
+sign that kappa^3 folds to where u = 1.  The loop value delta is not
+among them: the skein engine multiplies by it over Z[A,A^-1] or Q(A),
+before any reduction to a level.  For p >= 3 beta is pinned by requiring
+that the once- and zero-surgered unknot invariants come out right, which
+forces
 
     beta = (sum_s mu(s) <e_s>^2)^-1,      eta = beta kappa^3,
 
@@ -25,7 +28,7 @@ its own printed value beta = (1 - A)/2.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -511,13 +514,11 @@ class ConstantPack:
 
     p: int
     n: int                       # floor((p-1)/2) = rank of V(torus), p >= 2
-    delta: CycloElem
     mu: tuple                    # mu(s), s = 0..n-1
     bracket_e: tuple             # <e_s>, s = 0..n-1
     beta: CycloElem              # kappa^-3 eta, grade 0
     eta: CycloElem               # grade 3
     kappa3: CycloElem            # the element kappa^3 (grade 3, unit A-part)
-    omega_coeffs: tuple          # coefficients of Omega on the e_s basis
     kappa3_fold: int | None      # scalar kappa^3 identifies with when u = 1
 
 
@@ -530,17 +531,14 @@ def constants(p):
     kappa3 = CycloElem(p, one.coeffs, 3)
     if p == 1:
         return ConstantPack(
-            p=1, n=0, delta=reduce_to_kp(LaurentPoly({2: -1, -2: -1}), 1),
-            mu=(), bracket_e=(), beta=one,
-            eta=kappa3, kappa3=kappa3, omega_coeffs=(), kappa3_fold=1)
+            p=1, n=0, mu=(), bracket_e=(), beta=one,
+            eta=kappa3, kappa3=kappa3, kappa3_fold=1)
     n = (p - 1) // 2
-    delta = reduce_to_kp(LaurentPoly({2: -1, -2: -1}), p)
     mu = tuple(reduce_to_kp(mu_eig(s), p) for s in range(max(n, 1)))
     br = tuple(reduce_to_kp(bracket_e(s), p) for s in range(max(n, 1)))
     if p == 2:
-        # printed special values: Omega_2 = 1 + z/2, beta_2 = (1 - A)/2
+        # the printed special value beta_2 = (1 - A)/2
         beta = CycloElem(2, (Fraction(1, 2), Fraction(-1, 2)))
-        omega = (CycloElem.one(2), CycloElem(2, (Fraction(1, 2),)))
     else:
         s1 = CycloElem.zero(p)
         for s in range(n):
@@ -549,7 +547,6 @@ def constants(p):
             raise ArithmeticError(f"sum mu(s)<e_s>^2 vanishes at p={p}; "
                                   "beta is not determined")
         beta = s1.inv()
-        omega = tuple(br[s] for s in range(n))
     eta = CycloElem(p, beta.coeffs, 3)
     fold = None
     if p in (3, 4) or p == 1:
@@ -563,10 +560,8 @@ def constants(p):
             tot = tot + br[s] * br[s]
         if eta * eta * tot != one:
             raise InvariantCheckError(f"eta normalisation failed at p={p}")
-    return ConstantPack(p=p, n=n, delta=delta, mu=mu, bracket_e=br, beta=beta,
-                        eta=eta, kappa3=kappa3,
-                        omega_coeffs=tuple(omega) if p >= 2 else (),
-                        kappa3_fold=fold)
+    return ConstantPack(p=p, n=n, mu=mu, bracket_e=br, beta=beta, eta=eta,
+                        kappa3=kappa3, kappa3_fold=fold)
 
 
 def fold_kappa3(x):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cyclo import InvariantCheckError
 
@@ -466,13 +466,26 @@ class PDCode:
             raise DiagramError(f"bad PD JSON: {e}") from None
         if isinstance(obj, list):
             obj = {"crossings": obj, "free_loops": 0}
+        if not isinstance(obj, dict) or \
+                not isinstance(obj.get("crossings", []), list):
+            raise DiagramError("PD JSON must be a list of crossings or an "
+                               "object with a 'crossings' list")
         crossings = []
         for row in obj.get("crossings", []):
-            if len(row) != 5:
-                raise DiagramError(f"PD row {row!r} needs [a,b,c,d,sign]")
+            if not isinstance(row, list) or len(row) != 5 or \
+                    not all(isinstance(x, int) for x in row[:4]):
+                raise DiagramError(f"PD row {row!r} needs [a,b,c,d,sign] "
+                                   "with integer arc labels")
             a, b, c, d, s = row
+            if isinstance(s, bool) or s not in ("+", "-", 1, -1):
+                raise DiagramError(f"PD row {row!r}: the sign must be "
+                                   "'+', '-', 1 or -1")
             crossings.append((a, b, c, d, 1 if s in ("+", 1) else -1))
-        return PDCode(tuple(crossings), int(obj.get("free_loops", 0)))
+        try:
+            free_loops = int(obj.get("free_loops", 0))
+        except (TypeError, ValueError):
+            raise DiagramError("PD 'free_loops' must be an integer") from None
+        return PDCode(tuple(crossings), free_loops)
 
 
 def pd_add_kink(pd, sign):

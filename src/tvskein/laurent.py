@@ -201,11 +201,6 @@ class LaurentPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    # -- evaluation ---------------------------------------------------
-
-    def eval_complex(self, a):
-        return sum(complex(c) * a ** e for e, c in self.terms.items())
-
     # -- text form ----------------------------------------------------
 
     def __str__(self):

@@ -329,8 +329,8 @@ def derivative(poly):
                                 for k in range(1, len(poly.coeffs))])
 
 
-def numeric_roots(gamma, root_index=1, tol=1e-9):
-    """Complex roots of gamma under the chosen embedding of k_p.
+def numeric_roots(gamma):
+    """Complex roots of gamma under the embedding A_p -> exp(pi i / p).
 
     Repeated roots are split off exactly (gcd with the derivative over
     the coefficient field) before any numerics, so multiple roots come
@@ -346,24 +346,17 @@ def numeric_roots(gamma, root_index=1, tol=1e-9):
         g = gamma.monic().gcd(derivative(gamma))
         if g.degree() > 0:
             simple, _ = gamma.monic().divmod(g)
-            out = _numeric_simple(simple, root_index) + \
-                numeric_roots(g.monic(), root_index, tol)
+            out = _numeric_simple(simple) + numeric_roots(g.monic())
             out.sort(key=lambda z: (round(abs(z), 9), round(cmath.phase(z), 9)))
             return out
-    return _numeric_simple(gamma, root_index)
+    return _numeric_simple(gamma)
 
 
-def _numeric_simple(gamma, root_index):
+def _numeric_simple(gamma):
     import numpy as np
 
-    cs = []
-    for c in gamma.coeffs:
-        if isinstance(c, CycloElem):
-            cs.append(c.embed(root_index))
-        elif isinstance(c, (int, Fraction)):
-            cs.append(complex(c))
-        else:
-            cs.append(c.eval_complex(cmath.exp(1j * cmath.pi * root_index)))
+    cs = [c.embed() if isinstance(c, CycloElem) else complex(c)
+          for c in gamma.coeffs]
     if len(cs) == 1:
         return []
     roots = np.roots(list(reversed(cs)))

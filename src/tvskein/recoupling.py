@@ -3,7 +3,9 @@
 The projector f_n is built by the Wenzl recursion inside the 2n-point
 Temperley-Lieb algebra with coefficients in Q(A); it is idempotent and
 killed by every cap-cup generator, and its closed trace is
-<e_n> = (-1)^n [n+1].
+<e_n> = (-1)^n [n+1].  The algebra has no gluing code of its own: an
+element of TL_n is a state of the skein engine over Q(A) on a frontier
+of 2n points, and products, traces and the recursion are splices there.
 
 Colored evaluations come in two flavours that check each other:
 
@@ -26,7 +28,8 @@ from functools import lru_cache
 
 from .cyclo import CycloElem, UnsupportedSpecialization, reduce_to_kp
 from .laurent import LaurentFrac, LaurentPoly, bracket_e, mu_eig, quantum_int
-from .skein import SkeinEngine, _zero
+from .rings import QA
+from .skein import SkeinEngine
 
 
 class ColorError(ValueError):
@@ -36,7 +39,25 @@ class ColorError(ValueError):
 # -- Temperley-Lieb algebra over Q(A) ---------------------------------------
 # An element of TL_n is a dict {diagram: LaurentFrac} where a diagram is a
 # matching of 2n points: 0..n-1 the inputs (left to right), n..2n-1 the
-# outputs (left to right).
+# outputs (left to right).  Products, traces and projectors run on the skein
+# engine over Q(A).  Bending the inputs round to the left puts a diagram on a
+# frontier of 2n points, inputs n-1..0 then outputs 0..n-1, and a diagram
+# acting on the outputs is then a splice block at position n.
+
+_TL = SkeinEngine(QA)
+
+
+def _refold(x, n):
+    """Move an element between diagram points and frontier positions.
+
+    Point t sits at position t for t >= n and n-1-t otherwise; the fold is
+    its own inverse, and so is this map.
+    """
+    def fold(t):
+        return t if t >= n else n - 1 - t
+
+    return {tuple(fold(d[fold(s)]) for s in range(2 * n)): c
+            for d, c in x.items()}
 
 
 def tl_identity(n):
@@ -45,7 +66,6 @@ def tl_identity(n):
 
 def tl_e(n, i):
     """The cap-cup generator e_i joining inputs/outputs i, i+1."""
-    m = {}
     pairs = {}
     pairs[i], pairs[i + 1] = i + 1, i
     pairs[n + i], pairs[n + i + 1] = n + i + 1, n + i
@@ -57,68 +77,9 @@ def tl_e(n, i):
     return {diag: LaurentFrac.one()}
 
 
-def tl_compose(x, y, n, delta=None):
+def tl_compose(x, y, n):
     """Stack y after x (x's outputs glued to y's inputs)."""
-    delta = delta or LaurentFrac(LaurentPoly({2: -1, -2: -1}))
-    out = {}
-    for d1, c1 in x.items():
-        for d2, c2 in y.items():
-            diag, loops = _glue_diagrams(d1, d2, n)
-            coeff = c1 * c2
-            for _ in range(loops):
-                coeff = coeff * delta
-            cur = out.get(diag)
-            out[diag] = coeff if cur is None else cur + coeff
-    return {d: c for d, c in out.items() if not c.is_zero()}
-
-
-def _glue_diagrams(d1, d2, n):
-    """Glue d1's outputs to d2's inputs; return (diagram, closed loops)."""
-    pairs = {}
-    mid_seen = [False] * n
-
-    def follow(side, point):
-        # side 1: look up d1 at `point`; side 2: look up d2
-        while True:
-            if side == 1:
-                q = d1[point]
-                if q < n:
-                    return ("in", q)
-                mid_seen[q - n] = True
-                side, point = 2, q - n
-            else:
-                q = d2[point]
-                if q >= n:
-                    return ("out", q - n)
-                mid_seen[q] = True
-                side, point = 1, n + q
-
-    done = set()
-    for kind, idx, side, point in \
-            [("in", i, 1, i) for i in range(n)] + \
-            [("out", k, 2, n + k) for k in range(n)]:
-        a = idx if kind == "in" else n + idx
-        if a in done:
-            continue
-        ek, ei = follow(side, point)
-        b = ei if ek == "in" else n + ei
-        pairs[a] = b
-        pairs[b] = a
-        done.add(a)
-        done.add(b)
-    loops = 0
-    for m in range(n):
-        if mid_seen[m]:
-            continue
-        loops += 1
-        cur = m
-        while not mid_seen[cur]:
-            mid_seen[cur] = True
-            q = d2[cur]
-            mid_seen[q] = True
-            cur = d1[n + q] - n
-    diag = tuple(pairs[k] for k in range(2 * n))
-    return diag, loops
+    return _refold(_TL.insert(_refold(x, n), n, n, y.items()), n)
 
 
 @lru_cache(maxsize=None)
@@ -126,57 +87,28 @@ def jones_wenzl(n):
     """The Jones-Wenzl projector f_n in TL_n over Q(A)."""
     if n < 0:
         raise ColorError("negative color")
-    if n in (0, 1):
-        return tl_identity(max(n, 0)) if n else {(): LaurentFrac.one()}
-    prev = jones_wenzl(n - 1)
-    # embed f_(n-1) in TL_n by adding a through strand on the right
-    emb = {}
-    for d, c in prev.items():
-        m = 2 * (n - 1)
-        remap = {}
-        for k in range(m):
-            v = d[k]
-            kk = k if k < n - 1 else k + 1
-            vv = v if v < n - 1 else v + 1
-            remap[kk] = vv
-        remap[n - 1] = 2 * n - 1
-        remap[2 * n - 1] = n - 1
-        emb[tuple(remap[k] for k in range(2 * n))] = c
+    if n < 2:
+        return tl_identity(n)
+    prev = jones_wenzl(n - 1).items()
+    # f_(n-1) on the first n-1 strands, then e_(n-1) and f_(n-1) again
+    emb = _TL.insert(_refold(tl_identity(n), n), n, n - 1, prev)
+    mid = _TL.cup(_TL.cap(emb, 2 * n - 2), 2 * n - 2)
+    mid = _TL.insert(mid, n, n - 1, prev)
     # loop value of f_k is (-1)^k [k+1], so the Wenzl coefficient
     # -Delta_(n-2)/Delta_(n-1) comes out as +[n-1]/[n]
     coef = LaurentFrac(quantum_int(n - 1)) / LaurentFrac(quantum_int(n))
-    mid = tl_compose(tl_compose(emb, tl_e(n, n - 2), n), emb, n)
     out = dict(emb)
-    for d, c in mid.items():
-        cur = out.get(d)
-        val = c * coef
-        out[d] = val if cur is None else cur + val
-    return {d: c for d, c in out.items() if not c.is_zero()}
+    for m, c in mid.items():
+        out[m] = out[m] + c * coef if m in out else c * coef
+    return _refold({m: c for m, c in out.items() if not c.is_zero()}, n)
 
 
 def tl_trace(x, n):
     """Markov trace: close all strands around; returns a LaurentFrac."""
-    delta = LaurentFrac(LaurentPoly({2: -1, -2: -1}))
-    total = LaurentFrac.zero()
-    for d, c in x.items():
-        # close input i with output i
-        seen = [False] * (2 * n)
-        loops = 0
-        for s in range(2 * n):
-            if seen[s]:
-                continue
-            loops += 1
-            cur = s
-            while not seen[cur]:
-                seen[cur] = True
-                p = d[cur]
-                seen[p] = True
-                cur = p + n if p < n else p - n
-        val = c
-        for _ in range(loops):
-            val = val * delta
-        total = total + val
-    return total
+    states = _refold(x, n)
+    for pos in range(n - 1, -1, -1):
+        states = _TL.cap(states, pos)
+    return states.get((), QA.zero)
 
 
 # -- projector insertion in the skein engine --------------------------------
@@ -219,12 +151,7 @@ class WebEngine(SkeinEngine):
     def proj(self, states, pos, n):
         terms, den = proj_block_terms_scaled(n)
         self.denominator = self.denominator * den
-        out = {}
-        for block, coeff in terms:
-            res = self.apply_block(states, pos, n, n, block, coeff)
-            for m, c in res.items():
-                self._merge(out, m, c)
-        return {m: c for m, c in out.items() if not _zero(c)}
+        return self.insert(states, pos, n, terms)
 
     def value(self, states):
         """The closed evaluation as a reduced element of Q(A)."""

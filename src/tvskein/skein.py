@@ -1,10 +1,14 @@
 """The Kauffman-bracket engine.
 
 States of a computation are formal sums of crossingless matchings of the
-current frontier, with Laurent-polynomial coefficients.  Every event --
-cup, cap, crossing, or Jones-Wenzl insertion -- is one application of a
-planar splice against the frontier, resolving closed loops into factors
-of delta = -A^2 - A^-2.
+current frontier, with coefficients in the engine's ring (Z[A,A^-1] by
+default, Q(A) for the Temperley-Lieb algebra in ``recoupling``).  Every
+event -- cup, cap, crossing, Jones-Wenzl insertion, a Temperley-Lieb
+product or trace, a closure against a mirrored matching -- is one
+``splice`` against the frontier through ``SkeinEngine.apply_block``, the
+one place that resolves closed loops into factors of delta = -A^2 - A^-2.
+A linear combination of blocks (a crossing, a projector, any TL_n
+element) is applied by ``SkeinEngine.insert``.
 
 The crossing convention is fixed by the engine's twist bookkeeping:
 
@@ -21,7 +25,6 @@ satisfy Q(T) D(n) = B(T) with D(n) the loop-counting pairing matrix.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .diagram import (DiagramError, PDCode, SliceWord, add_word_kinks,
@@ -75,24 +78,6 @@ def mirror_matching(m):
     """Reflect a matching of 2n points across the gluing line."""
     w = len(m)
     return tuple(w - 1 - m[w - 1 - i] for i in range(w))
-
-
-def glue_loops(m1, m2):
-    """Number of closed loops when matchings m1 and m2 are glued."""
-    w = len(m1)
-    seen = [False] * w
-    loops = 0
-    for start in range(w):
-        if seen[start]:
-            continue
-        loops += 1
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            j = m1[i]
-            seen[j] = True
-            i = m2[j]
-    return loops
 
 
 # -- the splice primitive ---------------------------------------------------
@@ -189,14 +174,15 @@ _TURN = (1, 0, 3, 2)               # cap then cup
 class SkeinEngine:
     """Evaluate slice programs over a coefficient ring."""
 
-    def __init__(self, ring=None, delta=None, a=None, a_inv=None):
+    def __init__(self, ring=None):
         if ring is None:
             from .rings import ZA
             ring = ZA
         self.ring = ring
-        self.delta = delta if delta is not None else ring.coerce(DELTA)
-        self.a = a if a is not None else ring.coerce(_A)
-        self.a_inv = a_inv if a_inv is not None else ring.coerce(_Ainv)
+        self.delta = ring.coerce(DELTA)
+        a, a_inv = ring.coerce(_A), ring.coerce(_Ainv)
+        self._cross_terms = {True: ((_ID2, a), (_TURN, a_inv)),
+                             False: ((_ID2, a_inv), (_TURN, a))}
 
     def _merge(self, states, matching, coeff):
         cur = states.get(matching)
@@ -215,6 +201,19 @@ class SkeinEngine:
                 self._merge(out, nm, val)
         return out
 
+    def insert(self, states, pos, n, terms):
+        """Apply sum c * block over the (block, c) pairs of a TL_n element.
+
+        Each block consumes the n frontier points from ``pos`` on and
+        produces n new ones in their place.
+        """
+        out = {}
+        for block, coeff in terms:
+            for m, c in self.apply_block(states, pos, n, n, block,
+                                         coeff).items():
+                self._merge(out, m, c)
+        return {m: c for m, c in out.items() if not _zero(c)}
+
     def cap(self, states, pos):
         return self.apply_block(states, pos, 2, 0, _CAP)
 
@@ -222,13 +221,7 @@ class SkeinEngine:
         return self.apply_block(states, pos, 0, 2, _CUP)
 
     def cross(self, states, pos, positive=True):
-        ident = self.apply_block(states, pos, 2, 2, _ID2,
-                                 self.a if positive else self.a_inv)
-        turn = self.apply_block(states, pos, 2, 2, _TURN,
-                                self.a_inv if positive else self.a)
-        for m, c in turn.items():
-            self._merge(ident, m, c)
-        return {m: c for m, c in ident.items() if not _zero(c)}
+        return self.insert(states, pos, 2, self._cross_terms[positive])
 
     def run_tokens(self, states, tokens):
         for kind, pos in tokens:
@@ -258,24 +251,19 @@ def _zero(x):
 # -- pairing matrix and transfer matrices -----------------------------------
 
 
+def _close(eng, states, m):
+    """Glue the mirror image of matching m onto the frontier of ``states``."""
+    closed = eng.apply_block(states, 0, len(m), 0, mirror_matching(m))
+    return closed.get((), eng.ring.zero)
+
+
 def pairing_matrix_D(n, ring=None):
     """Lickorish's matrix: (i,j) entry delta^(loops of D_i glued m(D_j))."""
     from .matring import RingMatrix
-    from .rings import ZA
-    ring = ring or ZA
-    delta = ring.coerce(DELTA)
+    eng = SkeinEngine(ring)
     ms = matchings(n)
-    rows = []
-    for mi in ms:
-        row = []
-        for mj in ms:
-            loops = glue_loops(mi, mirror_matching(mj))
-            val = ring.one
-            for _ in range(loops):
-                val = val * delta
-            row.append(val)
-        rows.append(row)
-    return RingMatrix(ring, rows)
+    return RingMatrix(eng.ring, [[_close(eng, {mi: eng.ring.one}, mj)
+                                  for mj in ms] for mi in ms])
 
 
 def transfer_Q(word, ring=None):
@@ -302,28 +290,13 @@ def transfer_Q(word, ring=None):
 def closure_B(word, ring=None):
     """B(T): brackets of the closed diagrams D_i u T u m(D_j)."""
     from .matring import RingMatrix
-    from .rings import ZA
-    ring = ring or ZA
-    n = word.bottom // 2
     eng = SkeinEngine(ring)
-    ms = matchings(n)
-    delta = ring.coerce(DELTA)
+    ms = matchings(word.bottom // 2)
     rows = []
     for mi in ms:
-        states = eng.run_tokens({mi: ring.one}, word.tokens)
-        row = []
-        for mj in ms:
-            mjm = mirror_matching(mj)
-            acc = ring.zero
-            for m, c in states.items():
-                loops = glue_loops(m, mjm)
-                val = c
-                for _ in range(loops):
-                    val = val * delta
-                acc = acc + val
-            row.append(acc)
-        rows.append(row)
-    return RingMatrix(ring, rows)
+        states = eng.run_tokens({mi: eng.ring.one}, word.tokens)
+        rows.append([_close(eng, states, mj) for mj in ms])
+    return RingMatrix(eng.ring, rows)
 
 
 def bracket_word(word, ring=None):

@@ -18,7 +18,7 @@ than guessed at.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -113,14 +113,20 @@ class TVInvariant:
     flat_rank: int
     flat_matrix: RingMatrix
     period: int | None = None
-    notes: dict = field(default_factory=dict)
 
     def power_sums(self, d_max):
         return power_sums(self.gamma, d_max)
 
     @cached_property
     def invariant_factors(self):
-        """Similarity invariants of the flat part, computed on first read."""
+        """Similarity invariants of the flat part, computed on first read.
+
+        The paper's invariant is the similarity class of the flat
+        (non-nilpotent) part of Z(E), which Gamma alone does not fix; these
+        factors are that class, and test_invariant_factors_stable_under_shift
+        checks the theorem with them.  They stay out of the JSON output
+        because a Smith form can take minutes (14 x 14 at a level).
+        """
         return similarity_invariants(self.flat_matrix) if self.flat_rank else []
 
     @cached_property
@@ -131,7 +137,7 @@ class TVInvariant:
         return numeric_roots(self.gamma)
 
 
-def make_invariant(matrix, p=None, notes=None):
+def make_invariant(matrix, p=None):
     """Flat-decompose a transfer matrix and bundle the invariants."""
     fd = flat_decompose(matrix)
     gamma = fd.gamma
@@ -141,7 +147,7 @@ def make_invariant(matrix, p=None, notes=None):
     return TVInvariant(p=p, matrix=matrix, gamma=gamma,
                        constant_term=fd.constant_term,
                        flat_rank=fd.flat_rank, flat_matrix=fd.flat_matrix,
-                       period=period, notes=notes or {})
+                       period=period)
 
 
 def trivial_invariant(p):
@@ -429,8 +435,7 @@ def colored_double_invariant(j_ref, k, p, c):
         raise ValueError("colored invariants start at p = 3")
     cd = ColorData.at(p)
     if c % 2 == 1:
-        return make_invariant(RingMatrix(kp_field(p), []), p,
-                              notes={"vanishing": "odd color"})
+        return make_invariant(RingMatrix(kp_field(p), []), p)
     if not cd.is_good(c):
         raise ColorError(f"{c} is not a good color at p={p}")
     if c == 0:
@@ -530,19 +535,7 @@ def cover_series(j_ref, k, p, d_range):
     """<S^3(D_k(J))_d>_p for d in d_range, with signature corrections."""
     if isinstance(j_ref, str):
         j_ref = KnotRef.parse(j_ref)
-    d_max = max(d_range)
-    if p in (1, 3, 4):
-        vals = {d: CycloElem.one(p) for d in d_range}
-    elif p % 2 == 0 and (p // 2) % 2 == 1 and p > 6:
-        # tensor route: s_d(2p') = s_d(2) j(s_d(p'))
-        ph = p // 2
-        sub = double_invariant(j_ref, k, ph)
-        ps = power_sums(sub.gamma, d_max)
-        vals = {d: map_j(ps[d], ph) * s_kd(k, d) for d in d_range}
-    else:
-        inv = double_invariant(j_ref, k, p)
-        ps = power_sums(inv.gamma, d_max)
-        vals = {d: ps[d] for d in d_range}
+    vals = power_sums(double_invariant(j_ref, k, p).gamma, max(d_range))
     seifert = seifert_matrix_double(k)
     out = []
     for d in d_range:

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from tvskein.cli import run, validate_invariant_json
 from tvskein.cyclo import CycloElem
 
@@ -138,3 +140,25 @@ def test_singular_pairing_exit_code(monkeypatch):
                             kp_field(p), 3, 3))
     rc, _ = _run(["double", "--J", "U", "--k", "1", "--p", "7"])
     assert rc == 3
+
+
+# the LT code; read with any sign taken as -1, each bad-sign variant below
+# is a valid diagram, so only the sign check can reject it
+LT_PD = [[1, 4, 2, 5, "-"], [3, 6, 4, 1, "-"], [5, 2, 6, 3, "-"]]
+
+
+@pytest.mark.parametrize("body", [
+    [[a, b, c, d, "x"] for a, b, c, d, _ in LT_PD],
+    [LT_PD[0][:4] + [0]] + LT_PD[1:],
+    [LT_PD[0][:4] + [2]] + LT_PD[1:],
+    [1, 2],
+    {"crossings": 5},
+    "abc",
+])
+def test_malformed_pd_exit_code(tmp_path, capsys, body):
+    f = tmp_path / "bad.pd"
+    f.write_text(json.dumps(body))
+    rc, _ = _run(["bracket", str(f)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -7,7 +7,7 @@ from tvskein.cyclo import UnsupportedSpecialization, reduce_to_kp
 from tvskein.laurent import LaurentFrac, LaurentPoly, bracket_e, quantum_int
 from tvskein.recoupling import (ColorError, full_twist, jones_wenzl, qfact,
                                 tet, tet_web, theta, theta_web, tl_compose,
-                                tl_e, tl_trace)
+                                tl_e, tl_identity, tl_trace)
 
 
 def adm(a, b, c):
@@ -35,6 +35,25 @@ def test_projector_idempotence_and_annihilation():
             assert not tl_compose(tl_e(n, i), f, n)
             assert not tl_compose(f, tl_e(n, i), n)
         assert tl_trace(f, n) == LaurentFrac(bracket_e(n))
+
+
+def test_temperley_lieb_relations():
+    delta = LaurentFrac(LaurentPoly({2: -1, -2: -1}))
+    for n in range(6):
+        one = tl_identity(n)
+        assert tl_compose(one, one, n) == one
+        assert tl_trace(one, n) == delta ** n
+        e = [tl_e(n, i) for i in range(n - 1)]
+        for i, ei in enumerate(e):
+            (d, _), = ei.items()
+            assert tl_compose(one, ei, n) == ei == tl_compose(ei, one, n)
+            assert tl_compose(ei, ei, n) == {d: delta}
+            assert tl_trace(ei, n) == delta ** (n - 1)
+            for j, ej in enumerate(e):
+                if abs(i - j) == 1:
+                    assert tl_compose(tl_compose(ei, ej, n), ei, n) == ei
+                elif abs(i - j) >= 2:
+                    assert tl_compose(ei, ej, n) == tl_compose(ej, ei, n)
 
 
 def test_f2_kills_capcup_expansion():

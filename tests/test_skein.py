@@ -11,7 +11,7 @@ from tvskein.laurent import A, DELTA, MU, LaurentPoly, quantum_int
 from tvskein.matring import berkowitz_det
 from tvskein.rings import QA, ZA
 from tvskein.skein import (bracket_pd, bracket_pd_statesum, bracket_word,
-                           catalan, closure_B, colored_bracket, glue_loops,
+                           catalan, closure_B, colored_bracket,
                            knot_scalars, matchings, mirror_matching,
                            pairing_matrix_D, scalars_from_kauffman, transfer_Q)
 
