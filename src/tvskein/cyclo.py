@@ -264,25 +264,12 @@ class CycloElem:
                     if b:
                         vec[i + j] += a * b
         out = CycloElem(self.p, _reduce_vec(vec, self.p), self.grade + other.grade)
-        wraps, _ = divmod(self.grade + other.grade, 6)
-        if wraps:
-            u = u_element(self.p)
-            for _ in range(wraps):
-                out = out._mul_grade0(u)
+        if self.grade + other.grade >= 6:
+            # kappa^6 = u, of grade 0, so this product does not wrap again
+            out = out * u_element(self.p)
         return out
 
     __rmul__ = __mul__
-
-    def _mul_grade0(self, other):
-        """Multiply by a grade-0 element without touching the grade."""
-        deg = level_degree(self.p)
-        vec = [Fraction(0)] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        vec[i + j] += a * b
-        return CycloElem(self.p, _reduce_vec(vec, self.p), self.grade)
 
     def __pow__(self, n):
         if n < 0:
@@ -316,7 +303,7 @@ class CycloElem:
             return inv_apart
         # (x kappa^g)^-1 = x^-1 u^-1 kappa^(6-g)
         uinv = u_element(self.p).inv()
-        out = inv_apart._mul_grade0(uinv)
+        out = inv_apart * uinv
         return CycloElem(self.p, out.coeffs, 6 - self.grade)
 
     def __truediv__(self, other):
@@ -334,7 +321,7 @@ class CycloElem:
         out = CycloElem(self.p, _monomial_sum(self.p, terms))
         if self.grade == 0:
             return out
-        folded = out._mul_grade0(u_element(self.p).inv())
+        folded = out * u_element(self.p).inv()
         return CycloElem(self.p, folded.coeffs, 6 - self.grade)
 
     def __eq__(self, other):

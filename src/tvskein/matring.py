@@ -442,24 +442,16 @@ def trace_powers(mat, d_max):
     return PowerSumSeries(mat.ring, vals)
 
 
-def matrix_period(mat, bound, scalars=False):
-    """Least m <= bound with (flat part)^m = I, or None.
-
-    With ``scalars=True`` returns (m, c) for the least m with the power
-    equal to c * I (reporting kappa-power scalars of periodic maps).
-    """
+def matrix_period(mat, bound):
+    """Least m <= bound with (flat part)^m = I, or None."""
     flat = flat_decompose(mat).flat_matrix
     n = flat.rows
     if n == 0:
-        return (1, mat.ring.one) if scalars else 1
+        return 1
     ident = RingMatrix.identity(flat.ring, n)
     acc = flat
     for m in range(1, bound + 1):
-        if scalars:
-            c = acc.data[0][0]
-            if not _is_zero(c) and acc == ident * c:
-                return m, c
         if acc == ident:
-            return (m, mat.ring.one) if scalars else m
+            return m
         acc = acc * flat
     return None

@@ -7,9 +7,10 @@ composed product combines levels (tensor of similarity classes), and
 root-of-unity certificates witness periodicity of the underlying maps.
 
 Polynomials are dense, lowest degree first, over any ring descriptor
-from ``rings``; the root-multiset product is computed exactly through a
-resultant (determinant of Q~(x, C_P) for the companion matrix C_P), so
-no numerical root extraction enters the exact path.
+from ``rings``.  The composed product is computed exactly from power
+sums: its d-th power sum is the product of the factors' d-th power sums,
+and Newton's identities turn those back into coefficients, so no
+numerical root extraction enters the exact path.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import gcd
 
 from .cyclo import (CycloElem, InvariantCheckError, cyclotomic_poly,
                     level_degree)
-from .rings import QQ, CycloField, ring_of
+from .rings import QQ, CycloField
 
 
 class NormUnavailable(ValueError):
@@ -33,7 +34,8 @@ class RingPoly:
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
-        cs = [ring.coerce(c) if not _same_ring(c, ring) else c for c in coeffs]
+        cs = [ring.coerce(c) if isinstance(c, (int, Fraction)) else c
+              for c in coeffs]
         while cs and _is_zero(cs[-1]):
             cs.pop()
         self.ring = ring
@@ -208,13 +210,6 @@ def _is_zero(c):
     return z() if callable(z) else not c
 
 
-def _same_ring(c, ring):
-    try:
-        return ring_of(c) is ring or ring_of(c).name == ring.name
-    except TypeError:
-        return False
-
-
 # -- power sums ---------------------------------------------------------
 
 
@@ -269,56 +264,27 @@ def power_sums(gamma, d_max):
 def tensor_product(p, q):
     """Monic polynomial whose roots are the pairwise products of roots.
 
-    Computed exactly as det(Q~(x, C_P)) where C_P is the companion
-    matrix of P over R[x] and Q~ is the homogenisation of Q; the
-    determinant is division-free, so any commutative coefficient ring
-    works.
+    Its power sums are t_d = s_d(p) s_d(q), and Newton's identities
+    k e_k = sum_i (-1)^(i-1) e_(k-i) t_i rebuild its coefficients
+    (Bostan-Flajolet-Salvy-Schost, "Fast computation of special
+    resultants", J. Symbolic Comput. 41, 2006).  The division by k needs
+    a coefficient ring that contains Q, as every ring here does.
     """
     if not (p.is_monic() and q.is_monic()):
         raise ValueError("tensor product needs monic polynomials")
-    from .matring import RingMatrix, berkowitz_det
-
     ring = p.ring
-    n, m = p.degree(), q.degree()
-    if n == 0 or m == 0:
-        return RingPoly.one(ring)
-
-    class _PolyRing:
-        is_field = False
-        name = f"({ring.name})[x]"
-
-        @property
-        def zero(self):
-            return RingPoly.zero(ring)
-
-        @property
-        def one(self):
-            return RingPoly.one(ring)
-
-        def coerce(self, v):
-            if isinstance(v, RingPoly):
-                return v
-            return RingPoly(ring, [ring.coerce(v)])
-
-    S = _PolyRing()
-    x = RingPoly.x(ring)
-    # companion matrix of p over S
-    comp = RingMatrix.zero(S, n, n)
-    for i in range(1, n):
-        comp[i, i - 1] = S.one
-    for i in range(n):
-        comp[i, n - 1] = S.coerce(-p.coeff(i))
-    # homogenised Q evaluated at y = comp:  sum_j q_(m-j) x^(m-j) comp^j
-    acc = RingMatrix.zero(S, n, n)
-    ypow = RingMatrix.identity(S, n)
-    for j in range(0, m + 1):
-        acc = acc + ypow * S.coerce((x ** (m - j)) * q.coeff(m - j))
-        if j < m:
-            ypow = ypow * comp
-    det = berkowitz_det(acc)
-    if not det.is_monic():
-        raise InvariantCheckError("composed product lost monicity")
-    return det
+    n = p.degree() * q.degree()
+    sp, sq = power_sums(p, n), power_sums(q, n)
+    t = [sp[d] * sq[d] for d in range(1, n + 1)]
+    e = [ring.one]
+    for k in range(1, n + 1):
+        acc = ring.zero
+        for i in range(1, k + 1):
+            term = e[k - i] * t[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        e.append(acc * Fraction(1, k))
+    return RingPoly(ring, [-e[n - j] if (n - j) % 2 else e[n - j]
+                           for j in range(n + 1)])
 
 
 # -- numeric roots ---------------------------------------------------------

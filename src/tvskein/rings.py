@@ -272,17 +272,3 @@ def kp_field(p):
         _cyclo_fields[p] = CycloField(p)
     return _cyclo_fields[p]
 
-
-def ring_of(x):
-    """Infer the coefficient-ring descriptor of an element."""
-    if isinstance(x, Fraction) or isinstance(x, int):
-        return QQ
-    if isinstance(x, LaurentPoly):
-        return ZA
-    if isinstance(x, LaurentFrac):
-        return QA
-    if isinstance(x, CycloElem):
-        return kp_field(x.p)
-    if isinstance(x, MPoly):
-        return MPolyRing(x.nvars)
-    raise TypeError(f"unknown coefficient type {type(x)!r}")

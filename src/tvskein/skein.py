@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .cyclo import CycloElem
 from .diagram import (DiagramError, PDCode, SliceWord, add_word_kinks,
                       braid_closure, cable_word, pd_to_braid)
 from .laurent import DELTA, LaurentPoly
@@ -507,101 +508,27 @@ def scalars_from_kauffman(f_terms):
     F_J(a, z), normalised to 1 on the unknot.  The two substitutions are
       <J>   = ((a + a^-1)/z - 1) F_J  at  a = -A^3,    z = A + A^-1
       [[J]] = -((a + a^-1)/z - 1) F_J at  a = -i A^8,  z = i(A^4 - A^-4)
-    and both results are certified to land in Z[A, A^-1].  A negative
-    z-exponent (which a knot's F_J does not have) raises ValueError.
+    Both run over k_2 = Q(i), where A_2 = i, and both results are checked
+    to be rational.  A negative z-exponent (which a knot's F_J
+    does not have) raises ValueError.
     """
-    from fractions import Fraction as _F
-
     if any(j < 0 for _, j in f_terms):
         raise ValueError("negative z-exponent in a knot's Kauffman polynomial")
 
-    class _G:
-        """Gaussian-rational coefficient: re + im*i."""
-
-        __slots__ = ("re", "im")
-
-        def __init__(self, re=0, im=0):
-            self.re, self.im = _F(re), _F(im)
-
-        def __add__(self, o):
-            o = o if isinstance(o, _G) else _G(o)
-            return _G(self.re + o.re, self.im + o.im)
-
-        __radd__ = __add__
-
-        def __neg__(self):
-            return _G(-self.re, -self.im)
-
-        def __sub__(self, o):
-            o = o if isinstance(o, _G) else _G(o)
-            return _G(self.re - o.re, self.im - o.im)
-
-        def __rsub__(self, o):
-            return _G(o) - self
-
-        def __mul__(self, o):
-            o = o if isinstance(o, _G) else _G(o)
-            return _G(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
-
-        __rmul__ = __mul__
-
-        def __truediv__(self, o):
-            o = o if isinstance(o, _G) else _G(o)
-            n = o.re * o.re + o.im * o.im
-            return _G((self.re * o.re + self.im * o.im) / n,
-                      (o.re * self.im - self.re * o.im) / n)
-
-        def __eq__(self, o):
-            o = o if isinstance(o, _G) else _G(o)
-            return self.re == o.re and self.im == o.im
-
-        def __bool__(self):
-            return bool(self.re or self.im)
-
-        def __hash__(self):
-            return hash((self.re, self.im))
-
-        def __lt__(self, o):
-            return False
-
-        def __abs__(self):
-            return self
-
-        def __str__(self):
-            return f"{self.re}+{self.im}i"
+    one, i = CycloElem.one(2), CycloElem.a_power(2, 1)
 
     def substitute(a_val, z_val):
-        # evaluate ((a+a^-1)/z - 1) * F at Laurent values over Gaussian coeffs
-        a_inv = LaurentPoly({-e: c for e, c in a_val.terms.items()})
-        # a_val is a Gaussian-coefficient monomial: invert directly
-        (ea, ca), = a_val.terms.items()
-        a_inv = LaurentPoly({-ea: _G(1) / ca})
         acc = LaurentPoly()
-        for (i, j), coeff in f_terms.items():
-            term = LaurentPoly({0: _G(coeff)})
-            base = a_val if i >= 0 else a_inv
-            for _ in range(abs(i)):
-                term = term * base
-            for _ in range(j):
-                term = term * z_val
-            acc = acc + term
-        pref = (a_val + a_inv).exact_div(z_val) - LaurentPoly({0: _G(1)})
+        for (e, j), coeff in f_terms.items():
+            acc = acc + a_val ** e * z_val ** j * LaurentPoly({0: one * coeff})
+        pref = (a_val + a_val ** -1).exact_div(z_val) - LaurentPoly({0: one})
         return pref * acc
 
-    mu3 = LaurentPoly({3: _G(-1)})
-    z1 = LaurentPoly({1: _G(1), -1: _G(1)})
-    br = substitute(mu3, z1)
-    a2 = LaurentPoly({8: _G(0, -1)})
-    z2 = LaurentPoly({4: _G(0, 1), -4: _G(0, -1)})
-    dd = -substitute(a2, z2)
-
     def to_rational(p):
-        out = {}
-        for e, c in p.terms.items():
-            if c.im != 0:
-                raise ValueError("Kauffman substitution left an imaginary part")
-            out[e] = c.re
-        return LaurentPoly(out)
+        if any(c.coeffs[1] != 0 for c in p.terms.values()):
+            raise ValueError("Kauffman substitution left an imaginary part")
+        return LaurentPoly({e: c.coeffs[0] for e, c in p.terms.items()})
 
+    br = substitute(LaurentPoly({3: -one}), LaurentPoly({1: one, -1: one}))
+    dd = -substitute(LaurentPoly({8: -i}), LaurentPoly({4: i, -4: -i}))
     return to_rational(br), to_rational(dd)

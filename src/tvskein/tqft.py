@@ -646,10 +646,30 @@ def signature_at(v, m, d):
 
 
 def total_signature(v, d):
-    """sigma_d: sum of signatures at the d-th roots of unity (sigma_1 = 0)."""
-    if d <= 1:
+    """sigma_d: sum of signatures at the d-th roots of unity (sigma_1 = 0).
+
+    The term at m is zero exactly when cos(2 pi m/d) lies above a
+    constant (see signature_at), and the cosine decreases on
+    1 <= m <= d/2, so bisection finds the first nonzero term lo with
+    O(log d) comparisons.  Further on the cosine lies strictly below the
+    constant and the terms are equal; m and d - m give the same term.
+    """
+    half = d // 2
+    lo, hi = 1, half + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if signature_at(v, mid, d).sigma:
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo > half:
         return 0
-    return sum(signature_at(v, m, d).sigma for m in range(1, d))
+    first = signature_at(v, lo, d).sigma
+    if 2 * lo == d:
+        return first
+    inner = d - 2 * lo - 1          # the m strictly between lo and d - lo
+    rest = signature_at(v, lo + 1, d).sigma if inner else 0
+    return 2 * first + inner * rest
 
 
 # -- branched covers -------------------------------------------------------------------

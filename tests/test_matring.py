@@ -119,9 +119,6 @@ def test_matrix_period():
     rot = RingMatrix(QQ, [[0, -1], [1, 0]])
     assert matrix_period(rot, 10) == 4
     assert matrix_period(rot, 3) is None
-    # scalar periodicity reporting
-    m, c = matrix_period(rot * Fraction(1), 10, scalars=True)
-    assert (m, c) == (2, Fraction(-1))
 
 
 def _rand_entry(rnd, ring):

@@ -8,10 +8,12 @@ from tvskein.diagram import SliceWord
 from tvskein.laurent import LaurentFrac, LaurentPoly
 from tvskein.matring import RingMatrix, berkowitz_det, flat_decompose
 from tvskein.polyalg import RingPoly, numeric_roots, power_sums
+from tvskein.recoupling import unknot_value
 from tvskein.rings import QA, ZA, kp_field
 from tvskein.skein import catalan, closure_B, pairing_matrix_D, transfer_Q
 from tvskein.tqft import (ColorData, UnsupportedSpecialization,
-                          branched_series, colored_double_invariant,
+                          branched_colors, branched_series,
+                          colored_double_invariant,
                           cover_series, double_invariant, general_double,
                           ordinary, ordinary_det_test, s_kd,
                           seifert_matrix_double, signature_at, tangle_invariant,
@@ -150,6 +152,16 @@ def test_signatures():
         assert total_signature(seifert_matrix_double(k), 9) == 0
 
 
+def test_total_signature_is_sum_of_signature_at():
+    # the bisection against the per-root sum, which includes the
+    # degenerate omega at d = 0 mod 6 for k = -1
+    for k in (-6, -2, -1):
+        v = seifert_matrix_double(k)
+        for d in range(0, 21):
+            expect = sum(signature_at(v, m, d).sigma for m in range(1, d))
+            assert total_signature(v, d) == expect, (k, d)
+
+
 def test_fibered_unit_circle_and_trace_norm():
     # roots of Gamma_5 for the fibered doubles lie on the unit circle
     for k in (1, 4):
@@ -206,6 +218,24 @@ def test_tau5():
 def test_branched_unsupported_level():
     with pytest.raises(ValueError):
         branched_series("U", 1, 2, [1])
+
+
+@pytest.mark.parametrize("p", [10, 14])
+def test_branched_tensor_route_equals_colored_sum(p):
+    # at p = 2p' with p' odd, branched_series goes through level p'; the
+    # general colored sum sum_c <c> s_d(Gamma_c) at p itself is the oracle
+    d_max = 12
+    for k in (-1, 2, 3):
+        expect = [CycloElem.zero(p)] * d_max
+        for c in branched_colors(p):
+            inv = colored_double_invariant("U", k, p, c)
+            if inv.flat_rank == 0:
+                continue
+            sums = power_sums(inv.gamma, d_max)
+            weight = reduce_to_kp(unknot_value(c), p)
+            expect = [x + weight * sums[d + 1] for d, x in enumerate(expect)]
+        got = branched_series("U", k, p, range(1, d_max + 1))
+        assert [rec.normalized for rec in got] == expect, k
 
 
 def test_trace_powers_match_newton_on_invariants():
