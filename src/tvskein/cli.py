@@ -55,34 +55,32 @@ INVARIANT_SCHEMA = {
 }
 
 
-def validate_invariant_json(obj):
-    """Structural validation against INVARIANT_SCHEMA (no dependencies)."""
-    def fail(msg):
-        raise ValueError(f"schema violation: {msg}")
+_JSON_TYPES = {"object": dict, "array": list, "string": str,
+               "integer": int, "number": (int, float), "null": type(None)}
 
-    if not isinstance(obj, dict):
-        fail("not an object")
-    for key in INVARIANT_SCHEMA["required"]:
-        if key not in obj:
-            fail(f"missing {key}")
-    if obj["p"] is not None and not isinstance(obj["p"], int):
-        fail("p")
-    for row in obj["gamma"]:
-        if not isinstance(row, dict) or "xExp" not in row or "coeff" not in row:
-            fail("gamma term")
-        if not isinstance(row["xExp"], int) or not isinstance(row["coeff"], str):
-            fail("gamma term types")
-    if not isinstance(obj["D"], str) or not isinstance(obj["flatRank"], int):
-        fail("D / flatRank")
-    for row in obj["matrix"]:
-        if not all(isinstance(x, str) for x in row):
-            fail("matrix entries")
-    for e in obj["eigen"]:
-        if not isinstance(e.get("re"), (int, float)) or \
-                not isinstance(e.get("im"), (int, float)):
-            fail("eigen")
-    if obj["period"] is not None and not isinstance(obj["period"], int):
-        fail("period")
+
+def _validate(value, schema, path):
+    types = schema["type"]
+    types = [types] if isinstance(types, str) else types
+    # bool is an int in Python but not a JSON number
+    if isinstance(value, bool) or not any(
+            isinstance(value, _JSON_TYPES[t]) for t in types):
+        raise ValueError(f"schema violation: {path} is not {' or '.join(types)}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ValueError(f"schema violation: {path} misses {key}")
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                _validate(value[key], sub, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _validate(item, schema["items"], f"{path}[{i}]")
+
+
+def validate_invariant_json(obj):
+    """Validate against INVARIANT_SCHEMA (no dependencies); ValueError if not."""
+    _validate(obj, INVARIANT_SCHEMA, "$")
     return True
 
 

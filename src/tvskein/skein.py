@@ -28,9 +28,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclo import CycloElem
-from .diagram import (DiagramError, PDCode, SliceWord, add_word_kinks,
-                      braid_closure, cable_word, pd_to_braid)
-from .laurent import DELTA, LaurentPoly
+from .diagram import (DiagramError, PDCode, add_word_kinks, braid_closure,
+                      cable_word, pd_to_braid)
+from .laurent import DELTA, LaurentPoly, bracket_e
 
 _A = LaurentPoly({1: 1})
 _Ainv = LaurentPoly({-1: 1})
@@ -258,40 +258,38 @@ def _close(eng, states, m):
     return closed.get((), eng.ring.zero)
 
 
-def pairing_matrix_D(n, ring=None):
+def pairing_matrix_D(n):
     """Lickorish's matrix: (i,j) entry delta^(loops of D_i glued m(D_j))."""
     from .matring import RingMatrix
-    eng = SkeinEngine(ring)
+    eng = SkeinEngine()
     ms = matchings(n)
     return RingMatrix(eng.ring, [[_close(eng, {mi: eng.ring.one}, mj)
                                   for mj in ms] for mi in ms])
 
 
-def transfer_Q(word, ring=None):
+def transfer_Q(word):
     """The tangle transfer matrix Q(T) on the matching basis."""
     from .matring import RingMatrix
-    from .rings import ZA
-    ring = ring or ZA
     if word.bottom % 2:
         raise DiagramError("transfer needs an even number of strands")
     n = word.bottom // 2
-    eng = SkeinEngine(ring)
+    eng = SkeinEngine()
     ms = matchings(n)
     index = {m: k for k, m in enumerate(ms)}
     rows = []
     for mi in ms:
-        states = eng.run_tokens({mi: ring.one}, word.tokens)
-        row = [ring.zero] * len(ms)
+        states = eng.run_tokens({mi: eng.ring.one}, word.tokens)
+        row = [eng.ring.zero] * len(ms)
         for m, c in states.items():
             row[index[m]] = c
         rows.append(row)
-    return RingMatrix(ring, rows)
+    return RingMatrix(eng.ring, rows)
 
 
-def closure_B(word, ring=None):
+def closure_B(word):
     """B(T): brackets of the closed diagrams D_i u T u m(D_j)."""
     from .matring import RingMatrix
-    eng = SkeinEngine(ring)
+    eng = SkeinEngine()
     ms = matchings(word.bottom // 2)
     rows = []
     for mi in ms:
@@ -300,29 +298,22 @@ def closure_B(word, ring=None):
     return RingMatrix(eng.ring, rows)
 
 
-def bracket_word(word, ring=None):
+def bracket_word(word):
     """Kauffman bracket of a closed slice word (<empty> = 1)."""
-    from .rings import ZA
-    ring = ring or ZA
     if not word.is_closed():
         raise DiagramError("bracket needs a closed diagram")
-    eng = SkeinEngine(ring)
-    states = eng.run_word(word)
-    return states.get((), ring.zero)
+    return SkeinEngine().run_word(word).get((), LaurentPoly())
 
 
 # -- planar-diagram brackets -------------------------------------------------
 
 
-def bracket_pd_statesum(pd, ring=None):
+def bracket_pd_statesum(pd):
     """Brute-force 2^c state sum (oracle; keep c <= 14)."""
-    from .rings import ZA
-    ring = ring or ZA
     c = len(pd.crossings)
     if c > 14:
         raise DiagramError("state-sum oracle limited to 14 crossings")
-    delta = ring.coerce(DELTA)
-    total = ring.zero
+    total = LaurentPoly()
     for mask in range(1 << c):
         parent = {}
 
@@ -351,16 +342,16 @@ def bracket_pd_statesum(pd, ring=None):
                 union(d, a)
         arcs = {x for cr in pd.crossings for x in cr[:4]}
         loops = len({find(x) for x in arcs}) + pd.free_loops
-        term = ring.coerce(LaurentPoly({exp: 1}))
+        term = LaurentPoly({exp: 1})
         for _ in range(loops):
-            term = term * delta
+            term = term * DELTA
         total = total + term
     return total
 
 
-def bracket_pd(pd, ring=None):
+def bracket_pd(pd):
     """Kauffman bracket of a planar diagram, lowered to a closed braid."""
-    return bracket_word(braid_closure(*pd_to_braid(pd)), ring)
+    return bracket_word(braid_closure(*pd_to_braid(pd)))
 
 
 # -- colored brackets and knot scalars ----------------------------------------
@@ -396,35 +387,32 @@ def colored_bracket(word, color):
 
 
 class KnotScalars:
-    """The bracket data a twisted double needs: <J>, [[J]], b_k, colored."""
+    """The bracket data a twisted double needs: the colored brackets <J_c>.
 
-    def __init__(self, name, word=None, bracket=None, double0=None,
-                 colored_fn=None):
+    <J> and [[J]] are the colors 1 and 2, and b_k is built from [[J]];
+    one cache holds them all.
+    """
+
+    def __init__(self, name, word=None, colored_fn=None):
         self.name = name
         self.word = word
-        self._bracket = bracket
-        self._double0 = double0
         self._colored_fn = colored_fn
         self._colored = {}
 
     @property
     def bracket(self):
-        """<J>: bracket of the zero-writhe diagram."""
-        if self._bracket is None:
-            self._bracket = bracket_word(self.word)
-        return self._bracket
+        """<J> = <J_1>: bracket of the zero-writhe diagram."""
+        return self.colored(1)
 
     @property
     def double0(self):
-        """[[J]] = c_0(J) - 1, the reduced 2-cable bracket."""
-        if self._double0 is None:
-            c0 = bracket_word(cable_word(self.word, 2, 0))
-            self._double0 = c0 - LaurentPoly.one()
-        return self._double0
+        """[[J]] = <J_2>, the reduced 2-cable bracket.
 
-    def c_k(self, k):
-        """c_k(J) = A^(8k) [[J]] + 1."""
-        return LaurentPoly({8 * k: 1}) * self.double0 + LaurentPoly.one()
+        With f_2 = 1 + [2]^-1 e_1, the e_1-closure of a 0-framed 2-cable
+        is a 0-framed unknot, of bracket delta = -[2]; so <J_2> is the
+        2-cable bracket minus 1.  This needs a 0-framed diagram.
+        """
+        return self.colored(2)
 
     def b_k(self, k):
         """b_k(J) = A^(2k) [[J]] + A^(-6k)."""
@@ -444,14 +432,9 @@ _SCALAR_CACHE = {}
 
 
 def knot_scalars(ref):
-    """Scalars for an atlas knot, a connected sum, or a raw diagram."""
+    """Scalars for an atlas knot, a connected sum, or a PD knot diagram."""
     from .diagram import ATLAS_WORDS, KnotRef
-    from .laurent import bracket_e
 
-    if isinstance(ref, SliceWord):
-        if not ref.is_closed():
-            raise DiagramError("knot scalars need a closed diagram")
-        return KnotScalars("<word>", word=ref)
     if isinstance(ref, PDCode):
         # kinks go on the lowered word: each kink in the PD code would
         # add a Seifert circle, and so a strand to every cabled bracket
@@ -473,30 +456,21 @@ def knot_scalars(ref):
         raise DiagramError("scalars of a twisted double are not needed; "
                            "pass the companion knot")
     parts = ref.summands()
-    if len(parts) == 1:
-        if parts[0] == "U":
-            out = KnotScalars("U", word=ATLAS_WORDS["U"],
-                              colored_fn=lambda c: bracket_e(c))
-            _SCALAR_CACHE["U"] = out
-            return out
+    if parts == ("U",):
+        out = KnotScalars("U", word=ATLAS_WORDS["U"], colored_fn=bracket_e)
+    elif len(parts) == 1:
         out = KnotScalars(parts[0], word=ATLAS_WORDS[parts[0]])
-        _SCALAR_CACHE[parts[0]] = out
-        return out
-    subs = [knot_scalars(p) for p in parts]
-    br = subs[0].bracket
-    dd = subs[0].double0
-    for s in subs[1:]:
-        br = (br * s.bracket).exact_div(DELTA)
-        dd = (dd * s.double0).exact_div(DELTA * DELTA - LaurentPoly.one())
+    else:
+        # <(J1 # J2)_c> = <J1_c><J2_c> / <e_c>
+        subs = [knot_scalars(p) for p in parts]
 
-    def colored_fn(c):
-        acc = subs[0].colored(c)
-        for s in subs[1:]:
-            acc = (acc * s.colored(c)).exact_div(bracket_e(c))
-        return acc
+        def colored_fn(c):
+            acc = subs[0].colored(c)
+            for s in subs[1:]:
+                acc = (acc * s.colored(c)).exact_div(bracket_e(c))
+            return acc
 
-    out = KnotScalars(ref.symbol, bracket=br, double0=dd,
-                      colored_fn=colored_fn)
+        out = KnotScalars(ref.symbol, colored_fn=colored_fn)
     _SCALAR_CACHE[ref.symbol] = out
     return out
 

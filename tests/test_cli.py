@@ -59,6 +59,34 @@ def test_double_text_and_json():
     assert obj["flatRank"] == 2 and obj["period"] == 10
 
 
+_VALID = {"p": 5, "gamma": [{"xExp": 0, "coeff": "1"}], "D": "1",
+          "flatRank": 2, "matrix": [["1", "A"]],
+          "eigen": [{"re": 0.5, "im": -1}], "period": None}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("D", None),                             # None drops the key
+    ("matrix", ["ab"]),                      # a row that is a string
+    ("matrix", 5),
+    ("gamma", ""),
+    ("gamma", [{"xExp": 0}]),                # a term without its coeff
+    ("p", True),                             # JSON booleans are not integers
+    ("flatRank", True),
+    ("eigen", [{"re": True, "im": 0.0}]),
+    ("eigen", [1]),
+    ("period", 2.0),
+], ids=["D-missing", "matrix-row-str", "matrix-int", "gamma-str",
+        "gamma-no-coeff", "p-bool", "flatRank-bool", "eigen-re-bool",
+        "eigen-int", "period-float"])
+def test_invariant_json_schema_violations(key, value):
+    assert validate_invariant_json(_VALID)
+    obj = {k: v for k, v in _VALID.items() if k != key}
+    if value is not None:
+        obj[key] = value
+    with pytest.raises(ValueError, match="schema violation"):
+        validate_invariant_json(obj)
+
+
 def test_covers_value_and_csv():
     rc, out = _run(["covers", "--J", "U", "--k", "3", "--p", "5",
                     "--d", "17..17"])

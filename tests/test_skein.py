@@ -10,8 +10,8 @@ from tvskein.diagram import (ATLAS_PD, ATLAS_WORDS, DiagramError, PDCode,
 from tvskein.laurent import A, DELTA, MU, LaurentPoly, quantum_int
 from tvskein.matring import berkowitz_det
 from tvskein.rings import QA, ZA
-from tvskein.skein import (bracket_pd, bracket_pd_statesum, bracket_word,
-                           catalan, closure_B, colored_bracket,
+from tvskein.skein import (KnotScalars, bracket_pd, bracket_pd_statesum,
+                           bracket_word, catalan, closure_B, colored_bracket,
                            knot_scalars, matchings, mirror_matching,
                            pairing_matrix_D, scalars_from_kauffman, transfer_Q)
 
@@ -231,10 +231,6 @@ def test_knot_scalars_anchors():
         for p in (5, 7):
             for k in (0, 1, 3):
                 assert reduce_to_kp(s.b_k(k), p) == reduce_to_kp(s.b_k(k + p), p)
-    # c_k relation
-    rt = knot_scalars("RT")
-    for k in (-1, 0, 2):
-        assert rt.c_k(k) == LaurentPoly({8 * k: 1}) * rt.double0 + LaurentPoly.one()
 
 
 def test_connected_sum_scalars():
@@ -245,12 +241,68 @@ def test_connected_sum_scalars():
         DELTA * DELTA - LaurentPoly.one())
 
 
+def zero_writhe_closure(strands, gens):
+    w = sum(1 if g > 0 else -1 for g in gens)
+    return add_word_kinks(braid_closure(strands, gens), abs(w),
+                          -1 if w > 0 else 1)
+
+
 def test_double0_via_cable_matches_b_k_channels():
-    # the 2-cable with k twists equals A^(2k)[[J]] + A^(-6k)
+    # the 2-cable of a 0-framed knot diagram with k full twists has bracket
+    # A^(2k)[[J]] + A^(-6k); at k = 0 it is [[J]] + 1, where the scalars
+    # take [[J]] = <J_2> from the Jones-Wenzl projector f_2 = 1 + [2]^-1 e_1
+    cases = [(ATLAS_WORDS[name], knot_scalars(name))
+             for name in ("RT", "LT", "F8")]
+    cases += [(knot_scalars(pd).word, knot_scalars(pd))
+              for pd in ATLAS_PD.values()]
+    # the square knot as one braid closure, against the connected-sum rule
+    cases.append((zero_writhe_closure(3, [1, 1, 1, -2, -2, -2]),
+                  knot_scalars("RT#LT")))
+    rnd = random.Random(7)
+    randoms = 0
+    while randoms < 12:
+        strands = rnd.choice((2, 3))
+        gens = [rnd.choice((1, -1)) * rnd.randint(1, strands - 1)
+                for _ in range(rnd.randint(1, 5))]
+        if braid_components(strands, gens) == 1:
+            word = zero_writhe_closure(strands, gens)
+            cases.append((word, KnotScalars("<braid>", word=word)))
+            randoms += 1
+    for word, s in cases:
+        assert bracket_word(word) == s.bracket
+        assert bracket_word(cable_word(word, 2, 0)) - LaurentPoly.one() == \
+            s.double0
+        for k in (1, -1):
+            assert bracket_word(cable_word(word, 2, k)) == s.b_k(k)
     rt = knot_scalars("RT")
-    for k in (1, -1, 2):
-        cab = cable_word(ATLAS_WORDS["RT"], 2, k)
-        assert bracket_word(cab) == rt.b_k(k)
+    assert bracket_word(cable_word(ATLAS_WORDS["RT"], 2, 2)) == rt.b_k(2)
+
+
+def test_two_cable_bracket_evaluated_once(monkeypatch):
+    # <J_2>, [[J]] and b_k read one cache entry, so a twisted double of F8
+    # evaluates its 2-cable bracket once, by either route
+    import tvskein.skein as skein
+    from tvskein.tqft import double_invariant
+
+    cable = cable_word(ATLAS_WORDS["F8"], 2, 0)
+    colored, bracket = skein.colored_bracket, skein.bracket_word
+    two_cable = []
+
+    def counting_colored(word, c):
+        two_cable.append(c == 2)
+        return colored(word, c)
+
+    def counting_bracket(word):
+        two_cable.append(word == cable)
+        return bracket(word)
+
+    monkeypatch.setattr(skein, "colored_bracket", counting_colored)
+    monkeypatch.setattr(skein, "bracket_word", counting_bracket)
+    monkeypatch.setattr(skein, "_SCALAR_CACHE", {})
+    s = knot_scalars("F8")
+    s.colored(2), s.double0, s.b_k(3)
+    double_invariant("F8", 3, 5)
+    assert sum(two_cable) == 1
 
 
 def test_colored_bracket_small():
