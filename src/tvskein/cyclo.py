@@ -31,9 +31,9 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from .laurent import LaurentPoly, bracket_e, mu_eig
+from .laurent import LaurentPoly, _coeff_div, bracket_e, mu_eig
 
 
 class InvariantCheckError(ArithmeticError):
@@ -134,7 +134,7 @@ def level_d(p):
 def _reduce_vec(vec, p):
     deg = level_degree(p)
     table = _a_powers(p)
-    out = list(vec[:deg]) + [Fraction(0)] * max(0, deg - len(vec))
+    out = list(vec[:deg]) + [0] * max(0, deg - len(vec))
     for j in range(deg, len(vec)):
         c = vec[j]
         if c:
@@ -146,20 +146,52 @@ def _reduce_vec(vec, p):
 
 
 class CycloElem:
-    """kappa-graded element of k_p: (A-part, grade) meaning part * kappa^grade."""
+    """kappa-graded element of k_p: (A-part, grade) meaning part * kappa^grade.
 
-    __slots__ = ("p", "coeffs", "grade")
+    The A-part is num / den: an integer vector in the power basis 1, A,
+    .., A^(deg-1) over one positive denominator, in lowest terms (a power
+    of d for an honest k_p element, 1 for an integral one), so products
+    and sums run on ints.  ``coeffs`` reads the A-part as a vector of
+    ``int``s and, where a denominator remains, ``Fraction``s.
+    """
+
+    __slots__ = ("p", "num", "den", "grade")
 
     def __init__(self, p, coeffs, grade=0):
+        den = 1
+        for c in coeffs:
+            if type(c) is not int:
+                den = lcm(den, c.denominator)
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        self._store(p, num, den, grade)
+
+    def _store(self, p, num, den, grade):
         deg = level_degree(p)
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) < deg:
-            coeffs = coeffs + (Fraction(0),) * (deg - len(coeffs))
-        elif len(coeffs) > deg:
-            coeffs = _reduce_vec(coeffs, p)
+        if len(num) > deg:
+            num = _reduce_vec(num, p)
+        elif len(num) < deg:
+            num = list(num) + [0] * (deg - len(num))
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
         self.p = p
-        self.coeffs = coeffs
+        self.num = tuple(num)
+        self.den = den
         self.grade = grade % 6
+
+    @staticmethod
+    def _make(p, num, den, grade):
+        out = CycloElem.__new__(CycloElem)
+        out._store(p, num, den, grade)
+        return out
+
+    @property
+    def coeffs(self):
+        """The A-part as a vector of ints and Fractions."""
+        if self.den == 1:
+            return self.num
+        return tuple(_coeff_div(c, self.den) for c in self.num)
 
     # -- constructors --------------------------------------------------
 
@@ -183,32 +215,18 @@ class CycloElem:
     # -- predicates -----------------------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __bool__(self):
         return not self.is_zero()
 
     def in_ring(self):
-        """True if all denominators divide a power of d (honest k_p element)."""
-        d = level_d(self.p)
-        for c in self.coeffs:
-            q = c.denominator
-            if q == 1:
-                continue
-            if d == 1:
-                return False
-            while q % d == 0:
-                q //= d
-            # remaining factor must divide a d-power: accept prime factors of d
-            g = 1
-            while g != q:
-                g = q
-                for r in _prime_factors(d):
-                    while q % r == 0:
-                        q //= r
-            if q != 1:
-                return False
-        return True
+        """True if the denominator divides a power of d (honest k_p element)."""
+        q = self.den
+        for r in _prime_factors(level_d(self.p)):
+            while q % r == 0:
+                q //= r
+        return q == 1
 
     # -- arithmetic ------------------------------------------------------
 
@@ -232,14 +250,20 @@ class CycloElem:
         if self.grade != other.grade:
             raise ValueError(
                 f"sum of kappa-grades {self.grade} and {other.grade} is not homogeneous")
-        return CycloElem(self.p,
-                         tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-                         self.grade)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            num = [a + b for a, b in zip(self.num, other.num)]
+            return CycloElem._make(self.p, num, d1, self.grade)
+        den = lcm(d1, d2)
+        m1, m2 = den // d1, den // d2
+        num = [a * m1 + b * m2 for a, b in zip(self.num, other.num)]
+        return CycloElem._make(self.p, num, den, self.grade)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElem(self.p, tuple(-c for c in self.coeffs), self.grade)
+        return CycloElem._make(self.p, [-c for c in self.num], self.den,
+                               self.grade)
 
     def __sub__(self, other):
         other = self._check(other)
@@ -252,18 +276,21 @@ class CycloElem:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycloElem(self.p, tuple(c * other for c in self.coeffs), self.grade)
+            return CycloElem._make(
+                self.p, [c * other.numerator for c in self.num],
+                self.den * other.denominator, self.grade)
         other = self._check(other)
         if other is None:
             return NotImplemented
         deg = level_degree(self.p)
-        vec = [Fraction(0)] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
+        vec = [0] * (2 * deg - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.num):
                     if b:
                         vec[i + j] += a * b
-        out = CycloElem(self.p, _reduce_vec(vec, self.p), self.grade + other.grade)
+        out = CycloElem._make(self.p, vec, self.den * other.den,
+                              self.grade + other.grade)
         if self.grade + other.grade >= 6:
             # kappa^6 = u, of grade 0, so this product does not wrap again
             out = out * u_element(self.p)
@@ -288,17 +315,18 @@ class CycloElem:
         if self.is_zero():
             raise ZeroDivisionError("inverting zero in k_p")
         deg, phi = _level_data(self.p)
-        # extended Euclid in Q[A] for the A-part
-        a = list(self.coeffs)
-        b = [Fraction(c) for c in phi]
-        s0, s1 = [Fraction(1)], [Fraction(0)]
+        # extended Euclid in Q[A] for the integer numerator of the A-part
+        a = list(self.num)
+        b = list(phi)
+        s0, s1 = [1], [0]
         while any(b):
             q, r = _poly_divmod(a, b)
             a, b = b, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         # a is now a nonzero constant gcd
         lead = next(c for c in reversed(a) if c)
-        inv_apart = CycloElem(self.p, _reduce_vec(tuple(c / lead for c in s0), self.p))
+        inv_apart = CycloElem(self.p, [_coeff_div(c * self.den, lead)
+                                       for c in s0])
         if self.grade == 0:
             return inv_apart
         # (x kappa^g)^-1 = x^-1 u^-1 kappa^(6-g)
@@ -317,8 +345,8 @@ class CycloElem:
 
     def bar(self):
         """A -> A^-1, kappa -> kappa^-1 (grade negation with u-folding)."""
-        terms = ((-i, c) for i, c in enumerate(self.coeffs))
-        out = CycloElem(self.p, _monomial_sum(self.p, terms))
+        terms = ((-i, c) for i, c in enumerate(self.num))
+        out = CycloElem._make(self.p, _monomial_sum(self.p, terms), self.den, 0)
         if self.grade == 0:
             return out
         folded = out * u_element(self.p).inv()
@@ -330,13 +358,13 @@ class CycloElem:
             return NotImplemented
         if self.is_zero() and other.is_zero():
             return True
-        return (self.coeffs == other.coeffs and
+        return (self.num == other.num and self.den == other.den and
                 (self.grade == other.grade or self.is_zero()))
 
     def __hash__(self):
         if self.is_zero():
             return hash((self.p, "zero"))
-        return hash((self.p, self.coeffs, self.grade))
+        return hash((self.p, self.num, self.den, self.grade))
 
     def trace(self):
         """Trace of a grade-0 element from k_p to Q: the sum of its
@@ -409,11 +437,11 @@ def _poly_divmod(a, b):
     db = len(b) - 1
     while db > 0 and b[db] == 0:
         db -= 1
-    q = [Fraction(0)] * max(1, len(a) - db)
+    q = [0] * max(1, len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
         if i - db < 0:
             break
-        c = a[i] / b[db]
+        c = _coeff_div(a[i], b[db])
         if c:
             q[i - db] = c
             for j in range(db + 1):
@@ -421,12 +449,12 @@ def _poly_divmod(a, b):
     while len(a) > 1 and a[-1] == 0:
         a.pop()
     if all(c == 0 for c in a):
-        a = [Fraction(0)]
+        a = [0]
     return q, a
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):

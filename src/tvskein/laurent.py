@@ -1,10 +1,14 @@
-"""Exact arithmetic in Z[A, A^-1] (rational coefficients permitted).
+"""Exact arithmetic in Z[A, A^-1].
 
 Every symbolic quantity in the engine ultimately lives here: the bracket
 variable A, the loop value delta = -A^2 - A^-2, twist factors mu = -A^3,
 bracket polynomials of diagrams, and the entries of transfer matrices.
 Polynomials are stored sparsely as {exponent: coefficient} with no zero
-coefficients, so equality is exact and canonical.
+coefficients, so equality is exact and canonical.  A coefficient is an
+``int``; a quotient that is not integral, as in Q(A), is a ``Fraction``;
+any other coefficient object (an element of k_2, say) passes through.
+Every division of coefficients goes through ``_coeff_div``, which never
+gives a float.
 
 The involution ``bar`` sends A to A^-1 and fixes the rationals.
 
@@ -18,14 +22,32 @@ from fractions import Fraction
 
 
 def _coeff(c):
-    """Coerce ints/Fractions; pass through exotic coefficient objects."""
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
+    """An integral Fraction becomes an int; anything else passes through."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
     return c
 
 
+def _coeff_div(a, b):
+    """a / b for coefficients: an int when b divides a, else a Fraction.
+
+    Other coefficient objects divide by their own ``/``.
+    """
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coeff(a / b)
+
+
 class LaurentPoly:
-    """A finite sum sum_k c_k A^k with exact rational coefficients."""
+    """A finite sum sum_k c_k A^k.
+
+    Each c_k is an ``int``, a ``Fraction`` where a quotient is not
+    integral, or an element of another coefficient ring (``CycloElem``
+    over k_2 in ``scalars_from_kauffman``).  Sums and products of
+    ``Fraction``s may leave an integral ``Fraction``, which compares and
+    hashes equal to its ``int``.
+    """
 
     __slots__ = ("terms",)
 
@@ -33,9 +55,7 @@ class LaurentPoly:
         d = {}
         if terms:
             for e, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = _coeff(c)
-                if e in d:
-                    c = d[e] + c
+                c = _coeff(d[e] + c if e in d else c)
                 if c:
                     d[e] = c
                 elif e in d:
@@ -75,7 +95,7 @@ class LaurentPoly:
         return max(self.terms) if self.terms else 0
 
     def coeff(self, exp):
-        return self.terms.get(exp, Fraction(0))
+        return self.terms.get(exp, 0)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -139,7 +159,7 @@ class LaurentPoly:
         if n < 0:
             if len(self.terms) == 1:
                 (e, c), = self.terms.items()
-                return LaurentPoly({e * n: Fraction(1) / c ** (-n)})
+                return LaurentPoly({e * n: _coeff_div(1, c ** (-n))})
             raise ValueError("negative power of a non-monomial Laurent polynomial")
         result = LaurentPoly.one()
         base = self
@@ -178,7 +198,7 @@ class LaurentPoly:
         quot = {}
         while num:
             e = max(num)
-            q = num[e] / lead_c
+            q = _coeff_div(num[e], lead_c)
             qe = e - lead
             if qe < low_bound:
                 raise ValueError("Laurent division is not exact")
@@ -319,14 +339,14 @@ def _to_dense(p):
 
 
 def _to_int_primitive(coeffs):
-    """Fraction list -> primitive integer list (content stripped)."""
+    """Rational list -> primitive integer list (content stripped)."""
     from math import gcd, lcm
     if not coeffs:
         return []
     den = 1
     for c in coeffs:
         den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
     g = 0
     for x in ints:
         g = gcd(g, x)
@@ -387,8 +407,15 @@ def poly_gcd(p, q):
     while not a[k]:
         k += 1
     a = a[k:]
-    lead = Fraction(a[-1])
-    return LaurentPoly({i: c / lead for i, c in enumerate(a) if c})
+    lead = a[-1]
+    return LaurentPoly({i: _coeff_div(c, lead) for i, c in enumerate(a) if c})
+
+
+def _shift_div(p, lo, lead):
+    """p A^-lo / lead, dividing each coefficient exactly."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.terms = {e - lo: _coeff_div(c, lead) for e, c in p.terms.items()}
+    return out
 
 
 class LaurentFrac:
@@ -409,9 +436,10 @@ class LaurentFrac:
             num = num.exact_div(g)
             den = den.exact_div(g)
         # normalise: denominator monic with min exponent 0
-        shift = LaurentPoly({-den.min_exp(): Fraction(1) / den.terms[den.max_exp()]})
-        num = num * shift
-        den = den * shift
+        lo, lead = den.min_exp(), den.terms[den.max_exp()]
+        if lo or lead != 1:
+            num = _shift_div(num, lo, lead)
+            den = _shift_div(den, lo, lead)
         self.num, self.den = num, den
 
     @staticmethod

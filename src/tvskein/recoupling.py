@@ -23,7 +23,6 @@ The tetrahedron tet(A,B,E; D,C,F) has vertex triples (A,B,E), (A,C,F),
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import CycloElem, UnsupportedSpecialization, reduce_to_kp
@@ -283,6 +282,21 @@ def _level_qfacts(p):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _level_inv_qfacts(p):
+    """[k]!^-1 in k_p for the k where [k]! does not vanish.
+
+    One inverse, of the last nonzero factorial; the others come down the
+    table by [k-1]!^-1 = [k]!^-1 [k].
+    """
+    facts = _level_qfacts(p)
+    top = max(k for k, f in enumerate(facts) if not f.is_zero())
+    out = [facts[top].inv()]
+    for k in range(top, 0, -1):
+        out.append(out[-1] * reduce_to_kp(quantum_int(k), p))
+    return tuple(reversed(out))
+
+
 def qfact(n, p=None):
     """Quantum factorial [n]!, in Q(A) for p None and in k_p otherwise.
 
@@ -295,13 +309,27 @@ def qfact(n, p=None):
     return table[n] if n < len(table) else CycloElem.zero(p)
 
 
-def _ratio(num, den, p):
-    """num / den for a product den of quantum factorials."""
-    if den.is_zero():
-        raise UnsupportedSpecialization(
-            f"a quantum factorial in a recoupling denominator vanishes "
-            f"at level {p}")
-    return num / den
+def _qfact_inv(ns, p):
+    """(prod of [n]! over ns)^-1, for the denominator of a closed formula.
+
+    In Q(A) one inverse of the product; at a level a product of entries
+    of the inverse-factorial table, where a factorial that vanishes
+    raises ``UnsupportedSpecialization``.
+    """
+    if p is None:
+        den = LaurentFrac.one()
+        for n in ns:
+            den = den * _laurent_qfact(n)
+        return den.inv()
+    table = _level_inv_qfacts(p)
+    out = CycloElem.one(p)
+    for n in ns:
+        if n >= len(table):
+            raise UnsupportedSpecialization(
+                f"a quantum factorial in a recoupling denominator vanishes "
+                f"at level {p}")
+        out = out * table[n]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -312,8 +340,7 @@ def theta(a, b, c, p=None):
     y = (b + c - a) // 2
     z = (a + c - b) // 2
     num = qfact(x + y + z + 1, p) * qfact(x, p) * qfact(y, p) * qfact(z, p)
-    den = qfact(x + y, p) * qfact(y + z, p) * qfact(x + z, p)
-    val = _ratio(num, den, p)
+    val = num * _qfact_inv((x + y, y + z, x + z), p)
     if (x + y + z) % 2:
         val = -val
     return val
@@ -336,32 +363,19 @@ def tet(A, B, E, D, C, F, p=None):
     for bj in b_list:
         for ai in a_list:
             interior = interior * qfact(bj - ai, p)
-    edges = one
-    for e in (A, B, C, D, E, F):
-        edges = edges * qfact(e, p)
     acc = one - one
     for z in range(max(a_list), min(b_list) + 1):
-        num = qfact(z + 1, p)
-        den = one
-        for ai in a_list:
-            den = den * qfact(z - ai, p)
-        for bj in b_list:
-            den = den * qfact(bj - z, p)
-        term = _ratio(num, den, p)
+        term = qfact(z + 1, p) * _qfact_inv(
+            [z - ai for ai in a_list] + [bj - z for bj in b_list], p)
         if z % 2:
             term = -term
         acc = acc + term
-    return _ratio(interior, edges, p) * acc
+    return interior * _qfact_inv((A, B, C, D, E, F), p) * acc
 
 
 def full_twist(r, i, j):
     """mu(r)/(mu(i) mu(j)): one full twist on an (i,j) pair in channel r."""
-    num = mu_eig(r)
-    den = mu_eig(i) * mu_eig(j)
-    # monomials: divide exactly
-    (e1, c1), = num.terms.items()
-    (e2, c2), = den.terms.items()
-    return LaurentPoly({e1 - e2: Fraction(c1) / c2})
+    return mu_eig(r) * (mu_eig(i) * mu_eig(j)) ** -1
 
 
 def unknot_value(r):

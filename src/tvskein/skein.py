@@ -173,14 +173,20 @@ _TURN = (1, 0, 3, 2)               # cap then cup
 
 
 class SkeinEngine:
-    """Evaluate slice programs over a coefficient ring."""
+    """Evaluate slice programs over a coefficient ring.
+
+    ``splice`` is a pure function, so the engine remembers its result for
+    each (matching, block) it has met, and delta^k for each loop count k;
+    both go away with the engine.
+    """
 
     def __init__(self, ring=None):
         if ring is None:
             from .rings import ZA
             ring = ZA
         self.ring = ring
-        self.delta = ring.coerce(DELTA)
+        self._delta_powers = [ring.one, ring.coerce(DELTA)]
+        self._splices = {}
         a, a_inv = ring.coerce(_A), ring.coerce(_Ainv)
         self._cross_terms = {True: ((_ID2, a), (_TURN, a_inv)),
                              False: ((_ID2, a_inv), (_TURN, a))}
@@ -189,15 +195,25 @@ class SkeinEngine:
         cur = states.get(matching)
         states[matching] = coeff if cur is None else cur + coeff
 
+    def _delta_power(self, k):
+        powers = self._delta_powers
+        while len(powers) <= k:
+            powers.append(powers[-1] * powers[1])
+        return powers[k]
+
     def apply_block(self, states, p, c_in, c_out, block, factor=None):
+        spliced = self._splices.setdefault((p, c_in, c_out, block), {})
         out = {}
         for m, coeff in states.items():
-            nm, loops = splice(m, p, c_in, c_out, block)
+            hit = spliced.get(m)
+            if hit is None:
+                hit = spliced[m] = splice(m, p, c_in, c_out, block)
+            nm, loops = hit
             val = coeff
             if factor is not None:
                 val = val * factor
-            for _ in range(loops):
-                val = val * self.delta
+            if loops:
+                val = val * self._delta_power(loops)
             if not _zero(val):
                 self._merge(out, nm, val)
         return out
@@ -314,6 +330,7 @@ def bracket_pd_statesum(pd):
     if c > 14:
         raise DiagramError("state-sum oracle limited to 14 crossings")
     total = LaurentPoly()
+    delta_powers = [LaurentPoly.one()]
     for mask in range(1 << c):
         parent = {}
 
@@ -342,10 +359,9 @@ def bracket_pd_statesum(pd):
                 union(d, a)
         arcs = {x for cr in pd.crossings for x in cr[:4]}
         loops = len({find(x) for x in arcs}) + pd.free_loops
-        term = LaurentPoly({exp: 1})
-        for _ in range(loops):
-            term = term * DELTA
-        total = total + term
+        while len(delta_powers) <= loops:
+            delta_powers.append(delta_powers[-1] * DELTA)
+        total = total + LaurentPoly({exp: 1}) * delta_powers[loops]
     return total
 
 

@@ -294,14 +294,14 @@ def _pattern_product(left, right, diag, beta, ring):
     return RingMatrix(ring, rows)
 
 
-def general_L_matrix(j_ref, p, cd=None):
+def general_L_matrix(j_ref, p):
     """L(J): pairing matrix of the e-basis through the doubled pattern.
 
     For J = U the printed small-admissible sum; otherwise the same sum
     with the channel loop replaced by the channel-colored bracket of J
     (verified against the level-5 closed form in the test suite).
     """
-    cd = cd or ColorData.at(p)
+    cd = ColorData.at(p)
     basis = range(constants(p).n)
     lm, = _channel_sums(_scalars(j_ref), p, cd, basis, basis, _twist(p))
     return RingMatrix(kp_field(p), lm)
@@ -365,6 +365,8 @@ def tensor_double(j_ref, k, p):
 
 def general_double(j_ref, k, p):
     """The general small-admissible-sum path (p >= 3)."""
+    if isinstance(j_ref, str):
+        j_ref = KnotRef.parse(j_ref)
     cd = ColorData.at(p)
     pack = constants(p)
     s = _scalars(j_ref)
@@ -373,27 +375,33 @@ def general_double(j_ref, k, p):
             raise UnsupportedSpecialization(
                 f"<J_{c}> vanishes at p={p}; the doubled-pattern pairing "
                 f"is singular for J={s.name}")
-    lm = general_L_matrix(j_ref, p, cd)
-    bm = general_B_matrix(j_ref, k, p, cd)
-    return make_invariant(_pairing_quotient(bm, lm, p), p)
+    l_inv = _pairing_inverse(j_ref, p, 0)
+    return make_invariant(general_B_matrix(j_ref, k, p, cd) * l_inv, p)
 
 
-def _pairing_quotient(bm, lm, p):
-    """B L^-1; a singular pairing L leaves the level undefined."""
+@lru_cache(maxsize=None)
+def _pairing_inverse(j_ref, p, c):
+    """L^-1 for color c (0: the general pairing), shared by every twist.
+
+    A singular pairing L leaves the level undefined.
+    """
+    if c == 0:
+        lm = general_L_matrix(j_ref, p)
+    else:
+        lm = colored_L_matrix(j_ref, p, c)
     try:
-        lm_inv = inverse(lm)
+        return inverse(lm)
     except ZeroDivisionError:
         raise UnsupportedSpecialization(
             f"the doubled-pattern pairing is singular at p={p}") from None
-    return bm * lm_inv
 
 
 # -- colored doubles ---------------------------------------------------------------
 
 
-def colored_L_matrix(j_ref, p, c, cd=None):
+def colored_L_matrix(j_ref, p, c):
     """Colored pairing matrix over S(c, p); channel loops carry <J_r>."""
-    cd = cd or ColorData.at(p)
+    cd = ColorData.at(p)
     S = cd.S(c)
     twist = _twist(p)
 
@@ -448,9 +456,8 @@ def colored_double_invariant(j_ref, k, p, c):
         if reduce_to_kp(s.colored(e), p).is_zero():
             raise UnsupportedSpecialization(
                 f"<J_{e}> vanishes at p={p} (color-{c} pairing singular)")
-    lm = colored_L_matrix(j_ref, p, c, cd)
-    bm = colored_B_matrix(j_ref, k, p, c, cd)
-    return make_invariant(_pairing_quotient(bm, lm, p), p)
+    l_inv = _pairing_inverse(j_ref, p, c)
+    return make_invariant(colored_B_matrix(j_ref, k, p, c, cd) * l_inv, p)
 
 
 def z5_color2_scalar(j_ref, k):

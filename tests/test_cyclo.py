@@ -186,3 +186,33 @@ def test_cyclo_parse_roundtrip():
     for x in (constants(5).beta, constants(5).eta, CycloElem.a_power(7, 3),
               CycloElem.zero(2)):
         assert CycloElem.parse(str(x)) == x
+
+
+def test_integral_elements_keep_int_coefficients():
+    def types(*xs):
+        return {type(c) for x in xs for c in x.coeffs}
+
+    rnd = random.Random(5)
+    for p in (5, 7, 12):
+        for _ in range(20):
+            x = reduce_to_kp(LaurentPoly({rnd.randint(-9, 9): rnd.randint(-3, 3)
+                                          for _ in range(4)}), p)
+            y = CycloElem(p, [rnd.randint(-3, 3) for _ in range(3)], 1)
+            assert types(x, y, x * y, x + x, -x, x * 3, x.bar()) == {int}
+        # A_p is a unit of Z[A]/(phi_2p): its inverse stays integral
+        assert types(CycloElem.a_power(p, 1).inv(), u_element(p).inv()) == {int}
+        assert types(CycloElem(p, (Fraction(6, 3), Fraction(0)))) == {int}
+    # values with 1/d in them stay Fractions: beta_2 = (1 - A)/2, beta_5
+    assert constants(2).beta.coeffs == (Fraction(1, 2), Fraction(-1, 2))
+    beta = constants(5).beta
+    assert {c.denominator for c in beta.coeffs} == {5}
+    assert types(beta * beta.inv(), beta.inv()) == {int}
+
+
+def test_laurent_poly_over_k2_divides():
+    # the Kauffman channel runs LaurentPoly with k_2 coefficients
+    one, i = CycloElem.one(2), CycloElem.a_power(2, 1)
+    z = LaurentPoly({1: i, -1: -i})
+    num = LaurentPoly({3: one, -3: i}) * z
+    assert num.exact_div(z) == LaurentPoly({3: one, -3: i})
+    assert (LaurentPoly({2: i * 2})) ** -1 == LaurentPoly({-2: -i * Fraction(1, 2)})

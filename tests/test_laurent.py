@@ -89,3 +89,45 @@ def test_poly_gcd_and_frac():
     assert (f - f).is_zero()
     x = LaurentFrac(1, quantum_int(2))
     assert (x * quantum_int(2)).as_laurent() == LaurentPoly.one()
+
+
+def _types(*polys):
+    return {type(c) for x in polys for c in x.terms.values()}
+
+
+def test_integral_inputs_keep_int_coefficients():
+    rnd = random.Random(3)
+
+    def rand_poly():
+        return LaurentPoly({rnd.randint(-6, 6): rnd.randint(-4, 4)
+                            for _ in range(rnd.randint(1, 5))})
+
+    for _ in range(100):
+        x, y = rand_poly(), rand_poly()
+        if y.is_zero():
+            continue
+        xy = x * y
+        assert _types(x + y, xy, xy.exact_div(y), x ** 3) <= {int}
+        # with a monic y the monic gcd is integral
+        y = y + LaurentPoly({y.max_exp() + 1: 1})
+        g = poly_gcd(x * y, y * (A + 2))
+        assert _types(g) == {int} and (x * y).exact_div(g) * g == x * y
+    f = LaurentFrac(DELTA * (A ** 4 - 1), DELTA * (A ** 2 + 3) * A ** 5)
+    assert _types(f.num, f.den) == {int}
+    assert f.den == A ** 2 + 3
+    assert _types(LaurentFrac(2 * A + 4, -2 * A).num) == {int}
+    assert type(A.coeff(7)) is int and A.coeff(7) == 0
+    assert _types(LaurentPoly({0: Fraction(4, 2), 1: Fraction(1, 3)})) == \
+        {int, Fraction}
+
+
+def test_coefficient_division_is_exact():
+    q = LaurentPoly({0: 3}).exact_div(LaurentPoly({0: 2}))
+    assert q.terms == {0: Fraction(3, 2)}
+    assert type(q.coeff(0)) is Fraction
+    assert (2 * A) ** -2 == LaurentPoly({-2: Fraction(1, 4)})
+    assert type(((2 * A) ** -2).coeff(-2)) is Fraction
+    inv = (-A) ** -3
+    assert inv == LaurentPoly({-3: -1}) and _types(inv) == {int}
+    h = LaurentFrac(1, 2 * A + 4)
+    assert h.den == A + 2 and h.num == LaurentPoly({0: Fraction(1, 2)})

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tvskein.cyclo import UnsupportedSpecialization, reduce_to_kp
+from tvskein.cyclo import CycloElem, UnsupportedSpecialization, reduce_to_kp
 from tvskein.laurent import LaurentFrac, LaurentPoly, bracket_e, quantum_int
 from tvskein.recoupling import (ColorError, full_twist, jones_wenzl, qfact,
                                 tet, tet_web, theta, theta_web, tl_compose,
@@ -113,3 +113,14 @@ def test_color_level_guard():
         assert qfact(n, p).is_zero()
         with pytest.raises(UnsupportedSpecialization):
             theta(n, n, 0, p)
+
+
+def test_inverse_factorial_table():
+    from tvskein.recoupling import _qfact_inv
+    for p in (7, 9, 13):
+        for k in range(p):
+            assert qfact(k, p) * _qfact_inv((k,), p) == CycloElem.one(p), (p, k)
+    # at even p, [p/2]! vanishes and may not stand in a denominator
+    assert qfact(4, 8).is_zero() and not qfact(3, 8).is_zero()
+    with pytest.raises(UnsupportedSpecialization):
+        _qfact_inv((1, 4), 8)

@@ -10,10 +10,11 @@ from tvskein.diagram import (ATLAS_PD, ATLAS_WORDS, DiagramError, PDCode,
 from tvskein.laurent import A, DELTA, MU, LaurentPoly, quantum_int
 from tvskein.matring import berkowitz_det
 from tvskein.rings import QA, ZA
-from tvskein.skein import (KnotScalars, bracket_pd, bracket_pd_statesum,
-                           bracket_word, catalan, closure_B, colored_bracket,
-                           knot_scalars, matchings, mirror_matching,
-                           pairing_matrix_D, scalars_from_kauffman, transfer_Q)
+from tvskein.skein import (KnotScalars, SkeinEngine, bracket_pd,
+                           bracket_pd_statesum, bracket_word, catalan,
+                           closure_B, colored_bracket, knot_scalars, matchings,
+                           mirror_matching, pairing_matrix_D,
+                           scalars_from_kauffman, transfer_Q)
 
 RT_BRACKET = DELTA * LaurentPoly({-16: -1, -12: 1, -4: 1})
 F8_BRACKET = DELTA * LaurentPoly({8: 1, 4: -1, 0: 1, -4: -1, -8: 1})
@@ -233,18 +234,19 @@ def test_knot_scalars_anchors():
                 assert reduce_to_kp(s.b_k(k), p) == reduce_to_kp(s.b_k(k + p), p)
 
 
-def test_connected_sum_scalars():
-    rt, lt = knot_scalars("RT"), knot_scalars("LT")
-    sq = knot_scalars("RT#LT")
-    assert sq.bracket == (rt.bracket * lt.bracket).exact_div(DELTA)
-    assert sq.double0 == (rt.double0 * lt.double0).exact_div(
-        DELTA * DELTA - LaurentPoly.one())
-
-
 def zero_writhe_closure(strands, gens):
     w = sum(1 if g > 0 else -1 for g in gens)
     return add_word_kinks(braid_closure(strands, gens), abs(w),
                           -1 if w > 0 else 1)
+
+
+def test_connected_sum_scalars():
+    # the square knot as one braid closure, sigma_1^3 sigma_2^-3, against
+    # the connected-sum rule of knot_scalars; c = 3 takes seconds
+    word = zero_writhe_closure(3, [1, 1, 1, -2, -2, -2])
+    sq = knot_scalars("RT#LT")
+    assert bracket_word(word) == sq.bracket
+    assert colored_bracket(word, 2) == sq.double0
 
 
 def test_double0_via_cable_matches_b_k_channels():
@@ -373,3 +375,34 @@ def test_transfer_vs_statesum_corpus():
     for pd in corpus:
         assert len(pd.crossings) <= 12
         assert bracket_pd(pd) == bracket_pd_statesum(pd)
+
+
+def test_splice_memo_matches_direct_splices(monkeypatch):
+    # one engine, its splice memo shared across 50 random words and run
+    # twice, against an engine per token, whose splices all run afresh
+    import tvskein.skein as skein
+    calls = []
+    real = skein.splice
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(skein, "splice", counted)
+    rnd = random.Random(11)
+    words = [rand_word(rnd, rnd.randint(0, 3), rnd.randint(4, 14))
+             for _ in range(50)]
+    direct = []
+    for w in words:
+        states = {m: ZA.one for m in matchings(w.bottom // 2)}
+        for tok in w.tokens:
+            states = SkeinEngine().run_tokens(states, [tok])
+        direct.append(states)
+    n_direct = len(calls)
+    eng = SkeinEngine()
+    for _ in range(2):
+        for w, want in zip(words, direct):
+            start = {m: ZA.one for m in matchings(w.bottom // 2)}
+            assert eng.run_tokens(start, w.tokens) == want
+    assert len(calls) - n_direct < n_direct
+    assert len(calls) - n_direct == len(set(calls[n_direct:]))

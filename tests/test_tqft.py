@@ -486,14 +486,15 @@ def test_tensor_split_at_level_14():
 
 def test_singular_pairing_is_unsupported(monkeypatch):
     import tvskein.tqft as tqft
+    # L^-1 is cached per (J, p, c); the patched L is read on a cold cache
+    tqft._pairing_inverse.cache_clear()
     monkeypatch.setattr(tqft, "general_L_matrix",
-                        lambda j_ref, p, cd=None: RingMatrix.zero(
+                        lambda j_ref, p: RingMatrix.zero(
                             kp_field(p), constants(p).n, constants(p).n))
     with pytest.raises(UnsupportedSpecialization, match="singular"):
         general_double("U", 1, 7)
     monkeypatch.setattr(tqft, "colored_L_matrix",
-                        lambda j_ref, p, c, cd=None: RingMatrix.zero(
-                            kp_field(p), 1, 1))
+                        lambda j_ref, p, c: RingMatrix.zero(kp_field(p), 1, 1))
     with pytest.raises(UnsupportedSpecialization, match="singular"):
         colored_double_invariant("U", 1, 7, 2)
 
@@ -554,10 +555,12 @@ def test_level_recoupling_equals_QA_then_reduce(monkeypatch):
 
 def test_colored_double_forms_no_QA_value(monkeypatch):
     import tvskein.laurent as laurent
+    import tvskein.tqft as tqft
     from tvskein.recoupling import tet, theta
     want = [colored_double_invariant("U", k, 9, 2).gamma for k in (-1, 2)]
     theta.cache_clear()
     tet.cache_clear()
+    tqft._pairing_inverse.cache_clear()
 
     def refuse(*args):
         raise AssertionError("poly_gcd ran on the colored path")
@@ -565,3 +568,23 @@ def test_colored_double_forms_no_QA_value(monkeypatch):
     monkeypatch.setattr(laurent, "poly_gcd", refuse)
     got = [colored_double_invariant("U", k, 9, 2).gamma for k in (-1, 2)]
     assert got == want
+
+
+def test_colored_pairing_built_once_per_level_and_color(monkeypatch):
+    # L does not depend on the twist: two twists at (p, c) = (7, 2) build
+    # it once, and the cached L^-1 gives the values of a cold build
+    import tvskein.tqft as tqft
+    tqft._pairing_inverse.cache_clear()
+    real, calls = tqft.colored_L_matrix, []
+
+    def counted(j_ref, p, c):
+        calls.append((p, c))
+        return real(j_ref, p, c)
+
+    monkeypatch.setattr(tqft, "colored_L_matrix", counted)
+    warm = [colored_double_invariant("U", k, 7, 2).gamma for k in (1, 2)]
+    assert calls == [(7, 2)]
+    for k, gamma in zip((1, 2), warm):
+        tqft._pairing_inverse.cache_clear()
+        assert colored_double_invariant("U", k, 7, 2).gamma == gamma
+    assert calls == [(7, 2)] * 3
