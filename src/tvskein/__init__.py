@@ -3,7 +3,7 @@ twisted doubles, and their cyclic and branched cyclic covers."""
 
 from .cyclo import CycloElem, constants, map_i, map_j, reduce_to_kp
 from .diagram import KnotRef, PDCode, SliceWord
-from .laurent import LaurentFrac, LaurentPoly
+from .laurent import LaurentPoly
 from .matring import RingMatrix
 from .polyalg import InvariantCheckError, PowerSumSeries, RingPoly
 from .skein import bracket_pd, bracket_word, closure_B, knot_scalars, transfer_Q
@@ -12,8 +12,8 @@ from .tqft import (TVInvariant, UnsupportedSpecialization, branched_series,
                    double_invariant, tangle_invariant)
 
 __all__ = [
-    "CycloElem", "InvariantCheckError", "KnotRef", "LaurentFrac",
-    "LaurentPoly", "PDCode", "PowerSumSeries", "RingMatrix", "RingPoly", "SliceWord", "TVInvariant",
+    "CycloElem", "InvariantCheckError", "KnotRef", "LaurentPoly", "PDCode",
+    "PowerSumSeries", "RingMatrix", "RingPoly", "SliceWord", "TVInvariant",
     "UnsupportedSpecialization", "bracket_pd", "bracket_word",
     "branched_series", "closure_B", "colored_double_invariant",
     "connected_sum", "constants", "cover_series", "double_invariant",

@@ -14,8 +14,8 @@ Per level p the ring data is
 The distinguished constants live in ``ConstantPack``: the twist
 eigenvalues mu(s), the loop values <e_s>, beta = kappa^-3 eta, and the
 sign that kappa^3 folds to where u = 1.  The loop value delta is not
-among them: the skein engine multiplies by it over Z[A,A^-1] or Q(A),
-before any reduction to a level.  For p >= 3 beta is pinned by requiring
+among them: the skein engine multiplies by it over Z[A,A^-1], before
+any reduction to a level.  For p >= 3 beta is pinned by requiring
 that the once- and zero-surgered unknot invariants come out right, which
 forces
 

@@ -12,8 +12,10 @@ gives a float.
 
 The involution ``bar`` sends A to A^-1 and fixes the rationals.
 
-``LaurentFrac`` is the fraction field, needed for Jones-Wenzl projector
-coefficients and for linear algebra over the Laurent ring.
+``LaurentFrac`` is the fraction field Q(A).  No production path builds
+one: it serves the oracles, theta and Tet with ``p=None`` and the web
+evaluations in ``recoupling``, and the tests that redo linear algebra
+over Q(A).
 """
 
 from __future__ import annotations

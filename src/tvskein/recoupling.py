@@ -1,11 +1,12 @@
 """Jones-Wenzl projectors, colored webs, and recoupling coefficients.
 
 The projector f_n is built by the Wenzl recursion inside the 2n-point
-Temperley-Lieb algebra with coefficients in Q(A); it is idempotent and
-killed by every cap-cup generator, and its closed trace is
-<e_n> = (-1)^n [n+1].  The algebra has no gluing code of its own: an
-element of TL_n is a state of the skein engine over Q(A) on a frontier
-of 2n points, and products, traces and the recursion are splices there.
+Temperley-Lieb algebra over Z[A,A^-1], as integral terms over one
+denominator; it is idempotent and killed by every cap-cup generator,
+and its closed trace is <e_n> = (-1)^n [n+1].  The algebra has no
+gluing code of its own: an element of TL_n is a state of the skein
+engine on a frontier of 2n points, and products, traces and the
+recursion are splices there.
 
 Colored evaluations come in two flavours that check each other:
 
@@ -14,8 +15,9 @@ Colored evaluations come in two flavours that check each other:
   Q(A) (``p=None``) or at a level k_p, from one factorial table built
   per level; a [k]! that vanishes at the level makes a numerator zero
   and a denominator raise ``UnsupportedSpecialization``, and
-* a brute-force web engine that builds the same nets out of cups, caps
-  and literal projector insertions and evaluates the Kauffman bracket.
+* web evaluations that build the same nets out of cups, caps and
+  literal projector insertions, and divide by the product of the
+  projector denominators at the end, in Q(A).
 
 The tetrahedron tet(A,B,E; D,C,F) has vertex triples (A,B,E), (A,C,F),
 (B,C,D), (E,F,D); a zero on the first edge degenerates it to a theta.
@@ -26,8 +28,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclo import CycloElem, UnsupportedSpecialization, reduce_to_kp
-from .laurent import LaurentFrac, LaurentPoly, bracket_e, mu_eig, quantum_int
-from .rings import QA
+from .laurent import (LaurentFrac, LaurentPoly, bracket_e, mu_eig, poly_gcd,
+                      quantum_int)
 from .skein import SkeinEngine
 
 
@@ -35,15 +37,15 @@ class ColorError(ValueError):
     """Inadmissible color data (bad triple or vanishing quantum integer)."""
 
 
-# -- Temperley-Lieb algebra over Q(A) ---------------------------------------
-# An element of TL_n is a dict {diagram: LaurentFrac} where a diagram is a
+# -- Temperley-Lieb algebra over Z[A,A^-1] ------------------------------------
+# An element of TL_n is a dict {diagram: LaurentPoly} where a diagram is a
 # matching of 2n points: 0..n-1 the inputs (left to right), n..2n-1 the
-# outputs (left to right).  Products, traces and projectors run on the skein
-# engine over Q(A).  Bending the inputs round to the left puts a diagram on a
-# frontier of 2n points, inputs n-1..0 then outputs 0..n-1, and a diagram
-# acting on the outputs is then a splice block at position n.
+# outputs (left to right).  Products, traces and projectors run on one
+# shared skein engine.  Bending the inputs round to the left puts a diagram
+# on a frontier of 2n points, inputs n-1..0 then outputs 0..n-1, and a
+# diagram acting on the outputs is then a splice block at position n.
 
-_TL = SkeinEngine(QA)
+_ENGINE = SkeinEngine()
 
 
 def _refold(x, n):
@@ -60,7 +62,7 @@ def _refold(x, n):
 
 
 def tl_identity(n):
-    return {tuple(list(range(n, 2 * n)) + list(range(n))): LaurentFrac.one()}
+    return {tuple(list(range(n, 2 * n)) + list(range(n))): LaurentPoly.one()}
 
 
 def tl_e(n, i):
@@ -73,89 +75,58 @@ def tl_e(n, i):
             pairs[k] = n + k
             pairs[n + k] = k
     diag = tuple(pairs[k] for k in range(2 * n))
-    return {diag: LaurentFrac.one()}
+    return {diag: LaurentPoly.one()}
 
 
 def tl_compose(x, y, n):
     """Stack y after x (x's outputs glued to y's inputs)."""
-    return _refold(_TL.insert(_refold(x, n), n, n, y.items()), n)
+    return _refold(_ENGINE.insert(_refold(x, n), n, n, y.items()), n)
 
 
 @lru_cache(maxsize=None)
 def jones_wenzl(n):
-    """The Jones-Wenzl projector f_n in TL_n over Q(A)."""
+    """The Jones-Wenzl projector f_n = terms / den in TL_n.
+
+    ``terms`` is a TL_n element over Z[A,A^-1] and ``den`` the least
+    denominator, with lowest exponent 0 and a positive leading
+    coefficient.  With f_(n-1) = F'/D' the Wenzl recursion reads
+        D'^2 [n] f_n = D'[n] (F' x 1) + [n-1] (F' x 1) e_(n-1) (F' x 1)
+    and has no division; the content, the gcd of the denominator and
+    every coefficient, is divided out once per n.
+    """
     if n < 0:
         raise ColorError("negative color")
     if n < 2:
-        return tl_identity(n)
-    prev = jones_wenzl(n - 1).items()
+        return tl_identity(n), LaurentPoly.one()
+    prev, prev_den = jones_wenzl(n - 1)
+    prev = prev.items()
     # f_(n-1) on the first n-1 strands, then e_(n-1) and f_(n-1) again
-    emb = _TL.insert(_refold(tl_identity(n), n), n, n - 1, prev)
-    mid = _TL.cup(_TL.cap(emb, 2 * n - 2), 2 * n - 2)
-    mid = _TL.insert(mid, n, n - 1, prev)
+    emb = _ENGINE.insert(_refold(tl_identity(n), n), n, n - 1, prev)
+    mid = _ENGINE.cup(_ENGINE.cap(emb, 2 * n - 2), 2 * n - 2)
+    mid = _ENGINE.insert(mid, n, n - 1, prev)
     # loop value of f_k is (-1)^k [k+1], so the Wenzl coefficient
     # -Delta_(n-2)/Delta_(n-1) comes out as +[n-1]/[n]
-    coef = LaurentFrac(quantum_int(n - 1)) / LaurentFrac(quantum_int(n))
-    out = dict(emb)
+    scale, coef = prev_den * quantum_int(n), quantum_int(n - 1)
+    terms = {m: c * scale for m, c in emb.items()}
     for m, c in mid.items():
-        out[m] = out[m] + c * coef if m in out else c * coef
-    return _refold({m: c for m, c in out.items() if not c.is_zero()}, n)
+        terms[m] = terms[m] + c * coef if m in terms else c * coef
+    terms = {m: c for m, c in terms.items() if c}
+    den = prev_den * scale
+    g = den
+    for c in terms.values():
+        g = poly_gcd(g, c)
+    # poly_gcd is monic with lowest exponent 0, and den has a positive lead
+    g = g * LaurentPoly({den.min_exp(): 1})
+    return (_refold({m: c.exact_div(g) for m, c in terms.items()}, n),
+            den.exact_div(g))
 
 
 def tl_trace(x, n):
-    """Markov trace: close all strands around; returns a LaurentFrac."""
+    """Markov trace: close all strands around."""
     states = _refold(x, n)
     for pos in range(n - 1, -1, -1):
-        states = _TL.cap(states, pos)
-    return states.get((), QA.zero)
-
-
-# -- projector insertion in the skein engine --------------------------------
-
-
-@lru_cache(maxsize=None)
-def proj_block_terms_scaled(n):
-    """f_n cleared of denominators: (terms over Z[A,A^-1], denominator).
-
-    The common denominator is assembled by exact lcm over the reduced
-    projector coefficients, so web evaluations can run over the Laurent
-    ring and divide once at the end.
-    """
-    from .laurent import poly_gcd
-
-    terms = jones_wenzl(n)
-    den = LaurentPoly.one()
-    for c in terms.values():
-        g = poly_gcd(den, c.den)
-        den = den * c.den.exact_div(g) if g.max_exp() > 0 else den * c.den
-    scaled = []
-    for d, c in terms.items():
-        scaled.append((d, c.num * den.exact_div(c.den)))
-    return tuple(scaled), den
-
-
-class WebEngine(SkeinEngine):
-    """Skein engine with projector insertion.
-
-    Runs over Z[A,A^-1] with denominator-cleared projectors; the running
-    denominator is tracked separately and divided out once at the end,
-    which avoids a fraction reduction at every state merge.
-    """
-
-    def __init__(self):
-        from .rings import ZA
-        super().__init__(ZA)
-        self.denominator = LaurentPoly.one()
-
-    def proj(self, states, pos, n):
-        terms, den = proj_block_terms_scaled(n)
-        self.denominator = self.denominator * den
-        return self.insert(states, pos, n, terms)
-
-    def value(self, states):
-        """The closed evaluation as a reduced element of Q(A)."""
-        num = states.get((), LaurentPoly())
-        return LaurentFrac(num, self.denominator)
+        states = _ENGINE.cap(states, pos)
+    return states.get((), LaurentPoly())
 
 
 # -- colored web programs -----------------------------------------------------
@@ -225,41 +196,45 @@ def merge_block(y, z, x):
     return tuple(pairs[k] for k in range(y + z + x))
 
 
+def _project(eng, states, den, pos, n):
+    """Insert f_n at frontier positions pos.., as its integral terms.
+
+    Returns the new states and the running denominator times f_n's.
+    """
+    if not n:
+        return states, den
+    terms, f_den = jones_wenzl(n)
+    return eng.insert(states, pos, n, terms.items()), den * f_den
+
+
 def theta_web(a, b, c):
-    """Theta net value by literal web evaluation (the oracle)."""
+    """Theta net value by literal web evaluation (the oracle), in Q(A)."""
     _check_adm(a, b, c)
-    eng = WebEngine()
-    states = {(): eng.ring.one}
-    states = eng.apply_block(states, 0, 0, a + b + c, create_block(a, b, c))
-    if a:
-        states = eng.proj(states, 0, a)
-    if b:
-        states = eng.proj(states, a, b)
-    if c:
-        states = eng.proj(states, a + b, c)
+    eng = SkeinEngine()
+    den = LaurentPoly.one()
+    states = eng.apply_block({(): den}, 0, 0, a + b + c, create_block(a, b, c))
+    for pos, col in ((0, a), (a, b), (a + b, c)):
+        states, den = _project(eng, states, den, pos, col)
     states = eng.apply_block(states, 0, a + b + c, 0, create_block(a, b, c))
-    return eng.value(states)
+    return LaurentFrac(states.get((), LaurentPoly()), den)
 
 
 def tet_web(A, B, E, D, C, F):
-    """Tetrahedral net by literal web evaluation (the oracle)."""
+    """Tetrahedral net by literal web evaluation (the oracle), in Q(A)."""
     for tri in ((A, B, E), (A, C, F), (B, C, D), (E, F, D)):
         _check_adm(*tri)
-    eng = WebEngine()
-    states = {(): eng.ring.one}
-    states = eng.apply_block(states, 0, 0, B + A + E, create_block(B, A, E))
+    eng = SkeinEngine()
+    den = LaurentPoly.one()
+    states = eng.apply_block({(): den}, 0, 0, B + A + E, create_block(B, A, E))
     for pos, col in ((0, B), (B, A), (B + A, E)):
-        if col:
-            states = eng.proj(states, pos, col)
+        states, den = _project(eng, states, den, pos, col)
     states = eng.apply_block(states, B, A, C + F, split_block(A, C, F))
     for pos, col in ((B, C), (B + C, F)):
-        if col:
-            states = eng.proj(states, pos, col)
+        states, den = _project(eng, states, den, pos, col)
     states = eng.apply_block(states, 0, B + C, D, merge_block(B, C, D))
-    if D:
-        states = eng.proj(states, 0, D)
+    states, den = _project(eng, states, den, 0, D)
     states = eng.apply_block(states, 0, D + F + E, 0, create_block(D, F, E))
-    return eng.value(states)
+    return LaurentFrac(states.get((), LaurentPoly()), den)
 
 
 # -- closed formulas ----------------------------------------------------------

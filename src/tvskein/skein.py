@@ -1,14 +1,15 @@
 """The Kauffman-bracket engine.
 
 States of a computation are formal sums of crossingless matchings of the
-current frontier, with coefficients in the engine's ring (Z[A,A^-1] by
-default, Q(A) for the Temperley-Lieb algebra in ``recoupling``).  Every
-event -- cup, cap, crossing, Jones-Wenzl insertion, a Temperley-Lieb
-product or trace, a closure against a mirrored matching -- is one
-``splice`` against the frontier through ``SkeinEngine.apply_block``, the
-one place that resolves closed loops into factors of delta = -A^2 - A^-2.
-A linear combination of blocks (a crossing, a projector, any TL_n
-element) is applied by ``SkeinEngine.insert``.
+current frontier, with coefficients in Z[A,A^-1].  Every event -- cup,
+cap, crossing, Jones-Wenzl insertion, a Temperley-Lieb product or trace,
+a closure against a mirrored matching -- is one ``splice`` against the
+frontier through ``SkeinEngine.apply_block``, the one place that
+resolves closed loops into factors of delta = -A^2 - A^-2.  A linear
+combination of blocks (a crossing, a projector, any TL_n element) is
+applied by ``SkeinEngine.insert``.  A projector f_c = terms / den goes
+in as its integral terms, and a colored bracket divides by den once, at
+the end.
 
 The crossing convention is fixed by the engine's twist bookkeeping:
 
@@ -27,10 +28,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclo import CycloElem
+from .cyclo import CycloElem, InvariantCheckError
 from .diagram import (DiagramError, PDCode, add_word_kinks, braid_closure,
                       cable_word, pd_to_braid)
 from .laurent import DELTA, LaurentPoly, bracket_e
+from .rings import ZA
 
 _A = LaurentPoly({1: 1})
 _Ainv = LaurentPoly({-1: 1})
@@ -170,26 +172,21 @@ _CAP = (1, 0)                      # block for cap: pair the two inputs
 _CUP = (1, 0)                      # block for cup: pair the two outputs
 _ID2 = (2, 3, 0, 1)                # identity on two strands
 _TURN = (1, 0, 3, 2)               # cap then cup
+_CROSS_TERMS = {True: ((_ID2, _A), (_TURN, _Ainv)),
+                False: ((_ID2, _Ainv), (_TURN, _A))}
 
 
 class SkeinEngine:
-    """Evaluate slice programs over a coefficient ring.
+    """Evaluate slice programs over Z[A,A^-1].
 
     ``splice`` is a pure function, so the engine remembers its result for
     each (matching, block) it has met, and delta^k for each loop count k;
     both go away with the engine.
     """
 
-    def __init__(self, ring=None):
-        if ring is None:
-            from .rings import ZA
-            ring = ZA
-        self.ring = ring
-        self._delta_powers = [ring.one, ring.coerce(DELTA)]
+    def __init__(self):
+        self._delta_powers = [LaurentPoly.one(), DELTA]
         self._splices = {}
-        a, a_inv = ring.coerce(_A), ring.coerce(_Ainv)
-        self._cross_terms = {True: ((_ID2, a), (_TURN, a_inv)),
-                             False: ((_ID2, a_inv), (_TURN, a))}
 
     def _merge(self, states, matching, coeff):
         cur = states.get(matching)
@@ -214,7 +211,7 @@ class SkeinEngine:
                 val = val * factor
             if loops:
                 val = val * self._delta_power(loops)
-            if not _zero(val):
+            if val:
                 self._merge(out, nm, val)
         return out
 
@@ -229,7 +226,7 @@ class SkeinEngine:
             for m, c in self.apply_block(states, pos, n, n, block,
                                          coeff).items():
                 self._merge(out, m, c)
-        return {m: c for m, c in out.items() if not _zero(c)}
+        return {m: c for m, c in out.items() if c}
 
     def cap(self, states, pos):
         return self.apply_block(states, pos, 2, 0, _CAP)
@@ -238,7 +235,7 @@ class SkeinEngine:
         return self.apply_block(states, pos, 0, 2, _CUP)
 
     def cross(self, states, pos, positive=True):
-        return self.insert(states, pos, 2, self._cross_terms[positive])
+        return self.insert(states, pos, 2, _CROSS_TERMS[positive])
 
     def run_tokens(self, states, tokens):
         for kind, pos in tokens:
@@ -256,13 +253,8 @@ class SkeinEngine:
         return states
 
     def run_word(self, word, start=None):
-        states = start or {tuple(): self.ring.one}
+        states = start or {tuple(): LaurentPoly.one()}
         return self.run_tokens(states, word.tokens)
-
-
-def _zero(x):
-    z = getattr(x, "is_zero", None)
-    return z() if callable(z) else not x
 
 
 # -- pairing matrix and transfer matrices -----------------------------------
@@ -271,7 +263,7 @@ def _zero(x):
 def _close(eng, states, m):
     """Glue the mirror image of matching m onto the frontier of ``states``."""
     closed = eng.apply_block(states, 0, len(m), 0, mirror_matching(m))
-    return closed.get((), eng.ring.zero)
+    return closed.get((), LaurentPoly())
 
 
 def pairing_matrix_D(n):
@@ -279,8 +271,8 @@ def pairing_matrix_D(n):
     from .matring import RingMatrix
     eng = SkeinEngine()
     ms = matchings(n)
-    return RingMatrix(eng.ring, [[_close(eng, {mi: eng.ring.one}, mj)
-                                  for mj in ms] for mi in ms])
+    return RingMatrix(ZA, [[_close(eng, {mi: LaurentPoly.one()}, mj)
+                            for mj in ms] for mi in ms])
 
 
 def transfer_Q(word):
@@ -294,12 +286,12 @@ def transfer_Q(word):
     index = {m: k for k, m in enumerate(ms)}
     rows = []
     for mi in ms:
-        states = eng.run_tokens({mi: eng.ring.one}, word.tokens)
-        row = [eng.ring.zero] * len(ms)
+        states = eng.run_tokens({mi: LaurentPoly.one()}, word.tokens)
+        row = [LaurentPoly()] * len(ms)
         for m, c in states.items():
             row[index[m]] = c
         rows.append(row)
-    return RingMatrix(eng.ring, rows)
+    return RingMatrix(ZA, rows)
 
 
 def closure_B(word):
@@ -309,9 +301,9 @@ def closure_B(word):
     ms = matchings(word.bottom // 2)
     rows = []
     for mi in ms:
-        states = eng.run_tokens({mi: eng.ring.one}, word.tokens)
+        states = eng.run_tokens({mi: LaurentPoly.one()}, word.tokens)
         rows.append([_close(eng, states, mj) for mj in ms])
-    return RingMatrix(eng.ring, rows)
+    return RingMatrix(ZA, rows)
 
 
 def bracket_word(word):
@@ -373,15 +365,28 @@ def bracket_pd(pd):
 # -- colored brackets and knot scalars ----------------------------------------
 
 
+def _exact_quotient(num, den, what):
+    """num / den where the theory makes the division exact.
+
+    An inexact division means a wrong intermediate value, so it raises
+    ``InvariantCheckError``.
+    """
+    try:
+        return num.exact_div(den)
+    except ValueError as e:
+        raise InvariantCheckError(f"{what}: division by {den} is not "
+                                  "exact") from e
+
+
 def colored_bracket(word, color):
     """Bracket of a closed word with its component colored ``color``.
 
     The component is replaced by ``color`` parallel copies with one
-    Jones-Wenzl projector inserted; the result is an exact Laurent
-    polynomial (the projector denominators cancel in closed diagrams
-    of this shape only after the final division, which is checked).
+    Jones-Wenzl projector f_c = terms / den inserted as its integral
+    terms; the closed evaluation is divided by den once at the end, and
+    that division must be exact.
     """
-    from .recoupling import WebEngine
+    from .recoupling import jones_wenzl
 
     if color < 0:
         raise DiagramError("negative color")
@@ -394,12 +399,13 @@ def colored_bracket(word, color):
     cab = cable_word(word, color, 0)
     # insert the projector right after the first cable-cup group
     first = color  # the first original token was a cup -> `color` cup tokens
-    eng = WebEngine()
-    states = {tuple(): eng.ring.one}
-    states = eng.run_tokens(states, cab.tokens[:first])
-    states = eng.proj(states, 0, color)
+    terms, den = jones_wenzl(color)
+    eng = SkeinEngine()
+    states = eng.run_tokens({(): LaurentPoly.one()}, cab.tokens[:first])
+    states = eng.insert(states, 0, color, terms.items())
     states = eng.run_tokens(states, cab.tokens[first:])
-    return eng.value(states).as_laurent()
+    return _exact_quotient(states.get((), LaurentPoly()), den,
+                           f"the {color}-colored bracket")
 
 
 class KnotScalars:
@@ -483,7 +489,8 @@ def knot_scalars(ref):
         def colored_fn(c):
             acc = subs[0].colored(c)
             for s in subs[1:]:
-                acc = (acc * s.colored(c)).exact_div(bracket_e(c))
+                acc = _exact_quotient(acc * s.colored(c), bracket_e(c),
+                                      f"the {c}-colored connected sum")
             return acc
 
         out = KnotScalars(ref.symbol, colored_fn=colored_fn)

@@ -573,23 +573,26 @@ _PI_HI = _PI_LO + Fraction(1, 10 ** 45)
 
 
 def _cos_bounds(t):
-    """Rational bounds for cos(2 pi t), 0 <= t <= 1/2 (cos decreasing)."""
-    def taylor(x, rounding):
-        # alternating-ish series with explicit tail bound
-        term = Fraction(1)
-        acc = Fraction(1)
-        x2 = x * x
-        for k in range(1, 40):
-            term = term * x2 / ((2 * k - 1) * (2 * k))
-            acc += term if k % 2 == 0 else -term
-        tail = term  # |remainder| <= first dropped term for x < 12
-        return acc - tail if rounding < 0 else acc + tail
+    """Rational bounds lo <= cos(2 pi t) <= hi, 0 <= t <= 1/2.
 
-    x_lo = 2 * _PI_LO * t
-    x_hi = 2 * _PI_HI * t
-    lo = taylor(x_hi, -1)
-    hi = taylor(x_lo, +1)
-    return min(lo, hi), max(lo, hi)
+    For every x in [2 pi_lo t, 2 pi_hi t] the Taylor term x^(2k)/(2k)!
+    lies between a lower and an upper value, kept over the fixed
+    denominator 2^192 and rounded outward, so the numbers stay small.
+    The tail after the last term is at most that term (x < 12).
+    """
+    one = 1 << 192
+    x2_lo = (2 * _PI_LO * t) ** 2 * one // 1            # floor
+    x2_hi = -(-(2 * _PI_HI * t) ** 2 * one // 1)        # ceiling
+    term_lo = term_hi = lo = hi = one
+    for k in range(1, 40):
+        div = (2 * k - 1) * (2 * k) * one
+        term_lo = term_lo * x2_lo // div
+        term_hi = -(-term_hi * x2_hi // div)
+        if k % 2:
+            lo, hi = lo - term_hi, hi - term_lo
+        else:
+            lo, hi = lo + term_lo, hi + term_hi
+    return Fraction(lo - term_hi, one), Fraction(hi + term_hi, one)
 
 
 _NIVEN = {Fraction(0): Fraction(1), Fraction(1, 6): Fraction(1, 2),

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from tvskein.cyclo import CycloElem, UnsupportedSpecialization, reduce_to_kp
-from tvskein.laurent import LaurentFrac, LaurentPoly, bracket_e, quantum_int
+from tvskein.laurent import (LaurentFrac, LaurentPoly, bracket_e, poly_gcd,
+                             quantum_int)
 from tvskein.recoupling import (ColorError, full_twist, jones_wenzl, qfact,
                                 tet, tet_web, theta, theta_web, tl_compose,
                                 tl_e, tl_identity, tl_trace)
@@ -15,30 +16,36 @@ def adm(a, b, c):
 
 
 def test_projectors_small():
-    f1 = jones_wenzl(1)
-    assert f1 == {(1, 0): LaurentFrac.one()}
-    f2 = jones_wenzl(2)
-    # f_2 = identity + (1/[2]) e_1  (the loop value is -[2])
+    assert jones_wenzl(1) == ({(1, 0): LaurentPoly.one()}, LaurentPoly.one())
+    # f_2 = identity + (1/[2]) e_1 (the loop value is -[2]), so its terms
+    # are den * identity + u e_1 with den = u [2] for a unit u
+    f2, den = jones_wenzl(2)
     ident = (2, 3, 0, 1)
     e = (1, 0, 3, 2)
-    assert f2[ident] == LaurentFrac.one()
-    assert f2[e] == LaurentFrac(1, quantum_int(2))
+    assert set(f2) == {ident, e}
+    assert f2[ident] == den
+    assert f2[e] * f2[e].bar() == LaurentPoly.one()
+    assert f2[e] * quantum_int(2) == den
 
 
 def test_projector_idempotence_and_annihilation():
-    for n in range(2, 6):
-        f = jones_wenzl(n)
-        ff = tl_compose(f, f, n)
-        assert set(ff) == set(f)
-        assert all((ff[d] - f[d]).is_zero() for d in f)
+    for n in range(2, 7):
+        f, den = jones_wenzl(n)
+        # integral terms over the least denominator
+        assert all(type(c) is int for x in f.values() for c in x.terms.values())
+        g = den
+        for x in f.values():
+            g = poly_gcd(g, x)
+        assert g == LaurentPoly.one(), n
+        assert tl_compose(f, f, n) == {d: x * den for d, x in f.items()}
         for i in range(n - 1):
             assert not tl_compose(tl_e(n, i), f, n)
             assert not tl_compose(f, tl_e(n, i), n)
-        assert tl_trace(f, n) == LaurentFrac(bracket_e(n))
+        assert tl_trace(f, n) == den * bracket_e(n)
 
 
 def test_temperley_lieb_relations():
-    delta = LaurentFrac(LaurentPoly({2: -1, -2: -1}))
+    delta = LaurentPoly({2: -1, -2: -1})
     for n in range(6):
         one = tl_identity(n)
         assert tl_compose(one, one, n) == one
@@ -58,7 +65,7 @@ def test_temperley_lieb_relations():
 
 def test_f2_kills_capcup_expansion():
     # expand f_2 = 1 + (1/[2]) e_1 and multiply by the cap-cup by hand
-    f2 = jones_wenzl(2)
+    f2, _ = jones_wenzl(2)
     e = tl_e(2, 0)
     prod = tl_compose(e, f2, 2)
     assert prod == {}

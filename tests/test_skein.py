@@ -9,7 +9,7 @@ from tvskein.diagram import (ATLAS_PD, ATLAS_WORDS, DiagramError, PDCode,
                              pd_to_braid)
 from tvskein.laurent import A, DELTA, MU, LaurentPoly, quantum_int
 from tvskein.matring import berkowitz_det
-from tvskein.rings import QA, ZA
+from tvskein.rings import ZA
 from tvskein.skein import (KnotScalars, SkeinEngine, bracket_pd,
                            bracket_pd_statesum, bracket_word, catalan,
                            closure_B, colored_bracket, knot_scalars, matchings,
@@ -314,6 +314,49 @@ def test_colored_bracket_small():
     assert colored_bracket(w, 2) == quantum_int(3)
     rt2 = colored_bracket(ATLAS_WORDS["RT"], 2)
     assert rt2.bar() == colored_bracket(ATLAS_WORDS["LT"], 2)
+
+
+def test_colored_bracket_builds_no_QA_value(monkeypatch):
+    # the projector is built over Z[A,A^-1] and the bracket divides once:
+    # a cold projector cache builds no LaurentFrac, and a warm one runs
+    # no poly_gcd (that runs only in the projector's content step)
+    import tvskein.laurent as laurent
+    import tvskein.recoupling as recoupling
+    cases = [(ATLAS_WORDS["RT"], 3), (ATLAS_WORDS["F8"], 2)]
+    want = [colored_bracket(w, c) for w, c in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Q(A) on the colored-bracket path")
+
+    monkeypatch.setattr(recoupling, "LaurentFrac", refuse)
+    recoupling.jones_wenzl.cache_clear()
+    assert [colored_bracket(w, c) for w, c in cases] == want
+    monkeypatch.setattr(recoupling, "poly_gcd", refuse)
+    monkeypatch.setattr(laurent, "poly_gcd", refuse)
+    assert [colored_bracket(w, c) for w, c in cases] == want
+
+
+def test_inexact_divisions_raise_invariant_check(monkeypatch):
+    import tvskein.recoupling as recoupling
+    import tvskein.skein as skein
+    from tvskein.polyalg import InvariantCheckError
+
+    # a wrong projector term leaves the closing division inexact (at c = 2
+    # a wrong term would not show: both closures there are multiples of den)
+    terms, den = recoupling.jones_wenzl(3)
+    wrong = dict(terms)
+    (ident, _), = recoupling.tl_identity(3).items()
+    wrong[ident] = wrong[ident] + LaurentPoly.one()
+    monkeypatch.setattr(recoupling, "jones_wenzl", lambda n: (wrong, den))
+    with pytest.raises(InvariantCheckError):
+        colored_bracket(ATLAS_WORDS["RT"], 3)
+    # summands with wrong colored brackets: <RT_2><LT_2> / <e_2> is inexact
+    monkeypatch.setattr(skein, "_SCALAR_CACHE", {})
+    for name in ("RT", "LT"):
+        skein._SCALAR_CACHE[name] = KnotScalars(
+            name, colored_fn=lambda c: LaurentPoly.one())
+    with pytest.raises(InvariantCheckError):
+        knot_scalars("RT#LT").colored(2)
 
 
 def test_kauffman_channel():

@@ -162,6 +162,23 @@ def test_total_signature_is_sum_of_signature_at():
             assert total_signature(v, d) == expect, (k, d)
 
 
+def test_cos_bounds_are_tight_dyadic_intervals():
+    # outward-rounded Taylor terms over 2^-192: small denominators, and the
+    # interval still holds the cosine and stays narrow
+    import math
+    from fractions import Fraction
+    from tvskein.tqft import _cos_bounds
+    eps = Fraction(1, 10 ** 15)
+    for d in range(1, 62):
+        for m in range(d):
+            t = Fraction(m, d)
+            t = min(t, 1 - t)
+            lo, hi = _cos_bounds(t)
+            assert max(lo.denominator, hi.denominator) <= 2 ** 192, (m, d)
+            assert lo - eps <= math.cos(2 * math.pi * t) <= hi + eps, (m, d)
+            assert hi - lo < Fraction(1, 10 ** 40), (m, d)
+
+
 def test_fibered_unit_circle_and_trace_norm():
     # roots of Gamma_5 for the fibered doubles lie on the unit circle
     for k in (1, 4):
