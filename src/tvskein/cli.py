@@ -24,7 +24,6 @@ import json
 import sys
 
 from .diagram import DiagramError, KnotRef, PDCode, SliceWord
-from .golden import SUITES, golden_suite
 from .recoupling import ColorError
 from .skein import bracket_pd, bracket_word
 from .tqft import (UnsupportedSpecialization, branched_series,
@@ -257,6 +256,7 @@ def cmd_brieskorn(args, out):
 
 
 def cmd_check(args, out):
+    from .golden import SUITES, golden_suite
     names = [args.suite] if args.suite != "all" else list(SUITES)
     all_ok = True
     for name in names:

@@ -300,9 +300,10 @@ def numeric_roots(gamma):
 
     Repeated roots are split off exactly (gcd with the derivative over
     the coefficient field) before any numerics, so multiple roots come
-    back at full accuracy with exact multiplicities.  Deterministic
-    ordering by (modulus, argument); each root satisfies
-    |gamma(root)| < 1e-8 after Newton polishing.
+    back at full accuracy with exact multiplicities.  The roots of each
+    square-free part come from Aberth-Ehrlich iteration in complex
+    floating point.  Deterministic ordering by (modulus, argument); each
+    root satisfies |gamma(root)| < 1e-8 after Newton polishing.
     """
     if gamma.is_zero():
         raise ValueError("numeric roots of the zero polynomial")
@@ -318,40 +319,72 @@ def numeric_roots(gamma):
     return _numeric_simple(gamma)
 
 
-def _numeric_simple(gamma):
-    import numpy as np
+def _value(cs, z):
+    acc = cs[-1]
+    for c in reversed(cs[:-1]):
+        acc = acc * z + c
+    return acc
 
+
+def _slope(cs, z):
+    acc = 0
+    for k in range(len(cs) - 1, 0, -1):
+        acc = acc * z + k * cs[k]
+    return acc
+
+
+_ABERTH_SWEEPS = 100
+
+
+def _aberth(cs):
+    """Approximate roots of sum_k cs[k] x^k by Aberth-Ehrlich iteration.
+
+    O. Aberth, "Iteration methods for finding all zeros of a polynomial
+    simultaneously", Math. Comp. 27 (1973).  The n guesses start evenly
+    spaced on the circle of Cauchy's bound 1 + max |cs[k] / cs[-1]|,
+    turned by a quarter of their spacing so that none is real and no two
+    are conjugate.  Each sweep moves every guess z in place by
+    f(z) / (f'(z) - f(z) sum_w 1 / (z - w)) over the other guesses w; the
+    sweeps stop when no guess moves by more than 1e-12 (1 + |z|), or after
+    _ABERTH_SWEEPS.  Newton polishing follows in ``_numeric_simple``.
+    """
+    n = len(cs) - 1
+    radius = 1 + max(abs(c / cs[-1]) for c in cs[:-1])
+    zs = [radius * cmath.exp(1j * cmath.pi * (4 * k + 1) / (2 * n))
+          for k in range(n)]
+    for _ in range(_ABERTH_SWEEPS):
+        moved = False
+        for i, z in enumerate(zs):
+            f = _value(cs, z)
+            den = _slope(cs, z) - f * sum(1 / (z - w)
+                                          for j, w in enumerate(zs) if j != i)
+            if f == 0 or den == 0:
+                continue
+            step = f / den
+            zs[i] = z - step
+            moved = moved or abs(step) > 1e-12 * (1 + abs(z))
+        if not moved:
+            break
+    return zs
+
+
+def _numeric_simple(gamma):
     cs = [c.embed() if isinstance(c, CycloElem) else complex(c)
           for c in gamma.coeffs]
     if len(cs) == 1:
         return []
-    roots = np.roots(list(reversed(cs)))
-
-    def f(z):
-        acc = cs[-1]
-        for c in reversed(cs[:-1]):
-            acc = acc * z + c
-        return acc
-
-    def fp(z):
-        acc = 0
-        for k in range(len(cs) - 1, 0, -1):
-            acc = acc * z + k * cs[k]
-        return acc
-
     polished = []
-    for z in roots:
-        z = complex(z)
+    for z in _aberth(cs):
         for _ in range(50):
-            d = fp(z)
+            d = _slope(cs, z)
             if abs(d) < 1e-14:
                 break
-            step = f(z) / d
+            step = _value(cs, z) / d
             z -= step
             if abs(step) < 1e-15:
                 break
         polished.append(z)
-    if any(abs(f(z)) >= 1e-8 for z in polished):
+    if any(abs(_value(cs, z)) >= 1e-8 for z in polished):
         raise InvariantCheckError("root polishing failed")
     polished.sort(key=lambda z: (round(abs(z), 9), round(cmath.phase(z), 9)))
     return polished

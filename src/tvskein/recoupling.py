@@ -40,10 +40,11 @@ class ColorError(ValueError):
 # -- Temperley-Lieb algebra over Z[A,A^-1] ------------------------------------
 # An element of TL_n is a dict {diagram: LaurentPoly} where a diagram is a
 # matching of 2n points: 0..n-1 the inputs (left to right), n..2n-1 the
-# outputs (left to right).  Products, traces and projectors run on one
-# shared skein engine.  Bending the inputs round to the left puts a diagram
-# on a frontier of 2n points, inputs n-1..0 then outputs 0..n-1, and a
-# diagram acting on the outputs is then a splice block at position n.
+# outputs (left to right).  Products, traces, projectors and the web
+# oracles run on one shared skein engine, and so share its splice memo.
+# Bending the inputs round to the left puts a diagram on a frontier of 2n
+# points, inputs n-1..0 then outputs 0..n-1, and a diagram acting on the
+# outputs is then a splice block at position n.
 
 _ENGINE = SkeinEngine()
 
@@ -196,7 +197,7 @@ def merge_block(y, z, x):
     return tuple(pairs[k] for k in range(y + z + x))
 
 
-def _project(eng, states, den, pos, n):
+def _project(states, den, pos, n):
     """Insert f_n at frontier positions pos.., as its integral terms.
 
     Returns the new states and the running denominator times f_n's.
@@ -204,18 +205,18 @@ def _project(eng, states, den, pos, n):
     if not n:
         return states, den
     terms, f_den = jones_wenzl(n)
-    return eng.insert(states, pos, n, terms.items()), den * f_den
+    return _ENGINE.insert(states, pos, n, terms.items()), den * f_den
 
 
 def theta_web(a, b, c):
     """Theta net value by literal web evaluation (the oracle), in Q(A)."""
     _check_adm(a, b, c)
-    eng = SkeinEngine()
     den = LaurentPoly.one()
-    states = eng.apply_block({(): den}, 0, 0, a + b + c, create_block(a, b, c))
+    states = _ENGINE.apply_block({(): den}, 0, 0, a + b + c,
+                                 create_block(a, b, c))
     for pos, col in ((0, a), (a, b), (a + b, c)):
-        states, den = _project(eng, states, den, pos, col)
-    states = eng.apply_block(states, 0, a + b + c, 0, create_block(a, b, c))
+        states, den = _project(states, den, pos, col)
+    states = _ENGINE.apply_block(states, 0, a + b + c, 0, create_block(a, b, c))
     return LaurentFrac(states.get((), LaurentPoly()), den)
 
 
@@ -223,17 +224,17 @@ def tet_web(A, B, E, D, C, F):
     """Tetrahedral net by literal web evaluation (the oracle), in Q(A)."""
     for tri in ((A, B, E), (A, C, F), (B, C, D), (E, F, D)):
         _check_adm(*tri)
-    eng = SkeinEngine()
     den = LaurentPoly.one()
-    states = eng.apply_block({(): den}, 0, 0, B + A + E, create_block(B, A, E))
+    states = _ENGINE.apply_block({(): den}, 0, 0, B + A + E,
+                                 create_block(B, A, E))
     for pos, col in ((0, B), (B, A), (B + A, E)):
-        states, den = _project(eng, states, den, pos, col)
-    states = eng.apply_block(states, B, A, C + F, split_block(A, C, F))
+        states, den = _project(states, den, pos, col)
+    states = _ENGINE.apply_block(states, B, A, C + F, split_block(A, C, F))
     for pos, col in ((B, C), (B + C, F)):
-        states, den = _project(eng, states, den, pos, col)
-    states = eng.apply_block(states, 0, B + C, D, merge_block(B, C, D))
-    states, den = _project(eng, states, den, 0, D)
-    states = eng.apply_block(states, 0, D + F + E, 0, create_block(D, F, E))
+        states, den = _project(states, den, pos, col)
+    states = _ENGINE.apply_block(states, 0, B + C, D, merge_block(B, C, D))
+    states, den = _project(states, den, 0, D)
+    states = _ENGINE.apply_block(states, 0, D + F + E, 0, create_block(D, F, E))
     return LaurentFrac(states.get((), LaurentPoly()), den)
 
 

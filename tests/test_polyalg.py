@@ -1,9 +1,11 @@
 import cmath
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from tvskein import polyalg
 from tvskein.cyclo import CycloElem, cyclotomic_poly
 from tvskein.matring import RingMatrix, berkowitz_charpoly, trace_powers
 from tvskein.polyalg import (InvariantCheckError, NormUnavailable, RingPoly,
@@ -129,11 +131,65 @@ def test_numeric_roots_cyclotomic():
 
 
 def test_named_check_failures(monkeypatch):
-    import numpy as np
     # x^2 + 1 has f'(0) = 0, so a root guess of 0 cannot be polished
-    monkeypatch.setattr(np, "roots", lambda cs: [0j, 0j])
-    with pytest.raises(InvariantCheckError):
+    monkeypatch.setattr(polyalg, "_aberth", lambda cs: [0j, 0j])
+    with pytest.raises(InvariantCheckError, match="root polishing failed"):
         numeric_roots(RingPoly(QQ, [1, 0, 1]))
+
+
+def _pair_up(roots, expect, tol):
+    """Whether roots and expect agree as multisets, each within tol."""
+    left = list(roots)
+    for w in expect:
+        if not left:
+            return False
+        z = min(left, key=lambda z: abs(z - w))
+        if abs(z - w) >= tol:
+            return False
+        left.remove(z)
+    return not left
+
+
+def test_numeric_roots_of_cyclotomic_polynomials():
+    for m in range(1, 31):
+        expect = [cmath.exp(2j * cmath.pi * k / m)
+                  for k in range(1, m + 1) if gcd(k, m) == 1]
+        roots = numeric_roots(RingPoly(QQ, cyclotomic_poly(m)))
+        assert _pair_up(roots, expect, 1e-9), m
+
+
+def _random_int_polys():
+    rnd = random.Random(13)
+    out = []
+    for _ in range(200):
+        cs = [rnd.randint(-4, 4) for _ in range(rnd.randint(1, 12))]
+        cs.append(rnd.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
+        out.append(cs)
+    return out
+
+
+def test_numeric_roots_satisfy_vieta():
+    for cs in _random_int_polys():
+        n = len(cs) - 1
+        roots = numeric_roots(RingPoly(QQ, cs))
+        assert len(roots) == n
+        total, prod = sum(roots), 1
+        for z in roots:
+            prod *= z
+        assert abs(total + cs[-2] / cs[-1]) < 1e-8, cs
+        assert abs(prod - (-1) ** n * cs[0] / cs[-1]) < 1e-8, cs
+        for z in roots:
+            acc = 0
+            for c in reversed(cs):
+                acc = acc * z + c
+            assert abs(acc) < 1e-8, cs
+
+
+def test_numeric_roots_match_numpy():
+    np = pytest.importorskip("numpy")
+    for cs in _random_int_polys():
+        expect = [complex(z) for z in np.roots(cs[::-1])]
+        assert _pair_up(numeric_roots(RingPoly(QQ, cs)), expect, 1e-9), cs
 
 
 def test_root_periodicity():

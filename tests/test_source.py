@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tvskein
@@ -39,3 +42,31 @@ def test_fraction_field_stays_off_the_production_path():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              for name in names(node) if name in banned]
     assert not found, found
+
+
+def test_numpy_is_not_imported():
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            return [node.module]
+        return []
+
+    found = [f"{path.relative_to(SRC)}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if any(name.split(".")[0] == "numpy" for name in imported(node))]
+    assert not found, found
+
+
+def test_double_command_loads_neither_numpy_nor_golden():
+    # a fresh interpreter, so that no other test's imports count
+    code = ("import io, sys, tvskein.cli\n"
+            "code = tvskein.cli.run(['double', '--J', 'U', '--k', '1', "
+            "'--p', '5', '--format', 'json'], io.StringIO())\n"
+            "print(code, sorted(m for m in ('numpy', 'tvskein.golden') "
+            "if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    res = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines()[-1] == "0 []", res.stdout
