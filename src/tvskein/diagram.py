@@ -534,27 +534,24 @@ def normalize_writhe(pd):
 # -- the atlas ------------------------------------------------------------
 
 
-def _rt_word():
-    """Right-handed trefoil, zero writhe (6 crossings)."""
-    base = braid_closure(2, [1, 1, 1])
-    return add_word_kinks(base, 3, -1)
-
-
-def _lt_word():
-    return _rt_word().mirror()
-
-
-def _f8_word():
-    """Figure eight, zero writhe already (4 crossings)."""
-    return braid_closure(3, [1, -2, 1, -2])
-
-
-ATLAS_WORDS = {
-    "U": braid_closure(1, []),
-    "RT": _rt_word(),
-    "LT": _lt_word(),
-    "F8": _f8_word(),
+ATLAS_BRAIDS = {
+    "U": (1, ()),
+    "RT": (2, (1, 1, 1)),
+    "LT": (2, (-1, -1, -1)),
+    "F8": (3, (1, -2, 1, -2)),
 }
+
+
+def zero_writhe_word(strands, gens):
+    """The closure of a braid, with kinks on strand 1 cancelling its writhe."""
+    w = sum(1 if g > 0 else -1 for g in gens)
+    return add_word_kinks(braid_closure(strands, gens), abs(w),
+                          -1 if w > 0 else 1)
+
+
+# the atlas knots as 0-framed slice words: RT and LT have 6 crossings
+ATLAS_WORDS = {name: zero_writhe_word(*braid)
+               for name, braid in ATLAS_BRAIDS.items()}
 
 # small PD codes used by the oracle suite (all writhe-normalised forms
 # are derived from these programmatically)

@@ -12,15 +12,18 @@ gives a float.
 
 The involution ``bar`` sends A to A^-1 and fixes the rationals.
 
-``LaurentFrac`` is the fraction field Q(A).  No production path builds
-one: it serves the oracles, theta and Tet with ``p=None`` and the web
-evaluations in ``recoupling``, and the tests that redo linear algebra
-over Q(A).
+``QFactored`` is a Laurent polynomial times quantum integers [k] to
+signed powers: theta and Tet with ``p=None``, and the fusion-basis
+colored brackets, are exact in it without a gcd.  ``LaurentFrac`` is
+the fraction field Q(A).  No production path builds one: it serves the
+web evaluations in ``recoupling`` and the tests that redo linear
+algebra over Q(A).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 def _coeff(c):
@@ -327,6 +330,85 @@ def mu_eig(s):
     return LaurentPoly({s * s + 2 * s: -1 if s % 2 else 1})
 
 
+@lru_cache(maxsize=None)
+def _qint_power(k, e):
+    return quantum_int(k) ** e
+
+
+class QFactored:
+    """P * prod_k [k]^e_k, the e_k signed: theta, Tet and <e_k> are so.
+
+    A product adds exponents; a sum lifts both terms to the least exponent
+    of each [k].  ``num`` has the [k] of positive exponent multiplied in,
+    ``den`` is the product of the others; only a unit P can be inverted.
+    """
+
+    __slots__ = ("poly", "exps")
+
+    def __init__(self, poly, exps=()):
+        self.poly = _as_laurent(poly)
+        self.exps = ({k: e for k, e in dict(exps).items() if e and k > 1}
+                     if self.poly else {})
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, QFactored) else QFactored(x)
+
+    def _lifted(self, low):
+        """P times [k]^(e_k - low_k), for low_k <= e_k."""
+        out = self.poly
+        for k in self.exps.keys() | low.keys():
+            e = self.exps.get(k, 0) - low.get(k, 0)
+            if e:
+                out = out * _qint_power(k, e)
+        return out
+
+    def __mul__(self, other):
+        other, exps = QFactored.of(other), dict(self.exps)
+        for k, e in other.exps.items():
+            exps[k] = exps.get(k, 0) + e
+        return QFactored(self.poly * other.poly, exps)
+
+    def __add__(self, other):
+        other = QFactored.of(other)
+        if not other.poly or self.exps == other.exps:
+            return QFactored(self.poly + other.poly, self.exps)
+        if not self.poly:
+            return other
+        low = {k: min(self.exps.get(k, 0), other.exps.get(k, 0))
+               for k in self.exps.keys() | other.exps.keys()}
+        return QFactored(self._lifted(low) + other._lifted(low), low)
+
+    def __neg__(self):
+        return QFactored(-self.poly, self.exps)
+
+    def __sub__(self, other):
+        return self + -QFactored.of(other)
+
+    def inv(self):
+        if len(self.poly.terms) != 1:
+            raise ValueError(f"{self.poly} is not a unit of Z[A,A^-1]")
+        return QFactored(self.poly ** -1,
+                         {k: -e for k, e in self.exps.items()})
+
+    def __truediv__(self, other):
+        return self * QFactored.of(other).inv()
+
+    @property
+    def num(self):
+        return self._lifted({k: min(e, 0) for k, e in self.exps.items()})
+
+    @property
+    def den(self):
+        neg = {k: -e for k, e in self.exps.items() if e < 0}
+        return QFactored(ONE, neg).num
+
+    def __eq__(self, other):
+        if not isinstance(other, (QFactored, LaurentPoly, int)):
+            return NotImplemented
+        return not (self - other).poly
+
+
 # -- ordinary polynomial helpers over Q[A] ----------------------------
 # Used by gcd computation for the fraction field. Internally a Laurent
 # polynomial is shifted so its minimum exponent is zero.
@@ -541,6 +623,8 @@ class LaurentFrac:
 def _as_frac(x):
     if isinstance(x, LaurentFrac):
         return x
+    if isinstance(x, QFactored):
+        return LaurentFrac(x.num, x.den)
     if isinstance(x, (int, Fraction, LaurentPoly)):
         return LaurentFrac(x)
     return NotImplemented

@@ -302,7 +302,7 @@ def numeric_roots(gamma):
     the coefficient field) before any numerics, so multiple roots come
     back at full accuracy with exact multiplicities.  The roots of each
     square-free part come from Aberth-Ehrlich iteration in complex
-    floating point.  Deterministic ordering by (modulus, argument); each
+    floating point.  Deterministic ordering by ``_root_key``; each
     root satisfies |gamma(root)| < 1e-8 after Newton polishing.
     """
     if gamma.is_zero():
@@ -314,9 +314,17 @@ def numeric_roots(gamma):
         if g.degree() > 0:
             simple, _ = gamma.monic().divmod(g)
             out = _numeric_simple(simple) + numeric_roots(g.monic())
-            out.sort(key=lambda z: (round(abs(z), 9), round(cmath.phase(z), 9)))
+            out.sort(key=_root_key)
             return out
     return _numeric_simple(gamma)
+
+
+def _root_key(z):
+    """(modulus, argument) rounded to 1e-9, an argument near -pi read as pi:
+    a root at -1 sorts last among its modulus whatever its noise's sign."""
+    phase = cmath.phase(z)
+    return round(abs(z), 9), round(cmath.pi if phase < 1e-9 - cmath.pi
+                                   else phase, 9)
 
 
 def _value(cs, z):
@@ -386,7 +394,7 @@ def _numeric_simple(gamma):
         polished.append(z)
     if any(abs(_value(cs, z)) >= 1e-8 for z in polished):
         raise InvariantCheckError("root polishing failed")
-    polished.sort(key=lambda z: (round(abs(z), 9), round(cmath.phase(z), 9)))
+    polished.sort(key=_root_key)
     return polished
 
 

@@ -11,16 +11,21 @@ recursion are splices there.
 Colored evaluations come in two flavours that check each other:
 
 * closed formulas for the theta net and the tetrahedral net, written
-  once over a table of quantum factorials [k]! and evaluated either in
-  Q(A) (``p=None``) or at a level k_p, from one factorial table built
-  per level; a [k]! that vanishes at the level makes a numerator zero
-  and a denominator raise ``UnsupportedSpecialization``, and
+  once over a table of quantum factorials [k]! and evaluated either
+  level-free as a ``QFactored`` (``p=None``, a Laurent polynomial times
+  signed powers of quantum integers, with no gcd) or at a level k_p,
+  from one factorial table built per level; a [k]! that vanishes at the
+  level makes a numerator zero and a denominator raise
+  ``UnsupportedSpecialization``, and
 * web evaluations that build the same nets out of cups, caps and
   literal projector insertions, and divide by the product of the
   projector denominators at the end, in Q(A).
 
 The tetrahedron tet(A,B,E; D,C,F) has vertex triples (A,B,E), (A,C,F),
 (B,C,D), (E,F,D); a zero on the first edge degenerates it to a theta.
+The level-free values give the matrices of braid generators in the
+fusion basis, ``braid_block``, from which ``skein.colored_bracket``
+evaluates the colored brackets of braid closures.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclo import CycloElem, UnsupportedSpecialization, reduce_to_kp
-from .laurent import (LaurentFrac, LaurentPoly, bracket_e, mu_eig, poly_gcd,
-                      quantum_int)
+from .laurent import (LaurentFrac, LaurentPoly, QFactored, bracket_e, mu_eig,
+                      poly_gcd, quantum_int)
 from .skein import SkeinEngine
 
 
@@ -242,14 +247,6 @@ def tet_web(A, B, E, D, C, F):
 
 
 @lru_cache(maxsize=None)
-def _laurent_qfact(n):
-    out = LaurentPoly.one()
-    for k in range(1, n + 1):
-        out = out * quantum_int(k)
-    return LaurentFrac(out)
-
-
-@lru_cache(maxsize=None)
 def _level_qfacts(p):
     """[k]! in k_p for k = 0 .. p - 1."""
     out = [CycloElem.one(p)]
@@ -274,13 +271,13 @@ def _level_inv_qfacts(p):
 
 
 def qfact(n, p=None):
-    """Quantum factorial [n]!, in Q(A) for p None and in k_p otherwise.
+    """Quantum factorial [n]!, a ``QFactored`` for p None and in k_p otherwise.
 
     At a level p >= 3, [p] = 0, so [n]! vanishes for every n >= p (and
     from [p/2]! on when p is even).
     """
     if p is None:
-        return _laurent_qfact(n)
+        return QFactored(1, {k: 1 for k in range(2, n + 1)})
     table = _level_qfacts(p)
     return table[n] if n < len(table) else CycloElem.zero(p)
 
@@ -288,14 +285,14 @@ def qfact(n, p=None):
 def _qfact_inv(ns, p):
     """(prod of [n]! over ns)^-1, for the denominator of a closed formula.
 
-    In Q(A) one inverse of the product; at a level a product of entries
-    of the inverse-factorial table, where a factorial that vanishes
-    raises ``UnsupportedSpecialization``.
+    Without a level the exponents of the factorials turn negative; at a
+    level a product of entries of the inverse-factorial table, where a
+    factorial that vanishes raises ``UnsupportedSpecialization``.
     """
     if p is None:
-        den = LaurentFrac.one()
+        den = qfact(0)
         for n in ns:
-            den = den * _laurent_qfact(n)
+            den = den * qfact(n)
         return den.inv()
     table = _level_inv_qfacts(p)
     out = CycloElem.one(p)
@@ -310,7 +307,7 @@ def _qfact_inv(ns, p):
 
 @lru_cache(maxsize=None)
 def theta(a, b, c, p=None):
-    """Theta net value in Q(A) (p None) or k_p."""
+    """Theta net value, a ``QFactored`` (p None) or in k_p."""
     _check_adm(a, b, c)
     x = (a + b - c) // 2
     y = (b + c - a) // 2
@@ -324,7 +321,7 @@ def theta(a, b, c, p=None):
 
 @lru_cache(maxsize=None)
 def tet(A, B, E, D, C, F, p=None):
-    """Tetrahedral net value in Q(A) (p None) or k_p.
+    """Tetrahedral net value, a ``QFactored`` (p None) or in k_p.
 
     Vertex triples: (A,B,E), (A,C,F), (B,C,D), (E,F,D).
     """
@@ -347,6 +344,48 @@ def tet(A, B, E, D, C, F, p=None):
             term = -term
         acc = acc + term
     return interior * _qfact_inv((A, B, C, D, E, F), p) * acc
+
+
+# -- braid generators in the fusion basis -------------------------------------
+
+
+def half_twist(c, j):
+    """lambda(j), a positive crossing of two c-strands fused into j: its
+    square is mu(j) / mu(c)^2, and at c = 1 it is -A^-3 or A."""
+    sign = -1 if (2 * c - j) // 2 % 2 else 1
+    return LaurentPoly({(j * (j + 2) - 2 * c * (c + 2)) // 2: sign})
+
+
+def factored_e(j):
+    """<e_j> = (-1)^j [j+1] as a ``QFactored``."""
+    return QFactored(-1 if j % 2 else 1, {j + 1: 1})
+
+
+@lru_cache(maxsize=None)
+def braid_block(c, a, d, sign):
+    """sigma_i^sign on the fusion label x between a and d, strands colored c.
+
+    In the left-comb basis strand i fuses into a to give x, and strand
+    i+1 fuses into x to give d.  Where the two strands fuse first, into j,
+    the crossing is diagonal, lambda(j)^sign, and the 6j-symbols
+        F_xj = Tet(x,c,a,j,c,d) <e_j> / (theta(c,c,j) theta(a,j,d)),
+        G_jx = Tet(x,c,a,j,c,d) <e_x> / (theta(a,c,x) theta(x,c,d))
+    change the basis there and back (G F = 1: no inverse is formed).
+    Returns {x: ((y, (F diag G)_xy), ...)}.
+    """
+    xs = [x for x in range(abs(a - c), a + c + 1, 2)
+          if abs(x - c) <= d <= x + c]
+    out = {(x, y): QFactored(0) for x in xs for y in xs}
+    for j in range(abs(a - d), min(a + d, 2 * c) + 1, 2):
+        fj = factored_e(j) * half_twist(c, j) ** sign \
+            / (theta(c, c, j) * theta(a, j, d))
+        f = {x: tet(x, c, a, j, c, d) * fj for x in xs}
+        for y in xs:
+            g = tet(y, c, a, j, c, d) * factored_e(y) / (theta(a, c, y)
+                                                        * theta(y, c, d))
+            for x in xs:
+                out[x, y] = f[x] * g + out[x, y]
+    return {x: tuple((y, out[x, y]) for y in xs if out[x, y].poly) for x in xs}
 
 
 def full_twist(r, i, j):

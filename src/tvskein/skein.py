@@ -8,8 +8,9 @@ frontier through ``SkeinEngine.apply_block``, the one place that
 resolves closed loops into factors of delta = -A^2 - A^-2.  A linear
 combination of blocks (a crossing, a projector, any TL_n element) is
 applied by ``SkeinEngine.insert``.  A projector f_c = terms / den goes
-in as its integral terms, and a colored bracket divides by den once, at
-the end.
+in as its integral terms, and the cabled colored bracket, the oracle,
+divides by den once, at the end.  A knot's colored brackets come from
+its braid in the fusion basis instead, with no cable and no projector.
 
 The crossing convention is fixed by the engine's twist bookkeeping:
 
@@ -29,9 +30,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclo import CycloElem, InvariantCheckError
-from .diagram import (DiagramError, PDCode, add_word_kinks, braid_closure,
-                      cable_word, pd_to_braid)
-from .laurent import DELTA, LaurentPoly, bracket_e
+from .diagram import (DiagramError, PDCode, braid_closure, cable_word,
+                      pd_to_braid)
+from .laurent import DELTA, LaurentPoly, QFactored, bracket_e, mu_eig
 from .rings import ZA
 
 _A = LaurentPoly({1: 1})
@@ -378,13 +379,57 @@ def _exact_quotient(num, den, what):
                                   "exact") from e
 
 
-def colored_bracket(word, color):
+def colored_bracket(strands, gens, color):
+    """<J_c>: the closure of a braid, every strand colored c, framing 0.
+
+    A vector of the left-comb fusion basis is a label sequence a_0 = c,
+    a_1, ..., a_(n-1) with each (a_(i-1), c, a_i) admissible.  sigma_1
+    is diagonal, lambda(a_1); sigma_i acts on a_(i-1) by ``braid_block``
+    (Kauffman-Lins 1994, ch. 10; Masbaum-Vogel 1994).  The closure weighs
+    each diagonal entry by <e_(a_(n-1))>, and mu(c)^-w undoes the writhe.
+    One exact division ends it; an inexact one raises
+    ``InvariantCheckError``.
+    """
+    from .recoupling import braid_block, factored_e, half_twist
+
+    if color < 0:
+        raise DiagramError("negative color")
+    if any(not 0 < abs(g) < strands for g in gens):
+        raise DiagramError(f"a generator of {gens} is off {strands} strands")
+    c = color
+    labels = [(c,)]
+    for _ in range(strands - 1):
+        labels = [lab + (x,) for lab in labels
+                  for x in range(abs(lab[-1] - c), lab[-1] + c + 1, 2)]
+    total = QFactored(0)
+    for start in labels:
+        row = {start: QFactored(1)}
+        for g in gens:
+            i, sign = abs(g), 1 if g > 0 else -1
+            out = {}
+            for lab, v in row.items():
+                if i == 1:
+                    out[lab] = v * half_twist(c, lab[1]) ** sign
+                    continue
+                block = braid_block(c, lab[i - 2], lab[i], sign)
+                for y, m in block[lab[i - 1]]:
+                    key = lab[:i - 1] + (y,) + lab[i:]
+                    out[key] = v * m + out[key] if key in out else v * m
+            row = out
+        if start in row:
+            total = total + factored_e(start[-1]) * row[start]
+    w = sum(1 if g > 0 else -1 for g in gens)
+    return _exact_quotient(total.num, total.den,
+                           f"the {c}-colored bracket") * mu_eig(c) ** -w
+
+
+def cable_colored_bracket(word, color):
     """Bracket of a closed word with its component colored ``color``.
 
-    The component is replaced by ``color`` parallel copies with one
-    Jones-Wenzl projector f_c = terms / den inserted as its integral
-    terms; the closed evaluation is divided by den once at the end, and
-    that division must be exact.
+    The oracle for ``colored_bracket``: the component is replaced by
+    ``color`` parallel copies with one Jones-Wenzl projector f_c =
+    terms / den inserted as its integral terms; the closed evaluation is
+    divided by den once at the end, and that division must be exact.
     """
     from .recoupling import jones_wenzl
 
@@ -415,9 +460,9 @@ class KnotScalars:
     one cache holds them all.
     """
 
-    def __init__(self, name, word=None, colored_fn=None):
+    def __init__(self, name, braid=None, colored_fn=None):
         self.name = name
-        self.word = word
+        self.braid = braid
         self._colored_fn = colored_fn
         self._colored = {}
 
@@ -428,12 +473,7 @@ class KnotScalars:
 
     @property
     def double0(self):
-        """[[J]] = <J_2>, the reduced 2-cable bracket.
-
-        With f_2 = 1 + [2]^-1 e_1, the e_1-closure of a 0-framed 2-cable
-        is a 0-framed unknot, of bracket delta = -[2]; so <J_2> is the
-        2-cable bracket minus 1.  This needs a 0-framed diagram.
-        """
+        """[[J]] = <J_2>: the 0-framed 2-cable bracket minus 1."""
         return self.colored(2)
 
     def b_k(self, k):
@@ -446,7 +486,7 @@ class KnotScalars:
             if self._colored_fn is not None:
                 self._colored[c] = self._colored_fn(c)
             else:
-                self._colored[c] = colored_bracket(self.word, c)
+                self._colored[c] = colored_bracket(*self.braid, c)
         return self._colored[c]
 
 
@@ -455,20 +495,14 @@ _SCALAR_CACHE = {}
 
 def knot_scalars(ref):
     """Scalars for an atlas knot, a connected sum, or a PD knot diagram."""
-    from .diagram import ATLAS_WORDS, KnotRef
+    from .diagram import ATLAS_BRAIDS, KnotRef
 
     if isinstance(ref, PDCode):
-        # kinks go on the lowered word: each kink in the PD code would
-        # add a Seifert circle, and so a strand to every cabled bracket
         if not ref.is_knot():
             raise DiagramError("knot scalars need a knot diagram, got "
                                f"{ref.component_count()} components")
         if ref not in _SCALAR_CACHE:
-            strands, gens = pd_to_braid(ref)
-            w = sum(1 if g > 0 else -1 for g in gens)
-            word = add_word_kinks(braid_closure(strands, gens), abs(w),
-                                  -1 if w > 0 else 1)
-            _SCALAR_CACHE[ref] = KnotScalars("<pd>", word=word)
+            _SCALAR_CACHE[ref] = KnotScalars("<pd>", braid=pd_to_braid(ref))
         return _SCALAR_CACHE[ref]
     if isinstance(ref, str):
         ref = KnotRef.parse(ref)
@@ -478,10 +512,8 @@ def knot_scalars(ref):
         raise DiagramError("scalars of a twisted double are not needed; "
                            "pass the companion knot")
     parts = ref.summands()
-    if parts == ("U",):
-        out = KnotScalars("U", word=ATLAS_WORDS["U"], colored_fn=bracket_e)
-    elif len(parts) == 1:
-        out = KnotScalars(parts[0], word=ATLAS_WORDS[parts[0]])
+    if len(parts) == 1:
+        out = KnotScalars(parts[0], braid=ATLAS_BRAIDS[parts[0]])
     else:
         # <(J1 # J2)_c> = <J1_c><J2_c> / <e_c>
         subs = [knot_scalars(p) for p in parts]

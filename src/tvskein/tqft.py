@@ -255,7 +255,7 @@ def _channel_sums(s, p, cd, left, right, *weights):
     Entry (i, t) of the matrix for ``weight`` is the sum, over the colors
     r with (i, r, t) small admissible, of weight(r, i, t) <J_r> in k_p.
     Each <J_r> is reduced once, and only for the colors some sum reaches:
-    a color beyond them can cost minutes of colored bracket.
+    a color beyond them costs a colored bracket (seconds for F8 at 6).
     """
     brackets = {}
     out = [[[None] * len(right) for _ in left] for _ in weights]

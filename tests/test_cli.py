@@ -40,6 +40,14 @@ def test_double_from_pd_file(tmp_path):
     assert from_pd == _run(["covers", "--J", "RT", "--d", "1..4"] + args)[1]
 
 
+def test_colored_trefoil_double_at_level_7():
+    # <RT_c> for c <= 5 come from the fusion basis in milliseconds; by
+    # cable and Jones-Wenzl projector this command took minutes
+    rc, out = _run(["double", "--J", "RT", "--k", "0", "--p", "7",
+                    "--color", "2"])
+    assert rc == 0 and "Gamma" in out, out
+
+
 def test_tangle_command(tmp_path):
     f = tmp_path / "straight.sw"
     f.write_text("2n=4\n")

@@ -137,6 +137,28 @@ def test_named_check_failures(monkeypatch):
         numeric_roots(RingPoly(QQ, [1, 0, 1]))
 
 
+def test_root_order_at_minus_one_ignores_noise_sign(monkeypatch):
+    # a root at -1 has argument -pi or +pi as the noise in its imaginary
+    # part is negative or positive; both sort it last among modulus 1, in
+    # the square-free sort and in the sort after the repeated-root split.
+    # Over k_12 the Newton polish keeps the noise of the guess -1 -+ 1e-13i
+    k12 = kp_field(12)
+    a2, a6 = CycloElem.a_power(12, 2), CycloElem.a_power(12, 6)
+    plus_one = RingPoly(k12, [k12.one, k12.one])
+    simple = plus_one * RingPoly(k12, [-a2, k12.one]) \
+        * RingPoly(k12, [-a6, k12.one])
+    for gamma in (simple, simple * plus_one):
+        orders = []
+        for noise in (-1e-13j, 1e-13j):
+            guesses = [-1 + noise, cmath.exp(1j * cmath.pi / 6), 1j]
+            monkeypatch.setattr(polyalg, "_aberth",
+                                lambda cs, g=guesses: g[:len(cs) - 1])
+            orders.append([(round(z.real, 6), round(z.imag, 6))
+                           for z in numeric_roots(gamma)])
+        assert orders[0] == orders[1], orders
+        assert orders[0][-1] == (-1, 0), orders
+
+
 def _pair_up(roots, expect, tol):
     """Whether roots and expect agree as multisets, each within tol."""
     left = list(roots)

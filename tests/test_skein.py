@@ -3,16 +3,18 @@ import random
 import pytest
 
 from tvskein.cyclo import CycloElem, reduce_to_kp
-from tvskein.diagram import (ATLAS_PD, ATLAS_WORDS, DiagramError, PDCode,
-                             SliceWord, add_word_kinks, braid_closure,
+from tvskein.diagram import (ATLAS_BRAIDS, ATLAS_PD, ATLAS_WORDS, DiagramError,
+                             PDCode, SliceWord, add_word_kinks, braid_closure,
                              cable_word, normalize_writhe, pd_add_kink,
-                             pd_to_braid)
-from tvskein.laurent import A, DELTA, MU, LaurentPoly, quantum_int
+                             pd_to_braid, zero_writhe_word)
+from tvskein.laurent import (A, DELTA, MU, LaurentPoly, QFactored, bracket_e,
+                             quantum_int)
 from tvskein.matring import berkowitz_det
 from tvskein.rings import ZA
 from tvskein.skein import (KnotScalars, SkeinEngine, bracket_pd,
-                           bracket_pd_statesum, bracket_word, catalan,
-                           closure_B, colored_bracket, knot_scalars, matchings,
+                           bracket_pd_statesum, bracket_word,
+                           cable_colored_bracket, catalan, closure_B,
+                           colored_bracket, knot_scalars, matchings,
                            mirror_matching, pairing_matrix_D,
                            scalars_from_kauffman, transfer_Q)
 
@@ -234,19 +236,32 @@ def test_knot_scalars_anchors():
                 assert reduce_to_kp(s.b_k(k), p) == reduce_to_kp(s.b_k(k + p), p)
 
 
-def zero_writhe_closure(strands, gens):
-    w = sum(1 if g > 0 else -1 for g in gens)
-    return add_word_kinks(braid_closure(strands, gens), abs(w),
-                          -1 if w > 0 else 1)
+def random_braid_knots(rnd, count, strand_choices, max_gens):
+    out = []
+    while len(out) < count:
+        strands = rnd.choice(strand_choices)
+        gens = [rnd.choice((1, -1)) * rnd.randint(1, strands - 1)
+                for _ in range(rnd.randint(1, max_gens))]
+        if braid_components(strands, gens) == 1:
+            out.append((strands, tuple(gens)))
+    return out
+
+
+# the 2- and 3-strand braid knots that the 2-cable test draws
+RANDOM_KNOTS = random_braid_knots(random.Random(7), 12, (2, 3), 5)
+SQUARE = (3, (1, 1, 1, -2, -2, -2))
 
 
 def test_connected_sum_scalars():
     # the square knot as one braid closure, sigma_1^3 sigma_2^-3, against
-    # the connected-sum rule of knot_scalars; c = 3 takes seconds
-    word = zero_writhe_closure(3, [1, 1, 1, -2, -2, -2])
+    # the connected-sum rule of knot_scalars; the cable oracle at c = 3
+    # takes seconds, the fusion basis at c = 4 milliseconds
+    word = zero_writhe_word(*SQUARE)
     sq = knot_scalars("RT#LT")
     assert bracket_word(word) == sq.bracket
-    assert colored_bracket(word, 2) == sq.double0
+    assert cable_colored_bracket(word, 2) == sq.double0
+    for c in range(5):
+        assert colored_bracket(*SQUARE, c) == sq.colored(c), c
 
 
 def test_double0_via_cable_matches_b_k_channels():
@@ -255,21 +270,12 @@ def test_double0_via_cable_matches_b_k_channels():
     # take [[J]] = <J_2> from the Jones-Wenzl projector f_2 = 1 + [2]^-1 e_1
     cases = [(ATLAS_WORDS[name], knot_scalars(name))
              for name in ("RT", "LT", "F8")]
-    cases += [(knot_scalars(pd).word, knot_scalars(pd))
+    cases += [(zero_writhe_word(*knot_scalars(pd).braid), knot_scalars(pd))
               for pd in ATLAS_PD.values()]
     # the square knot as one braid closure, against the connected-sum rule
-    cases.append((zero_writhe_closure(3, [1, 1, 1, -2, -2, -2]),
-                  knot_scalars("RT#LT")))
-    rnd = random.Random(7)
-    randoms = 0
-    while randoms < 12:
-        strands = rnd.choice((2, 3))
-        gens = [rnd.choice((1, -1)) * rnd.randint(1, strands - 1)
-                for _ in range(rnd.randint(1, 5))]
-        if braid_components(strands, gens) == 1:
-            word = zero_writhe_closure(strands, gens)
-            cases.append((word, KnotScalars("<braid>", word=word)))
-            randoms += 1
+    cases.append((zero_writhe_word(*SQUARE), knot_scalars("RT#LT")))
+    cases += [(zero_writhe_word(*braid), KnotScalars("<braid>", braid=braid))
+              for braid in RANDOM_KNOTS]
     for word, s in cases:
         assert bracket_word(word) == s.bracket
         assert bracket_word(cable_word(word, 2, 0)) - LaurentPoly.one() == \
@@ -290,9 +296,9 @@ def test_two_cable_bracket_evaluated_once(monkeypatch):
     colored, bracket = skein.colored_bracket, skein.bracket_word
     two_cable = []
 
-    def counting_colored(word, c):
+    def counting_colored(strands, gens, c):
         two_cable.append(c == 2)
-        return colored(word, c)
+        return colored(strands, gens, c)
 
     def counting_bracket(word):
         two_cable.append(word == cable)
@@ -308,32 +314,75 @@ def test_two_cable_bracket_evaluated_once(monkeypatch):
 
 
 def test_colored_bracket_small():
-    w = ATLAS_WORDS["U"]
-    assert colored_bracket(w, 0) == LaurentPoly.one()
-    assert colored_bracket(w, 1) == DELTA
-    assert colored_bracket(w, 2) == quantum_int(3)
-    rt2 = colored_bracket(ATLAS_WORDS["RT"], 2)
-    assert rt2.bar() == colored_bracket(ATLAS_WORDS["LT"], 2)
+    for colored, u, rt, lt in (
+            (cable_colored_bracket, ATLAS_WORDS["U"], ATLAS_WORDS["RT"],
+             ATLAS_WORDS["LT"]),
+            (lambda braid, c: colored_bracket(*braid, c), ATLAS_BRAIDS["U"],
+             ATLAS_BRAIDS["RT"], ATLAS_BRAIDS["LT"])):
+        assert colored(u, 0) == LaurentPoly.one()
+        assert colored(u, 1) == DELTA
+        assert colored(u, 2) == quantum_int(3)
+        rt2 = colored(rt, 2)
+        assert rt2.bar() == colored(lt, 2)
+    with pytest.raises(DiagramError):
+        colored_bracket(2, (1, 2), 1)
+    with pytest.raises(DiagramError):
+        colored_bracket(2, (1,), -1)
+
+
+def test_fusion_basis_matches_cable_oracle():
+    # the random 2- and 3-strand knots at c <= 3, and 4-strand knots at
+    # c <= 2 (the cable of a 4-strand closure at c = 3 has a 24-point
+    # frontier and takes 13-14 s per knot)
+    fours = random_braid_knots(random.Random(4), 4, (4,), 6)
+    for braids, cmax in ((RANDOM_KNOTS, 3), (fours, 2)):
+        for braid in braids:
+            word = zero_writhe_word(*braid)
+            for c in range(1, cmax + 1):
+                assert colored_bracket(*braid, c) == \
+                    cable_colored_bracket(word, c), (braid, c)
+
+
+def test_fusion_basis_identities():
+    rt, lt, f8 = (ATLAS_BRAIDS[name] for name in ("RT", "LT", "F8"))
+    for c in range(8):
+        assert colored_bracket(*lt, c) == colored_bracket(*rt, c).bar(), c
+    for c in range(6):
+        f8c = colored_bracket(*f8, c)
+        assert f8c == f8c.bar(), c
+    # at A = 1 every knot's c-colored bracket is that of the unknot
+    for braid in [rt, lt, f8, SQUARE] + RANDOM_KNOTS:
+        for c in range(5):
+            at_one = sum(colored_bracket(*braid, c).terms.values())
+            assert at_one == (-1) ** c * (c + 1), (braid, c)
+    assert all(colored_bracket(1, (), c) == bracket_e(c) for c in range(8))
 
 
 def test_colored_bracket_builds_no_QA_value(monkeypatch):
     # the projector is built over Z[A,A^-1] and the bracket divides once:
     # a cold projector cache builds no LaurentFrac, and a warm one runs
-    # no poly_gcd (that runs only in the projector's content step)
+    # no poly_gcd (that runs only in the projector's content step); the
+    # fusion basis, from cold theta, Tet and block caches, builds neither
     import tvskein.laurent as laurent
     import tvskein.recoupling as recoupling
     cases = [(ATLAS_WORDS["RT"], 3), (ATLAS_WORDS["F8"], 2)]
-    want = [colored_bracket(w, c) for w, c in cases]
+    want = [cable_colored_bracket(w, c) for w, c in cases]
+    fusion = [(ATLAS_BRAIDS["RT"], 5), (ATLAS_BRAIDS["F8"], 3)]
+    want_fusion = [colored_bracket(*b, c) for b, c in fusion]
 
     def refuse(*args, **kwargs):
         raise AssertionError("Q(A) on the colored-bracket path")
 
     monkeypatch.setattr(recoupling, "LaurentFrac", refuse)
+    monkeypatch.setattr(laurent, "LaurentFrac", refuse)
     recoupling.jones_wenzl.cache_clear()
-    assert [colored_bracket(w, c) for w, c in cases] == want
+    assert [cable_colored_bracket(w, c) for w, c in cases] == want
     monkeypatch.setattr(recoupling, "poly_gcd", refuse)
     monkeypatch.setattr(laurent, "poly_gcd", refuse)
-    assert [colored_bracket(w, c) for w, c in cases] == want
+    assert [cable_colored_bracket(w, c) for w, c in cases] == want
+    for cached in (recoupling.theta, recoupling.tet, recoupling.braid_block):
+        cached.cache_clear()
+    assert [colored_bracket(*b, c) for b, c in fusion] == want_fusion
 
 
 def test_inexact_divisions_raise_invariant_check(monkeypatch):
@@ -349,7 +398,20 @@ def test_inexact_divisions_raise_invariant_check(monkeypatch):
     wrong[ident] = wrong[ident] + LaurentPoly.one()
     monkeypatch.setattr(recoupling, "jones_wenzl", lambda n: (wrong, den))
     with pytest.raises(InvariantCheckError):
-        colored_bracket(ATLAS_WORDS["RT"], 3)
+        cable_colored_bracket(ATLAS_WORDS["RT"], 3)
+    # a wrong theta or Tet value leaves the fusion basis's division inexact
+    theta, tet = recoupling.theta, recoupling.tet
+    three = QFactored(1, {3: 1})
+    for name, wrong_fn in (("theta", lambda *a: theta(*a) * three),
+                           ("tet", lambda *a: tet(*a) + 1)):
+        recoupling.braid_block.cache_clear()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(recoupling, name, wrong_fn)
+                with pytest.raises(InvariantCheckError):
+                    colored_bracket(*ATLAS_BRAIDS["F8"], 2)
+        finally:
+            recoupling.braid_block.cache_clear()
     # summands with wrong colored brackets: <RT_2><LT_2> / <e_2> is inexact
     monkeypatch.setattr(skein, "_SCALAR_CACHE", {})
     for name in ("RT", "LT"):

@@ -21,26 +21,46 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def names(node):
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name
+        yield node.asname
+
+
 def test_fraction_field_stays_off_the_production_path():
     # Q(A) serves the Laurent arithmetic, the ring descriptors and the
     # recoupling oracles; no other module may name it
     allowed = {"laurent.py", "rings.py", "recoupling.py"}
     banned = {"LaurentFrac", "LaurentFracField", "QA", "poly_gcd"}
-
-    def names(node):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name
-            yield node.asname
-
     found = [f"{path.relative_to(SRC)}:{node.lineno} {name}"
              for path in sorted(SRC.rglob("*.py"))
              if path.relative_to(SRC).as_posix() not in allowed
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              for name in names(node) if name in banned]
+    assert not found, found
+
+
+def test_cable_stays_off_the_knot_scalars_path():
+    # a knot's colored brackets come from the fusion basis; the cable, its
+    # kinks and the Jones-Wenzl projector serve only as its oracle
+    banned = {"cable_word", "jones_wenzl", "add_word_kinks"}
+    production = {
+        "skein.py": {"knot_scalars", "KnotScalars", "colored_bracket"},
+        "recoupling.py": {"braid_block", "half_twist", "factored_e"}}
+    seen, found = set(), []
+    for fname, defs in production.items():
+        for top in ast.parse((SRC / fname).read_text(), fname).body:
+            if getattr(top, "name", None) not in defs:
+                continue
+            seen.add(top.name)
+            found += [f"{fname} {top.name}:{node.lineno} {name}"
+                      for node in ast.walk(top) for name in names(node)
+                      if name in banned]
+    assert seen == set().union(*production.values())
     assert not found, found
 
 

@@ -33,6 +33,15 @@ def test_ordinary_closed_form_vs_det():
         assert not ordinary(2 * r, r - 1) or r - 1 == 0
 
 
+def test_companion_doubles_reach_level_9():
+    # p = 9 asks for <J_c> at every c <= 7: seconds for F8 in the fusion
+    # basis, where the cable took minutes per color from c = 4 on; the
+    # twist enters mod 2p, and Gamma has period p in it
+    for name in ("RT", "F8"):
+        assert double_invariant(name, 2, 9).gamma == \
+            double_invariant(name, 11, 9).gamma, name
+
+
 def test_color_data():
     cd = ColorData.at(5)
     assert cd.q == 4 and cd.good_colors() == [0, 2]
