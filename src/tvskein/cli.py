@@ -11,10 +11,10 @@ Subcommands
 
 KNOT is an atlas reference or a ``.pd`` file.  Input files: ``.sw``
 slice words, ``.pd`` JSON planar diagrams.  Output formats: text
-(default), json, csv (covers only).  Exit codes: 0 on success, 2 on
-validation errors, 3 when a specialization is undefined at the
-requested level, 4 when an internal consistency check of an exact
-computation fails.
+(default), json, csv (covers only).  Exit codes: 0 on success, 1 when
+a ``check`` suite fails, 2 on validation errors, 3 when a specialization
+is undefined at the requested level, 4 when an internal consistency
+check of an exact computation fails.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ its own printed value beta = (1 - A)/2.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -523,18 +522,28 @@ def reduce_to_kp(x, p, grade=0):
 # -- constants ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ConstantPack:
     """Distinguished constants of the level-p bracket theory."""
 
-    p: int
-    n: int                       # floor((p-1)/2) = rank of V(torus), p >= 2
-    mu: tuple                    # mu(s), s = 0..n-1
-    bracket_e: tuple             # <e_s>, s = 0..n-1
-    beta: CycloElem              # kappa^-3 eta, grade 0
-    eta: CycloElem               # grade 3
-    kappa3: CycloElem            # the element kappa^3 (grade 3, unit A-part)
-    kappa3_fold: int | None      # scalar kappa^3 identifies with when u = 1
+    __slots__ = ("p", "n", "mu", "bracket_e", "beta", "eta", "kappa3",
+                 "kappa3_fold")
+
+    def __init__(self, p, n, mu, bracket_e, beta, eta, kappa3, kappa3_fold):
+        self.p = p
+        self.n = n                  # floor((p-1)/2) = rank of V(torus), p >= 2
+        self.mu = mu                # mu(s), s = 0..n-1
+        self.bracket_e = bracket_e  # <e_s>, s = 0..n-1
+        self.beta = beta            # kappa^-3 eta, grade 0
+        self.eta = eta              # grade 3
+        self.kappa3 = kappa3        # the element kappa^3 (grade 3, unit A-part)
+        # the scalar kappa^3 identifies with when u = 1
+        self.kappa3_fold = kappa3_fold
+
+    def __repr__(self):
+        return (f"ConstantPack(p={self.p!r}, n={self.n!r}, mu={self.mu!r}, "
+                f"bracket_e={self.bracket_e!r}, beta={self.beta!r}, "
+                f"eta={self.eta!r}, kappa3={self.kappa3!r}, "
+                f"kappa3_fold={self.kappa3_fold!r})")
 
 
 @lru_cache(maxsize=None)
@@ -652,18 +661,3 @@ def map_j(x, p):
     e = p + 1 if p % 4 == 1 else 3 * p + 1
     terms = ((i * e, c) for i, c in enumerate(x.coeffs))
     return CycloElem(2 * p, _monomial_sum(2 * p, terms))
-
-
-def combine_graded(x2, xp, p):
-    """Map a pair of equal-grade elements of k_2, k_p into k_2p.
-
-    Uses i_p, j_p on A-parts and sends kappa_2^g kappa_p^g to kappa_2p^g,
-    the grading convention under which i_p(kappa_2) j_p(kappa_p) = kappa_2p.
-    """
-    if x2.grade != xp.grade:
-        raise ValueError("grades must agree")
-    g = x2.grade
-    a2 = CycloElem(2, x2.coeffs, 0)
-    ap = CycloElem(p, xp.coeffs, 0)
-    out = map_i(a2, p) * map_j(ap, p)
-    return CycloElem(2 * p, out.coeffs, g)

@@ -14,14 +14,13 @@ separately in ``free_loops``.  ``pd_to_braid`` lowers a PD code to a
 closed braid, which ``braid_closure`` turns into a slice word.
 
 The atlas fixes the knots the twisted-double pipeline quotes by symbol:
-U, RT, LT, F8 and connected sums, each backed by a zero-writhe word.
+U, RT, LT, F8 and connected sums, each backed by a braid.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 
 from .cyclo import InvariantCheckError
 
@@ -33,18 +32,17 @@ class DiagramError(ValueError):
 TOKEN_KINDS = ("cup", "cap", "cross+", "cross-")
 
 
-@dataclass(frozen=True)
 class SliceWord:
     """Tangle in a strip: bottom width and an event list."""
 
-    bottom: int
-    tokens: tuple
+    __slots__ = ("bottom", "tokens")
 
-    def __post_init__(self):
-        if self.bottom < 0 or self.bottom % 2:
-            raise DiagramError(f"bottom width must be even and >= 0, got {self.bottom}")
-        w = self.bottom
-        for t, (kind, pos) in enumerate(self.tokens):
+    def __init__(self, bottom, tokens):
+        self.bottom, self.tokens = bottom, tokens
+        if bottom < 0 or bottom % 2:
+            raise DiagramError(f"bottom width must be even and >= 0, got {bottom}")
+        w = bottom
+        for t, (kind, pos) in enumerate(tokens):
             if kind == "cup":
                 if not 1 <= pos <= w + 1:
                     raise DiagramError(
@@ -61,9 +59,20 @@ class SliceWord:
                         f"token {t}: {kind} {pos} needs two strands at width {w}")
             else:
                 raise DiagramError(f"token {t}: unknown kind {kind!r}")
-        if w != self.bottom:
+        if w != bottom:
             raise DiagramError(
-                f"final width {w} differs from bottom width {self.bottom}")
+                f"final width {w} differs from bottom width {bottom}")
+
+    def __eq__(self, other):
+        if type(other) is not SliceWord:
+            return NotImplemented
+        return (self.bottom, self.tokens) == (other.bottom, other.tokens)
+
+    def __hash__(self):
+        return hash((self.bottom, self.tokens))
+
+    def __repr__(self):
+        return f"SliceWord(bottom={self.bottom!r}, tokens={self.tokens!r})"
 
     # -- derived data ---------------------------------------------------
 
@@ -333,82 +342,19 @@ class _SeifertPicture:
         return len(lists), word
 
 
-def add_word_kinks(word, count, sign):
-    """Append |count| kinks of the given sign to a closed word.
-
-    A kink gadget is placed on strand 1 right after the first cup; the
-    gadget [cup 1, cross 2, cap 1] wraps a small loop whose bracket
-    factor is mu = -A^3 for sign +1 and mu^-1 for sign -1 (calibrated in
-    the tests against the twist eigenvalue convention).
-    """
-    if count == 0:
-        return word
-    first_cup = next(i for i, (k, _) in enumerate(word.tokens) if k == "cup")
-    gadget = (("cup", 1), ("cross+" if sign > 0 else "cross-", 2), ("cap", 1))
-    toks = word.tokens[:first_cup + 1] + gadget * count + word.tokens[first_cup + 1:]
-    return SliceWord(word.bottom, toks)
-
-
-def cable_word(word, strands=2, twists=0):
-    """Blackboard cable of a slice word, with full twists inserted.
-
-    Every strand becomes ``strands`` parallel strands; each crossing
-    expands to strands^2 crossings, each cup/cap to nested copies.  The
-    ``twists`` full twists (sign = sign of twists) are inserted right
-    after the first cup group, using 2|twists| crossings for 2-cables.
-    """
-    s = strands
-    tokens = []
-    for kind, pos in word.tokens:
-        base = (pos - 1) * s + 1
-        if kind == "cup":
-            for k in range(s):
-                tokens.append(("cup", base + k))
-        elif kind == "cap":
-            # cap nested pairs from innermost out
-            for k in range(s):
-                tokens.append(("cap", base + (s - 1) - k))
-        else:
-            # strands at [base, base+2s): cross block of s over block of s
-            for a in range(s):
-                row = base + (s - 1) - a
-                for b in range(s):
-                    tokens.append((kind, row + b))
-    out = SliceWord(word.bottom * s, tuple(tokens))
-    if twists:
-        if s != 2:
-            raise DiagramError("twist insertion implemented for 2-cables")
-        # insert after the full first cable-cup group, where the two
-        # parallel copies sit at positions 1 and 2
-        first = None
-        w = out.bottom
-        for i, (k, p) in enumerate(out.tokens):
-            w += 2 if k == "cup" else (-2 if k == "cap" else 0)
-            if w >= out.bottom + 2 * s:
-                first = i
-                break
-        if first is None:
-            raise DiagramError("no cup group to twist about")
-        kind = "cross+" if twists > 0 else "cross-"
-        gadget = ((kind, 1),) * (2 * abs(twists))
-        toks = out.tokens[:first + 1] + gadget + out.tokens[first + 1:]
-        out = SliceWord(out.bottom, toks)
-    return out
-
-
 # -- planar diagram codes ------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PDCode:
     """Planar diagram: 4-tuples of arc labels (ccw from incoming under)."""
 
-    crossings: tuple          # ((a, b, c, d, sign), ...) with sign in {+1,-1}
-    free_loops: int = 0
+    __slots__ = ("crossings", "free_loops")
 
-    def __post_init__(self):
+    def __init__(self, crossings, free_loops=0):
+        # crossings: ((a, b, c, d, sign), ...) with sign in {+1, -1}
+        self.crossings, self.free_loops = crossings, free_loops
         seen = {}
-        for idx, x in enumerate(self.crossings):
+        for idx, x in enumerate(crossings):
             if len(x) != 5 or x[4] not in (1, -1):
                 raise DiagramError(f"crossing {idx}: need 4 arcs and a sign")
             for a in x[:4]:
@@ -416,6 +362,19 @@ class PDCode:
         bad = [a for a, k in seen.items() if k != 2]
         if bad:
             raise DiagramError(f"arc labels not appearing exactly twice: {bad}")
+
+    def __eq__(self, other):
+        if type(other) is not PDCode:
+            return NotImplemented
+        return ((self.crossings, self.free_loops)
+                == (other.crossings, other.free_loops))
+
+    def __hash__(self):
+        return hash((self.crossings, self.free_loops))
+
+    def __repr__(self):
+        return (f"PDCode(crossings={self.crossings!r}, "
+                f"free_loops={self.free_loops!r})")
 
     def writhe(self):
         return sum(x[4] for x in self.crossings)
@@ -542,17 +501,6 @@ ATLAS_BRAIDS = {
 }
 
 
-def zero_writhe_word(strands, gens):
-    """The closure of a braid, with kinks on strand 1 cancelling its writhe."""
-    w = sum(1 if g > 0 else -1 for g in gens)
-    return add_word_kinks(braid_closure(strands, gens), abs(w),
-                          -1 if w > 0 else 1)
-
-
-# the atlas knots as 0-framed slice words: RT and LT have 6 crossings
-ATLAS_WORDS = {name: zero_writhe_word(*braid)
-               for name, braid in ATLAS_BRAIDS.items()}
-
 # small PD codes used by the oracle suite (all writhe-normalised forms
 # are derived from these programmatically)
 ATLAS_PD = {
@@ -564,12 +512,24 @@ ATLAS_PD = {
 }
 
 
-@dataclass(frozen=True)
 class KnotRef:
     """Reference to an atlas knot, a connected sum, or a twisted double."""
 
-    symbol: str
-    parts: tuple = ()
+    __slots__ = ("symbol", "parts")
+
+    def __init__(self, symbol, parts=()):
+        self.symbol, self.parts = symbol, parts
+
+    def __eq__(self, other):
+        if type(other) is not KnotRef:
+            return NotImplemented
+        return (self.symbol, self.parts) == (other.symbol, other.parts)
+
+    def __hash__(self):
+        return hash((self.symbol, self.parts))
+
+    def __repr__(self):
+        return f"KnotRef(symbol={self.symbol!r}, parts={self.parts!r})"
 
     @staticmethod
     def parse(text):
@@ -577,7 +537,7 @@ class KnotRef:
         if "#" in s:
             parts = tuple(p.strip() for p in s.split("#"))
             for p in parts:
-                if p not in ATLAS_WORDS:
+                if p not in ATLAS_BRAIDS:
                     raise DiagramError(f"unknown atlas symbol {p!r}")
             return KnotRef("#".join(parts), parts)
         m = re.fullmatch(r"D\(\s*(-?\d+)\s*,\s*(.+)\s*\)", s)
@@ -585,7 +545,7 @@ class KnotRef:
             inner = KnotRef.parse(m.group(2))
             return KnotRef(f"D({m.group(1)},{inner.symbol})",
                            (int(m.group(1)), inner))
-        if s in ATLAS_WORDS:
+        if s in ATLAS_BRAIDS:
             return KnotRef(s, (s,))
         raise DiagramError(f"unknown knot reference {text!r}")
 

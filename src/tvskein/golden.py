@@ -15,13 +15,12 @@ from math import comb
 
 from .cyclo import CycloElem, reduce_to_kp
 from .laurent import LaurentPoly
-
+from .oracles import MPoly, MPolyRing, branched_d1_identity, witten_check
 from .polyalg import RingPoly, power_sums, tensor_product
-from .rings import MPoly, MPolyRing, kp_field
+from .rings import kp_field
 from .skein import closure_B, transfer_Q
-from .tqft import (branched_d1_identity, branched_series,
-                   colored_double_invariant, connected_sum, cover_series,
-                   double_invariant, make_invariant, s_kd, witten_check)
+from .tqft import (branched_series, colored_double_invariant, connected_sum,
+                   cover_series, double_invariant, make_invariant, s_kd)
 
 
 def _kp(p, text, grade=0):

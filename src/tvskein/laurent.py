@@ -14,10 +14,8 @@ The involution ``bar`` sends A to A^-1 and fixes the rationals.
 
 ``QFactored`` is a Laurent polynomial times quantum integers [k] to
 signed powers: theta and Tet with ``p=None``, and the fusion-basis
-colored brackets, are exact in it without a gcd.  ``LaurentFrac`` is
-the fraction field Q(A).  No production path builds one: it serves the
-web evaluations in ``recoupling`` and the tests that redo linear
-algebra over Q(A).
+colored brackets, are exact in it without a gcd.  The fraction field
+Q(A) is ``oracles.LaurentFrac``: only the oracles divide there.
 """
 
 from __future__ import annotations
@@ -407,224 +405,3 @@ class QFactored:
         if not isinstance(other, (QFactored, LaurentPoly, int)):
             return NotImplemented
         return not (self - other).poly
-
-
-# -- ordinary polynomial helpers over Q[A] ----------------------------
-# Used by gcd computation for the fraction field. Internally a Laurent
-# polynomial is shifted so its minimum exponent is zero.
-
-
-def _to_dense(p):
-    """LaurentPoly -> (shift, dense coefficient list low->high)."""
-    if p.is_zero():
-        return 0, []
-    lo, hi = p.min_exp(), p.max_exp()
-    return lo, [p.coeff(e) for e in range(lo, hi + 1)]
-
-
-def _to_int_primitive(coeffs):
-    """Rational list -> primitive integer list (content stripped)."""
-    from math import gcd, lcm
-    if not coeffs:
-        return []
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
-
-
-def _int_pseudo_rem(a, b):
-    """Pseudo-remainder of integer coefficient lists (dense, low->high)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db:
-        if not a[-1]:
-            a.pop()
-            if not a:
-                return []
-            continue
-        la = a[-1]
-        from math import gcd
-        g = gcd(la, lb)
-        ma, mb = lb // g, la // g
-        # a = ma * a - mb * x^(da-db) * b
-        shift = len(a) - 1 - db
-        a = [ma * c for c in a]
-        for j, bc in enumerate(b):
-            a[shift + j] -= mb * bc
-        while a and not a[-1]:
-            a.pop()
-        if not a:
-            return []
-    return a
-
-
-def poly_gcd(p, q):
-    """Monic gcd of two Laurent polynomials, as an ordinary poly in A.
-
-    Powers of A are units in the Laurent ring, so the gcd is defined up
-    to units; we return the monic ordinary-polynomial representative
-    with nonzero constant term.  Computed by a primitive PRS over Z.
-    """
-    from math import gcd as igcd
-    _, a = _to_dense(p)
-    _, b = _to_dense(q)
-    a = _to_int_primitive(a)
-    b = _to_int_primitive(b)
-    while b:
-        r = _int_pseudo_rem(a, b)
-        g = 0
-        for x in r:
-            g = igcd(g, x)
-        if g > 1:
-            r = [x // g for x in r]
-        a, b = b, r
-    if not a:
-        return LaurentPoly()
-    k = 0
-    while not a[k]:
-        k += 1
-    a = a[k:]
-    lead = a[-1]
-    return LaurentPoly({i: _coeff_div(c, lead) for i, c in enumerate(a) if c})
-
-
-def _shift_div(p, lo, lead):
-    """p A^-lo / lead, dividing each coefficient exactly."""
-    out = LaurentPoly.__new__(LaurentPoly)
-    out.terms = {e - lo: _coeff_div(c, lead) for e, c in p.terms.items()}
-    return out
-
-
-class LaurentFrac:
-    """Element of the fraction field Q(A), reduced on construction."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        num = _as_laurent(num)
-        den = ONE if den is None else _as_laurent(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num, self.den = LaurentPoly(), ONE
-            return
-        g = poly_gcd(num, den)
-        if g.max_exp() > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        # normalise: denominator monic with min exponent 0
-        lo, lead = den.min_exp(), den.terms[den.max_exp()]
-        if lo or lead != 1:
-            num = _shift_div(num, lo, lead)
-            den = _shift_div(den, lo, lead)
-        self.num, self.den = num, den
-
-    @staticmethod
-    def zero():
-        return LaurentFrac(0)
-
-    @staticmethod
-    def one():
-        return LaurentFrac(1)
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __add__(self, other):
-        other = _as_frac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LaurentFrac(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = LaurentFrac.__new__(LaurentFrac)
-        out.num, out.den = -self.num, self.den
-        return out
-
-    def __sub__(self, other):
-        other = _as_frac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _as_frac(other) - self
-
-    def __mul__(self, other):
-        other = _as_frac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LaurentFrac(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_frac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LaurentFrac(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return _as_frac(other) / self
-
-    def inv(self):
-        return LaurentFrac(self.den, self.num)
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = LaurentFrac.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def bar(self):
-        return LaurentFrac(self.num.bar(), self.den.bar())
-
-    def as_laurent(self):
-        """Return the underlying LaurentPoly, raising if not integral."""
-        return self.num.exact_div(self.den)
-
-    def __eq__(self, other):
-        other = _as_frac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        return hash((hash(self.num), hash(self.den)))
-
-    def __str__(self):
-        if self.den == ONE:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self):
-        return f"LaurentFrac({self})"
-
-
-def _as_frac(x):
-    if isinstance(x, LaurentFrac):
-        return x
-    if isinstance(x, QFactored):
-        return LaurentFrac(x.num, x.den)
-    if isinstance(x, (int, Fraction, LaurentPoly)):
-        return LaurentFrac(x)
-    return NotImplemented

@@ -17,9 +17,8 @@ n - r, so the image is image(Z^(n-r)), and Z itself when r = n.
 from __future__ import annotations
 
 from fractions import Fraction
-from dataclasses import dataclass
 
-from .polyalg import InvariantCheckError, PowerSumSeries, RingPoly, _is_zero
+from .polyalg import InvariantCheckError, RingPoly, _is_zero
 
 
 class RingMatrix:
@@ -200,13 +199,6 @@ def _row_dot(row, v, zero):
     return acc
 
 
-def berkowitz_det(mat):
-    """Determinant via charpoly: det(A) = (-1)^n char(0)."""
-    c = berkowitz_charpoly(mat)
-    ct = c.constant_term()
-    return ct if mat.rows % 2 == 0 else -ct
-
-
 def normalized_charpoly(mat):
     """charpoly divided by the largest power of x dividing it."""
     return berkowitz_charpoly(mat).normalized()
@@ -279,15 +271,29 @@ def solve(mat, rhs):
 # -- flat decomposition -----------------------------------------------------
 
 
-@dataclass
 class FlatDecomposition:
-    """Nilpotent/automorphism splitting of a square matrix over a field."""
+    """Nilpotent/automorphism splitting of a square matrix over a field.
 
-    source: RingMatrix
-    flat_rank: int
-    flat_matrix: RingMatrix     # action on a column basis of image(Z^(n-r))
-    gamma: RingPoly             # normalized charpoly (monic)
-    constant_term: object       # D = gamma's constant term
+    ``flat_matrix`` is the action on a column basis of image(Z^(n-r)),
+    ``gamma`` the normalized (monic) charpoly and ``constant_term`` its
+    constant term D.
+    """
+
+    __slots__ = ("source", "flat_rank", "flat_matrix", "gamma",
+                 "constant_term")
+
+    def __init__(self, source, flat_rank, flat_matrix, gamma, constant_term):
+        self.source = source
+        self.flat_rank = flat_rank
+        self.flat_matrix = flat_matrix
+        self.gamma = gamma
+        self.constant_term = constant_term
+
+    def __repr__(self):
+        return (f"FlatDecomposition(source={self.source!r}, "
+                f"flat_rank={self.flat_rank!r}, "
+                f"flat_matrix={self.flat_matrix!r}, gamma={self.gamma!r}, "
+                f"constant_term={self.constant_term!r})")
 
 
 def flat_decompose(z):
@@ -425,33 +431,3 @@ def _smith_polys(m, ring):
         m = [row[1:size] for row in m[1:size]]
         size -= 1
     return out
-
-
-# -- trace powers and periodicity --------------------------------------------
-
-
-def trace_powers(mat, d_max):
-    """s_d = trace(A^d) for d = 1..d_max (Cayley-Hamilton-free, direct)."""
-    if mat.rows != mat.cols:
-        raise ValueError("trace powers of a non-square matrix")
-    vals = []
-    acc = mat
-    for _ in range(d_max):
-        vals.append(acc.trace())
-        acc = acc * mat
-    return PowerSumSeries(mat.ring, vals)
-
-
-def matrix_period(mat, bound):
-    """Least m <= bound with (flat part)^m = I, or None."""
-    flat = flat_decompose(mat).flat_matrix
-    n = flat.rows
-    if n == 0:
-        return 1
-    ident = RingMatrix.identity(flat.ring, n)
-    acc = flat
-    for m in range(1, bound + 1):
-        if acc == ident:
-            return m
-        acc = acc * flat
-    return None

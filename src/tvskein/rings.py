@@ -3,8 +3,9 @@
 Elements themselves carry the arithmetic through operator overloading;
 a descriptor only supplies the ring constants, coercion from integers,
 and (for field-like rings) inversion.  This keeps the polynomial and
-matrix code generic over Q, Z[A,A^-1], Q(A), the cyclotomic levels k_p,
-and small symbolic polynomial rings.
+matrix code generic over Q, Z[A,A^-1] and the cyclotomic levels k_p.
+The oracles add Q(A) and polynomials in several variables
+(``oracles.QA``, ``oracles.MPolyRing``).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclo import CycloElem
-from .laurent import LaurentFrac, LaurentPoly
+from .laurent import LaurentPoly
 
 
 class RationalRing:
@@ -62,32 +63,6 @@ class LaurentRing:
         return x.bar()
 
 
-class LaurentFracField:
-    name = "Q(A)"
-    is_field = True
-
-    @property
-    def zero(self):
-        return LaurentFrac.zero()
-
-    @property
-    def one(self):
-        return LaurentFrac.one()
-
-    def coerce(self, x):
-        if isinstance(x, LaurentFrac):
-            return x
-        if isinstance(x, (int, Fraction, LaurentPoly)):
-            return LaurentFrac(x)
-        raise TypeError(f"cannot coerce {x!r} into Q(A)")
-
-    def inv(self, x):
-        return x.inv()
-
-    def bar(self, x):
-        return x.bar()
-
-
 class CycloField:
     """k_p with division; elements must stay kappa-homogeneous."""
 
@@ -121,148 +96,8 @@ class CycloField:
         return x.bar()
 
 
-class MPoly:
-    """Sparse multivariate polynomial over Q, for symbolic identities."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        d = {}
-        if terms:
-            for m, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = Fraction(c)
-                if m in d:
-                    c = d[m] + c
-                if c:
-                    d[m] = c
-                elif m in d:
-                    del d[m]
-        self.terms = d
-
-    @staticmethod
-    def var(nvars, i):
-        m = tuple(1 if j == i else 0 for j in range(nvars))
-        return MPoly(nvars, {m: 1})
-
-    @staticmethod
-    def const(nvars, c):
-        return MPoly(nvars, {tuple([0] * nvars): c})
-
-    def _co(self, other):
-        if isinstance(other, MPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MPoly.const(self.nvars, other)
-        return None
-
-    def __add__(self, other):
-        other = self._co(other)
-        if other is None:
-            return NotImplemented
-        d = dict(self.terms)
-        for m, c in other.terms.items():
-            s = d.get(m, 0) + c
-            if s:
-                d[m] = s
-            elif m in d:
-                del d[m]
-        out = MPoly(self.nvars)
-        out.terms = d
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = MPoly(self.nvars)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        other = self._co(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._co(other) - self
-
-    def __mul__(self, other):
-        other = self._co(other)
-        if other is None:
-            return NotImplemented
-        d = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = d.get(m, 0) + c1 * c2
-                if s:
-                    d[m] = s
-                elif m in d:
-                    del d[m]
-        out = MPoly(self.nvars)
-        out.terms = d
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = self._co(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = "abcdefgh"
-        parts = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            mono = "*".join(f"{names[i]}^{e}" if e > 1 else names[i]
-                            for i, e in enumerate(m) if e)
-            if mono:
-                parts.append(f"{c}*{mono}" if c != 1 else mono)
-            else:
-                parts.append(str(c))
-        return " + ".join(parts)
-
-
-class MPolyRing:
-    is_field = False
-
-    def __init__(self, nvars):
-        self.nvars = nvars
-        self.name = f"Q[{nvars} vars]"
-
-    @property
-    def zero(self):
-        return MPoly(self.nvars)
-
-    @property
-    def one(self):
-        return MPoly.const(self.nvars, 1)
-
-    def coerce(self, x):
-        if isinstance(x, MPoly):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return MPoly.const(self.nvars, x)
-        raise TypeError(f"cannot coerce {x!r}")
-
-
 QQ = RationalRing()
 ZA = LaurentRing()
-QA = LaurentFracField()
 
 _cyclo_fields = {}
 

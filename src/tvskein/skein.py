@@ -7,10 +7,10 @@ a closure against a mirrored matching -- is one ``splice`` against the
 frontier through ``SkeinEngine.apply_block``, the one place that
 resolves closed loops into factors of delta = -A^2 - A^-2.  A linear
 combination of blocks (a crossing, a projector, any TL_n element) is
-applied by ``SkeinEngine.insert``.  A projector f_c = terms / den goes
-in as its integral terms, and the cabled colored bracket, the oracle,
-divides by den once, at the end.  A knot's colored brackets come from
-its braid in the fusion basis instead, with no cable and no projector.
+applied by ``SkeinEngine.insert``.  A knot's colored brackets come from
+its braid in the fusion basis, with no cable and no projector; the
+cable with a Jones-Wenzl projector is their oracle,
+``oracles.cable_colored_bracket``.
 
 The crossing convention is fixed by the engine's twist bookkeeping:
 
@@ -29,10 +29,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclo import CycloElem, InvariantCheckError
-from .diagram import (DiagramError, PDCode, braid_closure, cable_word,
-                      pd_to_braid)
+from .cyclo import InvariantCheckError
+from .diagram import (ATLAS_BRAIDS, DiagramError, KnotRef, PDCode,
+                      braid_closure, pd_to_braid)
 from .laurent import DELTA, LaurentPoly, QFactored, bracket_e, mu_eig
+from .matring import RingMatrix
+from .recoupling import braid_block, factored_e, half_twist
 from .rings import ZA
 
 _A = LaurentPoly({1: 1})
@@ -71,11 +73,6 @@ def matchings(n):
 
     gen([tuple(range(2 * n))])
     return tuple(sorted(res))
-
-
-def catalan(n):
-    from math import comb
-    return comb(2 * n, n) // (n + 1)
 
 
 def mirror_matching(m):
@@ -269,7 +266,6 @@ def _close(eng, states, m):
 
 def pairing_matrix_D(n):
     """Lickorish's matrix: (i,j) entry delta^(loops of D_i glued m(D_j))."""
-    from .matring import RingMatrix
     eng = SkeinEngine()
     ms = matchings(n)
     return RingMatrix(ZA, [[_close(eng, {mi: LaurentPoly.one()}, mj)
@@ -278,7 +274,6 @@ def pairing_matrix_D(n):
 
 def transfer_Q(word):
     """The tangle transfer matrix Q(T) on the matching basis."""
-    from .matring import RingMatrix
     if word.bottom % 2:
         raise DiagramError("transfer needs an even number of strands")
     n = word.bottom // 2
@@ -297,7 +292,6 @@ def transfer_Q(word):
 
 def closure_B(word):
     """B(T): brackets of the closed diagrams D_i u T u m(D_j)."""
-    from .matring import RingMatrix
     eng = SkeinEngine()
     ms = matchings(word.bottom // 2)
     rows = []
@@ -390,8 +384,6 @@ def colored_bracket(strands, gens, color):
     One exact division ends it; an inexact one raises
     ``InvariantCheckError``.
     """
-    from .recoupling import braid_block, factored_e, half_twist
-
     if color < 0:
         raise DiagramError("negative color")
     if any(not 0 < abs(g) < strands for g in gens):
@@ -421,36 +413,6 @@ def colored_bracket(strands, gens, color):
     w = sum(1 if g > 0 else -1 for g in gens)
     return _exact_quotient(total.num, total.den,
                            f"the {c}-colored bracket") * mu_eig(c) ** -w
-
-
-def cable_colored_bracket(word, color):
-    """Bracket of a closed word with its component colored ``color``.
-
-    The oracle for ``colored_bracket``: the component is replaced by
-    ``color`` parallel copies with one Jones-Wenzl projector f_c =
-    terms / den inserted as its integral terms; the closed evaluation is
-    divided by den once at the end, and that division must be exact.
-    """
-    from .recoupling import jones_wenzl
-
-    if color < 0:
-        raise DiagramError("negative color")
-    if color == 0:
-        return LaurentPoly.one()
-    if color == 1:
-        return bracket_word(word)
-    if not word.is_closed():
-        raise DiagramError("colored bracket needs a closed diagram")
-    cab = cable_word(word, color, 0)
-    # insert the projector right after the first cable-cup group
-    first = color  # the first original token was a cup -> `color` cup tokens
-    terms, den = jones_wenzl(color)
-    eng = SkeinEngine()
-    states = eng.run_tokens({(): LaurentPoly.one()}, cab.tokens[:first])
-    states = eng.insert(states, 0, color, terms.items())
-    states = eng.run_tokens(states, cab.tokens[first:])
-    return _exact_quotient(states.get((), LaurentPoly()), den,
-                           f"the {color}-colored bracket")
 
 
 class KnotScalars:
@@ -495,8 +457,6 @@ _SCALAR_CACHE = {}
 
 def knot_scalars(ref):
     """Scalars for an atlas knot, a connected sum, or a PD knot diagram."""
-    from .diagram import ATLAS_BRAIDS, KnotRef
-
     if isinstance(ref, PDCode):
         if not ref.is_knot():
             raise DiagramError("knot scalars need a knot diagram, got "
@@ -528,36 +488,3 @@ def knot_scalars(ref):
         out = KnotScalars(ref.symbol, colored_fn=colored_fn)
     _SCALAR_CACHE[ref.symbol] = out
     return out
-
-
-def scalars_from_kauffman(f_terms):
-    """<J> and [[J]] from an externally supplied Kauffman polynomial.
-
-    ``f_terms`` maps (a-exponent, z-exponent) to integer coefficients of
-    F_J(a, z), normalised to 1 on the unknot.  The two substitutions are
-      <J>   = ((a + a^-1)/z - 1) F_J  at  a = -A^3,    z = A + A^-1
-      [[J]] = -((a + a^-1)/z - 1) F_J at  a = -i A^8,  z = i(A^4 - A^-4)
-    Both run over k_2 = Q(i), where A_2 = i, and both results are checked
-    to be rational.  A negative z-exponent (which a knot's F_J
-    does not have) raises ValueError.
-    """
-    if any(j < 0 for _, j in f_terms):
-        raise ValueError("negative z-exponent in a knot's Kauffman polynomial")
-
-    one, i = CycloElem.one(2), CycloElem.a_power(2, 1)
-
-    def substitute(a_val, z_val):
-        acc = LaurentPoly()
-        for (e, j), coeff in f_terms.items():
-            acc = acc + a_val ** e * z_val ** j * LaurentPoly({0: one * coeff})
-        pref = (a_val + a_val ** -1).exact_div(z_val) - LaurentPoly({0: one})
-        return pref * acc
-
-    def to_rational(p):
-        if any(c.coeffs[1] != 0 for c in p.terms.values()):
-            raise ValueError("Kauffman substitution left an imaginary part")
-        return LaurentPoly({e: c.coeffs[0] for e, c in p.terms.items()})
-
-    br = substitute(LaurentPoly({3: -one}), LaurentPoly({1: one, -1: one}))
-    dd = -substitute(LaurentPoly({8: -i}), LaurentPoly({4: i, -4: -i}))
-    return to_rational(br), to_rational(dd)

@@ -8,7 +8,8 @@ invariant through the closed matrix forms at p = 2, 5, 6, the tensor
 splitting at p = 2p' with p' odd, and the general small-admissible-sum
 construction otherwise; and from those it assembles quantum invariants
 of cyclic and branched cyclic covers, exact signature bookkeeping, and
-the Brieskorn / torus-bundle cross-checks.
+the Brieskorn sphere values.  Its cross-checks (the torus-bundle
+matrices, the Brieskorn period, tau_5) are in ``oracles``.
 
 Levels where the pairing matrix D(n) degenerates (p special with
 respect to n) are rejected with ``UnsupportedSpecialization`` rather
@@ -17,33 +18,42 @@ than guessed at.
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .cyclo import (CycloElem, UnsupportedSpecialization, constants,
                     fold_kappa3, map_i, map_j, reduce_to_kp, u_element)
-from .diagram import DiagramError, KnotRef, SliceWord
-from .laurent import LaurentPoly
+from .diagram import DiagramError, KnotRef
 from .matring import (RingMatrix, flat_decompose, inverse, normalized_charpoly,
-                      rank, similarity_invariants)
+                      similarity_invariants)
 from .polyalg import (InvariantCheckError, RingPoly, numeric_roots,
                       power_sums, root_periodicity, tensor_product)
 from .recoupling import ColorError, full_twist, tet, theta, unknot_value
 from .rings import kp_field
-from .skein import knot_scalars, pairing_matrix_D, transfer_Q
+from .skein import knot_scalars, transfer_Q
 
 
 # -- colors -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ColorData:
     """Admissibility bookkeeping for the level-p colored theory."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
+
+    def __init__(self, p, q):
+        self.p, self.q = p, q
+
+    def __eq__(self, other):
+        if type(other) is not ColorData:
+            return NotImplemented
+        return (self.p, self.q) == (other.p, other.q)
+
+    def __hash__(self):
+        return hash((self.p, self.q))
+
+    def __repr__(self):
+        return f"ColorData(p={self.p!r}, q={self.q!r})"
 
     @staticmethod
     def at(p):
@@ -89,30 +99,31 @@ def ordinary(p, n):
     return p > n + 1
 
 
-def ordinary_det_test(p, n):
-    """Direct check of ``ordinary`` from det D(n) in k_p."""
-    if n == 0:
-        return True
-    ring = kp_field(p)
-    dn = pairing_matrix_D(n)
-    dp = dn.map(lambda x: reduce_to_kp(x, p), ring)
-    return rank(dp) == dp.rows
-
-
 # -- invariant records ----------------------------------------------------------
 
 
-@dataclass
 class TVInvariant:
-    """Bundled result of a flat decomposition at (or before) a level."""
+    """Bundled result of a flat decomposition at (or before) a level.
 
-    p: int | None
-    matrix: RingMatrix
-    gamma: RingPoly
-    constant_term: object
-    flat_rank: int
-    flat_matrix: RingMatrix
-    period: int | None = None
+    ``p`` is None before specialization; ``period`` is the certified
+    period of the roots of Gamma, or None.
+    """
+
+    def __init__(self, p, matrix, gamma, constant_term, flat_rank,
+                 flat_matrix, period=None):
+        self.p = p
+        self.matrix = matrix
+        self.gamma = gamma
+        self.constant_term = constant_term
+        self.flat_rank = flat_rank
+        self.flat_matrix = flat_matrix
+        self.period = period
+
+    def __repr__(self):
+        return (f"TVInvariant(p={self.p!r}, matrix={self.matrix!r}, "
+                f"gamma={self.gamma!r}, constant_term={self.constant_term!r}, "
+                f"flat_rank={self.flat_rank!r}, "
+                f"flat_matrix={self.flat_matrix!r}, period={self.period!r})")
 
     def power_sums(self, d_max):
         return power_sums(self.gamma, d_max)
@@ -160,17 +171,31 @@ def trivial_invariant(p):
 # -- tangle invariants -----------------------------------------------------------
 
 
-@dataclass
 class TangleInvariant:
-    """Level-free data of an even tangle in S^1 x S^2."""
+    """Level-free data of an even tangle in S^1 x S^2.
 
-    word: SliceWord
-    q_matrix: RingMatrix
-    gamma: RingPoly
-    constant_term: LaurentPoly
-    flat_rank: int
-    trace: LaurentPoly          # Hoste-Przytycki image of the closed link
-    wrapping: int | None        # certified wrapping number, when available
+    ``trace`` is the Hoste-Przytycki image of the closed link, and
+    ``wrapping`` the certified wrapping number, or None.  The fields stay
+    in ``__dict__`` (no slots): the checks of ``perfbench`` copy them with
+    ``vars``.
+    """
+
+    def __init__(self, word, q_matrix, gamma, constant_term, flat_rank,
+                 trace, wrapping):
+        self.word = word
+        self.q_matrix = q_matrix
+        self.gamma = gamma
+        self.constant_term = constant_term
+        self.flat_rank = flat_rank
+        self.trace = trace
+        self.wrapping = wrapping
+
+    def __repr__(self):
+        return (f"TangleInvariant(word={self.word!r}, "
+                f"q_matrix={self.q_matrix!r}, gamma={self.gamma!r}, "
+                f"constant_term={self.constant_term!r}, "
+                f"flat_rank={self.flat_rank!r}, trace={self.trace!r}, "
+                f"wrapping={self.wrapping!r})")
 
 
 def tangle_invariant(word, p=None):
@@ -436,16 +461,17 @@ def colored_B_matrix(j_ref, k, p, c, cd=None):
 
 
 def colored_double_invariant(j_ref, k, p, c):
-    """Z_p(D_k(J), c) for a good color c."""
+    """Z_p(D_k(J), c) for a color 0 <= c < q; an odd color gives the
+    invariant of the zero module, and any other color raises ColorError."""
     if isinstance(j_ref, str):
         j_ref = KnotRef.parse(j_ref)
     if p < 3:
         raise ValueError("colored invariants start at p = 3")
     cd = ColorData.at(p)
+    if not 0 <= c < cd.q:
+        raise ColorError(f"color {c} is outside 0..{cd.q - 1} at p={p}")
     if c % 2 == 1:
         return make_invariant(RingMatrix(kp_field(p), []), p)
-    if not cd.is_good(c):
-        raise ColorError(f"{c} is not a good color at p={p}")
     if c == 0:
         return double_invariant(j_ref, k, p)
     if p == 5 and c == 2:
@@ -490,6 +516,9 @@ def connected_sum(left, right, p, outer_color=0):
     admissible of the tensor products of flat parts.
     """
     cd = ColorData.at(p)
+    if not 0 <= outer_color < cd.q:
+        raise ColorError(f"color {outer_color} is outside 0..{cd.q - 1} "
+                         f"at p={p}")
     ring = kp_field(p)
     blocks = []
     gammas = []
@@ -530,16 +559,25 @@ def s_kd(k, d):
     return {0: 2, 1: 1, 2: -1, 3: -2, 4: -1, 5: 1}[d % 6]
 
 
-@dataclass
 class CoverValue:
-    d: int
-    value: CycloElem            # <S^3(K)_d>_p with the induced structure
-    sigma_d: int                # total d-signature of the double
-    corrected: CycloElem        # kappa^(-3 sigma_d) - normalised value
+    """<S^3(K)_d>_p with the induced structure (``value``), the total
+    d-signature ``sigma_d`` of the double, and ``corrected``, the value
+    normalised by kappa^(-3 sigma_d)."""
+
+    __slots__ = ("d", "value", "sigma_d", "corrected")
+
+    def __init__(self, d, value, sigma_d, corrected):
+        self.d, self.value = d, value
+        self.sigma_d, self.corrected = sigma_d, corrected
+
+    def __repr__(self):
+        return (f"CoverValue(d={self.d!r}, value={self.value!r}, "
+                f"sigma_d={self.sigma_d!r}, corrected={self.corrected!r})")
 
 
 def cover_series(j_ref, k, p, d_range):
     """<S^3(D_k(J))_d>_p for d in d_range, with signature corrections."""
+    _check_cover_degrees(d_range)
     if isinstance(j_ref, str):
         j_ref = KnotRef.parse(j_ref)
     vals = power_sums(double_invariant(j_ref, k, p).gamma, max(d_range))
@@ -553,6 +591,11 @@ def cover_series(j_ref, k, p, d_range):
         corr = vals[d] * _u_power(p, -sig // 2)
         out.append(CoverValue(d=d, value=vals[d], sigma_d=sig, corrected=corr))
     return out
+
+
+def _check_cover_degrees(d_range):
+    if any(d < 1 for d in d_range):
+        raise ValueError(f"cover degrees start at d = 1, got {min(d_range)}")
 
 
 def _u_power(p, e):
@@ -623,10 +666,15 @@ def _cos_cmp(t, q):
         f"cannot separate cos(2 pi {t}) from {q}; interval [{float(lo)}, {float(hi)}]")
 
 
-@dataclass
 class SignatureValue:
-    sigma: int
-    degenerate: bool
+    __slots__ = ("sigma", "degenerate")
+
+    def __init__(self, sigma, degenerate):
+        self.sigma, self.degenerate = sigma, degenerate
+
+    def __repr__(self):
+        return (f"SignatureValue(sigma={self.sigma!r}, "
+                f"degenerate={self.degenerate!r})")
 
 
 def signature_at(v, m, d):
@@ -685,11 +733,18 @@ def total_signature(v, d):
 # -- branched covers -------------------------------------------------------------------
 
 
-@dataclass
 class BranchedValue:
-    d: int
-    normalized: CycloElem       # eta^-1 <K_d>_p  (kappa-grade 0)
-    value: CycloElem            # <K_d>_p (grade 3; folded at p in {1,3,4})
+    """eta^-1 <K_d>_p (``normalized``, kappa-grade 0) and <K_d>_p
+    (``value``, grade 3; folded at p in {1, 3, 4})."""
+
+    __slots__ = ("d", "normalized", "value")
+
+    def __init__(self, d, normalized, value):
+        self.d, self.normalized, self.value = d, normalized, value
+
+    def __repr__(self):
+        return (f"BranchedValue(d={self.d!r}, normalized={self.normalized!r}, "
+                f"value={self.value!r})")
 
 
 def branched_colors(p):
@@ -703,6 +758,7 @@ def branched_series(j_ref, k, p, d_range):
     """<(D_k(J))_d>_p from the colored power sums."""
     if p < 3:
         raise ValueError("branched covers start at p = 3")
+    _check_cover_degrees(d_range)
     if isinstance(j_ref, str):
         j_ref = KnotRef.parse(j_ref)
     pack = constants(p)
@@ -742,13 +798,7 @@ def branched_series(j_ref, k, p, d_range):
     return out
 
 
-def branched_d1_identity(j_ref, k, p):
-    """The d = 1 restriction: the colored traces weighted by <e_2i> sum to 1."""
-    recs = branched_series(j_ref, k, p, [1])
-    return recs[0].normalized == CycloElem.one(p)
-
-
-# -- cross-checks ------------------------------------------------------------------------
+# -- Brieskorn spheres -----------------------------------------------------------
 
 
 def brieskorn_value(c, p):
@@ -759,86 +809,3 @@ def brieskorn_value(c, p):
     if c == 0:
         raise ValueError("c = 0 is not a Brieskorn sphere in this family")
     return branched_series("U", -1, p, [c])[0].value
-
-
-def brieskorn_periodicity(p, window):
-    """Check <Sigma(2,3,c)>_p = <Sigma(2,3,c + 6p)>_p over c in window."""
-    period = 6 * p
-    if p % 2 == 0 and (p // 2) % 2 == 1:
-        period = 3 * p          # = 6 r for p = 2r, r odd
-    top = max(window) + period
-    series = branched_series("U", -1, p, list(range(1, top + 1)))
-    by_d = {rec.d: rec.value for rec in series}
-    bad = [c for c in window if by_d[c] != by_d[c + period]]
-    return period, bad
-
-
-def witten_matrix(knot, r):
-    """The torus-bundle monodromy matrices over k_2r (r >= 3).
-
-    ``knot`` is "RT" or "F8"; entries are indexed 1 <= j, l <= r - 1 and
-    carry the Gauss-sum prefactor.
-    """
-    p = 2 * r
-    ring = kp_field(p)
-    a = CycloElem.a_power(p, 1)
-    gauss = CycloElem.zero(p)
-    for m in range(1, 4 * r + 1):
-        gauss = gauss + CycloElem.a_power(p, -(m * m))
-    sign = 1 if (r + 1) % 2 == 0 else -1
-    if knot == "RT":
-        pref = CycloElem.a_power(p, 4 - r * r) * Fraction(sign, 4 * r) * gauss
-    elif knot == "F8":
-        pref = CycloElem.a_power(p, -(r * r)) * Fraction(sign, 4 * r) * gauss
-    else:
-        raise ValueError("witten matrices are tabulated for RT and F8")
-    rows = []
-    for j in range(1, r):
-        row = []
-        for l in range(1, r):
-            inner = CycloElem.a_power(p, 2 * l * j) - \
-                CycloElem.a_power(p, -2 * l * j)
-            if knot == "RT":
-                phase = _neg_a_power(p, -(l * l))
-            else:
-                phase = _neg_a_power(p, j * j + 2 * l * l)
-            row.append(pref * phase * inner)
-        rows.append(row)
-    return RingMatrix(ring, rows)
-
-
-def _neg_a_power(p, e):
-    """(-A)^e in k_p."""
-    v = CycloElem.a_power(p, e)
-    return -v if e % 2 else v
-
-
-def witten_check(r):
-    """charpoly(w_r(K)) vs Gamma_2r(K) for K in {RT, F8}."""
-    out = {}
-    for knot, (jref, k) in (("RT", ("U", -1)), ("F8", ("U", 1))):
-        w = witten_matrix(knot, r)
-        cp = normalized_charpoly(w)
-        gam = double_invariant(jref, k, 2 * r).gamma
-        out[knot] = (cp == gam, cp, gam)
-    return out
-
-
-def tau5_value(j_ref, k, d):
-    """tau_5 of the branched cover (D_k(J))_d by the printed conversion.
-
-    Evaluated numerically with v = exp(2 pi i / 40), A_10 = -v^2,
-    kappa = v^3 (so kappa^6 = u holds on the nose); the branched value
-    carries the structure with sigma(alpha) = 3 sigma_d.
-    """
-    v = cmath.exp(2j * cmath.pi / 40)
-    rec = branched_series(j_ref, k, 10, [d])[0]
-    sig = total_signature(seifert_matrix_double(k), d)
-    x = rec.value                     # grade-3 element of k_10
-    a_val = -v * v
-    val = sum(complex(c) * a_val ** i for i, c in enumerate(x.coeffs))
-    val *= (v ** 3) ** x.grade
-    binv = constants(10).beta.inv()
-    binv_val = sum(complex(c) * a_val ** i for i, c in enumerate(binv.coeffs))
-    sigma_alpha = 3 * sig
-    return binv_val * v ** (-9 - 3 * sigma_alpha) * val

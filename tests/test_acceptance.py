@@ -14,20 +14,20 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from tvskein.cyclo import CycloElem, constants, reduce_to_kp
-from tvskein.diagram import ATLAS_PD, ATLAS_WORDS, PDCode, SliceWord, \
+from tvskein.diagram import ATLAS_PD, PDCode, SliceWord, \
     normalize_writhe, pd_add_kink
 from tvskein.golden import golden_suite
 from tvskein.laurent import DELTA, LaurentPoly, bracket_e, \
     quantum_int
-from tvskein.matring import berkowitz_det
+from tvskein.oracles import (ATLAS_WORDS, berkowitz_det, brieskorn_periodicity,
+                             jones_wenzl, ordinary_det_test, tet_web,
+                             theta_web, tl_compose, tl_e, tl_trace)
 from tvskein.polyalg import power_sums
-from tvskein.recoupling import tet, tet_web, theta, theta_web, tl_compose, \
-    tl_e, tl_trace, jones_wenzl
+from tvskein.recoupling import tet, theta
 from tvskein.skein import (bracket_pd, bracket_pd_statesum, bracket_word,
                            closure_B, pairing_matrix_D, transfer_Q)
-from tvskein.tqft import (branched_series, brieskorn_periodicity,
-                          cover_series, double_invariant, ordinary,
-                          ordinary_det_test, tangle_invariant)
+from tvskein.tqft import (branched_series, cover_series, double_invariant,
+                          ordinary, tangle_invariant)
 
 from test_skein import rand_word
 
@@ -132,7 +132,8 @@ def test_criterion_10_periodicity():
 
 
 def _tet_worker(chunk):
-    from tvskein.recoupling import tet, tet_web
+    from tvskein.oracles import tet_web
+    from tvskein.recoupling import tet
     bad = []
     for cs in chunk:
         if tet(*cs) != tet_web(*cs):

@@ -138,6 +138,20 @@ def test_validation_exit_code(tmp_path):
     assert rc == 2
     rc, _ = _run(["double", "--J", "NOSUCH", "--k", "0", "--p", "5"])
     assert rc == 2
+    # cover degrees start at d = 1
+    for d in (["--d", "0..2"], ["--d=-2..1"]):
+        for extra in ([], ["--branched"]):
+            rc, _ = _run(["covers", "--J", "U", "--k", "1", "--p", "5"]
+                         + d + extra)
+            assert rc == 2, (d, extra)
+    # colors outside 0 <= c < q, odd or even, are validation errors
+    for color in ("99", "-1", "4", "-2"):
+        rc, _ = _run(["double", "--J", "U", "--k", "1", "--p", "5",
+                      "--color", color])
+        assert rc == 2, color
+    rc, _ = _run(["sum", "--left", "D(1,U)", "--right", "D(1,U)", "--p", "5",
+                  "--color", "99"])
+    assert rc == 2
 
 
 def test_unsupported_specialization_exit_code(tmp_path):

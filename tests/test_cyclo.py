@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from tvskein.cyclo import (CycloElem, combine_graded, constants,
-                           cyclotomic_poly, fold_kappa3, level_degree, map_i,
-                           map_j, reduce_to_kp, u_element)
+from tvskein.cyclo import (CycloElem, constants, cyclotomic_poly,
+                           fold_kappa3, level_degree, map_i, map_j,
+                           reduce_to_kp, u_element)
 from tvskein.laurent import DELTA, LaurentPoly
+from tvskein.oracles import combine_graded
 
 
 def test_reduction_examples():

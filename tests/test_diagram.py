@@ -1,9 +1,9 @@
 import pytest
 
-from tvskein.diagram import (ATLAS_PD, ATLAS_WORDS, DiagramError, KnotRef,
-                             PDCode, SliceWord, add_word_kinks, braid_closure,
-                             cable_word, normalize_writhe, pd_add_kink,
-                             pd_to_braid)
+from tvskein.diagram import (ATLAS_PD, DiagramError, KnotRef, PDCode,
+                             SliceWord, braid_closure, normalize_writhe,
+                             pd_add_kink, pd_to_braid)
+from tvskein.oracles import ATLAS_WORDS, add_word_kinks, cable_word
 
 
 def test_parse_print_roundtrip():

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from tvskein.laurent import (A, DELTA, MU, LaurentFrac, LaurentPoly, bracket_e,
-                             mu_eig, poly_gcd, quantum_int)
+from tvskein.laurent import (A, DELTA, MU, LaurentPoly, bracket_e, mu_eig,
+                             quantum_int)
+from tvskein.oracles import LaurentFrac, poly_gcd
 
 
 def test_binomial_square():

@@ -7,11 +7,12 @@ import pytest
 
 from tvskein import polyalg
 from tvskein.cyclo import CycloElem, cyclotomic_poly
-from tvskein.matring import RingMatrix, berkowitz_charpoly, trace_powers
+from tvskein.matring import RingMatrix, berkowitz_charpoly
+from tvskein.oracles import MPoly, MPolyRing, trace_powers
 from tvskein.polyalg import (InvariantCheckError, NormUnavailable, RingPoly,
                              numeric_roots, power_sums, root_periodicity,
                              tensor_product)
-from tvskein.rings import QQ, MPoly, MPolyRing, kp_field
+from tvskein.rings import QQ, kp_field
 from tvskein.tqft import double_invariant
 
 

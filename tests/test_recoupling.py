@@ -4,11 +4,11 @@ import random
 import pytest
 
 from tvskein.cyclo import CycloElem, UnsupportedSpecialization, reduce_to_kp
-from tvskein.laurent import (LaurentFrac, LaurentPoly, bracket_e, poly_gcd,
-                             quantum_int)
-from tvskein.recoupling import (ColorError, full_twist, jones_wenzl, qfact,
-                                tet, tet_web, theta, theta_web, tl_compose,
-                                tl_e, tl_identity, tl_trace)
+from tvskein.laurent import LaurentPoly, bracket_e, quantum_int
+from tvskein.oracles import (LaurentFrac, jones_wenzl, poly_gcd, tet_web,
+                             theta_web, tl_compose, tl_e, tl_identity,
+                             tl_trace)
+from tvskein.recoupling import ColorError, full_twist, qfact, tet, theta
 
 
 def adm(a, b, c):

@@ -3,20 +3,19 @@ import random
 import pytest
 
 from tvskein.cyclo import CycloElem, reduce_to_kp
-from tvskein.diagram import (ATLAS_BRAIDS, ATLAS_PD, ATLAS_WORDS, DiagramError,
-                             PDCode, SliceWord, add_word_kinks, braid_closure,
-                             cable_word, normalize_writhe, pd_add_kink,
-                             pd_to_braid, zero_writhe_word)
+from tvskein.diagram import (ATLAS_BRAIDS, ATLAS_PD, DiagramError, PDCode,
+                             SliceWord, braid_closure, normalize_writhe,
+                             pd_add_kink, pd_to_braid)
 from tvskein.laurent import (A, DELTA, MU, LaurentPoly, QFactored, bracket_e,
                              quantum_int)
-from tvskein.matring import berkowitz_det
+from tvskein.oracles import (ATLAS_WORDS, add_word_kinks, berkowitz_det,
+                             cable_colored_bracket, cable_word, catalan,
+                             scalars_from_kauffman, zero_writhe_word)
 from tvskein.rings import ZA
 from tvskein.skein import (KnotScalars, SkeinEngine, bracket_pd,
-                           bracket_pd_statesum, bracket_word,
-                           cable_colored_bracket, catalan, closure_B,
+                           bracket_pd_statesum, bracket_word, closure_B,
                            colored_bracket, knot_scalars, matchings,
-                           mirror_matching, pairing_matrix_D,
-                           scalars_from_kauffman, transfer_Q)
+                           mirror_matching, pairing_matrix_D, transfer_Q)
 
 RT_BRACKET = DELTA * LaurentPoly({-16: -1, -12: 1, -4: 1})
 F8_BRACKET = DELTA * LaurentPoly({8: 1, 4: -1, 0: 1, -4: -1, -8: 1})
@@ -363,7 +362,7 @@ def test_colored_bracket_builds_no_QA_value(monkeypatch):
     # a cold projector cache builds no LaurentFrac, and a warm one runs
     # no poly_gcd (that runs only in the projector's content step); the
     # fusion basis, from cold theta, Tet and block caches, builds neither
-    import tvskein.laurent as laurent
+    import tvskein.oracles as oracles
     import tvskein.recoupling as recoupling
     cases = [(ATLAS_WORDS["RT"], 3), (ATLAS_WORDS["F8"], 2)]
     want = [cable_colored_bracket(w, c) for w, c in cases]
@@ -373,12 +372,10 @@ def test_colored_bracket_builds_no_QA_value(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Q(A) on the colored-bracket path")
 
-    monkeypatch.setattr(recoupling, "LaurentFrac", refuse)
-    monkeypatch.setattr(laurent, "LaurentFrac", refuse)
-    recoupling.jones_wenzl.cache_clear()
+    monkeypatch.setattr(oracles, "LaurentFrac", refuse)
+    oracles.jones_wenzl.cache_clear()
     assert [cable_colored_bracket(w, c) for w, c in cases] == want
-    monkeypatch.setattr(recoupling, "poly_gcd", refuse)
-    monkeypatch.setattr(laurent, "poly_gcd", refuse)
+    monkeypatch.setattr(oracles, "poly_gcd", refuse)
     assert [cable_colored_bracket(w, c) for w, c in cases] == want
     for cached in (recoupling.theta, recoupling.tet, recoupling.braid_block):
         cached.cache_clear()
@@ -386,17 +383,18 @@ def test_colored_bracket_builds_no_QA_value(monkeypatch):
 
 
 def test_inexact_divisions_raise_invariant_check(monkeypatch):
+    import tvskein.oracles as oracles
     import tvskein.recoupling as recoupling
     import tvskein.skein as skein
     from tvskein.polyalg import InvariantCheckError
 
     # a wrong projector term leaves the closing division inexact (at c = 2
     # a wrong term would not show: both closures there are multiples of den)
-    terms, den = recoupling.jones_wenzl(3)
+    terms, den = oracles.jones_wenzl(3)
     wrong = dict(terms)
-    (ident, _), = recoupling.tl_identity(3).items()
+    (ident, _), = oracles.tl_identity(3).items()
     wrong[ident] = wrong[ident] + LaurentPoly.one()
-    monkeypatch.setattr(recoupling, "jones_wenzl", lambda n: (wrong, den))
+    monkeypatch.setattr(oracles, "jones_wenzl", lambda n: (wrong, den))
     with pytest.raises(InvariantCheckError):
         cable_colored_bracket(ATLAS_WORDS["RT"], 3)
     # a wrong theta or Tet value leaves the fusion basis's division inexact

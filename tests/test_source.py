@@ -31,10 +31,24 @@ def names(node):
         yield node.asname
 
 
+def imported(node):
+    """(dotted name, level) of every module an import node may load.
+
+    ``from a import b`` may load a and a.b; a relative name has no dots
+    in front and a level above 0.
+    """
+    if isinstance(node, ast.Import):
+        return [(alias.name, 0) for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = [node.module] if node.module else []
+        return [(".".join(base + [alias.name]), node.level)
+                for alias in node.names] + [(m, node.level) for m in base]
+    return []
+
+
 def test_fraction_field_stays_off_the_production_path():
-    # Q(A) serves the Laurent arithmetic, the ring descriptors and the
-    # recoupling oracles; no other module may name it
-    allowed = {"laurent.py", "rings.py", "recoupling.py"}
+    # Q(A) is an oracle: only the oracles module may name it
+    allowed = {"oracles.py"}
     banned = {"LaurentFrac", "LaurentFracField", "QA", "poly_gcd"}
     found = [f"{path.relative_to(SRC)}:{node.lineno} {name}"
              for path in sorted(SRC.rglob("*.py"))
@@ -65,26 +79,37 @@ def test_cable_stays_off_the_knot_scalars_path():
 
 
 def test_numpy_is_not_imported():
-    def imported(node):
-        if isinstance(node, ast.Import):
-            return [alias.name for alias in node.names]
-        if isinstance(node, ast.ImportFrom) and not node.level:
-            return [node.module]
-        return []
-
     found = [f"{path.relative_to(SRC)}:{node.lineno}"
              for path in sorted(SRC.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if any(name.split(".")[0] == "numpy" for name in imported(node))]
+             if any(not level and name.split(".")[0] == "numpy"
+                    for name, level in imported(node))]
+    assert not found, found
+
+
+def test_oracles_and_dataclasses_stay_off_the_import_path():
+    # only golden may import the oracles, and no module imports
+    # dataclasses (with inspect, ast and dis it costs every process ~12 ms)
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            for name, level in imported(node):
+                if "oracles" in name.split(".") and rel != "golden.py":
+                    found.append(f"{rel}:{node.lineno} imports oracles")
+                if not level and name.split(".")[0] == "dataclasses":
+                    found.append(f"{rel}:{node.lineno} imports dataclasses")
     assert not found, found
 
 
 def test_double_command_loads_neither_numpy_nor_golden():
     # a fresh interpreter, so that no other test's imports count
+    banned = ("dataclasses", "inspect", "numpy", "tvskein.golden",
+              "tvskein.oracles")
     code = ("import io, sys, tvskein.cli\n"
             "code = tvskein.cli.run(['double', '--J', 'U', '--k', '1', "
             "'--p', '5', '--format', 'json'], io.StringIO())\n"
-            "print(code, sorted(m for m in ('numpy', 'tvskein.golden') "
+            f"print(code, sorted(m for m in {banned!r} "
             "if m in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     res = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,

@@ -5,19 +5,20 @@ import pytest
 
 from tvskein.cyclo import CycloElem, constants, map_j, reduce_to_kp
 from tvskein.diagram import SliceWord
-from tvskein.laurent import LaurentFrac, LaurentPoly
-from tvskein.matring import RingMatrix, berkowitz_det, flat_decompose
+from tvskein.laurent import LaurentPoly
+from tvskein.matring import RingMatrix, flat_decompose
+from tvskein.oracles import (QA, LaurentFrac, berkowitz_det, catalan,
+                             ordinary_det_test, tau5_value, witten_check)
 from tvskein.polyalg import RingPoly, numeric_roots, power_sums
 from tvskein.recoupling import unknot_value
-from tvskein.rings import QA, ZA, kp_field
-from tvskein.skein import catalan, closure_B, pairing_matrix_D, transfer_Q
+from tvskein.rings import ZA, kp_field
+from tvskein.skein import closure_B, pairing_matrix_D, transfer_Q
 from tvskein.tqft import (ColorData, UnsupportedSpecialization,
                           branched_colors, branched_series,
                           colored_double_invariant,
                           cover_series, double_invariant, general_double,
-                          ordinary, ordinary_det_test, s_kd,
-                          seifert_matrix_double, signature_at, tangle_invariant,
-                          tau5_value, total_signature, witten_check,
+                          ordinary, s_kd, seifert_matrix_double,
+                          signature_at, tangle_invariant, total_signature,
                           z5_color2_scalar)
 
 from test_skein import rand_word
@@ -266,7 +267,7 @@ def test_branched_tensor_route_equals_colored_sum(p):
 
 def test_trace_powers_match_newton_on_invariants():
     # Prop 1.7 route (matrix powers) equals the recursion from Gamma
-    from tvskein.matring import trace_powers
+    from tvskein.oracles import trace_powers
     for j_name, k, p in (("U", 3, 5), ("RT", 1, 5), ("U", 1, 8)):
         inv = double_invariant(j_name, k, p)
         deg = max(inv.gamma.degree(), 1)
@@ -280,7 +281,7 @@ def test_trace_powers_match_newton_on_invariants():
 
 
 def test_matrix_periods_exact_powering():
-    from tvskein.matring import matrix_period
+    from tvskein.oracles import matrix_period
     inv4 = double_invariant("U", 4, 5)
     assert matrix_period(inv4.matrix, 20) == 15
     inv_rt = double_invariant("U", -1, 5)
@@ -315,8 +316,6 @@ def test_invariant_factors_stable_under_shift():
         if not pts:
             continue
         from tvskein.matring import flat_decompose, similarity_invariants
-        from tvskein.laurent import LaurentFrac
-        from tvskein.rings import QA
         from tvskein.skein import transfer_Q
         q1 = transfer_Q(w).map(lambda x: LaurentFrac(x), QA)
         q2 = transfer_Q(w.cyclic_shift(rnd.choice(pts))).map(
@@ -385,7 +384,6 @@ def _frac_to_kp(x, p):
 
 def _literal_colored_B(s, k, p, c):
     """The colored B matrix as the printed quadruple sum over (s, r, r')."""
-    from tvskein.laurent import LaurentFrac
     from tvskein.recoupling import full_twist, tet, theta
     cd = ColorData.at(p)
     pack = constants(p)
@@ -580,7 +578,9 @@ def test_level_recoupling_equals_QA_then_reduce(monkeypatch):
 
 
 def test_colored_double_forms_no_QA_value(monkeypatch):
-    import tvskein.laurent as laurent
+    # Q(A) lives in the oracles module only, so a cold colored double
+    # must run with it refused there
+    import tvskein.oracles as oracles
     import tvskein.tqft as tqft
     from tvskein.recoupling import tet, theta
     want = [colored_double_invariant("U", k, 9, 2).gamma for k in (-1, 2)]
@@ -589,9 +589,10 @@ def test_colored_double_forms_no_QA_value(monkeypatch):
     tqft._pairing_inverse.cache_clear()
 
     def refuse(*args):
-        raise AssertionError("poly_gcd ran on the colored path")
+        raise AssertionError("Q(A) on the colored path")
 
-    monkeypatch.setattr(laurent, "poly_gcd", refuse)
+    monkeypatch.setattr(oracles, "poly_gcd", refuse)
+    monkeypatch.setattr(oracles, "LaurentFrac", refuse)
     got = [colored_double_invariant("U", k, 9, 2).gamma for k in (-1, 2)]
     assert got == want
 
