@@ -130,18 +130,37 @@ def level_d(p):
     return p
 
 
-def _reduce_vec(vec, p):
+@lru_cache(maxsize=None)
+def _fold_rows(p):
+    """Sparse rows (i, t) of A_p^deg .. A_p^(2 deg - 2): where the high
+    coefficients of a product of two reduced vectors fold back."""
     deg = level_degree(p)
-    table = _a_powers(p)
-    out = list(vec[:deg]) + [0] * max(0, deg - len(vec))
-    for j in range(deg, len(vec)):
-        c = vec[j]
+    return tuple(tuple((i, t) for i, t in enumerate(row) if t)
+                 for row in _a_powers(p)[deg:2 * deg - 1])
+
+
+def _mul_vec(p, a, b):
+    """The reduced product of two reduced integer vectors of k_p."""
+    deg = len(a)
+    vec = [0] * (2 * deg - 1)
+    bnz = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in bnz:
+                vec[i + j] += x * y
+    out = vec[:deg]
+    for row, c in zip(_fold_rows(p), vec[deg:]):
         if c:
-            row = table[j % (2 * p)]
-            for i in range(deg):
-                if row[i]:
-                    out[i] += c * row[i]
-    return tuple(out)
+            for i, t in row:
+                out[i] += c * t
+    return out
+
+
+@lru_cache(maxsize=None)
+def _conjugations(p):
+    """The units j != 1 mod 2p: A -> A^j gives the other embeddings."""
+    n = 2 * p
+    return tuple(j for j in range(2, n) if gcd(j, n) == 1)
 
 
 class CycloElem:
@@ -161,29 +180,32 @@ class CycloElem:
         for c in coeffs:
             if type(c) is not int:
                 den = lcm(den, c.denominator)
-        num = [c.numerator * (den // c.denominator) for c in coeffs]
-        self._store(p, num, den, grade)
-
-    def _store(self, p, num, den, grade):
-        deg = level_degree(p)
-        if len(num) > deg:
-            num = _reduce_vec(num, p)
-        elif len(num) < deg:
-            num = list(num) + [0] * (deg - len(num))
+        num = _monomial_sum(p, ((i, c.numerator * (den // c.denominator))
+                                for i, c in enumerate(coeffs)))
         g = gcd(den, *num)
-        if g != 1:
-            num = [c // g for c in num]
-            den //= g
         self.p = p
-        self.num = tuple(num)
-        self.den = den
+        self.num = tuple([c // g for c in num])
+        self.den = den // g
         self.grade = grade % 6
 
     @staticmethod
-    def _make(p, num, den, grade):
+    def _raw(p, num, den, grade):
+        """num / den * kappa^grade from a reduced vector, in lowest terms."""
         out = CycloElem.__new__(CycloElem)
-        out._store(p, num, den, grade)
+        out.p = p
+        out.num = tuple(num)
+        out.den = den
+        out.grade = grade
         return out
+
+    @staticmethod
+    def _make(p, num, den, grade):
+        """As ``_raw``, bringing num / den to lowest terms (den > 0)."""
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                return CycloElem._raw(p, [c // g for c in num], den // g, grade)
+        return CycloElem._raw(p, num, den, grade)
 
     @property
     def coeffs(self):
@@ -209,7 +231,7 @@ class CycloElem:
     @staticmethod
     def a_power(p, k):
         """A_p^k for any integer k (A_p has order 2p)."""
-        return CycloElem(p, _a_powers(p)[k % (2 * p)])
+        return CycloElem._raw(p, _a_powers(p)[k % (2 * p)], 1, 0)
 
     # -- predicates -----------------------------------------------------
 
@@ -229,8 +251,10 @@ class CycloElem:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _check(self, other):
-        if not isinstance(other, CycloElem):
+    def _operand(self, other):
+        """other as an element of this level, or None for a foreign type."""
+        if type(other) is not CycloElem:
+            # int first: isinstance against Fraction runs the ABC machinery
             if isinstance(other, (int, Fraction)):
                 return CycloElem(self.p, (other,), 0)
             return None
@@ -239,61 +263,68 @@ class CycloElem:
         return other
 
     def __add__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.grade != other.grade:
-            raise ValueError(
-                f"sum of kappa-grades {self.grade} and {other.grade} is not homogeneous")
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            num = [a + b for a, b in zip(self.num, other.num)]
-            return CycloElem._make(self.p, num, d1, self.grade)
-        den = lcm(d1, d2)
-        m1, m2 = den // d1, den // d2
-        num = [a * m1 + b * m2 for a, b in zip(self.num, other.num)]
-        return CycloElem._make(self.p, num, den, self.grade)
+        return self._sum(other, False)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return CycloElem._make(self.p, [-c for c in self.num], self.den,
-                               self.grade)
-
     def __sub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, True)
+
+    def _sum(self, other, minus):
+        if type(other) is not CycloElem or other.p != self.p:
+            other = self._operand(other)
+            if other is None:
+                return NotImplemented
+        if self.grade != other.grade:
+            # a zero of any grade is the identity
+            if not any(other.num):
+                return self
+            if not any(self.num):
+                return -other if minus else other
+            raise ValueError(f"sum of kappa-grades {self.grade} and "
+                             f"{other.grade} is not homogeneous")
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            if minus:
+                num = [a - b for a, b in zip(self.num, other.num)]
+            else:
+                num = [a + b for a, b in zip(self.num, other.num)]
+            return CycloElem._make(self.p, num, d1, self.grade)
+        den = lcm(d1, d2)
+        m1, m2 = den // d1, (-den if minus else den) // d2
+        return CycloElem._make(
+            self.p, [a * m1 + b * m2 for a, b in zip(self.num, other.num)],
+            den, self.grade)
+
+    def __neg__(self):
+        return CycloElem._raw(self.p, [-c for c in self.num], self.den,
+                              self.grade)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._operand(other)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloElem._make(
-                self.p, [c * other.numerator for c in self.num],
-                self.den * other.denominator, self.grade)
-        other = self._check(other)
-        if other is None:
+        p = self.p
+        if type(other) is not CycloElem:
+            if isinstance(other, int):
+                return CycloElem._make(p, [c * other for c in self.num],
+                                       self.den, self.grade)
+            if isinstance(other, Fraction):
+                return CycloElem._make(
+                    p, [c * other.numerator for c in self.num],
+                    self.den * other.denominator, self.grade)
             return NotImplemented
-        deg = level_degree(self.p)
-        vec = [0] * (2 * deg - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(other.num):
-                    if b:
-                        vec[i + j] += a * b
-        out = CycloElem._make(self.p, vec, self.den * other.den,
-                              self.grade + other.grade)
-        if self.grade + other.grade >= 6:
-            # kappa^6 = u, of grade 0, so this product does not wrap again
-            out = out * u_element(self.p)
-        return out
+        if other.p != p:
+            raise ValueError(f"mixing levels p={p} and p={other.p}")
+        num = _mul_vec(p, self.num, other.num)
+        grade = self.grade + other.grade
+        if grade >= 6:
+            # kappa^6 = u = A^m, of grade 0, so the grade wraps only once
+            m = u_exponent(p)
+            num = _monomial_sum(p, ((i + m, c) for i, c in enumerate(num)))
+            grade -= 6
+        return CycloElem._make(p, num, self.den * other.den, grade)
 
     __rmul__ = __mul__
 
@@ -310,31 +341,33 @@ class CycloElem:
         return out
 
     def inv(self):
-        """Inverse in the fraction field (phi_2p is irreducible over Q)."""
-        if self.is_zero():
+        """Inverse in the fraction field, by the norm to Q.
+
+        The conjugates sigma_j(num), A -> A^j for the units j != 1 mod 2p,
+        multiply to c with num * c = N(num), a nonzero integer since
+        phi_2p is irreducible over Q; so (num / den)^-1 = den c / N(num).
+        The kappa-part inverts as a monomial: kappa^-g = A^-m kappa^(6-g)
+        for u = A^m.
+        """
+        p, num = self.p, self.num
+        if not any(num):
             raise ZeroDivisionError("inverting zero in k_p")
-        deg, phi = _level_data(self.p)
-        # extended Euclid in Q[A] for the integer numerator of the A-part
-        a = list(self.num)
-        b = list(phi)
-        s0, s1 = [1], [0]
-        while any(b):
-            q, r = _poly_divmod(a, b)
-            a, b = b, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # a is now a nonzero constant gcd
-        lead = next(c for c in reversed(a) if c)
-        inv_apart = CycloElem(self.p, [_coeff_div(c * self.den, lead)
-                                       for c in s0])
-        if self.grade == 0:
-            return inv_apart
-        # (x kappa^g)^-1 = x^-1 u^-1 kappa^(6-g)
-        uinv = u_element(self.p).inv()
-        out = inv_apart * uinv
-        return CycloElem(self.p, out.coeffs, 6 - self.grade)
+        conj = [1] + [0] * (len(num) - 1)
+        for j in _conjugations(p):
+            conj = _mul_vec(p, conj, _monomial_sum(
+                p, ((i * j, c) for i, c in enumerate(num))))
+        norm = _mul_vec(p, num, conj)
+        if any(norm[1:]):
+            raise InvariantCheckError(f"the norm of {self} is not rational")
+        den = self.den if norm[0] > 0 else -self.den
+        if self.grade:
+            shift = -u_exponent(p)
+            conj = _monomial_sum(p, ((i + shift, c) for i, c in enumerate(conj)))
+        return CycloElem._make(p, [c * den for c in conj], abs(norm[0]),
+                               (6 - self.grade) % 6)
 
     def __truediv__(self, other):
-        other = self._check(other)
+        other = self._operand(other)
         if other is None:
             return NotImplemented
         return self * other.inv()
@@ -343,16 +376,15 @@ class CycloElem:
         return self.inv() * other
 
     def bar(self):
-        """A -> A^-1, kappa -> kappa^-1 (grade negation with u-folding)."""
-        terms = ((-i, c) for i, c in enumerate(self.num))
-        out = CycloElem._make(self.p, _monomial_sum(self.p, terms), self.den, 0)
-        if self.grade == 0:
-            return out
-        folded = out * u_element(self.p).inv()
-        return CycloElem(self.p, folded.coeffs, 6 - self.grade)
+        """A -> A^-1, kappa -> kappa^-1 (grade negation with u-folding);
+        an automorphism times a unit keeps num / den in lowest terms."""
+        shift = -u_exponent(self.p) if self.grade else 0
+        terms = ((shift - i, c) for i, c in enumerate(self.num))
+        return CycloElem._raw(self.p, _monomial_sum(self.p, terms), self.den,
+                              (6 - self.grade) % 6)
 
     def __eq__(self, other):
-        other = self._check(other)
+        other = self._operand(other)
         if other is None:
             return NotImplemented
         if self.is_zero() and other.is_zero():
@@ -431,43 +463,6 @@ class CycloElem:
         return reduce_to_kp(poly, p, grade)
 
 
-def _poly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    while db > 0 and b[db] == 0:
-        db -= 1
-    q = [0] * max(1, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        if i - db < 0:
-            break
-        c = _coeff_div(a[i], b[db])
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    if all(c == 0 for c in a):
-        a = [0]
-    return q, a
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-            for i in range(n)]
-
-
 def _mobius(n):
     primes = _prime_factors(n)
     prod = 1
@@ -502,14 +497,19 @@ def _prime_factors(n):
     return tuple(out)
 
 
+def u_exponent(p):
+    """m with u = kappa^6 = A_p^m."""
+    if p == 1:
+        return 0
+    if p == 2:
+        return 1
+    return -6 - p * (p + 1) // 2
+
+
 @lru_cache(maxsize=None)
 def u_element(p):
     """u = kappa^6 as a grade-0 element of k_p."""
-    if p == 1:
-        return CycloElem.one(1)
-    if p == 2:
-        return CycloElem.a_power(2, 1)
-    return CycloElem.a_power(p, -6 - p * (p + 1) // 2)
+    return CycloElem.a_power(p, u_exponent(p))
 
 
 def reduce_to_kp(x, p, grade=0):

@@ -19,12 +19,15 @@ Each oracle below says what it shares with the code it checks.
   cable of a zero-writhe slice word with one projector inserted.  It
   checks ``skein.colored_bracket``, which works in the fusion basis, and
   shares the splice kernel but not the 6j-symbols.
+* The inverse in k_p by the extended Euclid against phi_2p
+  (``euclid_inverse``), in ``Fraction``s.
 * Linear algebra: ``berkowitz_det``, the traces of matrix powers
   ``trace_powers`` (against ``polyalg.power_sums``) and the period of the
   flat part by repeated products, ``matrix_period``.
 * The transfer maps between levels combined on graded pairs
-  (``combine_graded``), the Catalan numbers, and <J> and [[J]] from a
-  Kauffman polynomial (``scalars_from_kauffman``).
+  (``combine_graded``), the full twist ``full_twist`` as a Laurent
+  monomial (``tqft`` builds it in k_p), the Catalan numbers, and <J> and
+  [[J]] from a Kauffman polynomial (``scalars_from_kauffman``).
 * Identities of the pipeline: D(n) nonsingular at a level by its rank
   (``ordinary_det_test``), the torus-bundle matrices (``witten_check``),
   the d = 1 branched trace identity, the period 6p of the Brieskorn
@@ -38,10 +41,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-from .cyclo import CycloElem, constants, map_i, map_j, reduce_to_kp
+from .cyclo import (CycloElem, constants, cyclotomic_poly, map_i, map_j,
+                    reduce_to_kp, u_element)
 from .diagram import ATLAS_BRAIDS, DiagramError, SliceWord, braid_closure
 from .laurent import (ONE, LaurentPoly, QFactored, _as_laurent, _coeff_div,
-                      quantum_int)
+                      mu_eig, quantum_int)
 from .matring import (RingMatrix, berkowitz_charpoly, flat_decompose,
                       normalized_charpoly, rank)
 from .polyalg import PowerSumSeries
@@ -778,6 +782,54 @@ def matrix_period(mat, bound):
     return None
 
 
+# -- the Euclid inverse in k_p --------------------------------------------------
+
+
+def euclid_inverse(x):
+    """x^-1 by the extended Euclid in Q[A] against phi_2p, the oracle of
+    ``CycloElem.inv`` (the Galois norm); they share the element type."""
+    if x.is_zero():
+        raise ZeroDivisionError("inverting zero in k_p")
+    a, b, s0, s1 = list(x.num), list(cyclotomic_poly(2 * x.p)), [1], [0]
+    while any(b):
+        q, r = _poly_divmod(a, b)
+        a, b, s0, s1 = b, r, s1, _poly_sub(s0, _poly_mul(q, s1))
+    # a is now the gcd, a nonzero constant
+    out = CycloElem(x.p, [_coeff_div(c * x.den, a[0]) for c in s0])
+    if x.grade:
+        # (x kappa^g)^-1 = x^-1 u^-1 kappa^(6-g)
+        out = out * euclid_inverse(u_element(x.p))
+        out = CycloElem(x.p, out.coeffs, 6 - x.grade)
+    return out
+
+
+def _poly_divmod(a, b):
+    """(q, r) with a = q b + r in Q[A], for b and r without top zeros."""
+    r, n = list(a), len(b) - 1
+    q = [0] * max(1, len(r) - n)
+    for i in range(len(r) - n - 1, -1, -1):
+        q[i] = c = _coeff_div(r[i + n], b[n])
+        for j, y in enumerate(b):
+            r[i + j] -= c * y
+    while len(r) > 1 and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
 # -- levels, counts and Kauffman polynomials --------------------------------------
 
 
@@ -794,6 +846,11 @@ def combine_graded(x2, xp, p):
     ap = CycloElem(p, xp.coeffs, 0)
     out = map_i(a2, p) * map_j(ap, p)
     return CycloElem(2 * p, out.coeffs, g)
+
+
+def full_twist(r, i, j):
+    """mu(r)/(mu(i) mu(j)): one full twist on an (i,j) pair in channel r."""
+    return mu_eig(r) * (mu_eig(i) * mu_eig(j)) ** -1
 
 
 def catalan(n):

@@ -176,10 +176,11 @@ class RingPoly:
         return RingPoly(self.ring, [c * inv_lead for c in self.coeffs])
 
     def gcd(self, other):
+        # monic remainders keep the coefficients small over k_p
         a, b = self, self._co(other)
         while not b.is_zero():
             _, r = a.divmod(b)
-            a, b = b, r
+            a, b = b, r.monic()
         return a.monic() if not a.is_zero() else a
 
     def bar(self):
@@ -467,7 +468,7 @@ def _cyclotomic_period(poly):
     deg = len(poly) - 1
     phi = _totients(2 * deg * deg)
     period = 1
-    for m in range(1, len(phi)):
+    for m in range(1, 2 * deg * deg + 1):
         if len(poly) == 1:
             break
         if phi[m] > len(poly) - 1:
@@ -482,14 +483,18 @@ def _cyclotomic_period(poly):
     return period if len(poly) == 1 else None
 
 
+_PHI = [0, 1]
+
+
 def _totients(n):
-    """phi(0..n) by a sieve."""
-    phi = list(range(n + 1))
-    for q in range(2, n + 1):
-        if phi[q] == q:
-            for j in range(q, n + 1, q):
-                phi[j] -= phi[j] // q
-    return phi
+    """phi(0..n) at least: one sieve, rebuilt only when a larger n comes."""
+    if len(_PHI) <= n:
+        _PHI[:] = range(n + 1)
+        for q in range(2, n + 1):
+            if _PHI[q] == q:
+                for j in range(q, n + 1, q):
+                    _PHI[j] -= _PHI[j] // q
+    return _PHI
 
 
 def _divide_exact(num, den):

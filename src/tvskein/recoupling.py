@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclo import CycloElem, UnsupportedSpecialization, reduce_to_kp
-from .laurent import LaurentPoly, QFactored, bracket_e, mu_eig, quantum_int
+from .laurent import LaurentPoly, QFactored, bracket_e, quantum_int
 
 
 class ColorError(ValueError):
@@ -178,11 +178,6 @@ def braid_block(c, a, d, sign):
             for x in xs:
                 out[x, y] = f[x] * g + out[x, y]
     return {x: tuple((y, out[x, y]) for y in xs if out[x, y].poly) for x in xs}
-
-
-def full_twist(r, i, j):
-    """mu(r)/(mu(i) mu(j)): one full twist on an (i,j) pair in channel r."""
-    return mu_eig(r) * (mu_eig(i) * mu_eig(j)) ** -1
 
 
 def unknot_value(r):

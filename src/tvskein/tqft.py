@@ -22,13 +22,13 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .cyclo import (CycloElem, UnsupportedSpecialization, constants,
-                    fold_kappa3, map_i, map_j, reduce_to_kp, u_element)
+                    fold_kappa3, map_i, map_j, reduce_to_kp, u_exponent)
 from .diagram import DiagramError, KnotRef
 from .matring import (RingMatrix, flat_decompose, inverse, normalized_charpoly,
                       similarity_invariants)
 from .polyalg import (InvariantCheckError, RingPoly, numeric_roots,
                       power_sums, root_periodicity, tensor_product)
-from .recoupling import ColorError, full_twist, tet, theta, unknot_value
+from .recoupling import ColorError, tet, theta, unknot_value
 from .rings import kp_field
 from .skein import knot_scalars, transfer_Q
 
@@ -300,8 +300,13 @@ def _channel_sums(s, p, cd, left, right, *weights):
 
 
 def _twist(p, power=1):
-    """The weight (r, i, t) -> full_twist(r, i, t)^power in k_p."""
-    return lambda r, i, t: reduce_to_kp(full_twist(r, i, t) ** power, p)
+    """The weight (r, i, t) -> ft^power in k_p, for the full twist
+    ft = mu(r) / (mu(i) mu(t)) = (-1)^(r+i+t) A^(r(r+2) - i(i+2) - t(t+2))."""
+    def weight(r, i, t):
+        x = CycloElem.a_power(
+            p, power * (r * (r + 2) - i * (i + 2) - t * (t + 2)))
+        return -x if (r + i + t) * power % 2 else x
+    return weight
 
 
 def _pattern_product(left, right, diag, beta, ring):
@@ -588,7 +593,7 @@ def cover_series(j_ref, k, p, d_range):
         if sig % 2:
             raise InvariantCheckError(f"odd total signature {sig} at d={d}")
         # kappa^(-3 sigma_d) = u^(-sigma_d / 2)
-        corr = vals[d] * _u_power(p, -sig // 2)
+        corr = vals[d] * CycloElem.a_power(p, -sig // 2 * u_exponent(p))
         out.append(CoverValue(d=d, value=vals[d], sigma_d=sig, corrected=corr))
     return out
 
@@ -596,11 +601,6 @@ def cover_series(j_ref, k, p, d_range):
 def _check_cover_degrees(d_range):
     if any(d < 1 for d in d_range):
         raise ValueError(f"cover degrees start at d = 1, got {min(d_range)}")
-
-
-def _u_power(p, e):
-    u = u_element(p)
-    return u ** e if e >= 0 else u.inv() ** (-e)
 
 
 # -- signatures ----------------------------------------------------------------------

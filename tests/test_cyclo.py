@@ -1,15 +1,16 @@
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from tvskein.cyclo import (CycloElem, constants, cyclotomic_poly,
-                           fold_kappa3, level_degree, map_i, map_j,
+                           fold_kappa3, level_d, level_degree, map_i, map_j,
                            reduce_to_kp, u_element)
 from tvskein.laurent import DELTA, LaurentPoly
-from tvskein.oracles import combine_graded
+from tvskein.oracles import combine_graded, euclid_inverse
 
 
 def test_reduction_examples():
@@ -217,3 +218,76 @@ def test_laurent_poly_over_k2_divides():
     num = LaurentPoly({3: one, -3: i}) * z
     assert num.exact_div(z) == LaurentPoly({3: one, -3: i})
     assert (LaurentPoly({2: i * 2})) ** -1 == LaurentPoly({-2: -i * Fraction(1, 2)})
+
+
+def _random_laurent(rnd, den):
+    return LaurentPoly({rnd.randint(-30, 30): Fraction(rnd.randint(-9, 9), den)
+                        for _ in range(rnd.randint(1, 6))})
+
+
+def _printed_u_exponent(p):
+    # u = A^(-6 - p(p+1)/2), with u = 1 at p = 1 and u = A at p = 2
+    return {1: 0, 2: 1}.get(p, -6 - p * (p + 1) // 2)
+
+
+def test_inverse_matches_euclid_oracle():
+    rnd = random.Random(16)
+    checked = 0
+    for p in range(1, 18):
+        deg = level_degree(p)
+        one = CycloElem.one(p)
+        for grade in range(6):
+            for den in (1, level_d(p), 2 * p):
+                for _ in range(2):
+                    x = CycloElem(p, [Fraction(rnd.randint(-9, 9), den)
+                                      for _ in range(deg)], grade)
+                    if x.is_zero():
+                        continue
+                    assert x.inv() == euclid_inverse(x), (p, x)
+                    assert x * x.inv() == one, (p, x)
+                    checked += 1
+            with pytest.raises(ZeroDivisionError):
+                CycloElem.zero(p, grade).inv()
+    assert checked > 550
+
+
+def test_ring_operations_match_laurent_reduction():
+    # sums, differences and products of reduced elements equal the
+    # reductions of the Laurent results, over unequal denominators and
+    # across the wrap kappa^6 = u
+    rnd = random.Random(6)
+    for p in (1, 2, 5, 7, 8, 9, 12, 13):
+        u = LaurentPoly({_printed_u_exponent(p): 1})
+        for _ in range(30):
+            gf, gg = rnd.randint(0, 5), rnd.randint(0, 5)
+            f = _random_laurent(rnd, rnd.choice((1, level_d(p), 2 * p)))
+            g = _random_laurent(rnd, rnd.choice((1, level_d(p), 2 * p)))
+            x, y = reduce_to_kp(f, p, gf), reduce_to_kp(g, p, gf)
+            assert x + y == reduce_to_kp(f + g, p, gf), (p, f, g)
+            assert x - y == reduce_to_kp(f - g, p, gf), (p, f, g)
+            assert -x == reduce_to_kp(-f, p, gf), (p, f)
+            y = reduce_to_kp(g, p, gg)
+            fg = f * g * u if gf + gg >= 6 else f * g
+            assert x * y == reduce_to_kp(fg, p, gf + gg), (p, f, g, gf, gg)
+
+
+def test_inverse_runs_without_fractions():
+    p = 13
+    rnd = random.Random(13)
+    xs = [constants(p).beta, constants(p).eta,
+          CycloElem(p, [Fraction(rnd.randint(-9, 9), 2 * p) for _ in range(12)],
+                    5)]
+    seen = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code.co_filename)
+
+    sys.setprofile(record)
+    try:
+        for x in xs:
+            x.inv()
+    finally:
+        sys.setprofile(None)
+    assert any(f.endswith("cyclo.py") for f in seen), seen
+    assert not any(f.endswith("fractions.py") for f in seen), seen

@@ -5,10 +5,10 @@ import pytest
 
 from tvskein.cyclo import CycloElem, UnsupportedSpecialization, reduce_to_kp
 from tvskein.laurent import LaurentPoly, bracket_e, quantum_int
-from tvskein.oracles import (LaurentFrac, jones_wenzl, poly_gcd, tet_web,
-                             theta_web, tl_compose, tl_e, tl_identity,
-                             tl_trace)
-from tvskein.recoupling import ColorError, full_twist, qfact, tet, theta
+from tvskein.oracles import (LaurentFrac, full_twist, jones_wenzl, poly_gcd,
+                             tet_web, theta_web, tl_compose, tl_e,
+                             tl_identity, tl_trace)
+from tvskein.recoupling import ColorError, qfact, tet, theta
 
 
 def adm(a, b, c):

@@ -24,6 +24,8 @@ def test_no_assert_statements():
 def names(node):
     if isinstance(node, ast.Name):
         yield node.id
+    elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        yield node.name
     elif isinstance(node, ast.Attribute):
         yield node.attr
     elif isinstance(node, ast.alias):
@@ -47,9 +49,11 @@ def imported(node):
 
 
 def test_fraction_field_stays_off_the_production_path():
-    # Q(A) is an oracle: only the oracles module may name it
+    # Q(A) and the Euclid inverse over Q[A] are oracles: only the oracles
+    # module may define or name them
     allowed = {"oracles.py"}
-    banned = {"LaurentFrac", "LaurentFracField", "QA", "poly_gcd"}
+    banned = {"LaurentFrac", "LaurentFracField", "QA", "poly_gcd",
+              "_poly_divmod", "_poly_mul", "_poly_sub"}
     found = [f"{path.relative_to(SRC)}:{node.lineno} {name}"
              for path in sorted(SRC.rglob("*.py"))
              if path.relative_to(SRC).as_posix() not in allowed

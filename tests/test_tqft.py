@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from tvskein.cyclo import CycloElem, constants, map_j, reduce_to_kp
+from tvskein.cyclo import (CycloElem, constants, map_j, reduce_to_kp,
+                           u_element)
 from tvskein.diagram import SliceWord
 from tvskein.laurent import LaurentPoly
 from tvskein.matring import RingMatrix, flat_decompose
 from tvskein.oracles import (QA, LaurentFrac, berkowitz_det, catalan,
-                             ordinary_det_test, tau5_value, witten_check)
+                             full_twist, ordinary_det_test, tau5_value,
+                             witten_check)
 from tvskein.polyalg import RingPoly, numeric_roots, power_sums
 from tvskein.recoupling import unknot_value
 from tvskein.rings import ZA, kp_field
@@ -342,7 +344,6 @@ class _SyntheticScalars:
 
 def _literal_general_B(s, k, p):
     """B(J, k) as the printed quadruple sum over (s, r, r')."""
-    from tvskein.recoupling import full_twist
     cd = ColorData.at(p)
     pack = constants(p)
     n = pack.n
@@ -384,7 +385,7 @@ def _frac_to_kp(x, p):
 
 def _literal_colored_B(s, k, p, c):
     """The colored B matrix as the printed quadruple sum over (s, r, r')."""
-    from tvskein.recoupling import full_twist, tet, theta
+    from tvskein.recoupling import tet, theta
     cd = ColorData.at(p)
     pack = constants(p)
     S = cd.S(c)
@@ -550,7 +551,7 @@ def _recorded_colored_weights(monkeypatch, p, c, k):
 
 
 def test_level_recoupling_equals_QA_then_reduce(monkeypatch):
-    from tvskein.recoupling import full_twist, tet, theta
+    from tvskein.recoupling import tet, theta
     k = 3
     checked = set()
     for p in range(5, 10):
@@ -575,6 +576,23 @@ def test_level_recoupling_equals_QA_then_reduce(monkeypatch):
                 assert val == want, (p, c, kind, r, i, t)
                 checked.add((p, c, kind, r, i, t))
     assert len(checked) == 168
+
+
+def test_twist_weights_are_monomials():
+    from tvskein.tqft import _twist
+    for p in (5, 7, 9, 12, 13):
+        for k in (1, 3, p + 1, 2 * p - 1):
+            weight = _twist(p, k)
+            for r in range(6):
+                for i in range(6):
+                    for t in range(6):
+                        want = reduce_to_kp(full_twist(r, i, t) ** k, p)
+                        assert weight(r, i, t) == want, (p, k, r, i, t)
+    # kappa^(-3 sigma_d) = u^(-sigma_d / 2) as a monomial, against u's powers
+    for p, k in ((7, -2), (9, -3), (12, -1)):
+        for rec in cover_series("U", k, p, range(1, 6)):
+            assert rec.corrected == \
+                rec.value * u_element(p) ** (-rec.sigma_d // 2), (p, k, rec.d)
 
 
 def test_colored_double_forms_no_QA_value(monkeypatch):
