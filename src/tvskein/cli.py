@@ -26,7 +26,7 @@ import sys
 from .diagram import DiagramError, KnotRef, PDCode, SliceWord
 from .recoupling import ColorError
 from .skein import bracket_pd, bracket_word
-from .tqft import (UnsupportedSpecialization, branched_series,
+from .tqft import (ColorData, UnsupportedSpecialization, branched_series,
                    brieskorn_value, colored_double_invariant, connected_sum,
                    cover_series, double_invariant, tangle_invariant)
 
@@ -103,12 +103,14 @@ def _print_invariant(inv, fmt, out):
     if fmt == "json":
         print(json.dumps(invariant_to_json(inv), sort_keys=True), file=out)
         return
+    # a failed root check exits before any line is printed
+    eigen = inv.numeric_eigen
     print(f"p = {inv.p}", file=out)
     print(f"Gamma = {inv.gamma}", file=out)
     print(f"D = {inv.constant_term}", file=out)
     print(f"flat rank = {inv.flat_rank}", file=out)
-    if inv.numeric_eigen:
-        eig = ", ".join(f"{z.real:+.9f}{z.imag:+.9f}i" for z in inv.numeric_eigen)
+    if eigen:
+        eig = ", ".join(f"{z.real:+.9f}{z.imag:+.9f}i" for z in eigen)
         print(f"eigenvalues = {eig}", file=out)
     if inv.period is not None:
         print(f"period = {inv.period}", file=out)
@@ -229,7 +231,6 @@ def cmd_covers(args, out):
 def cmd_sum(args, out):
     left = KnotRef.parse(args.left)
     right = KnotRef.parse(args.right)
-    from .tqft import ColorData
     cd = ColorData.at(args.p)
 
     def blocks(ref):

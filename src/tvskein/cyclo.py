@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .laurent import LaurentPoly, _coeff_div, bracket_e, mu_eig
+from .laurent import LaurentPoly, _coeff_div, _power, bracket_e, mu_eig
 
 
 class InvariantCheckError(ArithmeticError):
@@ -239,7 +239,7 @@ class CycloElem:
         return not any(self.num)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def in_ring(self):
         """True if the denominator divides a power of d (honest k_p element)."""
@@ -331,14 +331,7 @@ class CycloElem:
     def __pow__(self, n):
         if n < 0:
             return self.inv() ** (-n)
-        out = CycloElem.one(self.p)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, CycloElem.one(self.p))
 
     def inv(self):
         """Inverse in the fraction field, by the norm to Q.

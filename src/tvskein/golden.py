@@ -15,7 +15,6 @@ from math import comb
 
 from .cyclo import CycloElem, reduce_to_kp
 from .laurent import LaurentPoly
-from .oracles import MPoly, MPolyRing, branched_d1_identity, witten_check
 from .polyalg import RingPoly, power_sums, tensor_product
 from .rings import kp_field
 from .skein import closure_B, transfer_Q
@@ -216,6 +215,7 @@ def suite_tensor512():
 
 
 def suite_appendixA():
+    from .oracles import MPoly, MPolyRing
     out = []
     r4 = MPolyRing(4)
     a0, a1, b0, b1 = (MPoly.var(4, i) for i in range(4))
@@ -347,6 +347,7 @@ def suite_eigen76():
 
 
 def suite_branched8():
+    from .oracles import branched_d1_identity
     out = []
     a = CycloElem.a_power(5, 1)
     ab = CycloElem.a_power(5, -1)
@@ -404,6 +405,7 @@ def suite_branched8():
 
 
 def suite_witten11():
+    from .oracles import witten_check
     out = []
     for r in (3, 4, 5, 6, 7):
         res = witten_check(r)

@@ -42,6 +42,21 @@ def _coeff_div(a, b):
     return _coeff(a / b)
 
 
+def _power(base, n, one):
+    """base^n by square-and-multiply from ``one``; n < 0 raises ValueError,
+    so a type with inverses handles negative powers before calling this."""
+    if n < 0:
+        raise ValueError(f"negative power {n} needs an inverse")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
 class LaurentPoly:
     """A finite sum sum_k c_k A^k.
 
@@ -164,14 +179,7 @@ class LaurentPoly:
                 (e, c), = self.terms.items()
                 return LaurentPoly({e * n: _coeff_div(1, c ** (-n))})
             raise ValueError("negative power of a non-monomial Laurent polynomial")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, LaurentPoly.one())
 
     def bar(self):
         """The involution A -> A^-1."""

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polyalg import InvariantCheckError, RingPoly, _is_zero
+from .laurent import _power
+from .polyalg import InvariantCheckError, RingPoly
 
 
 class RingMatrix:
@@ -66,18 +67,9 @@ class RingMatrix:
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch in *")
             zero = self.ring.zero
-            out = []
             bt = list(zip(*other.data))
-            for r in self.data:
-                row = []
-                for c in bt:
-                    acc = zero
-                    for a, b in zip(r, c):
-                        if not _is_zero(a) and not _is_zero(b):
-                            acc = acc + a * b
-                    row.append(acc)
-                out.append(row)
-            return RingMatrix(self.ring, out)
+            return RingMatrix(self.ring, [[_row_dot(r, c, zero) for c in bt]
+                                          for r in self.data])
         if isinstance(other, int):
             other = self.ring.coerce(other)
         return RingMatrix(self.ring, [[a * other for a in r] for r in self.data])
@@ -87,14 +79,7 @@ class RingMatrix:
     def __pow__(self, n):
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
-        out = RingMatrix.identity(self.ring, self.rows)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, RingMatrix.identity(self.ring, self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, RingMatrix):
@@ -171,11 +156,7 @@ def berkowitz_charpoly(mat):
         t = [one, -a]
         v = col
         for _ in range(k - 1):
-            dot = zero
-            for x, y in zip(row, v):
-                if not _is_zero(x) and not _is_zero(y):
-                    dot = dot + x * y
-            t.append(-dot)
+            t.append(-_row_dot(row, v, zero))
             if len(t) == k + 1:
                 break
             v = [_row_dot(mat.data[i][:k - 1], v, zero) for i in range(k - 1)]
@@ -184,7 +165,7 @@ def berkowitz_charpoly(mat):
             acc = zero
             for j in range(len(char)):
                 ti = i - j
-                if 0 <= ti < len(t) and not _is_zero(char[j]):
+                if 0 <= ti < len(t) and char[j]:
                     acc = acc + t[ti] * char[j]
             new.append(acc)
         char = new
@@ -194,7 +175,7 @@ def berkowitz_charpoly(mat):
 def _row_dot(row, v, zero):
     acc = zero
     for x, y in zip(row, v):
-        if not _is_zero(x) and not _is_zero(y):
+        if x and y:
             acc = acc + x * y
     return acc
 
@@ -217,7 +198,7 @@ def _rref(mat):
     for c in range(cols):
         pr = None
         for i in range(r, rows):
-            if not _is_zero(m[i][c]):
+            if m[i][c]:
                 pr = i
                 break
         if pr is None:
@@ -226,7 +207,7 @@ def _rref(mat):
         inv = ring.inv(m[r][c])
         m[r] = [x * inv for x in m[r]]
         for i in range(rows):
-            if i != r and not _is_zero(m[i][c]):
+            if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
@@ -244,14 +225,7 @@ def rank(mat):
 def inverse(mat):
     if mat.rows != mat.cols:
         raise ValueError("inverse of a non-square matrix")
-    ring = mat.ring
-    n = mat.rows
-    aug = RingMatrix(ring, [mat.data[i] + RingMatrix.identity(ring, n).data[i]
-                            for i in range(n)])
-    red, piv = _rref(aug)
-    if piv[:n] != list(range(n)):
-        raise ZeroDivisionError("singular matrix")
-    return RingMatrix(ring, [row[n:] for row in red[:n]])
+    return solve(mat, RingMatrix.identity(mat.ring, mat.rows))
 
 
 def solve(mat, rhs):
@@ -279,19 +253,16 @@ class FlatDecomposition:
     constant term D.
     """
 
-    __slots__ = ("source", "flat_rank", "flat_matrix", "gamma",
-                 "constant_term")
+    __slots__ = ("flat_rank", "flat_matrix", "gamma", "constant_term")
 
-    def __init__(self, source, flat_rank, flat_matrix, gamma, constant_term):
-        self.source = source
+    def __init__(self, flat_rank, flat_matrix, gamma, constant_term):
         self.flat_rank = flat_rank
         self.flat_matrix = flat_matrix
         self.gamma = gamma
         self.constant_term = constant_term
 
     def __repr__(self):
-        return (f"FlatDecomposition(source={self.source!r}, "
-                f"flat_rank={self.flat_rank!r}, "
+        return (f"FlatDecomposition(flat_rank={self.flat_rank!r}, "
                 f"flat_matrix={self.flat_matrix!r}, gamma={self.gamma!r}, "
                 f"constant_term={self.constant_term!r})")
 
@@ -313,7 +284,7 @@ def flat_decompose(z):
     r = gamma.degree()
     if n == 0 or r == 0:
         flat = RingMatrix(ring, [])
-        return FlatDecomposition(z, 0, flat, RingPoly.one(ring), ring.one)
+        return FlatDecomposition(0, flat, RingPoly.one(ring), ring.one)
     zk = z if r == n else z ** (n - r)
     _, piv = _rref(zk)
     if len(piv) != r:
@@ -331,9 +302,9 @@ def flat_decompose(z):
     if gamma_flat != gamma:
         raise InvariantCheckError("flat charpoly mismatch")
     d = gamma.constant_term()
-    if _is_zero(d):
+    if not d:
         raise InvariantCheckError("normalized charpoly has zero constant term")
-    return FlatDecomposition(z, r, m, gamma, d)
+    return FlatDecomposition(r, m, gamma, d)
 
 
 # -- similarity invariants ---------------------------------------------------

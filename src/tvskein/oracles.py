@@ -45,7 +45,7 @@ from .cyclo import (CycloElem, constants, cyclotomic_poly, map_i, map_j,
                     reduce_to_kp, u_element)
 from .diagram import ATLAS_BRAIDS, DiagramError, SliceWord, braid_closure
 from .laurent import (ONE, LaurentPoly, QFactored, _as_laurent, _coeff_div,
-                      mu_eig, quantum_int)
+                      _power, mu_eig, quantum_int)
 from .matring import (RingMatrix, berkowitz_charpoly, flat_decompose,
                       normalized_charpoly, rank)
 from .polyalg import PowerSumSeries
@@ -230,14 +230,7 @@ class LaurentFrac:
     def __pow__(self, n):
         if n < 0:
             return self.inv() ** (-n)
-        out = LaurentFrac.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, LaurentFrac.one())
 
     def bar(self):
         return LaurentFrac(self.num.bar(), self.den.bar())

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd
+from math import exp, gcd, log
 
 from .cyclo import (CycloElem, InvariantCheckError, cyclotomic_poly,
                     level_degree)
+from .laurent import _power
 from .rings import QQ, CycloField
 
 
@@ -36,7 +37,7 @@ class RingPoly:
     def __init__(self, ring, coeffs):
         cs = [ring.coerce(c) if isinstance(c, (int, Fraction)) else c
               for c in coeffs]
-        while cs and _is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         self.ring = ring
         self.coeffs = cs
@@ -76,7 +77,7 @@ class RingPoly:
         if not self.coeffs:
             return self
         k = 0
-        while _is_zero(self.coeffs[k]):
+        while not self.coeffs[k]:
             k += 1
         return RingPoly(self.ring, self.coeffs[k:])
 
@@ -100,24 +101,17 @@ class RingPoly:
             return RingPoly.zero(self.ring)
         out = [self.ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
-                if not _is_zero(b):
+                if b:
                     out[i + j] = out[i + j] + a * b
         return RingPoly(self.ring, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        out = RingPoly.one(self.ring)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, RingPoly.one(self.ring))
 
     def __eq__(self, other):
         if not isinstance(other, RingPoly):
@@ -162,7 +156,7 @@ class RingPoly:
         q = [self.ring.zero] * max(0, len(rem) - dn)
         for i in range(len(rem) - 1, dn - 1, -1):
             c = rem[i] * inv_lead
-            if _is_zero(c):
+            if not c:
                 continue
             q[i - dn] = c
             for j, d in enumerate(other.coeffs):
@@ -191,7 +185,7 @@ class RingPoly:
             return "0"
         parts = []
         for k, c in enumerate(self.coeffs):
-            if _is_zero(c):
+            if not c:
                 continue
             if k == 0:
                 parts.append(f"({c})")
@@ -202,13 +196,6 @@ class RingPoly:
 
     def __repr__(self):
         return f"RingPoly[{self.ring.name}]({self})"
-
-
-def _is_zero(c):
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    z = getattr(c, "is_zero", None)
-    return z() if callable(z) else not c
 
 
 # -- power sums ---------------------------------------------------------
@@ -304,7 +291,8 @@ def numeric_roots(gamma):
     back at full accuracy with exact multiplicities.  The roots of each
     square-free part come from Aberth-Ehrlich iteration in complex
     floating point.  Deterministic ordering by ``_root_key``; each
-    root satisfies |gamma(root)| < 1e-8 after Newton polishing.
+    root z satisfies |gamma(z)| <= 1e-8 sum_k |c_k| max(1, |z|)^k after
+    Newton polishing (see ``_numeric_simple``).
     """
     if gamma.is_zero():
         raise ValueError("numeric roots of the zero polynomial")
@@ -349,18 +337,13 @@ def _aberth(cs):
     """Approximate roots of sum_k cs[k] x^k by Aberth-Ehrlich iteration.
 
     O. Aberth, "Iteration methods for finding all zeros of a polynomial
-    simultaneously", Math. Comp. 27 (1973).  The n guesses start evenly
-    spaced on the circle of Cauchy's bound 1 + max |cs[k] / cs[-1]|,
-    turned by a quarter of their spacing so that none is real and no two
-    are conjugate.  Each sweep moves every guess z in place by
+    simultaneously", Math. Comp. 27 (1973).  The guesses start from
+    ``_start``.  Each sweep moves every guess z in place by
     f(z) / (f'(z) - f(z) sum_w 1 / (z - w)) over the other guesses w; the
     sweeps stop when no guess moves by more than 1e-12 (1 + |z|), or after
     _ABERTH_SWEEPS.  Newton polishing follows in ``_numeric_simple``.
     """
-    n = len(cs) - 1
-    radius = 1 + max(abs(c / cs[-1]) for c in cs[:-1])
-    zs = [radius * cmath.exp(1j * cmath.pi * (4 * k + 1) / (2 * n))
-          for k in range(n)]
+    zs = _start(cs)
     for _ in range(_ABERTH_SWEEPS):
         moved = False
         for i, z in enumerate(zs):
@@ -377,7 +360,48 @@ def _aberth(cs):
     return zs
 
 
+def _start(cs):
+    """Aberth's first guesses, on the circles of the Newton polygon.
+
+    An edge from i to j of the upper convex hull of (k, log |cs[k]|) puts
+    j - i guesses evenly on the circle of radius |cs[i] / cs[j]|^(1/(j-i)),
+    near the moduli of as many roots, turned by 2 pi i / n + 0.7; zeros
+    cs[0..i-1] put i guesses at 0 (D. A. Bini, Numer. Algorithms 13, 1996).
+    One circle for all roots leaves the small roots unconverged when the
+    moduli span orders of magnitude.  The turn is no rational multiple of
+    pi, so no guess is real, no two are conjugate and none sits on a
+    symmetry of coefficients in k_p: turned by a rational angle, the two
+    guesses for a quadratic Gamma over k_9 met in the first sweep.
+    """
+    def rise(a, b):
+        return (b[1] - a[1]) / (b[0] - a[0])
+
+    hull = []
+    for pt in [(k, log(abs(c))) for k, c in enumerate(cs) if c]:
+        # drop the last vertex while it lies on or below the new chord
+        while len(hull) > 1 and rise(hull[-2], hull[-1]) <= rise(hull[-2], pt):
+            hull.pop()
+        hull.append(pt)
+    n = len(cs) - 1
+    zs = [0j] * hull[0][0]
+    for (i, a), (j, b) in zip(hull, hull[1:]):
+        m, radius = j - i, exp((a - b) / (j - i))
+        zs += [radius * cmath.exp(1j * (2 * cmath.pi * (k / m + i / n) + 0.7))
+               for k in range(m)]
+    return zs
+
+
 def _numeric_simple(gamma):
+    """Roots of a square-free gamma, polished by Newton's method.
+
+    Horner's rule evaluates gamma(z) with an error below about
+    2n u sum_k |c_k| |z|^k (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, eq. 5.3), so a root is accepted when its residual is below
+    1e-8 sum_k |c_k| r^k, r = max(1, |z|): far above rounding, far below
+    the residual of an unconverged guess, and scaled with the coefficients,
+    where an absolute bound fails once they reach 1e9.  With r >= 1 a root
+    at 0 is judged on the coefficients' scale, not on |c_1 z| alone.
+    """
     cs = [c.embed() if isinstance(c, CycloElem) else complex(c)
           for c in gamma.coeffs]
     if len(cs) == 1:
@@ -393,7 +417,9 @@ def _numeric_simple(gamma):
             if abs(step) < 1e-15:
                 break
         polished.append(z)
-    if any(abs(_value(cs, z)) >= 1e-8 for z in polished):
+    size = [abs(c) for c in cs]
+    if any(abs(_value(cs, z)) > 1e-8 * _value(size, max(1.0, abs(z)))
+           for z in polished):
         raise InvariantCheckError("root polishing failed")
     polished.sort(key=_root_key)
     return polished
@@ -414,7 +440,7 @@ def root_periodicity(gamma):
     phi(m) <= deg is divided out as often as it divides, anything left
     over means None, and the period is the lcm of the m divided out.
     """
-    if not gamma.is_monic() or _is_zero(gamma.constant_term()):
+    if not gamma.is_monic() or not gamma.constant_term():
         raise ValueError("periodicity needs a monic polynomial with "
                          "nonzero constant term")
     norm = _rational_norm(gamma)

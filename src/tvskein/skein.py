@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclo import InvariantCheckError
+from .cyclo import InvariantCheckError, reduce_to_kp
 from .diagram import (ATLAS_BRAIDS, DiagramError, KnotRef, PDCode,
                       braid_closure, pd_to_braid)
 from .laurent import DELTA, LaurentPoly, QFactored, bracket_e, mu_eig
@@ -419,7 +419,7 @@ class KnotScalars:
     """The bracket data a twisted double needs: the colored brackets <J_c>.
 
     <J> and [[J]] are the colors 1 and 2, and b_k is built from [[J]];
-    one cache holds them all.
+    one cache holds them all, and a second their images in the levels k_p.
     """
 
     def __init__(self, name, braid=None, colored_fn=None):
@@ -427,6 +427,7 @@ class KnotScalars:
         self.braid = braid
         self._colored_fn = colored_fn
         self._colored = {}
+        self._level = {}
 
     @property
     def bracket(self):
@@ -450,6 +451,12 @@ class KnotScalars:
             else:
                 self._colored[c] = colored_bracket(*self.braid, c)
         return self._colored[c]
+
+    def at(self, c, p):
+        """<J_c> in k_p, reduced once per (c, p)."""
+        if (c, p) not in self._level:
+            self._level[c, p] = reduce_to_kp(self.colored(c), p)
+        return self._level[c, p]
 
 
 _SCALAR_CACHE = {}

@@ -263,8 +263,8 @@ def z5_matrix(j_ref, k):
     ring = kp_field(5)
     pack = constants(5)
     s = _scalars(j_ref)
-    br = reduce_to_kp(s.bracket, 5)
-    bk = reduce_to_kp(s.b_k(k), 5)
+    br = s.at(1, 5)
+    bk = CycloElem.a_power(5, 2 * k) * s.at(2, 5) + CycloElem.a_power(5, -6 * k)
     mu = pack.mu[1]
     mk = mu ** ((2 * k + 1) % 10)
     beta = pack.beta
@@ -279,10 +279,9 @@ def _channel_sums(s, p, cd, left, right, *weights):
 
     Entry (i, t) of the matrix for ``weight`` is the sum, over the colors
     r with (i, r, t) small admissible, of weight(r, i, t) <J_r> in k_p.
-    Each <J_r> is reduced once, and only for the colors some sum reaches:
-    a color beyond them costs a colored bracket (seconds for F8 at 6).
+    Only the colors some sum reaches are read: a color beyond them costs
+    a colored bracket (seconds for F8 at 6).
     """
-    brackets = {}
     out = [[[None] * len(right) for _ in left] for _ in weights]
     for a, i in enumerate(left):
         for b, t in enumerate(right):
@@ -290,10 +289,9 @@ def _channel_sums(s, p, cd, left, right, *weights):
             for r in cd.colors():
                 if not cd.small(i, r, t):
                     continue
-                if r not in brackets:
-                    brackets[r] = reduce_to_kp(s.colored(r), p)
+                br = s.at(r, p)
                 for w, weight in enumerate(weights):
-                    accs[w] = accs[w] + weight(r, i, t) * brackets[r]
+                    accs[w] = accs[w] + weight(r, i, t) * br
             for w, acc in enumerate(accs):
                 out[w][a][b] = acc
     return out
@@ -311,17 +309,9 @@ def _twist(p, power=1):
 
 def _pattern_product(left, right, diag, beta, ring):
     """beta * left * diag(diag) * right^T over k_p."""
-    rows = []
-    for li in left:
-        scaled = [x * d for x, d in zip(li, diag)]
-        row = []
-        for rj in right:
-            acc = ring.zero
-            for x, y in zip(scaled, rj):
-                acc = acc + x * y
-            row.append(acc * beta)
-        rows.append(row)
-    return RingMatrix(ring, rows)
+    scaled = RingMatrix(ring, [[x * d for x, d in zip(row, diag)]
+                               for row in left])
+    return scaled * RingMatrix(ring, right).transpose() * beta
 
 
 def general_L_matrix(j_ref, p):
@@ -337,17 +327,16 @@ def general_L_matrix(j_ref, p):
     return RingMatrix(kp_field(p), lm)
 
 
-def general_B_matrix(j_ref, k, p, cd=None):
+def general_B_matrix(j_ref, k, p):
     """B(J, k): the twisted side of the general doubled-pattern pairing.
 
     The sum over the pattern channel s carries <e_s> and <e_s>^-1,
     which cancel, so B = beta U diag(mu(s)^(2k+1)) W^T with
     U[i, s] = sum_r ft(r, i, s) <J_r> and W[j, s] = sum_r ft(r, j, s)^k <J_r>.
     """
-    cd = cd or ColorData.at(p)
     pack = constants(p)
     basis = range(pack.n)
-    u, w = _channel_sums(_scalars(j_ref), p, cd, basis, basis,
+    u, w = _channel_sums(_scalars(j_ref), p, ColorData.at(p), basis, basis,
                          _twist(p), _twist(p, k % (2 * p)))
     tw = [pack.mu[t] ** ((2 * k + 1) % (4 * p)) for t in basis]
     return _pattern_product(u, w, tw, pack.beta, kp_field(p))
@@ -397,16 +386,14 @@ def general_double(j_ref, k, p):
     """The general small-admissible-sum path (p >= 3)."""
     if isinstance(j_ref, str):
         j_ref = KnotRef.parse(j_ref)
-    cd = ColorData.at(p)
-    pack = constants(p)
     s = _scalars(j_ref)
-    for c in range(pack.n):
-        if reduce_to_kp(s.colored(c), p).is_zero():
+    for c in range(constants(p).n):
+        if not s.at(c, p):
             raise UnsupportedSpecialization(
                 f"<J_{c}> vanishes at p={p}; the doubled-pattern pairing "
                 f"is singular for J={s.name}")
     l_inv = _pairing_inverse(j_ref, p, 0)
-    return make_invariant(general_B_matrix(j_ref, k, p, cd) * l_inv, p)
+    return make_invariant(general_B_matrix(j_ref, k, p) * l_inv, p)
 
 
 @lru_cache(maxsize=None)
@@ -442,11 +429,11 @@ def colored_L_matrix(j_ref, p, c):
     return RingMatrix(kp_field(p), lm)
 
 
-def colored_B_matrix(j_ref, k, p, c, cd=None):
+def colored_B_matrix(j_ref, k, p, c):
     """The twisted side of the colored pairing, factorised like
     ``general_B_matrix``: beta T1 diag(<e_s> mu(s)^(2k+1)) C2^T over the
     pattern channels s with (c, s, s) small admissible."""
-    cd = cd or ColorData.at(p)
+    cd = ColorData.at(p)
     pack = constants(p)
     S = cd.S(c)
     chans = [t for t in range(pack.n) if cd.small(c, t, t)]
@@ -484,11 +471,11 @@ def colored_double_invariant(j_ref, k, p, c):
             RingMatrix(kp_field(5), [[z5_color2_scalar(j_ref, k)]]), 5)
     s = _scalars(j_ref)
     for e in cd.S(c):
-        if reduce_to_kp(s.colored(e), p).is_zero():
+        if not s.at(e, p):
             raise UnsupportedSpecialization(
                 f"<J_{e}> vanishes at p={p} (color-{c} pairing singular)")
     l_inv = _pairing_inverse(j_ref, p, c)
-    return make_invariant(colored_B_matrix(j_ref, k, p, c, cd) * l_inv, p)
+    return make_invariant(colored_B_matrix(j_ref, k, p, c) * l_inv, p)
 
 
 def z5_color2_scalar(j_ref, k):
@@ -504,7 +491,7 @@ def z5_color2_scalar(j_ref, k):
     a = CycloElem.a_power(5, 1)
     abar = CycloElem.a_power(5, -1)
     mu = pack.mu[1]
-    bk = reduce_to_kp(s.b_k(k), 5)
+    bk = CycloElem.a_power(5, 2 * k) * s.at(2, 5) + CycloElem.a_power(5, -6 * k)
     one = CycloElem.one(5)
     inner = pack.beta * (one + mu ** ((2 * k + 1) % 10) * bk) - one
     return (a + abar) * inner

@@ -181,6 +181,30 @@ def test_failed_internal_check_exit_code(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+def test_sum_with_large_gamma_coefficients():
+    # Gamma has degree 14 and embedded coefficients up to 6.0e9
+    rc, out = _run(["sum", "--left", "D(1,RT)", "--right", "D(2,F8)",
+                    "--p", "7"])
+    assert rc == 0, out
+    eigen = next(line for line in out.splitlines()
+                 if line.startswith("eigenvalues = "))
+    assert eigen.count(",") == 13
+
+
+def test_failed_root_check_prints_nothing(monkeypatch, capsys):
+    import tvskein.tqft as tqft
+    from tvskein.polyalg import InvariantCheckError
+
+    def failing(gamma):
+        raise InvariantCheckError("root polishing failed")
+
+    monkeypatch.setattr(tqft, "numeric_roots", failing)
+    rc, out = _run(["double", "--J", "U", "--k", "1", "--p", "5"])
+    assert rc == 4 and out == ""
+    assert capsys.readouterr().err == \
+        "internal check failed: root polishing failed\n"
+
+
 def test_singular_pairing_exit_code(monkeypatch):
     import tvskein.tqft as tqft
     from tvskein.matring import RingMatrix

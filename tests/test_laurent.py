@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from tvskein.laurent import (A, DELTA, MU, LaurentPoly, bracket_e, mu_eig,
-                             quantum_int)
+from tvskein.cyclo import CycloElem
+from tvskein.laurent import (A, DELTA, MU, LaurentPoly, _power, bracket_e,
+                             mu_eig, quantum_int)
+from tvskein.matring import RingMatrix
 from tvskein.oracles import LaurentFrac, poly_gcd
+from tvskein.polyalg import RingPoly
+from tvskein.rings import QQ, kp_field
 
 
 def test_binomial_square():
@@ -132,3 +136,32 @@ def test_coefficient_division_is_exact():
     assert inv == LaurentPoly({-3: -1}) and _types(inv) == {int}
     h = LaurentFrac(1, 2 * A + 4)
     assert h.den == A + 2 and h.num == LaurentPoly({0: Fraction(1, 2)})
+
+
+def test_power_matches_repeated_products():
+    # one square-and-multiply loop serves every type with a ``__pow__``
+    k7 = kp_field(7)
+    x = CycloElem(7, (Fraction(1, 3), 2, 0, -1), grade=1)
+    cases = [
+        (A - 2 * A.bar() + 3, LaurentPoly.one()),
+        (x, CycloElem.one(7)),
+        (RingPoly(k7, [x ** 6, 2, CycloElem.a_power(7, 3)]),
+         RingPoly.one(k7)),
+        (RingMatrix(QQ, [[1, 2], [3, Fraction(1, 2)]]),
+         RingMatrix.identity(QQ, 2)),
+    ]
+    for base, one in cases:
+        acc = one
+        for n in range(12):
+            assert base ** n == acc == _power(base, n, one), (base, n)
+            acc = acc * base
+        with pytest.raises(ValueError, match="negative power"):
+            _power(base, -1, one)
+    # the negative branches: monomials and k_p invert, the rest raise
+    assert (-2 * A ** 3) ** -2 == LaurentPoly({-6: Fraction(1, 4)})
+    with pytest.raises(ValueError, match="non-monomial"):
+        (A + 1) ** -1
+    assert x ** -3 == x.inv() ** 3 and x ** -3 * x ** 3 == CycloElem.one(7)
+    for base, _ in cases[2:]:
+        with pytest.raises(ValueError, match="negative power"):
+            base ** -2

@@ -208,6 +208,41 @@ def test_numeric_roots_satisfy_vieta():
             assert abs(acc) < 1e-8, cs
 
 
+def test_numeric_roots_of_large_coefficients_satisfy_vieta():
+    # coefficients near 1e9, as in Gamma of D_1(RT) # D_2(F8) at p = 7:
+    # the residuals and Vieta's relations hold relative to the sizes
+    rnd = random.Random(17)
+    for _ in range(40):
+        n = rnd.randint(2, 14)
+        cs = [rnd.randint(-10 ** 9, 10 ** 9) for _ in range(n)]
+        cs.append(rnd.choice([-7, -1, 1, 3, 20]))
+        roots = numeric_roots(RingPoly(QQ, cs))
+        assert len(roots) == n
+        size = sum(abs(z) for z in roots)
+        assert abs(sum(roots) + cs[-2] / cs[-1]) < 1e-9 * size, cs
+        prod = 1
+        for z in roots:
+            prod *= z
+            acc = scale = 0
+            for c in reversed(cs):
+                acc = acc * z + c
+                scale = scale * max(1, abs(z)) + abs(c)
+            assert abs(acc) < 1e-8 * scale, cs
+        assert abs(prod - (-1) ** n * cs[0] / cs[-1]) < 1e-9 * abs(prod), cs
+
+
+def test_numeric_roots_of_level_gammas_satisfy_vieta():
+    # Aberth's guesses for Gamma of D_6(U) at p = 9 once met in one root:
+    # both then pass the residual check, and only Vieta's sum shows it
+    for p in (7, 9, 12):
+        for k in range(2 * p):
+            gamma = double_invariant("U", k, p).gamma
+            roots = numeric_roots(gamma)
+            cs = [c.embed() for c in gamma.coeffs]
+            assert abs(sum(roots) + cs[-2] / cs[-1]) < \
+                1e-9 * max(1, sum(abs(z) for z in roots)), (p, k)
+
+
 def test_numeric_roots_match_numpy():
     np = pytest.importorskip("numpy")
     for cs in _random_int_polys():

@@ -119,3 +119,14 @@ def test_double_command_loads_neither_numpy_nor_golden():
     res = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                          capture_output=True, text=True, check=True)
     assert res.stdout.splitlines()[-1] == "0 []", res.stdout
+
+
+def test_golden_import_loads_no_oracles():
+    # the library benchmark workers import golden; the oracles, the largest
+    # module, load only inside the suites that use them
+    code = ("import sys, tvskein.golden\n"
+            "print('tvskein.oracles' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    res = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines()[-1] == "False", res.stdout

@@ -5,7 +5,7 @@ import pytest
 
 from tvskein.cyclo import (CycloElem, constants, map_j, reduce_to_kp,
                            u_element)
-from tvskein.diagram import SliceWord
+from tvskein.diagram import ATLAS_BRAIDS, SliceWord
 from tvskein.laurent import LaurentPoly
 from tvskein.matring import RingMatrix, flat_decompose
 from tvskein.oracles import (QA, LaurentFrac, berkowitz_det, catalan,
@@ -14,7 +14,8 @@ from tvskein.oracles import (QA, LaurentFrac, berkowitz_det, catalan,
 from tvskein.polyalg import RingPoly, numeric_roots, power_sums
 from tvskein.recoupling import unknot_value
 from tvskein.rings import ZA, kp_field
-from tvskein.skein import closure_B, pairing_matrix_D, transfer_Q
+from tvskein.skein import (KnotScalars, closure_B, pairing_matrix_D,
+                           transfer_Q)
 from tvskein.tqft import (ColorData, UnsupportedSpecialization,
                           branched_colors, branched_series,
                           colored_double_invariant,
@@ -328,15 +329,14 @@ def test_invariant_factors_stable_under_shift():
         done += 1
 
 
-class _SyntheticScalars:
+class _SyntheticScalars(KnotScalars):
     """Stand-in companion data: <J_r> is an arbitrary Laurent polynomial."""
 
-    name = "synthetic"
-
     def __init__(self, seed):
+        super().__init__("synthetic", colored_fn=self._random)
         self.seed = seed
 
-    def colored(self, r):
+    def _random(self, r):
         rnd = random.Random(self.seed * 100 + r)
         return LaurentPoly({rnd.randint(-12, 12): rnd.randint(-4, 4)
                             for _ in range(4)} or {0: 1})
@@ -633,3 +633,25 @@ def test_colored_pairing_built_once_per_level_and_color(monkeypatch):
         tqft._pairing_inverse.cache_clear()
         assert colored_double_invariant("U", k, 7, 2).gamma == gamma
     assert calls == [(7, 2)] * 3
+
+
+def test_level_brackets_are_reduced_once_per_color(monkeypatch):
+    # every reader of <J_c> at a level goes through KnotScalars.at, which
+    # reduces each colored bracket to k_p once, whatever the twist
+    import tvskein.skein as skein
+    import tvskein.tqft as tqft
+    s = KnotScalars("RT", braid=ATLAS_BRAIDS["RT"])
+    monkeypatch.setattr(tqft, "_scalars", lambda ref: s)
+    counts = {}
+
+    def counted(x, p, *rest):
+        for c, val in s._colored.items():
+            if val is x:
+                counts[c] = counts.get(c, 0) + 1
+        return reduce_to_kp(x, p, *rest)
+
+    for mod in (skein, tqft):
+        monkeypatch.setattr(mod, "reduce_to_kp", counted, raising=False)
+    for k in range(14):
+        double_invariant("RT", k, 7)
+    assert counts and set(counts.values()) == {1}, counts
