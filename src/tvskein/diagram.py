@@ -178,31 +178,44 @@ def pd_to_braid(pd):
     pieces of a split diagram lie side by side, and free loops are idle
     strands.
     """
-    entered, root = {}, {}
-
-    def find(arc):
-        while root.setdefault(arc, arc) != arc:
-            arc = root[arc]
-        return arc
-
+    comp = _components((row[0], arc) for row in pd.crossings
+                       for arc in row[1:4])
+    entered = {}
     for row in pd.crossings:
         for s in _IN_SLOTS[row[4]]:
             entered[row[s]] = entered.get(row[s], 0) + 1
-        for arc in row[1:4]:
-            root[find(arc)] = find(row[0])
-    for arc in root:
+    for arc in comp:
         if entered.get(arc) != 1:
             end = "entered" if arc in entered else "left"
             raise DiagramError(f"arc {arc} is {end} at both ends")
     pieces = {}
     for row in pd.crossings:
-        pieces.setdefault(find(row[0]), []).append(row)
+        pieces.setdefault(comp[row[0]], []).append(row)
     strands, gens = pd.free_loops, []
     for rows in pieces.values():
         s, g = _vogel(rows)
         gens += [v + strands if v > 0 else v - strands for v in g]
         strands += s
     return strands, gens
+
+
+def _components(joins):
+    """{label: representative} for the classes the pairs ``joins`` make.
+
+    Two labels share a representative exactly when a chain of joins links
+    them; the labels are keyed in the order they are first met.
+    """
+    parent = {}
+
+    def root(v):
+        while parent.setdefault(v, v) != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for x, y in joins:
+        x = root(x)
+        parent[x] = root(y)
+    return {v: root(v) for v in parent}
 
 
 # Slots are 0..3 = a..d, counterclockwise.  The incoming slots of a
@@ -381,29 +394,10 @@ class PDCode:
 
     def component_count(self):
         """Number of link components (plus free loops)."""
-        if not self.crossings:
-            return self.free_loops
         # arcs join at crossings: under passes a<->c, over passes b<->d
-        parent = {}
-
-        def find(x):
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            parent.setdefault(x, x)
-            parent.setdefault(y, y)
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for a, b, c, d, _ in self.crossings:
-            union(a, c)
-            union(b, d)
-        roots = {find(a) for x in self.crossings for a in x[:4]}
-        return len(roots) + self.free_loops
+        comp = _components(pair for a, b, c, d, _ in self.crossings
+                           for pair in ((a, c), (b, d)))
+        return len(set(comp.values())) + self.free_loops
 
     def is_knot(self):
         return self.component_count() == 1

@@ -421,6 +421,13 @@ def _numeric_simple(gamma):
     if any(abs(_value(cs, z)) > 1e-8 * _value(size, max(1.0, abs(z)))
            for z in polished):
         raise InvariantCheckError("root polishing failed")
+    # two guesses polished onto one root both pass the residual test; the
+    # root they missed then leaves Vieta's sum off by about the spacing
+    # of the roots, far above the rounding of a sum of n roots
+    if abs(sum(polished) + cs[-2] / cs[-1]) > \
+            1e-8 * max(1.0, sum(abs(z) for z in polished)):
+        raise InvariantCheckError("root polishing failed: the roots miss "
+                                  "Vieta's sum")
     polished.sort(key=_root_key)
     return polished
 

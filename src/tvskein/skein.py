@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from .cyclo import InvariantCheckError, reduce_to_kp
 from .diagram import (ATLAS_BRAIDS, DiagramError, KnotRef, PDCode,
-                      braid_closure, pd_to_braid)
+                      _components, braid_closure, pd_to_braid)
 from .laurent import DELTA, LaurentPoly, QFactored, bracket_e, mu_eig
 from .matring import RingMatrix
 from .recoupling import braid_block, factored_e, half_twist
@@ -90,84 +90,58 @@ def splice(state_matching, p, c_in, c_out, block):
     ``block`` is a matching of c_in + c_out points: 0..c_in-1 are the
     consumed frontier points (left to right), c_in.. are the produced
     points.  Returns (new_matching, closed_loop_count).
+
+    Every strand of the result runs from one end to another, an end
+    being a frontier point outside the window or a produced point; it is
+    walked from its first end in the new order, through the block and the
+    window, to its second.  Window points the walks miss lie on closed
+    loops.
     """
     w = len(state_matching)
-    outside = [i for i in range(w) if not p <= i < p + c_in]
-
-    def new_index(node):
-        kind, v = node
-        if kind == "F":
-            return v if v < p else v - c_in + c_out
-        return p + v  # output j
-
-    # edges
-    def m_edge(i):
-        return state_matching[i]
-
-    def block_edge(k):
-        # k indexes the block point (0..c_in+c_out-1); returns partner
-        return block[k]
-
-    visited_f = [False] * w
-    visited_out = [False] * c_out
-    pairs = {}
-
-    def is_block_f(i):
-        return p <= i < p + c_in
-
-    # endpoints: outside frontier points and output points
-    endpoints = [("F", i) for i in outside] + [("N", j) for j in range(c_out)]
-    for node in endpoints:
-        kind, v = node
-        if kind == "F" and visited_f[v]:
+    stop, shift = p + c_in, c_out - c_in
+    out = [None] * (w + shift)
+    seen = [False] * c_in
+    for s in range(w + shift):
+        if out[s] is not None:
             continue
-        if kind == "N" and visited_out[v]:
-            continue
-        # walk the path
-        if kind == "F":
-            visited_f[v] = True
-            cur = ("m", v)
+        if p <= s < p + c_out:
+            k = c_in + s - p                # start at a produced point
         else:
-            visited_out[v] = True
-            cur = ("b", c_in + v)
+            i = state_matching[s if s < p else s - shift]
+            if not p <= i < stop:
+                out[s] = t = i if i < p else i + shift
+                out[t] = s
+                continue
+            k = i - p
+            seen[k] = True
+        # leave the block at point k's partner, and re-enter it through
+        # the window until the strand ends
         while True:
-            if cur[0] == "m":
-                nxt = m_edge(cur[1])
-                visited_f[nxt] = True
-                if is_block_f(nxt):
-                    cur = ("b", nxt - p)
-                else:
-                    end = ("F", nxt)
-                    break
-            else:
-                nxt = block_edge(cur[1])
-                if nxt >= c_in:
-                    visited_out[nxt - c_in] = True
-                    end = ("N", nxt - c_in)
-                    break
-                visited_f[p + nxt] = True
-                cur = ("m", p + nxt)
-        a, b = new_index(node), new_index(end)
-        pairs[a] = b
-        pairs[b] = a
+            k = block[k]
+            if k >= c_in:
+                t = p + k - c_in
+                break
+            seen[k] = True
+            i = state_matching[p + k]
+            if not p <= i < stop:
+                t = i if i < p else i + shift
+                break
+            k = i - p
+            seen[k] = True
+        out[s], out[t] = t, s
     loops = 0
-    for i in range(c_in):
-        if not visited_f[p + i]:
-            # trace the closed cycle
+    for k in range(c_in):
+        if not seen[k]:
             loops += 1
-            cur = p + i
-            while not visited_f[cur]:
-                visited_f[cur] = True
-                j = m_edge(cur)
-                visited_f[j] = True
-                nb = block_edge(j - p)
-                cur = p + nb
-    new_w = w - c_in + c_out
-    return tuple(pairs[i] for i in range(new_w)), loops
+            while not seen[k]:
+                seen[k] = True
+                j = state_matching[p + k] - p
+                seen[j] = True
+                k = block[j]
+    return tuple(out), loops
 
 
-_CAP = (1, 0)                      # block for cap: pair the two inputs
-_CUP = (1, 0)                      # block for cup: pair the two outputs
+_PAIR = (1, 0)                     # cap: pair the two inputs; cup: the outputs
 _ID2 = (2, 3, 0, 1)                # identity on two strands
 _TURN = (1, 0, 3, 2)               # cap then cup
 _CROSS_TERMS = {True: ((_ID2, _A), (_TURN, _Ainv)),
@@ -227,10 +201,10 @@ class SkeinEngine:
         return {m: c for m, c in out.items() if c}
 
     def cap(self, states, pos):
-        return self.apply_block(states, pos, 2, 0, _CAP)
+        return self.apply_block(states, pos, 2, 0, _PAIR)
 
     def cup(self, states, pos):
-        return self.apply_block(states, pos, 0, 2, _CUP)
+        return self.apply_block(states, pos, 0, 2, _PAIR)
 
     def cross(self, states, pos, positive=True):
         return self.insert(states, pos, 2, _CROSS_TERMS[positive])
@@ -319,33 +293,14 @@ def bracket_pd_statesum(pd):
     total = LaurentPoly()
     delta_powers = [LaurentPoly.one()]
     for mask in range(1 << c):
-        parent = {}
-
-        def find(x):
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            parent.setdefault(x, x)
-            parent.setdefault(y, y)
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        exp = 0
-        for k, (a, b, cc, d, _s) in enumerate(pd.crossings):
-            if mask >> k & 1:          # A-smoothing joins (a,b), (c,d)
-                exp += 1
-                union(a, b)
-                union(cc, d)
-            else:                       # B-smoothing joins (b,c), (d,a)
-                exp -= 1
-                union(b, cc)
-                union(d, a)
-        arcs = {x for cr in pd.crossings for x in cr[:4]}
-        loops = len({find(x) for x in arcs}) + pd.free_loops
+        # an A-smoothing (a set bit) joins (a, b) and (c, d) and weighs A,
+        # a B-smoothing joins (b, c) and (d, a) and weighs A^-1
+        comp = _components(
+            pair for k, (a, b, cc, d, _s) in enumerate(pd.crossings)
+            for pair in (((a, b), (cc, d)) if mask >> k & 1
+                         else ((b, cc), (d, a))))
+        exp = 2 * bin(mask).count("1") - c
+        loops = len(set(comp.values())) + pd.free_loops
         while len(delta_powers) <= loops:
             delta_powers.append(delta_powers[-1] * DELTA)
         total = total + LaurentPoly({exp: 1}) * delta_powers[loops]
@@ -418,8 +373,8 @@ def colored_bracket(strands, gens, color):
 class KnotScalars:
     """The bracket data a twisted double needs: the colored brackets <J_c>.
 
-    <J> and [[J]] are the colors 1 and 2, and b_k is built from [[J]];
-    one cache holds them all, and a second their images in the levels k_p.
+    <J> and [[J]] are the colors 1 and 2; one cache holds them all, and a
+    second their images in the levels k_p.
     """
 
     def __init__(self, name, braid=None, colored_fn=None):
@@ -438,10 +393,6 @@ class KnotScalars:
     def double0(self):
         """[[J]] = <J_2>: the 0-framed 2-cable bracket minus 1."""
         return self.colored(2)
-
-    def b_k(self, k):
-        """b_k(J) = A^(2k) [[J]] + A^(-6k)."""
-        return LaurentPoly({2 * k: 1}) * self.double0 + LaurentPoly({-6 * k: 1})
 
     def colored(self, c):
         """<J_c>: the c-colored bracket of the zero-writhe diagram."""

@@ -348,7 +348,7 @@ def double_invariant(j_ref, k, p):
         j_ref = KnotRef.parse(j_ref)
     if p < 1:
         raise ValueError("p >= 1")
-    if p in (1, 3, 4):
+    if p == 1:
         return trivial_invariant(p)
     if p == 2:
         return make_invariant(z2_matrix(j_ref, k), 2)
@@ -750,13 +750,6 @@ def branched_series(j_ref, k, p, d_range):
         j_ref = KnotRef.parse(j_ref)
     pack = constants(p)
     d_max = max(d_range)
-    if p in (3, 4):
-        out = []
-        for d in d_range:
-            val = pack.eta
-            out.append(BranchedValue(d=d, normalized=CycloElem.one(p),
-                                     value=fold_kappa3(val)))
-        return out
     if p % 2 == 0 and (p // 2) % 2 == 1 and p > 6:
         # eta_2p^-1 <K_d>_2p = s(d, k) j(eta_p'^-1 <K_d>_p')
         ph = p // 2
@@ -781,7 +774,8 @@ def branched_series(j_ref, k, p, d_range):
             if series[c] is None:
                 continue
             acc = acc + reduce_to_kp(unknot_value(c), p) * series[c][d]
-        out.append(BranchedValue(d=d, normalized=acc, value=pack.eta * acc))
+        out.append(BranchedValue(d=d, normalized=acc,
+                                 value=fold_kappa3(pack.eta * acc)))
     return out
 
 

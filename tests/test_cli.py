@@ -205,6 +205,14 @@ def test_failed_root_check_prints_nothing(monkeypatch, capsys):
         "internal check failed: root polishing failed\n"
 
 
+def test_duplicate_root_exits_4(monkeypatch, capsys):
+    from test_polyalg import _first_guess_twice
+    _first_guess_twice(monkeypatch)
+    rc, out = _run(["double", "--J", "U", "--k", "6", "--p", "9"])
+    assert rc == 4 and out == ""
+    assert "Vieta's sum" in capsys.readouterr().err
+
+
 def test_singular_pairing_exit_code(monkeypatch):
     import tvskein.tqft as tqft
     from tvskein.matring import RingMatrix

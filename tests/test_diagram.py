@@ -1,8 +1,8 @@
 import pytest
 
 from tvskein.diagram import (ATLAS_PD, DiagramError, KnotRef, PDCode,
-                             SliceWord, braid_closure, normalize_writhe,
-                             pd_add_kink, pd_to_braid)
+                             SliceWord, _components, braid_closure,
+                             normalize_writhe, pd_add_kink, pd_to_braid)
 from tvskein.oracles import ATLAS_WORDS, add_word_kinks, cable_word
 
 
@@ -143,3 +143,24 @@ def test_braid_closure_widths():
     w = braid_closure(3, [1, -2, 1, -2])
     assert w.is_closed() and w.max_width() == 6
     assert w.crossing_count() == 4
+
+
+def test_components():
+    assert _components([]) == {}
+    # a chain joined out of order, and a second class; the labels are keyed
+    # in the order they are first met
+    joins = [(3, 4), (1, 2), (2, 3), (7, 8), (4, 5)]
+    comp = _components(joins)
+    assert list(comp) == [3, 4, 1, 2, 7, 8, 5]
+    assert {comp[v] for v in (1, 2, 3, 4, 5)} == {comp[1]}
+    assert comp[7] == comp[8] != comp[1]
+    # repeated, reversed and self joins change no class
+    again = _components(joins + [(2, 1), (5, 1), (8, 7), (9, 9)])
+    assert len(set(again.values())) == 3 and again[9] == 9
+    assert all((again[u] == again[v]) == (comp[u] == comp[v])
+               for u in comp for v in comp)
+    # long chains, joined from either end
+    n = 2000
+    for joins in (zip(range(n), range(1, n + 1)),
+                  zip(range(n, 0, -1), range(n - 1, -1, -1))):
+        assert len(set(_components(joins).values())) == 1

@@ -243,6 +243,28 @@ def test_numeric_roots_of_level_gammas_satisfy_vieta():
                 1e-9 * max(1, sum(abs(z) for z in roots)), (p, k)
 
 
+def _first_guess_twice(monkeypatch):
+    """Make Aberth's second guess a copy of its first."""
+    aberth = polyalg._aberth
+
+    def twice(cs):
+        zs = aberth(cs)
+        return zs[:1] * 2 + zs[2:]
+
+    monkeypatch.setattr(polyalg, "_aberth", twice)
+
+
+def test_duplicate_root_fails_vieta_check(monkeypatch):
+    # Gamma of D_6(U) at p = 9 has the roots 0.6096-0.8158i and
+    # -1.5493+1.1578i; two guesses polished onto the first both pass the
+    # residual check, and Vieta's sum rejects the pair
+    gamma = double_invariant("U", 6, 9).gamma
+    assert len(numeric_roots(gamma)) == 2
+    _first_guess_twice(monkeypatch)
+    with pytest.raises(InvariantCheckError, match="Vieta's sum"):
+        numeric_roots(gamma)
+
+
 def test_numeric_roots_match_numpy():
     np = pytest.importorskip("numpy")
     for cs in _random_int_polys():

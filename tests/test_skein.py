@@ -4,8 +4,8 @@ import pytest
 
 from tvskein.cyclo import CycloElem, reduce_to_kp
 from tvskein.diagram import (ATLAS_BRAIDS, ATLAS_PD, DiagramError, PDCode,
-                             SliceWord, braid_closure, normalize_writhe,
-                             pd_add_kink, pd_to_braid)
+                             SliceWord, _components, braid_closure,
+                             normalize_writhe, pd_add_kink, pd_to_braid)
 from tvskein.laurent import (A, DELTA, MU, LaurentPoly, QFactored, bracket_e,
                              quantum_int)
 from tvskein.oracles import (ATLAS_WORDS, add_word_kinks, berkowitz_det,
@@ -15,11 +15,17 @@ from tvskein.rings import ZA
 from tvskein.skein import (KnotScalars, SkeinEngine, bracket_pd,
                            bracket_pd_statesum, bracket_word, closure_B,
                            colored_bracket, knot_scalars, matchings,
-                           mirror_matching, pairing_matrix_D, transfer_Q)
+                           mirror_matching, pairing_matrix_D, splice,
+                           transfer_Q)
 
 RT_BRACKET = DELTA * LaurentPoly({-16: -1, -12: 1, -4: 1})
 F8_BRACKET = DELTA * LaurentPoly({8: 1, 4: -1, 0: 1, -4: -1, -8: 1})
 HOPF = LaurentPoly({6: 1, 2: 1, -2: 1, -6: 1})
+
+
+def b_k(s, k):
+    """b_k(J) = A^(2k) [[J]] + A^(-6k), the 2-cable bracket with k twists."""
+    return LaurentPoly({2 * k: 1}) * s.colored(2) + LaurentPoly({-6 * k: 1})
 
 
 def rand_word(rnd, n, extra):
@@ -227,12 +233,12 @@ def test_knot_scalars_anchors():
         assert reduce_to_kp(s.double0, 2) == CycloElem.from_int(2, 3)
         # b_k at level 2 alternates as (-1)^k 4
         for k in (0, 1, 2, 5):
-            bk2 = reduce_to_kp(s.b_k(k), 2)
+            bk2 = reduce_to_kp(b_k(s, k), 2)
             assert bk2 == CycloElem.from_int(2, 4 * (-1) ** k)
         # b_k at level p has period p
         for p in (5, 7):
             for k in (0, 1, 3):
-                assert reduce_to_kp(s.b_k(k), p) == reduce_to_kp(s.b_k(k + p), p)
+                assert reduce_to_kp(b_k(s, k), p) == reduce_to_kp(b_k(s, k + p), p)
 
 
 def random_braid_knots(rnd, count, strand_choices, max_gens):
@@ -280,9 +286,9 @@ def test_double0_via_cable_matches_b_k_channels():
         assert bracket_word(cable_word(word, 2, 0)) - LaurentPoly.one() == \
             s.double0
         for k in (1, -1):
-            assert bracket_word(cable_word(word, 2, k)) == s.b_k(k)
+            assert bracket_word(cable_word(word, 2, k)) == b_k(s, k)
     rt = knot_scalars("RT")
-    assert bracket_word(cable_word(ATLAS_WORDS["RT"], 2, 2)) == rt.b_k(2)
+    assert bracket_word(cable_word(ATLAS_WORDS["RT"], 2, 2)) == b_k(rt, 2)
 
 
 def test_two_cable_bracket_evaluated_once(monkeypatch):
@@ -307,7 +313,7 @@ def test_two_cable_bracket_evaluated_once(monkeypatch):
     monkeypatch.setattr(skein, "bracket_word", counting_bracket)
     monkeypatch.setattr(skein, "_SCALAR_CACHE", {})
     s = knot_scalars("F8")
-    s.colored(2), s.double0, s.b_k(3)
+    s.colored(2), s.double0, b_k(s, 3)
     double_invariant("F8", 3, 5)
     assert sum(two_cable) == 1
 
@@ -509,3 +515,52 @@ def test_splice_memo_matches_direct_splices(monkeypatch):
             assert eng.run_tokens(start, w.tokens) == want
     assert len(calls) - n_direct < n_direct
     assert len(calls) - n_direct == len(set(calls[n_direct:]))
+
+
+def all_pairings(points):
+    """Every perfect matching of ``points``, crossing ones included."""
+    if not points:
+        yield {}
+        return
+    a = points[0]
+    for b in points[1:]:
+        for rest in all_pairings([x for x in points[1:] if x != b]):
+            yield {**rest, a: b, b: a}
+
+
+def test_splice_matches_composition_by_components():
+    # gluing is the union of the state's arcs and the block's: label
+    # frontier point i by i and produced point j by w + j; a class with two
+    # ends of the glued frontier is a strand, one with none a closed loop.
+    # Every non-crossing state of <= 6 points, every window and every
+    # pairing of <= 4 produced points with the consumed ones
+    cases = 0
+    for n in range(4):
+        w = 2 * n
+        for m in matchings(n):
+            for p in range(w + 1):
+                for c_in in range(w - p + 1):
+                    for c_out in range(c_in % 2, 5, 2):
+                        # the glued frontier's points, in their new order
+                        new = [*range(p), *range(w, w + c_out),
+                               *range(p + c_in, w)]
+                        size = c_in + c_out
+                        label = [p + k if k < c_in else w + k - c_in
+                                 for k in range(size)]
+                        for pairing in all_pairings(list(range(size))):
+                            block = tuple(pairing[k] for k in range(size))
+                            comp = _components(
+                                [(i, m[i]) for i in range(w)]
+                                + [(label[k], label[block[k]])
+                                   for k in range(size)])
+                            strands = {}
+                            for s, e in enumerate(new):
+                                strands.setdefault(comp[e], []).append(s)
+                            want = [None] * len(new)
+                            for a, b in strands.values():
+                                want[a], want[b] = b, a
+                            loops = len(set(comp.values())) - len(strands)
+                            assert splice(m, p, c_in, c_out, block) == \
+                                (tuple(want), loops), (m, p, block)
+                            cases += 1
+    assert cases == 10061

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import tvskein
 
 SRC = Path(tvskein.__file__).parent
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def test_no_assert_statements():
@@ -130,3 +132,33 @@ def test_golden_import_loads_no_oracles():
     res = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                          capture_output=True, text=True, check=True)
     assert res.stdout.splitlines()[-1] == "False", res.stdout
+
+
+def test_names_perfbench_reads_exist(monkeypatch):
+    # the benchmark worker reads these names of the package; a deletion or
+    # rename shows here, not first as failed operations of a benchmark run
+    layers = ("skein", "tqft", "diagram")
+    read = set()
+    tree = ast.parse((PERFBENCH / "worker.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id in layers:
+            read.add((f"tvskein.{node.value.id}", node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and \
+                (node.module or "").split(".")[0] == "tvskein":
+            read |= {(node.module, alias.name) for alias in node.names}
+    assert {mod for mod, _ in read} >= {f"tvskein.{m}" for m in layers}
+    missing = [f"{mod}.{name}" for mod, name in sorted(read)
+               if not hasattr(importlib.import_module(mod), name)
+               and importlib.util.find_spec(f"{mod}.{name}") is None]
+    # the pd_scalar operations read getattr(knot_scalars(pd), what)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from tvskein.skein import KnotScalars
+    whats = {op.params["what"] for seed in (1, 2)
+             for op in workloads.companions_ops(seed)
+             if op.kind == "pd_scalar"}
+    assert whats
+    missing += [f"KnotScalars.{what}" for what in sorted(whats)
+                if not hasattr(KnotScalars, what)]
+    assert not missing, missing

@@ -146,7 +146,9 @@ def test_color2_scalar_reading():
     mu = pack.mu[1]
     one = CycloElem.one(5)
     a, ab = CycloElem.a_power(5, 1), CycloElem.a_power(5, -1)
-    bk = reduce_to_kp(s.b_k(2), 5)
+    # b_2(J) = A^4 [[J]] + A^-12
+    bk = reduce_to_kp(LaurentPoly({4: 1}) * s.colored(2)
+                      + LaurentPoly({-12: 1}), 5)
     literal = (a + ab) * (pack.beta * (one + mu ** 5) * bk - one)
     assert literal != target
 
