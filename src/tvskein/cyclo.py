@@ -141,19 +141,68 @@ def _fold_rows(p):
 
 def _mul_vec(p, a, b):
     """The reduced product of two reduced integer vectors of k_p."""
-    deg = len(a)
-    vec = [0] * (2 * deg - 1)
+    vec = [0] * (2 * len(a) - 1)
     bnz = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
             for j, y in bnz:
                 vec[i + j] += x * y
-    out = vec[:deg]
-    for row, c in zip(_fold_rows(p), vec[deg:]):
+    return _fold(p, vec)
+
+
+def _fold(p, vec):
+    """An unreduced vector of length 2 deg - 1 reduced through phi_2p."""
+    out = vec[:(len(vec) + 1) // 2]
+    for row, c in zip(_fold_rows(p), vec[len(out):]):
         if c:
             for i, t in row:
                 out[i] += c * t
     return out
+
+
+def _dot(p, xs, ys):
+    """sum x * y over k_p, reduced once rather than once per product.
+
+    The pairs' num vectors convolve into unreduced integer vectors over
+    one denominator, rescaled only when a new den comes; pairs whose
+    grades wrap past kappa^6 go to a second vector, which takes its factor
+    u once (delayed reduction, as in FFLAS: Dumas-Giorgi-Pernet, ACM TOMS
+    35(3), 2008).  ints and Fractions are grade 0; zeros of any grade are
+    skipped.
+    """
+    acc = [[0] * (2 * level_degree(p) - 1) for _ in range(2)]
+    den, grade = 1, None
+    for x, y in zip(xs, ys):
+        xn, xd, g = ((x.num, x.den, x.grade) if type(x) is CycloElem
+                     else ((x.numerator,), x.denominator, 0))
+        yn, yd, gy = ((y.num, y.den, y.grade) if type(y) is CycloElem
+                      else ((y.numerator,), y.denominator, 0))
+        if not (any(xn) and any(yn)):
+            continue
+        g += gy
+        if grade not in (None, g % 6):
+            raise ValueError(f"sum of kappa-grades {grade} and {g % 6} "
+                             "is not homogeneous")
+        grade = g % 6
+        d, s = xd * yd, 1
+        if d != den:
+            m = lcm(den, d)
+            if m != den:
+                acc = [[c * (m // den) for c in v] for v in acc]
+                den = m
+            s = m // d
+        vec = acc[g >= 6]
+        ynz = [(j, b * s) for j, b in enumerate(yn) if b]
+        for i, a in enumerate(xn):
+            if a:
+                for j, b in ynz:
+                    vec[i + j] += a * b
+    out = _fold(p, acc[0])
+    if any(acc[1]):
+        m = u_exponent(p)
+        wrap = _monomial_sum(p, ((i + m, c) for i, c in enumerate(acc[1])))
+        out = [a + b for a, b in zip(out, wrap)]
+    return CycloElem._make(p, out, den, grade or 0)
 
 
 @lru_cache(maxsize=None)
@@ -395,7 +444,8 @@ class CycloElem:
         images under every embedding A_p -> primitive 2p-th root."""
         if self.grade and not self.is_zero():
             raise ValueError("the trace to Q is defined on kappa-grade 0")
-        return sum(c * w for c, w in zip(self.coeffs, _trace_vector(self.p)))
+        return _coeff_div(sum(c * w for c, w in
+                              zip(self.num, _trace_vector(self.p))), self.den)
 
     # -- embeddings -----------------------------------------------------
 

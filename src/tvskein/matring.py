@@ -66,9 +66,9 @@ class RingMatrix:
         if isinstance(other, RingMatrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch in *")
-            zero = self.ring.zero
+            dot = self.ring.dot
             bt = list(zip(*other.data))
-            return RingMatrix(self.ring, [[_row_dot(r, c, zero) for c in bt]
+            return RingMatrix(self.ring, [[dot(r, c) for c in bt]
                                           for r in self.data])
         if isinstance(other, int):
             other = self.ring.coerce(other)
@@ -145,39 +145,22 @@ def berkowitz_charpoly(mat):
     """
     if mat.rows != mat.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    ring = mat.ring
-    n = mat.rows
-    one, zero = ring.one, ring.zero
+    ring, n = mat.ring, mat.rows
+    dot, one = ring.dot, ring.one
     char = [one]                      # descending coefficients, 0x0 -> [1]
     for k in range(1, n + 1):
         a = mat.data[k - 1][k - 1]
         row = mat.data[k - 1][:k - 1]
-        col = [mat.data[i][k - 1] for i in range(k - 1)]
+        v = [mat.data[i][k - 1] for i in range(k - 1)]
         t = [one, -a]
-        v = col
         for _ in range(k - 1):
-            t.append(-_row_dot(row, v, zero))
+            t.append(-dot(row, v))
             if len(t) == k + 1:
                 break
-            v = [_row_dot(mat.data[i][:k - 1], v, zero) for i in range(k - 1)]
-        new = []
-        for i in range(k + 1):
-            acc = zero
-            for j in range(len(char)):
-                ti = i - j
-                if 0 <= ti < len(t) and char[j]:
-                    acc = acc + t[ti] * char[j]
-            new.append(acc)
-        char = new
+            v = [dot(mat.data[i][:k - 1], v) for i in range(k - 1)]
+        # len(t) = k + 1 > len(char) = k: the product of t and char
+        char = [dot(char, t[i::-1]) for i in range(k + 1)]
     return RingPoly(ring, list(reversed(char)))
-
-
-def _row_dot(row, v, zero):
-    acc = zero
-    for x, y in zip(row, v):
-        if x and y:
-            acc = acc + x * y
-    return acc
 
 
 def normalized_charpoly(mat):

@@ -50,7 +50,7 @@ from .matring import (RingMatrix, berkowitz_charpoly, flat_decompose,
                       normalized_charpoly, rank)
 from .polyalg import PowerSumSeries
 from .recoupling import ColorError, _check_adm
-from .rings import kp_field
+from .rings import Ring, kp_field
 from .skein import SkeinEngine, _exact_quotient, bracket_word, pairing_matrix_D
 from .tqft import (branched_series, double_invariant, seifert_matrix_double,
                    total_signature)
@@ -267,7 +267,7 @@ def _as_frac(x):
     return NotImplemented
 
 
-class LaurentFracField:
+class LaurentFracField(Ring):
     name = "Q(A)"
     is_field = True
 
@@ -415,7 +415,7 @@ class MPoly:
         return " + ".join(parts)
 
 
-class MPolyRing:
+class MPolyRing(Ring):
     is_field = False
 
     def __init__(self, nvars):

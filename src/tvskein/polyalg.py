@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from functools import lru_cache
 from math import exp, gcd, log
 
 from .cyclo import (CycloElem, InvariantCheckError, cyclotomic_poly,
@@ -96,17 +97,13 @@ class RingPoly:
         if not isinstance(other, RingPoly):
             c = self.ring.coerce(other)
             return RingPoly(self.ring, [x * c for x in self.coeffs])
-        other = self._co(other)
-        if self.is_zero() or other.is_zero():
-            return RingPoly.zero(self.ring)
-        out = [self.ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return RingPoly(self.ring, out)
+        a, rb = self.coeffs, other.coeffs[::-1]
+        n, dot = len(rb), self.ring.dot
+        # c_k = sum_i a_i b_(k-i), i from max(0, k - n + 1): zip stops the
+        # slices together
+        return RingPoly(self.ring, [dot(a[max(0, k - n + 1):],
+                                        rb[max(0, n - 1 - k):])
+                                    for k in range(len(a) + n - 1)])
 
     __rmul__ = __mul__
 
@@ -226,24 +223,14 @@ def power_sums(gamma, d_max):
     """
     if not gamma.is_monic():
         raise ValueError("power sums need a monic polynomial")
-    ring = gamma.ring
     r = gamma.degree()
-    # e_i = (-1)^i coeff_(r-i), elementary symmetric functions
-    e = [ring.coerce((-1) ** i) * gamma.coeff(r - i) for i in range(r + 1)]
+    # s_d = -sum_(i=1)^(min(d,r)) c_(r-i) s_(d-i), with s_0 read as d
+    neg = [-c for c in reversed(gamma.coeffs[:-1])]
     s = []
     for d in range(1, d_max + 1):
-        if d <= r:
-            acc = ring.zero
-            for i in range(1, d):
-                acc = acc + e[i] * s[d - i - 1] * ((-1) ** (i + 1))
-            acc = acc + e[d] * ((-1) ** (d + 1) * d)
-            s.append(acc)
-        else:
-            acc = ring.zero
-            for i in range(1, r + 1):
-                acc = acc + e[i] * s[d - i - 1] * ((-1) ** (i + 1))
-            s.append(acc)
-    return PowerSumSeries(ring, s)
+        s.append(gamma.ring.dot(neg, s[::-1] + [d] if d <= r
+                                else s[:-r - 1:-1]))
+    return PowerSumSeries(gamma.ring, s)
 
 
 # -- composed (tensor) product -------------------------------------------
@@ -263,14 +250,11 @@ def tensor_product(p, q):
     ring = p.ring
     n = p.degree() * q.degree()
     sp, sq = power_sums(p, n), power_sums(q, n)
-    t = [sp[d] * sq[d] for d in range(1, n + 1)]
+    # (-1)^(i-1) t_i
+    t = [sp[d] * sq[d] if d % 2 else -(sp[d] * sq[d]) for d in range(1, n + 1)]
     e = [ring.one]
     for k in range(1, n + 1):
-        acc = ring.zero
-        for i in range(1, k + 1):
-            term = e[k - i] * t[i - 1]
-            acc = acc + term if i % 2 else acc - term
-        e.append(acc * Fraction(1, k))
+        e.append(ring.dot(e[::-1], t) * Fraction(1, k))
     return RingPoly(ring, [-e[n - j] if (n - j) % 2 else e[n - j]
                            for j in range(n + 1)])
 
@@ -493,22 +477,14 @@ def _cyclotomic_period(poly):
 
     None unless the polynomial is a product of cyclotomic polynomials.
     Those are reciprocal up to sign (Phi_1 = x - 1 is the only factor
-    that flips it), which rejects most other inputs at once.  Every m
-    with phi(m) <= deg satisfies m <= 2 deg^2, since phi(m)^2 >= m/2.
+    that flips it), which rejects most other inputs at once.
     """
     if poly[::-1] != poly and poly[::-1] != [-c for c in poly]:
         return None
-    deg = len(poly) - 1
-    phi = _totients(2 * deg * deg)
     period = 1
-    for m in range(1, 2 * deg * deg + 1):
-        if len(poly) == 1:
-            break
-        if phi[m] > len(poly) - 1:
-            continue
-        cyc = cyclotomic_poly(m)
-        while len(poly) >= len(cyc):
-            q = _divide_exact(poly, cyc)
+    for m, phi in _orders(len(poly) - 1):
+        while len(poly) > phi:
+            q = _divide_exact(poly, cyclotomic_poly(m))
             if q is None:
                 break
             poly = q
@@ -516,18 +492,20 @@ def _cyclotomic_period(poly):
     return period if len(poly) == 1 else None
 
 
-_PHI = [0, 1]
-
-
-def _totients(n):
-    """phi(0..n) at least: one sieve, rebuilt only when a larger n comes."""
-    if len(_PHI) <= n:
-        _PHI[:] = range(n + 1)
-        for q in range(2, n + 1):
-            if _PHI[q] == q:
-                for j in range(q, n + 1, q):
-                    _PHI[j] -= _PHI[j] // q
-    return _PHI
+@lru_cache(maxsize=None)
+def _orders(deg):
+    """The pairs (m, phi(m)) with phi(m) <= deg, m ascending: the products
+    of prime powers q^a with prod q^(a-1) (q - 1) <= deg, built one prime
+    q <= deg + 1 at a time."""
+    found = [(1, 1)]
+    for q in range(2, deg + 2):
+        if all(q % f for f in range(2, q)):
+            for m, phi in found[:]:
+                m, phi = m * q, phi * (q - 1)
+                while phi <= deg:
+                    found.append((m, phi))
+                    m, phi = m * q, phi * q
+    return tuple(sorted(found))
 
 
 def _divide_exact(num, den):

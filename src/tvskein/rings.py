@@ -2,8 +2,9 @@
 
 Elements themselves carry the arithmetic through operator overloading;
 a descriptor only supplies the ring constants, coercion from integers,
-and (for field-like rings) inversion.  This keeps the polynomial and
-matrix code generic over Q, Z[A,A^-1] and the cyclotomic levels k_p.
+(for field-like rings) inversion, and ``dot``, the one sum of products.
+This keeps the polynomial and matrix code generic over Q, Z[A,A^-1] and
+the cyclotomic levels k_p.
 The oracles add Q(A) and polynomials in several variables
 (``oracles.QA``, ``oracles.MPolyRing``).
 """
@@ -12,11 +13,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import CycloElem
+from .cyclo import CycloElem, _dot
 from .laurent import LaurentPoly
 
 
-class RationalRing:
+class Ring:
+    """The generic ``dot``; k_p has its own kernel."""
+
+    def dot(self, xs, ys):
+        """sum x * y over the pairs, skipping zero factors."""
+        acc = None
+        for x, y in zip(xs, ys):
+            if x and y:
+                acc = x * y if acc is None else acc + x * y
+        return self.zero if acc is None else acc
+
+
+class RationalRing(Ring):
     name = "Q"
     is_field = True
 
@@ -40,7 +53,7 @@ class RationalRing:
         return x
 
 
-class LaurentRing:
+class LaurentRing(Ring):
     name = "Z[A,A^-1]"
     is_field = False
 
@@ -94,6 +107,9 @@ class CycloField:
 
     def bar(self, x):
         return x.bar()
+
+    def dot(self, xs, ys):
+        return _dot(self.p, xs, ys)
 
 
 QQ = RationalRing()

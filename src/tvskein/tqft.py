@@ -282,18 +282,14 @@ def _channel_sums(s, p, cd, left, right, *weights):
     Only the colors some sum reaches are read: a color beyond them costs
     a colored bracket (seconds for F8 at 6).
     """
+    dot = kp_field(p).dot
     out = [[[None] * len(right) for _ in left] for _ in weights]
     for a, i in enumerate(left):
         for b, t in enumerate(right):
-            accs = [CycloElem.zero(p)] * len(weights)
-            for r in cd.colors():
-                if not cd.small(i, r, t):
-                    continue
-                br = s.at(r, p)
-                for w, weight in enumerate(weights):
-                    accs[w] = accs[w] + weight(r, i, t) * br
-            for w, acc in enumerate(accs):
-                out[w][a][b] = acc
+            rs = [r for r in cd.colors() if cd.small(i, r, t)]
+            brs = [s.at(r, p) for r in rs]
+            for w, weight in enumerate(weights):
+                out[w][a][b] = dot([weight(r, i, t) for r in rs], brs)
     return out
 
 
@@ -763,17 +759,12 @@ def branched_series(j_ref, k, p, d_range):
     series = {}
     for c in branched_colors(p):
         inv = colored_double_invariant(j_ref, k, p, c)
-        if inv.flat_rank == 0:
-            series[c] = None
-        else:
+        if inv.flat_rank:
             series[c] = power_sums(inv.gamma, d_max)
+    loops = [reduce_to_kp(unknot_value(c), p) for c in series]
     out = []
     for d in d_range:
-        acc = CycloElem.zero(p)
-        for c in branched_colors(p):
-            if series[c] is None:
-                continue
-            acc = acc + reduce_to_kp(unknot_value(c), p) * series[c][d]
+        acc = kp_field(p).dot(loops, [s[d] for s in series.values()])
         out.append(BranchedValue(d=d, normalized=acc,
                                  value=fold_kappa3(pack.eta * acc)))
     return out

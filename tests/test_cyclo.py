@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from tvskein.cyclo import (CycloElem, constants, cyclotomic_poly,
+from tvskein.cyclo import (CycloElem, _dot, constants, cyclotomic_poly,
                            fold_kappa3, level_d, level_degree, map_i, map_j,
                            reduce_to_kp, u_element)
 from tvskein.laurent import DELTA, LaurentPoly
@@ -291,3 +291,67 @@ def test_inverse_runs_without_fractions():
         sys.setprofile(None)
     assert any(f.endswith("cyclo.py") for f in seen), seen
     assert not any(f.endswith("fractions.py") for f in seen), seen
+
+
+def _naive_dot(p, xs, ys):
+    acc = CycloElem.zero(p)
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+def _parts(x):
+    return x.num, x.den, x.grade
+
+
+def test_dot_matches_naive_sum_of_products():
+    # one grade G per sum, reached by grade pairs that wrap past kappa^6
+    # too; denominators 1, d and 2p; zeros of other grades; int and
+    # Fraction operands; cancelling pairs that leave a zero of grade G
+    rnd = random.Random(19)
+    seen = set()
+    for p in range(1, 18):
+        deg = level_degree(p)
+
+        def elem(grade, zero=False):
+            den = rnd.choice((1, level_d(p), 2 * p))
+            return CycloElem(p, [0 if zero else Fraction(rnd.randint(-9, 9), den)
+                                 for _ in range(deg)], grade)
+
+        for _ in range(40):
+            target = rnd.randint(0, 5)
+            xs, ys = [], []
+            for _ in range(rnd.randint(0, 6)):
+                gx = rnd.randint(0, 5)
+                kind = rnd.random()
+                if kind < 0.15:
+                    x, y = rnd.randint(-5, 5), elem(target)
+                elif kind < 0.25:
+                    x, y = elem(target), Fraction(rnd.randint(-5, 5), 2 * p)
+                elif kind < 0.35:
+                    x, y = elem(rnd.randint(0, 5), zero=True), elem(gx)
+                else:
+                    x, y = elem(gx), elem(target - gx)
+                    seen.add((gx, (target - gx) % 6))
+                xs.append(x)
+                ys.append(y)
+            if xs and rnd.random() < 0.2:
+                xs.append(-xs[0])
+                ys.append(ys[0])
+            want = _naive_dot(p, xs, ys)
+            assert _parts(_dot(p, xs, ys)) == _parts(want), (p, xs, ys)
+    assert len(seen) == 36
+
+
+def test_dot_edge_cases():
+    for p in (1, 2, 7, 12):
+        assert _parts(_dot(p, [], [])) == _parts(CycloElem.zero(p))
+        x = CycloElem(p, (2, 1), 2)
+        zero5 = CycloElem.zero(p, 5)
+        assert _parts(_dot(p, [zero5, x], [x, x])) == _parts(x * x)
+        assert _parts(_dot(p, [3, Fraction(1, 2)], [Fraction(1, 3), 4])) == \
+            _parts(CycloElem.from_int(p, 3))
+        with pytest.raises(ValueError, match="not homogeneous"):
+            _dot(p, [x, x], [x, CycloElem.one(p)])
+        with pytest.raises(ValueError, match="not homogeneous"):
+            _naive_dot(p, [x, x], [x, CycloElem.one(p)])

@@ -194,3 +194,109 @@ def test_flat_decompose_full_rank_takes_no_power(monkeypatch):
     z = RingMatrix(QQ, [[0, 1, 0], [0, 0, 0], [0, 0, 2]])
     assert flat_decompose(z).flat_rank == 1
     assert exponents == [2]
+
+
+# -- one dot kernel per ring: naive loops as the reference ---------------------
+
+
+def _naive_dot(ring, xs, ys):
+    acc = ring.zero
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+def _naive_product(a, b):
+    return [[_naive_dot(a.ring, row, col) for col in zip(*b.data)]
+            for row in a.data]
+
+
+def _naive_charpoly(mat):
+    """Berkowitz with every sum of products written out."""
+    ring, n = mat.ring, mat.rows
+    char = [ring.one]
+    for k in range(1, n + 1):
+        row = mat.data[k - 1][:k - 1]
+        v = [mat.data[i][k - 1] for i in range(k - 1)]
+        t = [ring.one, -mat.data[k - 1][k - 1]]
+        while len(t) < k + 1:
+            t.append(-_naive_dot(ring, row, v))
+            v = [_naive_dot(ring, mat.data[i][:k - 1], v) for i in range(k - 1)]
+        new = [ring.zero] * (k + 1)
+        for i, ti in enumerate(t):
+            for j, cj in enumerate(char):
+                if i + j <= k:
+                    new[i + j] = new[i + j] + ti * cj
+        char = new
+    return list(reversed(char))
+
+
+def _naive_poly_mul(ring, f, g):
+    out = [ring.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _naive_power_sums(gamma, d_max):
+    """Newton's identities up to the degree, then the recursion."""
+    ring, r, c = gamma.ring, gamma.degree(), gamma.coeffs
+    s = []
+    for d in range(1, d_max + 1):
+        acc = ring.zero
+        for i in range(1, min(d, r + 1)):
+            acc = acc - c[r - i] * s[d - i - 1]
+        if d <= r:
+            acc = acc - c[r - d] * d
+        s.append(acc)
+    return s
+
+
+def _exact(xs):
+    """Entries with their representation: grade and denominator too."""
+    return [(x.num, x.den, x.grade) if isinstance(x, CycloElem) else x
+            for x in xs]
+
+
+def _graded_matrix(rnd, ring, grades):
+    """Entry (i, j) of grade g_i - g_j, over denominators 1, d and 2p, so
+    row-column products wrap past kappa^6 and stay homogeneous."""
+    p = ring.p
+    return RingMatrix(ring, [[CycloElem(
+        p, [Fraction(rnd.randint(-3, 3), rnd.choice((1, p, 2 * p)))
+            for _ in range(level_degree(p))], gi - gj) if rnd.random() < 0.8
+        else CycloElem.zero(p, gi - gj) for gj in grades] for gi in grades])
+
+
+def _laurent_matrix(rnd, n):
+    return RingMatrix(ZA, [[LaurentPoly({rnd.randint(-3, 3): rnd.randint(-2, 2)
+                                         for _ in range(2)})
+                            for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("ring", [kp_field(7), kp_field(12), QQ, ZA],
+                         ids=["k7", "k12", "QQ", "ZA"])
+def test_dot_sites_match_naive_loops(ring):
+    rnd = random.Random(20)
+    for _ in range(3):
+        if ring is QQ:
+            a, b = _rand_matrix(rnd, 6), _rand_matrix(rnd, 6)
+        elif ring is ZA:
+            a, b = _laurent_matrix(rnd, 4), _laurent_matrix(rnd, 4)
+        else:
+            grades = [rnd.randint(0, 5) for _ in range(6)]
+            a, b = (_graded_matrix(rnd, ring, grades),
+                    _graded_matrix(rnd, ring, grades))
+        prod = a * b
+        assert [_exact(r) for r in prod.data] == \
+            [_exact(r) for r in _naive_product(a, b)]
+        char = berkowitz_charpoly(a)
+        assert _exact(char.coeffs) == _exact(_naive_charpoly(a))
+        other = berkowitz_charpoly(b)
+        assert _exact((char * other).coeffs) == \
+            _exact(RingPoly(ring, _naive_poly_mul(ring, char.coeffs,
+                                                  other.coeffs)).coeffs)
+        if ring is not ZA:
+            assert _exact(power_sums(char, 20).values) == \
+                _exact(_naive_power_sums(char, 20))

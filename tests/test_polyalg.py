@@ -310,6 +310,60 @@ def test_root_periodicity_cyclotomic_products():
     assert root_periodicity(RingPoly(QQ, [Fraction(-1, 2), 1])) is None
 
 
+def _totients(n):
+    phi = list(range(n + 1))
+    for q in range(2, n + 1):
+        if phi[q] == q:
+            for j in range(q, n + 1, q):
+                phi[j] -= phi[j] // q
+    return phi
+
+
+PHI = _totients(2 * 48 * 48)
+
+
+def _scan_period(poly):
+    """Every m <= 2 deg^2 in turn, each Phi_m divided out while it fits
+    (phi(m)^2 >= m / 2 bounds the orders)."""
+    deg, period = len(poly) - 1, 1
+    for m in range(1, 2 * deg * deg + 1):
+        while len(poly) > PHI[m]:
+            q = polyalg._divide_exact(poly, cyclotomic_poly(m))
+            if q is None:
+                break
+            poly, period = q, period * m // gcd(period, m)
+    return period if len(poly) == 1 else None
+
+
+# Lehmer's polynomial: reciprocal, integral, a root off the unit circle
+LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+
+
+def test_cyclotomic_period_matches_scan():
+    rnd = random.Random(48)
+    orders = [m for m in range(1, len(PHI)) if PHI[m] <= 48]
+    for trial in range(60):
+        ms, deg = [], 0
+        while True:
+            m = rnd.choice(orders)
+            if deg + PHI[m] > 48:
+                break
+            ms.append(m)
+            deg += PHI[m]
+        poly = _int_poly(*[cyclotomic_poly(m) for m in ms])
+        period = 1
+        for m in ms:
+            period = period * m // gcd(period, m)
+        assert polyalg._cyclotomic_period(poly) == period == _scan_period(poly)
+        if deg + 10 <= 48:
+            poly = _int_poly(poly, LEHMER if trial % 2 else [1, -3, 1])
+            assert polyalg._cyclotomic_period(poly) is None
+            assert _scan_period(poly) is None
+        half = [rnd.randint(-2, 2) for _ in range(rnd.randint(1, 12))]
+        recip = [1] + half + half[::-1][1:] + [1]
+        assert polyalg._cyclotomic_period(recip) == _scan_period(recip)
+
+
 def test_root_periodicity_unsupported_coefficients():
     k5 = kp_field(5)
     graded = CycloElem(5, (1,), 3)

@@ -162,3 +162,56 @@ def test_names_perfbench_reads_exist(monkeypatch):
     missing += [f"KnotScalars.{what}" for what in sorted(whats)
                 if not hasattr(KnotScalars, what)]
     assert not missing, missing
+
+
+def _is_product(expr, names=()):
+    """a * b, or a name in ``names`` (names bound to a product)."""
+    return (isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Mult)
+            or isinstance(expr, ast.Name) and expr.id in names)
+
+
+def _accumulates_product(node, names):
+    """``acc = acc + a * b``, ``acc = acc - a * b`` or ``acc += a * b``,
+    also where the sum is one arm of a conditional expression."""
+    def update(value, target):
+        if isinstance(value, ast.IfExp):
+            return update(value.body, target) or update(value.orelse, target)
+        return (isinstance(value, ast.BinOp)
+                and isinstance(value.op, (ast.Add, ast.Sub))
+                and ast.unparse(value.left) == target
+                and _is_product(value.right, names))
+
+    if isinstance(node, ast.AugAssign):
+        return (isinstance(node.op, (ast.Add, ast.Sub))
+                and _is_product(node.value, names))
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        return update(node.value, ast.unparse(node.targets[0]))
+    return False
+
+
+def test_one_dot_kernel_per_ring():
+    # every sum of products over a ring goes through ``ring.dot``: no
+    # helper of its own and no loop that accumulates products
+    sites = {"matring.py": {"berkowitz_charpoly"},
+             "polyalg.py": {"__mul__", "power_sums", "tensor_product"},
+             "tqft.py": {"_channel_sums", "branched_series"}}
+    found, seen = set(), set()
+    for module, funcs in sites.items():
+        for node in ast.walk(ast.parse((SRC / module).read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "_row_dot":
+                found.add(f"{module} defines _row_dot")
+            if not (isinstance(node, ast.FunctionDef) and node.name in funcs):
+                continue
+            seen.add((module, node.name))
+            names = {n.targets[0].id for n in ast.walk(node)
+                     if isinstance(n, ast.Assign)
+                     and isinstance(n.targets[0], ast.Name)
+                     and _is_product(n.value)}
+            found |= {f"{module}:{n.lineno} in {node.name}"
+                      for loop in ast.walk(node)
+                      if isinstance(loop, (ast.For, ast.While))
+                      for n in ast.walk(loop)
+                      if _accumulates_product(n, names)}
+    assert not found, sorted(found)
+    assert seen == {(m, f) for m, fs in sites.items() for f in fs}
+    assert "_row_dot" not in (SRC / "matring.py").read_text()
