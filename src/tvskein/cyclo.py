@@ -205,11 +205,73 @@ def _dot(p, xs, ys):
     return CycloElem._make(p, out, den, grade or 0)
 
 
+def _axpy(p, xs, f, ys):
+    """[x - f * y] over k_p, one fold per entry rather than a product and
+    a difference.  f's nonzero coefficients are read once per row, and
+    those of f * u (u = kappa^6) once more if some f * y wraps past
+    kappa^6.  A zero y passes x through; a zero x of any grade takes the
+    grade of f * y.
+    """
+    fnz = [(i, -c) for i, c in enumerate(f.num) if c]
+    if not fnz:
+        return list(xs)
+    pad, wrapped, out = [0] * (level_degree(p) - 1), None, []
+    for x, y in zip(xs, ys):
+        ynz = [(j, b) for j, b in enumerate(y.num) if b]
+        if not ynz:
+            out.append(x)
+            continue
+        g, terms = f.grade + y.grade, fnz
+        if g >= 6:
+            if wrapped is None:
+                shift = u_exponent(p)
+                fu = _monomial_sum(p, ((i + shift, c)
+                                       for i, c in enumerate(f.num)))
+                wrapped = [(i, -c) for i, c in enumerate(fu) if c]
+            g, terms = g - 6, wrapped
+        if x.grade != g and any(x.num):
+            raise ValueError(f"sum of kappa-grades {x.grade} and {g} "
+                             "is not homogeneous")
+        den = f.den * y.den
+        if x.den == den:
+            vec = [*x.num, *pad]
+        else:
+            m = lcm(x.den, den)
+            vec = [a * (m // x.den) for a in x.num] + pad
+            if m != den:
+                ynz = [(j, b * (m // den)) for j, b in ynz]
+            den = m
+        for i, a in terms:
+            for j, b in ynz:
+                vec[i + j] += a * b
+        out.append(CycloElem._make(p, _fold(p, vec), den, g))
+    return out
+
+
 @lru_cache(maxsize=None)
-def _conjugations(p):
-    """The units j != 1 mod 2p: A -> A^j gives the other embeddings."""
+def _norm_steps(p):
+    """The tower of (Z/2p)^x that ``CycloElem.inv`` takes the norm through.
+
+    Step (g, e) adds the unit g of least order e modulo the subgroup H of
+    the steps before (the least g on a tie): <H, g> is the e cosets g^i H,
+    so the products g1^i1 g2^i2 .. (0 <= ik < ek) are the units, once each.
+    """
     n = 2 * p
-    return tuple(j for j in range(2, n) if gcd(j, n) == 1)
+    units = [j for j in range(1, n) if gcd(j, n) == 1]
+    sub, steps = {1}, []
+
+    def order(g):
+        e, h = 1, g
+        while h not in sub:
+            e, h = e + 1, h * g % n
+        return e
+
+    while len(sub) < len(units):
+        g = min((j for j in units if j not in sub), key=order)
+        e = order(g)
+        sub = {s * pow(g, i, n) % n for s in sub for i in range(e)}
+        steps.append((g, e))
+    return tuple(steps)
 
 
 class CycloElem:
@@ -388,17 +450,24 @@ class CycloElem:
         The conjugates sigma_j(num), A -> A^j for the units j != 1 mod 2p,
         multiply to c with num * c = N(num), a nonzero integer since
         phi_2p is irreducible over Q; so (num / den)^-1 = den c / N(num).
+        The norm climbs the tower of ``_norm_steps``: at a step (g, e) the
+        partial norm n, fixed by the subgroup built so far, and c both
+        take the product of n's e - 1 conjugates sigma_(g^i)(n), so the
+        products number the sum of the step orders, not phi(2p).
         The kappa-part inverts as a monomial: kappa^-g = A^-m kappa^(6-g)
         for u = A^m.
         """
         p, num = self.p, self.num
         if not any(num):
             raise ZeroDivisionError("inverting zero in k_p")
-        conj = [1] + [0] * (len(num) - 1)
-        for j in _conjugations(p):
-            conj = _mul_vec(p, conj, _monomial_sum(
-                p, ((i * j, c) for i, c in enumerate(num))))
-        norm = _mul_vec(p, num, conj)
+        conj, norm = [1] + [0] * (len(num) - 1), list(num)
+        for g, e in _norm_steps(p):
+            step = None
+            for i in range(1, e):
+                j = pow(g, i, 2 * p)
+                sigma = _monomial_sum(p, ((k * j, c) for k, c in enumerate(norm)))
+                step = sigma if step is None else _mul_vec(p, step, sigma)
+            conj, norm = _mul_vec(p, conj, step), _mul_vec(p, norm, step)
         if any(norm[1:]):
             raise InvariantCheckError(f"the norm of {self} is not rational")
         den = self.den if norm[0] > 0 else -self.den

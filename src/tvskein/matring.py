@@ -2,9 +2,11 @@
 
 The characteristic polynomial is computed by the Berkowitz scheme, which
 is division-free and therefore valid over Z[A,A^-1] and over the k_p
-levels.  Rank, image bases and inverses pass through the fraction field
-with ordinary elimination, pivoting on the first nonzero entry so that
-every run reproduces the same flat basis.
+levels.  Rank, image bases, solves and inverses come from forward
+elimination over a field, pivoting on the first nonzero entry so that
+every run reproduces the same flat basis; solves and inverses then
+back-substitute.  Every row update is the ring's ``axpy`` and every
+pivot is inverted once.
 
 ``flat_decompose`` splits an endomorphism Z into its nilpotent part and
 the automorphism induced on the image of its powers; the normalized
@@ -20,6 +22,7 @@ from fractions import Fraction
 
 from .laurent import _power
 from .polyalg import InvariantCheckError, RingPoly
+from .rings import Ring
 
 
 class RingMatrix:
@@ -171,38 +174,38 @@ def normalized_charpoly(mat):
 # -- elimination over a field ---------------------------------------------
 
 
-def _rref(mat):
-    """Row-reduce in place (copy); returns (rref matrix, pivot columns)."""
+def _echelon(mat):
+    """Forward elimination: (rows, pivot columns, pivot inverses).
+
+    Row i < len(pivots) starts with its pivot at column pivots[i]; the
+    rows below are zero.  Each pivot is inverted once, and each row below
+    it takes the update x - f * y by f = (its entry) * pivot^-1 over the
+    columns from the pivot on, through ``ring.axpy``.
+    """
     ring = mat.ring
     m = [row[:] for row in mat.data]
-    rows, cols = mat.rows, mat.cols
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pr = i
-                break
+    rows = mat.rows
+    pivots, invs = [], []
+    for c in range(mat.cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = ring.inv(m[r][c])
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        tail = m[r][c:]
+        for i in range(r + 1, rows):
+            if m[i][c]:
+                m[i][c:] = ring.axpy(m[i][c:], m[i][c] * inv, tail)
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+        invs.append(inv)
+    return m, pivots, invs
 
 
 def rank(mat):
-    _, piv = _rref(mat)
-    return len(piv)
+    return len(_echelon(mat)[1])
 
 
 def inverse(mat):
@@ -212,16 +215,24 @@ def inverse(mat):
 
 
 def solve(mat, rhs):
-    """Solve mat * X = rhs (exact; raises if inconsistent)."""
-    ring = mat.ring
+    """Solve mat * X = rhs (exact; raises if inconsistent).
+
+    Forward elimination of [mat | rhs], then back substitution from the
+    last pivot row up with the stored pivot inverses; a column without a
+    pivot gives a zero row of X.
+    """
+    ring, n = mat.ring, mat.cols
     aug = RingMatrix(ring, [mat.data[i] + rhs.data[i] for i in range(mat.rows)])
-    red, piv = _rref(aug)
-    if any(p >= mat.cols for p in piv):
+    red, piv, invs = _echelon(aug)
+    if piv and piv[-1] >= n:
         raise ZeroDivisionError("inconsistent linear system")
-    out = RingMatrix.zero(ring, mat.cols, rhs.cols)
-    for r, c in enumerate(piv):
-        for j in range(rhs.cols):
-            out.data[c][j] = red[r][mat.cols + j]
+    out = RingMatrix.zero(ring, n, rhs.cols)
+    for r in reversed(range(len(piv))):
+        row = red[r][n:]
+        for c in piv[r + 1:]:
+            if red[r][c]:
+                row = ring.axpy(row, red[r][c], out.data[c])
+        out.data[piv[r]] = [x * invs[r] for x in row]
     return out
 
 
@@ -269,7 +280,7 @@ def flat_decompose(z):
         flat = RingMatrix(ring, [])
         return FlatDecomposition(0, flat, RingPoly.one(ring), ring.one)
     zk = z if r == n else z ** (n - r)
-    _, piv = _rref(zk)
+    _, piv, _ = _echelon(zk)
     if len(piv) != r:
         raise InvariantCheckError(
             "flat rank disagrees with normalized charpoly degree")
@@ -347,7 +358,7 @@ def _smith_polys(m, ring):
             for i in range(1, size):
                 if not m[i][0].is_zero():
                     q, r = m[i][0].divmod(pivot)
-                    m[i] = [a - q * b for a, b in zip(m[i][:size], m[0][:size])]
+                    m[i] = Ring.axpy(m[i][:size], q, m[0][:size])
                     if not r.is_zero():
                         m[0], m[i] = m[i], m[0]
                         again = True
@@ -357,8 +368,10 @@ def _smith_polys(m, ring):
             for j in range(1, size):
                 if not m[0][j].is_zero():
                     q, r = m[0][j].divmod(pivot)
-                    for row in m[:size]:
-                        row[j] = row[j] - q * row[0]
+                    col = Ring.axpy([row[j] for row in m[:size]], q,
+                                    [row[0] for row in m[:size]])
+                    for row, x in zip(m, col):
+                        row[j] = x
                     if not r.is_zero():
                         for row in m[:size]:
                             row[0], row[j] = row[j], row[0]

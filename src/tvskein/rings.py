@@ -2,7 +2,8 @@
 
 Elements themselves carry the arithmetic through operator overloading;
 a descriptor only supplies the ring constants, coercion from integers,
-(for field-like rings) inversion, and ``dot``, the one sum of products.
+(for field-like rings) inversion, ``dot``, the one sum of products, and
+``axpy``, the one row update of elimination.
 This keeps the polynomial and matrix code generic over Q, Z[A,A^-1] and
 the cyclotomic levels k_p.
 The oracles add Q(A) and polynomials in several variables
@@ -13,12 +14,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import CycloElem, _dot
+from .cyclo import CycloElem, _axpy, _dot
 from .laurent import LaurentPoly
 
 
 class Ring:
-    """The generic ``dot``; k_p has its own kernel."""
+    """The generic ``dot`` and ``axpy``; k_p has its own kernels."""
 
     def dot(self, xs, ys):
         """sum x * y over the pairs, skipping zero factors."""
@@ -27,6 +28,11 @@ class Ring:
             if x and y:
                 acc = x * y if acc is None else acc + x * y
         return self.zero if acc is None else acc
+
+    @staticmethod
+    def axpy(xs, f, ys):
+        """[x - f * y] over the pairs: a row update of elimination."""
+        return [x - f * y for x, y in zip(xs, ys)]
 
 
 class RationalRing(Ring):
@@ -110,6 +116,9 @@ class CycloField:
 
     def dot(self, xs, ys):
         return _dot(self.p, xs, ys)
+
+    def axpy(self, xs, f, ys):
+        return _axpy(self.p, xs, f, ys)
 
 
 QQ = RationalRing()

@@ -265,8 +265,7 @@ def z5_matrix(j_ref, k):
     s = _scalars(j_ref)
     br = s.at(1, 5)
     bk = CycloElem.a_power(5, 2 * k) * s.at(2, 5) + CycloElem.a_power(5, -6 * k)
-    mu = pack.mu[1]
-    mk = mu ** ((2 * k + 1) % 10)
+    mk = _twist(5, 2 * k + 1)(1, 0, 0)
     beta = pack.beta
     return RingMatrix(ring, [
         [beta, beta * br],
@@ -295,7 +294,8 @@ def _channel_sums(s, p, cd, left, right, *weights):
 
 def _twist(p, power=1):
     """The weight (r, i, t) -> ft^power in k_p, for the full twist
-    ft = mu(r) / (mu(i) mu(t)) = (-1)^(r+i+t) A^(r(r+2) - i(i+2) - t(t+2))."""
+    ft = mu(r) / (mu(i) mu(t)) = (-1)^(r+i+t) A^(r(r+2) - i(i+2) - t(t+2)).
+    At (t, 0, 0) it is the monomial mu(t)^power."""
     def weight(r, i, t):
         x = CycloElem.a_power(
             p, power * (r * (r + 2) - i * (i + 2) - t * (t + 2)))
@@ -334,7 +334,8 @@ def general_B_matrix(j_ref, k, p):
     basis = range(pack.n)
     u, w = _channel_sums(_scalars(j_ref), p, ColorData.at(p), basis, basis,
                          _twist(p), _twist(p, k % (2 * p)))
-    tw = [pack.mu[t] ** ((2 * k + 1) % (4 * p)) for t in basis]
+    mu_k = _twist(p, 2 * k + 1)
+    tw = [mu_k(t, 0, 0) for t in basis]
     return _pattern_product(u, w, tw, pack.beta, kp_field(p))
 
 
@@ -443,8 +444,8 @@ def colored_B_matrix(j_ref, k, p, c):
             / theta(c, t, t, p) * twist_k(r, j, t)
 
     t1, c2 = _channel_sums(_scalars(j_ref), p, cd, S, chans, first, second)
-    tw = [pack.bracket_e[t] * pack.mu[t] ** ((2 * k + 1) % (4 * p))
-          for t in chans]
+    mu_k = _twist(p, 2 * k + 1)
+    tw = [pack.bracket_e[t] * mu_k(t, 0, 0) for t in chans]
     return _pattern_product(t1, c2, tw, pack.beta, kp_field(p))
 
 
@@ -486,10 +487,9 @@ def z5_color2_scalar(j_ref, k):
     s = _scalars(j_ref)
     a = CycloElem.a_power(5, 1)
     abar = CycloElem.a_power(5, -1)
-    mu = pack.mu[1]
     bk = CycloElem.a_power(5, 2 * k) * s.at(2, 5) + CycloElem.a_power(5, -6 * k)
     one = CycloElem.one(5)
-    inner = pack.beta * (one + mu ** ((2 * k + 1) % 10) * bk) - one
+    inner = pack.beta * (one + _twist(5, 2 * k + 1)(1, 0, 0) * bk) - one
     return (a + abar) * inner
 
 

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from tvskein.cyclo import (CycloElem, _dot, constants, cyclotomic_poly,
-                           fold_kappa3, level_d, level_degree, map_i, map_j,
-                           reduce_to_kp, u_element)
+from tvskein.cyclo import (CycloElem, _axpy, _dot, _norm_steps, constants,
+                           cyclotomic_poly, fold_kappa3, level_d, level_degree,
+                           map_i, map_j, reduce_to_kp, u_element)
 from tvskein.laurent import DELTA, LaurentPoly
 from tvskein.oracles import combine_graded, euclid_inverse
 
@@ -233,22 +233,41 @@ def _printed_u_exponent(p):
 def test_inverse_matches_euclid_oracle():
     rnd = random.Random(16)
     checked = 0
-    for p in range(1, 18):
+    for p in range(1, 31):
         deg = level_degree(p)
         one = CycloElem.one(p)
+        dens = (1, level_d(p), 2 * p)
         for grade in range(6):
-            for den in (1, level_d(p), 2 * p):
-                for _ in range(2):
-                    x = CycloElem(p, [Fraction(rnd.randint(-9, 9), den)
-                                      for _ in range(deg)], grade)
-                    if x.is_zero():
-                        continue
-                    assert x.inv() == euclid_inverse(x), (p, x)
-                    assert x * x.inv() == one, (p, x)
-                    checked += 1
+            # above p = 17 one draw per grade: the Euclid oracle is slow there
+            draws = [d for d in dens for _ in range(2)] if p < 18 else \
+                [dens[grade % 3]]
+            for den in draws:
+                x = CycloElem(p, [Fraction(rnd.randint(-9, 9), den)
+                                  for _ in range(deg)], grade)
+                if x.is_zero():
+                    continue
+                assert x.inv() == euclid_inverse(x), (p, x)
+                assert x * x.inv() == one, (p, x)
+                checked += 1
             with pytest.raises(ZeroDivisionError):
                 CycloElem.zero(p, grade).inv()
-    assert checked > 550
+    assert checked > 600
+
+
+def test_norm_steps_cover_every_unit_once():
+    # the tower's cosets g1^i1 g2^i2 .. run through (Z/2p)^x exactly once,
+    # and each step order is the least available modulo the steps before
+    for p in range(1, 41):
+        n = 2 * p
+        products = [1]
+        for g, e in _norm_steps(p):
+            assert e > 1 and pow(g, e, n) in products, (p, g, e)
+            sub = set(products)
+            assert all(pow(h, i, n) not in sub for h in range(1, n)
+                       for i in range(1, e) if h not in sub and math.gcd(h, n) == 1)
+            products = [s * pow(g, i, n) % n for s in products for i in range(e)]
+        assert sorted(products) == \
+            [j for j in range(1, n) if math.gcd(j, n) == 1], p
 
 
 def test_ring_operations_match_laurent_reduction():
@@ -341,6 +360,46 @@ def test_dot_matches_naive_sum_of_products():
             want = _naive_dot(p, xs, ys)
             assert _parts(_dot(p, xs, ys)) == _parts(want), (p, xs, ys)
     assert len(seen) == 36
+
+
+def test_axpy_matches_naive_row_update():
+    # x - f * y entry by entry, with f of every grade so that f * y wraps
+    # past kappa^6, denominators 1, d and 2p, and zeros of any grade as x,
+    # as y and as f
+    rnd = random.Random(22)
+    wraps = set()
+    for p in range(1, 18):
+        deg = level_degree(p)
+
+        def elem(grade, zero=False):
+            den = rnd.choice((1, level_d(p), 2 * p))
+            return CycloElem(p, [0 if zero else Fraction(rnd.randint(-9, 9), den)
+                                 for _ in range(deg)], grade)
+
+        for _ in range(30):
+            gf = rnd.randint(0, 5)
+            f = elem(gf, zero=rnd.random() < 0.05)
+            xs, ys = [], []
+            for _ in range(rnd.randint(0, 6)):
+                gy = rnd.randint(0, 5)
+                kind = rnd.random()
+                y = elem(gy, zero=kind < 0.15)
+                if kind < 0.3:
+                    x = elem(rnd.randint(0, 5), zero=True)
+                elif kind < 0.4:
+                    x = f * y        # the difference is a zero of grade gf + gy
+                else:
+                    x = elem(gf + gy)
+                wraps.add(gf + gy >= 6)
+                xs.append(x)
+                ys.append(y)
+            want = [x - f * y for x, y in zip(xs, ys)]
+            assert [_parts(z) for z in _axpy(p, xs, f, ys)] == \
+                [_parts(z) for z in want], (p, xs, f, ys)
+        with pytest.raises(ValueError, match="not homogeneous"):
+            _axpy(p, [CycloElem(p, (1,), 1)], CycloElem.one(p),
+                  [CycloElem(p, (1,), 2)])
+    assert wraps == {False, True}
 
 
 def test_dot_edge_cases():

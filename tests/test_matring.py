@@ -5,7 +5,7 @@ import pytest
 
 from tvskein.cyclo import CycloElem, level_degree, reduce_to_kp
 from tvskein.laurent import DELTA, LaurentPoly
-from tvskein.matring import (RingMatrix, _rref, berkowitz_charpoly,
+from tvskein.matring import (RingMatrix, _echelon, berkowitz_charpoly,
                              flat_decompose, inverse, normalized_charpoly,
                              rank, similarity_invariants, solve)
 from tvskein.oracles import berkowitz_det, matrix_period, trace_powers
@@ -151,7 +151,7 @@ def _flat_by_full_power(z):
     """The flat matrix in the basis of the pivot columns of Z^n."""
     n = z.rows
     zn = z ** n
-    _, piv = _rref(zn)
+    _, piv, _ = _echelon(zn)
     basis = RingMatrix(z.ring, [[zn[i, c] for c in piv] for i in range(n)])
     return solve(basis, z * basis)
 
@@ -259,14 +259,20 @@ def _exact(xs):
             for x in xs]
 
 
-def _graded_matrix(rnd, ring, grades):
+def _graded_matrix(rnd, ring, grades, col_grades=None):
     """Entry (i, j) of grade g_i - g_j, over denominators 1, d and 2p, so
-    row-column products wrap past kappa^6 and stay homogeneous."""
+    row-column products wrap past kappa^6 and stay homogeneous; the
+    columns take ``col_grades`` if given.  Over Q the grades are ignored."""
+    cols = grades if col_grades is None else col_grades
+    if ring is QQ:
+        return RingMatrix(QQ, [[Fraction(rnd.randint(-3, 3), rnd.choice((1, 2, 3)))
+                                if rnd.random() < 0.8 else 0 for _ in cols]
+                               for _ in grades])
     p = ring.p
     return RingMatrix(ring, [[CycloElem(
         p, [Fraction(rnd.randint(-3, 3), rnd.choice((1, p, 2 * p)))
             for _ in range(level_degree(p))], gi - gj) if rnd.random() < 0.8
-        else CycloElem.zero(p, gi - gj) for gj in grades] for gi in grades])
+        else CycloElem.zero(p, gi - gj) for gj in cols] for gi in grades])
 
 
 def _laurent_matrix(rnd, n):
@@ -300,3 +306,101 @@ def test_dot_sites_match_naive_loops(ring):
         if ring is not ZA:
             assert _exact(power_sums(char, 20).values) == \
                 _exact(_naive_power_sums(char, 20))
+
+
+# -- elimination: a naive Gauss-Jordan as the reference ------------------------
+
+
+def _gauss_jordan(ring, rows):
+    """Reduced row echelon form and pivot columns: each pivot row scaled
+    to 1 and cleared above and below, one entry at a time."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = ring.inv(m[r][c])
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _naive_solve(a, b):
+    """X with a X = b and zero rows at the free columns, or None."""
+    red, piv = _gauss_jordan(a.ring, [ra + rb for ra, rb in zip(a.data, b.data)])
+    if any(c >= a.cols for c in piv):
+        return None
+    out = [[a.ring.zero] * b.cols for _ in range(a.cols)]
+    for r, c in enumerate(piv):
+        out[c] = red[r][a.cols:]
+    return out
+
+
+def _elimination_inputs(rnd, ring):
+    """(a, row grades, column grades): empty, square, rectangular and
+    rank-deficient matrices, entry (i, j) of grade g_i - g_j over k_p."""
+    def grades(n):
+        return [0 if ring is QQ else rnd.randint(0, 5) for _ in range(n)]
+
+    yield RingMatrix(ring, []), [], []
+    yield RingMatrix(ring, [[] for _ in range(3)]), grades(3), []
+    for _ in range(12):
+        n, m = rnd.randint(1, 5), rnd.randint(1, 5)
+        rg, cg = grades(n), grades(m)
+        yield _graded_matrix(rnd, ring, rg), rg, rg
+        yield _graded_matrix(rnd, ring, rg, cg), rg, cg
+        if min(n, m) > 1:
+            mid = grades(rnd.randint(1, min(n, m) - 1))
+            yield (_graded_matrix(rnd, ring, rg, mid)
+                   * _graded_matrix(rnd, ring, mid, cg)), rg, cg
+
+
+@pytest.mark.parametrize("ring", [QQ, kp_field(7), kp_field(12)],
+                         ids=["QQ", "k7", "k12"])
+def test_elimination_matches_naive_gauss_jordan(ring):
+    rnd = random.Random(23)
+    seen = dict.fromkeys(("deficient", "consistent", "inconsistent",
+                          "singular", "invertible"), 0)
+    for a, rg, cg in _elimination_inputs(rnd, ring):
+        red, piv = _gauss_jordan(ring, a.data)
+        rows, pivots, invs = _echelon(a)
+        assert pivots == piv and rank(a) == len(piv)
+        seen["deficient"] += len(piv) < min(a.rows, a.cols)
+        for row, c, inv in zip(rows, pivots, invs):
+            assert not any(row[:c]) and row[c] * inv == ring.one
+        assert not any(x for row in rows[len(pivots):] for x in row)
+        assert _gauss_jordan(ring, rows)[0] == red      # the same row space
+        # right-hand sides of column grades h: a * X for a graded X, which
+        # is consistent, and a random one, which a deficient a may not meet
+        hg = [0 if ring is QQ else rnd.randint(0, 5) for _ in range(2)]
+        image = a * _graded_matrix(rnd, ring, cg, hg) if a.cols else \
+            RingMatrix.zero(ring, a.rows, 2)
+        for b in (image, _graded_matrix(rnd, ring, rg, hg)):
+            want = _naive_solve(a, b)
+            if want is None:
+                seen["inconsistent"] += 1
+                with pytest.raises(ZeroDivisionError):
+                    solve(a, b)
+                continue
+            seen["consistent"] += 1
+            got = solve(a, b)
+            assert [_exact(r) for r in got.data] == [_exact(r) for r in want]
+            assert not a.cols or a * got == b
+        if a.rows == a.cols:
+            want = _naive_solve(a, RingMatrix.identity(ring, a.rows))
+            if want is None:
+                seen["singular"] += 1
+                with pytest.raises(ZeroDivisionError):
+                    inverse(a)
+                continue
+            seen["invertible"] += 1
+            assert [_exact(r) for r in inverse(a).data] == \
+                [_exact(r) for r in want]
+    assert all(seen.values()), seen

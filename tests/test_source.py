@@ -215,3 +215,33 @@ def test_one_dot_kernel_per_ring():
     assert not found, sorted(found)
     assert seen == {(m, f) for m, fs in sites.items() for f in fs}
     assert "_row_dot" not in (SRC / "matring.py").read_text()
+
+
+def _is_row_update(node):
+    """``x - f * y`` or ``x -= f * y``."""
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, ast.Sub) and _is_product(node.right)
+    return (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub)
+            and _is_product(node.value))
+
+
+def test_one_row_update_kernel():
+    # elimination runs forward once, with ``ring.axpy`` as its only row
+    # update: no Gauss-Jordan pass, no norm taken conjugate by conjugate,
+    # and no matring function with an x - f * y loop of its own
+    for module, gone in (("matring.py", "_rref"), ("cyclo.py", "_conjugations")):
+        tree = ast.parse((SRC / module).read_text())
+        assert gone not in {n for node in ast.walk(tree) for n in names(node)}
+    loops = (ast.For, ast.While, ast.ListComp, ast.GeneratorExp)
+    found, calls = set(), set()
+    for fn in ast.walk(ast.parse((SRC / "matring.py").read_text())):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        found |= {f"matring.py:{n.lineno} in {fn.name}"
+                  for loop in ast.walk(fn) if isinstance(loop, loops)
+                  for n in ast.walk(loop) if _is_row_update(n)}
+        if any(isinstance(n, ast.Attribute) and n.attr == "axpy"
+               for n in ast.walk(fn)):
+            calls.add(fn.name)
+    assert not found, sorted(found)
+    assert calls >= {"_echelon", "solve"}, calls
