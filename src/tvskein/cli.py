@@ -207,7 +207,7 @@ def cmd_covers(args, out):
     ds = list(_parse_range(args.d))
     if args.branched:
         recs = branched_series(ref, args.k, args.p, ds)
-        rows = [(r.d, str(r.normalized), str(r.value)) for r in recs]
+        rows = [(r.d, str(r.normalized), str(r)) for r in recs]
         header = ("d", "eta_normalized", "value")
     else:
         recs = cover_series(ref, args.k, args.p, ds)

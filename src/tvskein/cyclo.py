@@ -1,10 +1,12 @@
 """The coefficient rings k_p = Z[1/d, A, kappa]/(phi_2p(A), kappa^6 - u).
 
 A_p is the residue class of A, an abstract primitive 2p-th root of unity;
-no complex value is chosen until ``embed`` is called.  Every quantity the
-engine manipulates is kappa-homogeneous, so an element carries an explicit
-kappa-grade in 0..5; sums of unequal grades are rejected.  Multiplication
-adds grades mod 6, folding each wrap into a factor of u = kappa^6.
+no complex value is chosen until ``embed`` is called.  A ``CycloElem`` is
+an element of Q(A_p), the kappa-grade 0 part of k_p: Z(E), Gamma, D, the
+power sums and the cover values all live there, the cover values because
+kappa^(-3 sigma) is the monomial u^(-sigma/2).  Only eta = beta kappa^3
+has another grade, so kappa^3 is carried by the one record built from
+it, ``tqft.BranchedValue``, as an exponent beside its A-part.
 
 Per level p the ring data is
 
@@ -21,8 +23,9 @@ forces
 
     beta = (sum_s mu(s) <e_s>^2)^-1,      eta = beta kappa^3,
 
-together with the checkable identity eta^2 sum_s <e_s>^2 = 1.  p = 2 has
-its own printed value beta = (1 - A)/2.
+together with the checkable identity eta^2 sum_s <e_s>^2 = 1, that is
+beta^2 u sum_s <e_s>^2 = 1.  p = 2 has its own printed value
+beta = (1 - A)/2.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ def _a_powers(p):
 
 
 def _monomial_sum(p, terms):
-    """sum c * A_p^e over (e, c) pairs, as a grade-0 coefficient list."""
+    """sum c * A_p^e over (e, c) pairs, as a coefficient list."""
     n = 2 * p
     by_class = {}
     for e, c in terms:
@@ -163,75 +166,49 @@ def _fold(p, vec):
 def _dot(p, xs, ys):
     """sum x * y over k_p, reduced once rather than once per product.
 
-    The pairs' num vectors convolve into unreduced integer vectors over
-    one denominator, rescaled only when a new den comes; pairs whose
-    grades wrap past kappa^6 go to a second vector, which takes its factor
-    u once (delayed reduction, as in FFLAS: Dumas-Giorgi-Pernet, ACM TOMS
-    35(3), 2008).  ints and Fractions are grade 0; zeros of any grade are
-    skipped.
+    The pairs' num vectors convolve into one unreduced integer vector over
+    one denominator, rescaled only when a new den comes (delayed
+    reduction, as in FFLAS: Dumas-Giorgi-Pernet, ACM TOMS 35(3), 2008).
+    int and Fraction operands are constants; pairs with a zero are skipped.
     """
-    acc = [[0] * (2 * level_degree(p) - 1) for _ in range(2)]
-    den, grade = 1, None
+    acc = [0] * (2 * level_degree(p) - 1)
+    den = 1
     for x, y in zip(xs, ys):
-        xn, xd, g = ((x.num, x.den, x.grade) if type(x) is CycloElem
-                     else ((x.numerator,), x.denominator, 0))
-        yn, yd, gy = ((y.num, y.den, y.grade) if type(y) is CycloElem
-                      else ((y.numerator,), y.denominator, 0))
+        xn, xd = ((x.num, x.den) if type(x) is CycloElem
+                  else ((x.numerator,), x.denominator))
+        yn, yd = ((y.num, y.den) if type(y) is CycloElem
+                  else ((y.numerator,), y.denominator))
         if not (any(xn) and any(yn)):
             continue
-        g += gy
-        if grade not in (None, g % 6):
-            raise ValueError(f"sum of kappa-grades {grade} and {g % 6} "
-                             "is not homogeneous")
-        grade = g % 6
         d, s = xd * yd, 1
         if d != den:
             m = lcm(den, d)
             if m != den:
-                acc = [[c * (m // den) for c in v] for v in acc]
+                acc = [c * (m // den) for c in acc]
                 den = m
             s = m // d
-        vec = acc[g >= 6]
         ynz = [(j, b * s) for j, b in enumerate(yn) if b]
         for i, a in enumerate(xn):
             if a:
                 for j, b in ynz:
-                    vec[i + j] += a * b
-    out = _fold(p, acc[0])
-    if any(acc[1]):
-        m = u_exponent(p)
-        wrap = _monomial_sum(p, ((i + m, c) for i, c in enumerate(acc[1])))
-        out = [a + b for a, b in zip(out, wrap)]
-    return CycloElem._make(p, out, den, grade or 0)
+                    acc[i + j] += a * b
+    return CycloElem._make(p, _fold(p, acc), den)
 
 
 def _axpy(p, xs, f, ys):
     """[x - f * y] over k_p, one fold per entry rather than a product and
-    a difference.  f's nonzero coefficients are read once per row, and
-    those of f * u (u = kappa^6) once more if some f * y wraps past
-    kappa^6.  A zero y passes x through; a zero x of any grade takes the
-    grade of f * y.
+    a difference.  f's nonzero coefficients are read once per row; a zero
+    y passes x through.
     """
     fnz = [(i, -c) for i, c in enumerate(f.num) if c]
     if not fnz:
         return list(xs)
-    pad, wrapped, out = [0] * (level_degree(p) - 1), None, []
+    pad, out = [0] * (level_degree(p) - 1), []
     for x, y in zip(xs, ys):
         ynz = [(j, b) for j, b in enumerate(y.num) if b]
         if not ynz:
             out.append(x)
             continue
-        g, terms = f.grade + y.grade, fnz
-        if g >= 6:
-            if wrapped is None:
-                shift = u_exponent(p)
-                fu = _monomial_sum(p, ((i + shift, c)
-                                       for i, c in enumerate(f.num)))
-                wrapped = [(i, -c) for i, c in enumerate(fu) if c]
-            g, terms = g - 6, wrapped
-        if x.grade != g and any(x.num):
-            raise ValueError(f"sum of kappa-grades {x.grade} and {g} "
-                             "is not homogeneous")
         den = f.den * y.den
         if x.den == den:
             vec = [*x.num, *pad]
@@ -241,10 +218,10 @@ def _axpy(p, xs, f, ys):
             if m != den:
                 ynz = [(j, b * (m // den)) for j, b in ynz]
             den = m
-        for i, a in terms:
+        for i, a in fnz:
             for j, b in ynz:
                 vec[i + j] += a * b
-        out.append(CycloElem._make(p, _fold(p, vec), den, g))
+        out.append(CycloElem._make(p, _fold(p, vec), den))
     return out
 
 
@@ -275,18 +252,18 @@ def _norm_steps(p):
 
 
 class CycloElem:
-    """kappa-graded element of k_p: (A-part, grade) meaning part * kappa^grade.
+    """Element num / den of Q(A_p), the kappa-grade 0 part of k_p.
 
-    The A-part is num / den: an integer vector in the power basis 1, A,
-    .., A^(deg-1) over one positive denominator, in lowest terms (a power
-    of d for an honest k_p element, 1 for an integral one), so products
-    and sums run on ints.  ``coeffs`` reads the A-part as a vector of
-    ``int``s and, where a denominator remains, ``Fraction``s.
+    num is an integer vector in the power basis 1, A, .., A^(deg-1) over
+    one positive denominator den, in lowest terms (a power of d for an
+    honest k_p element, 1 for an integral one), so products and sums run
+    on ints.  ``coeffs`` reads it as a vector of ``int``s and, where a
+    denominator remains, ``Fraction``s.
     """
 
-    __slots__ = ("p", "num", "den", "grade")
+    __slots__ = ("p", "num", "den")
 
-    def __init__(self, p, coeffs, grade=0):
+    def __init__(self, p, coeffs):
         den = 1
         for c in coeffs:
             if type(c) is not int:
@@ -297,26 +274,24 @@ class CycloElem:
         self.p = p
         self.num = tuple([c // g for c in num])
         self.den = den // g
-        self.grade = grade % 6
 
     @staticmethod
-    def _raw(p, num, den, grade):
-        """num / den * kappa^grade from a reduced vector, in lowest terms."""
+    def _raw(p, num, den):
+        """num / den from a reduced vector, in lowest terms."""
         out = CycloElem.__new__(CycloElem)
         out.p = p
         out.num = tuple(num)
         out.den = den
-        out.grade = grade
         return out
 
     @staticmethod
-    def _make(p, num, den, grade):
+    def _make(p, num, den):
         """As ``_raw``, bringing num / den to lowest terms (den > 0)."""
         if den != 1:
             g = gcd(den, *num)
             if g != 1:
-                return CycloElem._raw(p, [c // g for c in num], den // g, grade)
-        return CycloElem._raw(p, num, den, grade)
+                return CycloElem._raw(p, [c // g for c in num], den // g)
+        return CycloElem._raw(p, num, den)
 
     @property
     def coeffs(self):
@@ -328,8 +303,8 @@ class CycloElem:
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def zero(p, grade=0):
-        return CycloElem(p, (), grade)
+    def zero(p):
+        return CycloElem(p, ())
 
     @staticmethod
     def one(p):
@@ -342,7 +317,7 @@ class CycloElem:
     @staticmethod
     def a_power(p, k):
         """A_p^k for any integer k (A_p has order 2p)."""
-        return CycloElem._raw(p, _a_powers(p)[k % (2 * p)], 1, 0)
+        return CycloElem._raw(p, _a_powers(p)[k % (2 * p)], 1)
 
     # -- predicates -----------------------------------------------------
 
@@ -367,7 +342,7 @@ class CycloElem:
         if type(other) is not CycloElem:
             # int first: isinstance against Fraction runs the ABC machinery
             if isinstance(other, (int, Fraction)):
-                return CycloElem(self.p, (other,), 0)
+                return CycloElem(self.p, (other,))
             return None
         if other.p != self.p:
             raise ValueError(f"mixing levels p={self.p} and p={other.p}")
@@ -386,30 +361,21 @@ class CycloElem:
             other = self._operand(other)
             if other is None:
                 return NotImplemented
-        if self.grade != other.grade:
-            # a zero of any grade is the identity
-            if not any(other.num):
-                return self
-            if not any(self.num):
-                return -other if minus else other
-            raise ValueError(f"sum of kappa-grades {self.grade} and "
-                             f"{other.grade} is not homogeneous")
         d1, d2 = self.den, other.den
         if d1 == d2:
             if minus:
                 num = [a - b for a, b in zip(self.num, other.num)]
             else:
                 num = [a + b for a, b in zip(self.num, other.num)]
-            return CycloElem._make(self.p, num, d1, self.grade)
+            return CycloElem._make(self.p, num, d1)
         den = lcm(d1, d2)
         m1, m2 = den // d1, (-den if minus else den) // d2
         return CycloElem._make(
             self.p, [a * m1 + b * m2 for a, b in zip(self.num, other.num)],
-            den, self.grade)
+            den)
 
     def __neg__(self):
-        return CycloElem._raw(self.p, [-c for c in self.num], self.den,
-                              self.grade)
+        return CycloElem._raw(self.p, [-c for c in self.num], self.den)
 
     def __rsub__(self, other):
         other = self._operand(other)
@@ -420,22 +386,16 @@ class CycloElem:
         if type(other) is not CycloElem:
             if isinstance(other, int):
                 return CycloElem._make(p, [c * other for c in self.num],
-                                       self.den, self.grade)
+                                       self.den)
             if isinstance(other, Fraction):
                 return CycloElem._make(
                     p, [c * other.numerator for c in self.num],
-                    self.den * other.denominator, self.grade)
+                    self.den * other.denominator)
             return NotImplemented
         if other.p != p:
             raise ValueError(f"mixing levels p={p} and p={other.p}")
-        num = _mul_vec(p, self.num, other.num)
-        grade = self.grade + other.grade
-        if grade >= 6:
-            # kappa^6 = u = A^m, of grade 0, so the grade wraps only once
-            m = u_exponent(p)
-            num = _monomial_sum(p, ((i + m, c) for i, c in enumerate(num)))
-            grade -= 6
-        return CycloElem._make(p, num, self.den * other.den, grade)
+        return CycloElem._make(p, _mul_vec(p, self.num, other.num),
+                               self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -454,8 +414,6 @@ class CycloElem:
         partial norm n, fixed by the subgroup built so far, and c both
         take the product of n's e - 1 conjugates sigma_(g^i)(n), so the
         products number the sum of the step orders, not phi(2p).
-        The kappa-part inverts as a monomial: kappa^-g = A^-m kappa^(6-g)
-        for u = A^m.
         """
         p, num = self.p, self.num
         if not any(num):
@@ -471,11 +429,7 @@ class CycloElem:
         if any(norm[1:]):
             raise InvariantCheckError(f"the norm of {self} is not rational")
         den = self.den if norm[0] > 0 else -self.den
-        if self.grade:
-            shift = -u_exponent(p)
-            conj = _monomial_sum(p, ((i + shift, c) for i, c in enumerate(conj)))
-        return CycloElem._make(p, [c * den for c in conj], abs(norm[0]),
-                               (6 - self.grade) % 6)
+        return CycloElem._make(p, [c * den for c in conj], abs(norm[0]))
 
     def __truediv__(self, other):
         other = self._operand(other)
@@ -487,48 +441,31 @@ class CycloElem:
         return self.inv() * other
 
     def bar(self):
-        """A -> A^-1, kappa -> kappa^-1 (grade negation with u-folding);
-        an automorphism times a unit keeps num / den in lowest terms."""
-        shift = -u_exponent(self.p) if self.grade else 0
-        terms = ((shift - i, c) for i, c in enumerate(self.num))
-        return CycloElem._raw(self.p, _monomial_sum(self.p, terms), self.den,
-                              (6 - self.grade) % 6)
+        """A -> A^-1; an automorphism keeps num / den in lowest terms."""
+        terms = ((-i, c) for i, c in enumerate(self.num))
+        return CycloElem._raw(self.p, _monomial_sum(self.p, terms), self.den)
 
     def __eq__(self, other):
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        return (self.num == other.num and self.den == other.den and
-                (self.grade == other.grade or self.is_zero()))
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self.is_zero():
-            return hash((self.p, "zero"))
-        return hash((self.p, self.num, self.den, self.grade))
+        return hash((self.p, self.num, self.den))
 
     def trace(self):
-        """Trace of a grade-0 element from k_p to Q: the sum of its
-        images under every embedding A_p -> primitive 2p-th root."""
-        if self.grade and not self.is_zero():
-            raise ValueError("the trace to Q is defined on kappa-grade 0")
+        """Trace from k_p to Q: the sum of the images under every
+        embedding A_p -> primitive 2p-th root."""
         return _coeff_div(sum(c * w for c, w in
                               zip(self.num, _trace_vector(self.p))), self.den)
 
     # -- embeddings -----------------------------------------------------
 
     def embed(self, root_index=1):
-        """Complex value under A_p -> exp(pi i root_index / p).
-
-        kappa^3 maps to the square root of u's image chosen so eta is
-        positive; kappa itself to a compatible sixth root.
-        """
-        a, kappa = _embedding(self.p, root_index)
-        val = sum(complex(c) * a ** i for i, c in enumerate(self.coeffs))
-        if self.grade:
-            val *= kappa ** self.grade
-        return val
+        """Complex value under A_p -> exp(pi i root_index / p)."""
+        a = _embedding(self.p, root_index)
+        return sum(complex(c) * a ** i for i, c in enumerate(self.coeffs))
 
     # -- text form --------------------------------------------------------
 
@@ -553,7 +490,7 @@ class CycloElem:
         return " ".join(parts)
 
     def __str__(self):
-        return f"({self.apart_str()}) * kappa^{self.grade} @ p={self.p}"
+        return f"({self.apart_str()}) * kappa^0 @ p={self.p}"
 
     def __repr__(self):
         return f"CycloElem({self})"
@@ -565,14 +502,12 @@ class CycloElem:
             raise ValueError(f"malformed k_p element: {text!r}")
         body, _, tail = s.rpartition("@ p=")
         p = int(tail.strip())
-        body = body.strip()
-        inner, _, kap = body.rpartition("* kappa^")
-        grade = int(kap.strip())
+        inner, _, kap = body.strip().rpartition("* kappa^")
         inner = inner.strip()
-        if not (inner.startswith("(") and inner.endswith(")")):
+        if not (kap.strip() == "0" and inner.startswith("(")
+                and inner.endswith(")")):
             raise ValueError(f"malformed k_p element: {text!r}")
-        poly = LaurentPoly.parse(inner[1:-1])
-        return reduce_to_kp(poly, p, grade)
+        return reduce_to_kp(LaurentPoly.parse(inner[1:-1]), p)
 
 
 def _mobius(n):
@@ -620,15 +555,15 @@ def u_exponent(p):
 
 @lru_cache(maxsize=None)
 def u_element(p):
-    """u = kappa^6 as a grade-0 element of k_p."""
+    """u = kappa^6 as an element of k_p."""
     return CycloElem.a_power(p, u_exponent(p))
 
 
-def reduce_to_kp(x, p, grade=0):
+def reduce_to_kp(x, p):
     """Reduce a LaurentPoly (or scalar) to its unique k_p representative."""
     if isinstance(x, (int, Fraction)):
-        return CycloElem(p, (x,), grade)
-    return CycloElem(p, _monomial_sum(p, x.terms.items()), grade)
+        return CycloElem(p, (x,))
+    return CycloElem(p, _monomial_sum(p, x.terms.items()))
 
 
 # -- constants ----------------------------------------------------------
@@ -637,24 +572,20 @@ def reduce_to_kp(x, p, grade=0):
 class ConstantPack:
     """Distinguished constants of the level-p bracket theory."""
 
-    __slots__ = ("p", "n", "mu", "bracket_e", "beta", "eta", "kappa3",
-                 "kappa3_fold")
+    __slots__ = ("p", "n", "mu", "bracket_e", "beta", "kappa3_fold")
 
-    def __init__(self, p, n, mu, bracket_e, beta, eta, kappa3, kappa3_fold):
+    def __init__(self, p, n, mu, bracket_e, beta, kappa3_fold):
         self.p = p
         self.n = n                  # floor((p-1)/2) = rank of V(torus), p >= 2
         self.mu = mu                # mu(s), s = 0..n-1
         self.bracket_e = bracket_e  # <e_s>, s = 0..n-1
-        self.beta = beta            # kappa^-3 eta, grade 0
-        self.eta = eta              # grade 3
-        self.kappa3 = kappa3        # the element kappa^3 (grade 3, unit A-part)
+        self.beta = beta            # kappa^-3 eta
         # the scalar kappa^3 identifies with when u = 1
         self.kappa3_fold = kappa3_fold
 
     def __repr__(self):
         return (f"ConstantPack(p={self.p!r}, n={self.n!r}, mu={self.mu!r}, "
                 f"bracket_e={self.bracket_e!r}, beta={self.beta!r}, "
-                f"eta={self.eta!r}, kappa3={self.kappa3!r}, "
                 f"kappa3_fold={self.kappa3_fold!r})")
 
 
@@ -664,11 +595,9 @@ def constants(p):
     if p < 1:
         raise ValueError("p must be >= 1")
     one = CycloElem.one(p)
-    kappa3 = CycloElem(p, one.coeffs, 3)
     if p == 1:
-        return ConstantPack(
-            p=1, n=0, mu=(), bracket_e=(), beta=one,
-            eta=kappa3, kappa3=kappa3, kappa3_fold=1)
+        return ConstantPack(p=1, n=0, mu=(), bracket_e=(), beta=one,
+                            kappa3_fold=1)
     n = (p - 1) // 2
     mu = tuple(reduce_to_kp(mu_eig(s), p) for s in range(max(n, 1)))
     br = tuple(reduce_to_kp(bracket_e(s), p) for s in range(max(n, 1)))
@@ -683,31 +612,20 @@ def constants(p):
             raise ArithmeticError(f"sum mu(s)<e_s>^2 vanishes at p={p}; "
                                   "beta is not determined")
         beta = s1.inv()
-    eta = CycloElem(p, beta.coeffs, 3)
     fold = None
     if p in (3, 4) or p == 1:
         # kappa^6 = 1 here; the theory identifies kappa^3 with a sign:
         # -1 at p = 3 (forcing the branched-cover value -1), +1 at p = 4.
         fold = -1 if p == 3 else 1
-    # consistency: eta^2 sum <e_s>^2 = 1 for p >= 3
+    # consistency: eta^2 sum <e_s>^2 = beta^2 u sum <e_s>^2 = 1 for p >= 3
     if p >= 3 and n >= 1:
         tot = CycloElem.zero(p)
         for s in range(n):
             tot = tot + br[s] * br[s]
-        if eta * eta * tot != one:
+        if beta * beta * u_element(p) * tot != one:
             raise InvariantCheckError(f"eta normalisation failed at p={p}")
-    return ConstantPack(p=p, n=n, mu=mu, bracket_e=br, beta=beta, eta=eta,
-                        kappa3=kappa3, kappa3_fold=fold)
-
-
-def fold_kappa3(x):
-    """Replace kappa^3 by its scalar value when u = 1 (p in {1,3,4})."""
-    pack = constants(x.p)
-    if pack.kappa3_fold is None or x.grade % 3 != 0:
-        return x
-    if x.grade == 0:
-        return x
-    return CycloElem(x.p, tuple(c * pack.kappa3_fold for c in x.coeffs), 0)
+    return ConstantPack(p=p, n=n, mu=mu, bracket_e=br, beta=beta,
+                        kappa3_fold=fold)
 
 
 # -- complex embeddings ---------------------------------------------------
@@ -715,30 +633,10 @@ def fold_kappa3(x):
 
 @lru_cache(maxsize=None)
 def _embedding(p, root_index):
-    """(image of A, image of kappa) for the chosen primitive root."""
+    """The image of A under the chosen primitive root."""
     if gcd(root_index, 2 * p) != 1:
         raise ValueError(f"root index {root_index} is not coprime to 2p={2 * p}")
-    a = cmath.exp(1j * cmath.pi * root_index / p)
-    pack = constants(p)
-    u = u_element(p)
-    u_val = sum(complex(c) * a ** i for i, c in enumerate(u.coeffs))
-    if pack.kappa3_fold is not None:
-        target_k3 = complex(pack.kappa3_fold)
-    else:
-        beta_val = sum(complex(c) * a ** i for i, c in enumerate(pack.beta.coeffs))
-        c0 = cmath.sqrt(u_val)
-        # pick the sign making eta = beta * kappa^3 a positive real
-        target_k3 = c0 if (beta_val * c0).real > 0 else -c0
-    # sixth root of u_val whose cube is target_k3
-    best, err = None, None
-    for j in range(6):
-        cand = cmath.exp(1j * (cmath.phase(u_val) + 2 * cmath.pi * j) / 6)
-        e = abs(cand ** 3 - target_k3)
-        if err is None or e < err:
-            best, err = cand, e
-    if not err < 1e-9:
-        raise InvariantCheckError(f"no compatible sixth root at p={p}")
-    return a, best
+    return cmath.exp(1j * cmath.pi * root_index / p)
 
 
 # -- transfer maps between levels -----------------------------------------
@@ -750,8 +648,6 @@ def map_i(x, p):
         raise ValueError("i_p requires odd p >= 3")
     if x.p != 2:
         raise ValueError("i_p is defined on k_2")
-    if x.grade != 0:
-        raise ValueError("transfer maps are implemented on kappa-grade 0")
     terms = ((i * p * p, c) for i, c in enumerate(x.coeffs))
     return CycloElem(2 * p, _monomial_sum(2 * p, terms))
 
@@ -768,8 +664,6 @@ def map_j(x, p):
         raise ValueError("j_p requires odd p >= 3")
     if x.p != p:
         raise ValueError(f"j_p at p={p} is defined on k_{p}")
-    if x.grade != 0:
-        raise ValueError("transfer maps are implemented on kappa-grade 0")
     e = p + 1 if p % 4 == 1 else 3 * p + 1
     terms = ((i * e, c) for i, c in enumerate(x.coeffs))
     return CycloElem(2 * p, _monomial_sum(2 * p, terms))

@@ -22,8 +22,8 @@ from .tqft import (branched_series, colored_double_invariant, connected_sum,
                    cover_series, double_invariant, make_invariant, s_kd)
 
 
-def _kp(p, text, grade=0):
-    return reduce_to_kp(LaurentPoly.parse(text), p, grade)
+def _kp(p, text):
+    return reduce_to_kp(LaurentPoly.parse(text), p)
 
 
 def _poly5(const_text, lin_text):
@@ -391,7 +391,8 @@ def suite_branched8():
 
     recs = branched_series("RT", 1, 3, [1, 4, 7])
     out.append(("level-3 branched value is -1",
-                all(r.value == CycloElem.from_int(3, -1) for r in recs), None))
+                all(r.value == CycloElem.from_int(3, -1) and not r.kappa
+                    for r in recs), None))
 
     recs = branched_series("U", 1, 5, range(1, 91))
     v = {r.d: r.normalized for r in recs}

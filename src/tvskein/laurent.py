@@ -187,14 +187,6 @@ class LaurentPoly:
         out.terms = {-e: c for e, c in self.terms.items()}
         return out
 
-    def subs_power(self, m):
-        """Substitute A -> A^m (m a nonzero integer)."""
-        if m == 0:
-            raise ValueError("substitution exponent must be nonzero")
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {e * m: c for e, c in self.terms.items()}
-        return out
-
     def exact_div(self, other):
         """Divide by ``other``, raising ValueError if not exact."""
         other = _as_laurent(other)

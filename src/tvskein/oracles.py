@@ -24,10 +24,9 @@ Each oracle below says what it shares with the code it checks.
 * Linear algebra: ``berkowitz_det``, the traces of matrix powers
   ``trace_powers`` (against ``polyalg.power_sums``) and the period of the
   flat part by repeated products, ``matrix_period``.
-* The transfer maps between levels combined on graded pairs
-  (``combine_graded``), the full twist ``full_twist`` as a Laurent
-  monomial (``tqft`` builds it in k_p), the Catalan numbers, and <J> and
-  [[J]] from a Kauffman polynomial (``scalars_from_kauffman``).
+* The full twist ``full_twist`` as a Laurent monomial (``tqft`` builds
+  it in k_p), the Catalan numbers, and <J> and [[J]] from a Kauffman
+  polynomial (``scalars_from_kauffman``).
 * Identities of the pipeline: D(n) nonsingular at a level by its rank
   (``ordinary_det_test``), the torus-bundle matrices (``witten_check``),
   the d = 1 branched trace identity, the period 6p of the Brieskorn
@@ -41,8 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-from .cyclo import (CycloElem, constants, cyclotomic_poly, map_i, map_j,
-                    reduce_to_kp, u_element)
+from .cyclo import CycloElem, constants, cyclotomic_poly, reduce_to_kp
 from .diagram import ATLAS_BRAIDS, DiagramError, SliceWord, braid_closure
 from .laurent import (ONE, LaurentPoly, QFactored, _as_laurent, _coeff_div,
                       _power, mu_eig, quantum_int)
@@ -788,12 +786,7 @@ def euclid_inverse(x):
         q, r = _poly_divmod(a, b)
         a, b, s0, s1 = b, r, s1, _poly_sub(s0, _poly_mul(q, s1))
     # a is now the gcd, a nonzero constant
-    out = CycloElem(x.p, [_coeff_div(c * x.den, a[0]) for c in s0])
-    if x.grade:
-        # (x kappa^g)^-1 = x^-1 u^-1 kappa^(6-g)
-        out = out * euclid_inverse(u_element(x.p))
-        out = CycloElem(x.p, out.coeffs, 6 - x.grade)
-    return out
+    return CycloElem(x.p, [_coeff_div(c * x.den, a[0]) for c in s0])
 
 
 def _poly_divmod(a, b):
@@ -824,21 +817,6 @@ def _poly_sub(a, b):
 
 
 # -- levels, counts and Kauffman polynomials --------------------------------------
-
-
-def combine_graded(x2, xp, p):
-    """Map a pair of equal-grade elements of k_2, k_p into k_2p.
-
-    Uses i_p, j_p on A-parts and sends kappa_2^g kappa_p^g to kappa_2p^g,
-    the grading convention under which i_p(kappa_2) j_p(kappa_p) = kappa_2p.
-    """
-    if x2.grade != xp.grade:
-        raise ValueError("grades must agree")
-    g = x2.grade
-    a2 = CycloElem(2, x2.coeffs, 0)
-    ap = CycloElem(p, xp.coeffs, 0)
-    out = map_i(a2, p) * map_j(ap, p)
-    return CycloElem(2 * p, out.coeffs, g)
 
 
 def full_twist(r, i, j):
@@ -974,10 +952,9 @@ def tau5_value(j_ref, k, d):
     v = cmath.exp(2j * cmath.pi / 40)
     rec = branched_series(j_ref, k, 10, [d])[0]
     sig = total_signature(seifert_matrix_double(k), d)
-    x = rec.value                     # grade-3 element of k_10
     a_val = -v * v
-    val = sum(complex(c) * a_val ** i for i, c in enumerate(x.coeffs))
-    val *= (v ** 3) ** x.grade
+    val = sum(complex(c) * a_val ** i for i, c in enumerate(rec.value.coeffs))
+    val *= (v ** 3) ** rec.kappa
     binv = constants(10).beta.inv()
     binv_val = sum(complex(c) * a_val ** i for i, c in enumerate(binv.coeffs))
     sigma_alpha = 3 * sig

@@ -455,8 +455,6 @@ def _rational_norm(gamma):
         return [int(c) for c in gamma.coeffs]
     if not isinstance(ring, CycloField):
         raise NormUnavailable(f"no norm to Q from {ring.name}")
-    if any(c.grade and not c.is_zero() for c in gamma.coeffs):
-        raise NormUnavailable("the norm needs coefficients of kappa-grade 0")
     deg = gamma.degree() * level_degree(ring.p)
     sums = power_sums(gamma, deg)
     t, e = [], [1]

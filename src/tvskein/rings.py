@@ -83,7 +83,8 @@ class LaurentRing(Ring):
 
 
 class CycloField:
-    """k_p with division; elements must stay kappa-homogeneous."""
+    """k_p with division, on its kappa-grade 0 part Q(A_p): every matrix
+    entry and polynomial coefficient the pipeline forms has grade 0."""
 
     is_field = True
 

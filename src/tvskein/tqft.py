@@ -21,8 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .cyclo import (CycloElem, UnsupportedSpecialization, constants,
-                    fold_kappa3, map_i, map_j, reduce_to_kp, u_exponent)
+from .cyclo import (CycloElem, UnsupportedSpecialization, constants, map_i,
+                    map_j, reduce_to_kp, u_exponent)
 from .diagram import DiagramError, KnotRef
 from .matring import (RingMatrix, flat_decompose, inverse, normalized_charpoly,
                       similarity_invariants)
@@ -717,24 +717,46 @@ def total_signature(v, d):
 
 
 class BranchedValue:
-    """eta^-1 <K_d>_p (``normalized``, kappa-grade 0) and <K_d>_p
-    (``value``, grade 3; folded at p in {1, 3, 4})."""
+    """<K_d>_p = value * kappa^kappa and eta^-1 <K_d>_p (``normalized``).
 
-    __slots__ = ("d", "normalized", "value")
+    ``value`` is the A-part beta * normalized, an element of Q(A_p).  The
+    kappa exponent is 3, or 0 at p in {1, 3, 4}, where u = 1 and kappa^3
+    folds into ``value`` as the sign ``kappa3_fold``.  This is the one
+    quantity of the pipeline whose kappa-grade is not 0.
+    """
 
-    def __init__(self, d, normalized, value):
+    __slots__ = ("d", "normalized", "value", "kappa")
+
+    def __init__(self, d, normalized, value, kappa):
         self.d, self.normalized, self.value = d, normalized, value
+        self.kappa = kappa
+
+    @staticmethod
+    def from_normalized(d, normalized):
+        """The record of eta^-1 <K_d>_p = normalized."""
+        pack = constants(normalized.p)
+        value = pack.beta * normalized
+        if pack.kappa3_fold is None:
+            return BranchedValue(d, normalized, value, 3)
+        return BranchedValue(d, normalized, value * pack.kappa3_fold, 0)
+
+    def bar(self):
+        """The value of the mirror: A -> A^-1 and kappa -> kappa^-1, where
+        bar(kappa^3) = u^-1 kappa^3.  bar(eta) = eta, so ``normalized``
+        is barred too."""
+        p = self.value.p
+        value = self.value.bar()
+        if self.kappa:
+            value = value * CycloElem.a_power(p, -u_exponent(p))
+        return BranchedValue(self.d, self.normalized.bar(), value, self.kappa)
+
+    def __str__(self):
+        return (f"({self.value.apart_str()}) * kappa^{self.kappa} "
+                f"@ p={self.value.p}")
 
     def __repr__(self):
         return (f"BranchedValue(d={self.d!r}, normalized={self.normalized!r}, "
-                f"value={self.value!r})")
-
-
-def branched_colors(p):
-    """Even colors entering the branched-cover sum at level p."""
-    if p % 2 == 1:
-        return [2 * i for i in range(0, (p - 3) // 2 + 1)]
-    return [2 * i for i in range(0, p // 4)]
+                f"value={self.value!r}, kappa={self.kappa!r})")
 
 
 def branched_series(j_ref, k, p, d_range):
@@ -744,40 +766,34 @@ def branched_series(j_ref, k, p, d_range):
     _check_cover_degrees(d_range)
     if isinstance(j_ref, str):
         j_ref = KnotRef.parse(j_ref)
-    pack = constants(p)
     d_max = max(d_range)
     if p % 2 == 0 and (p // 2) % 2 == 1 and p > 6:
         # eta_2p^-1 <K_d>_2p = s(d, k) j(eta_p'^-1 <K_d>_p')
         ph = p // 2
-        sub = branched_series(j_ref, k, ph, d_range)
-        out = []
-        for rec in sub:
-            norm = map_j(rec.normalized, ph) * s_kd(k, rec.d)
-            out.append(BranchedValue(d=rec.d, normalized=norm,
-                                     value=pack.eta * norm))
-        return out
+        return [BranchedValue.from_normalized(
+                    rec.d, map_j(rec.normalized, ph) * s_kd(k, rec.d))
+                for rec in branched_series(j_ref, k, ph, d_range)]
     series = {}
-    for c in branched_colors(p):
+    for c in ColorData.at(p).good_colors():
+        if c % 2:
+            continue
         inv = colored_double_invariant(j_ref, k, p, c)
         if inv.flat_rank:
             series[c] = power_sums(inv.gamma, d_max)
     loops = [reduce_to_kp(unknot_value(c), p) for c in series]
-    out = []
-    for d in d_range:
-        acc = kp_field(p).dot(loops, [s[d] for s in series.values()])
-        out.append(BranchedValue(d=d, normalized=acc,
-                                 value=fold_kappa3(pack.eta * acc)))
-    return out
+    return [BranchedValue.from_normalized(
+                d, kp_field(p).dot(loops, [s[d] for s in series.values()]))
+            for d in d_range]
 
 
 # -- Brieskorn spheres -----------------------------------------------------------
 
 
 def brieskorn_value(c, p):
-    """<Sigma(2,3,c)>_p via the trefoil branched cover (c may be negative)."""
+    """<Sigma(2,3,c)>_p via the trefoil branched cover (c may be negative),
+    as a ``BranchedValue``."""
     if c < 0:
-        rec = branched_series("U", -1, p, [abs(c)])[0]
-        return rec.value.bar()
+        return branched_series("U", -1, p, [-c])[0].bar()
     if c == 0:
         raise ValueError("c = 0 is not a Brieskorn sphere in this family")
-    return branched_series("U", -1, p, [c])[0].value
+    return branched_series("U", -1, p, [c])[0]

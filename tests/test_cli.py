@@ -116,6 +116,40 @@ def test_branched_covers_cli():
     assert CycloElem.parse(rows[0]["eta_normalized"]) == CycloElem.one(5)
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["covers", "--J", "U", "--k", "3", "--p", "5", "--d", "1..3",
+      "--branched"],
+     "d = 1: (1) * kappa^0 @ p=5   "
+     "[value: (3/5 - 1/5*A + 4/5*A^2 - 2/5*A^3) * kappa^3 @ p=5]\n"
+     "d = 2: (A - A^2) * kappa^0 @ p=5   "
+     "[value: (4/5 - 3/5*A + 2/5*A^2 - 1/5*A^3) * kappa^3 @ p=5]\n"
+     "d = 3: (-1 - A^3) * kappa^0 @ p=5   "
+     "[value: (-A^2) * kappa^3 @ p=5]\n"),
+    # p = 2p' with p' odd: the route through level p' = 5
+    (["covers", "--J", "U", "--k", "3", "--p", "10", "--d", "1..2",
+      "--branched"],
+     "d = 1: (1) * kappa^0 @ p=10   [value: (1/10 - 1/10*A - 1/5*A^2 "
+     "+ 1/5*A^3 - 1/5*A^4 - 3/10*A^5 + 1/10*A^6 + 2/5*A^7) * kappa^3 @ p=10]\n"
+     "d = 2: (-A^2 - A^6) * kappa^0 @ p=10   [value: (-3/10 + 3/10*A "
+     "+ 1/10*A^2 - 1/10*A^3 + 1/10*A^4 + 2/5*A^5 + 1/5*A^6 - 1/5*A^7) "
+     "* kappa^3 @ p=10]\n"),
+    # u = 1 at p = 4: kappa^3 folds to +1, so value = normalized
+    (["covers", "--J", "RT", "--k", "1", "--p", "4", "--d", "1..2",
+      "--branched"],
+     "d = 1: (1) * kappa^0 @ p=4\nd = 2: (1) * kappa^0 @ p=4\n"),
+    # the mirror: bar(kappa^3) = u^-1 kappa^3
+    (["brieskorn", "--c", "-7", "--p", "5"],
+     "<Sigma(2,3,-7)>_5 = (3/5 - 6/5*A - 1/5*A^2 - 2/5*A^3) * kappa^3 @ p=5\n"),
+    # kappa^3 folds to -1 at p = 3
+    (["brieskorn", "--c", "-5", "--p", "3"],
+     "<Sigma(2,3,-5)>_3 = (-1) * kappa^0 @ p=3\n"),
+])
+def test_kappa_carrying_text(argv, want):
+    # the only outputs whose kappa-grade is not 0 print kappa^3 or, folded,
+    # kappa^0
+    assert _run(argv) == (0, want)
+
+
 def test_empty_cover_range():
     for extra in ([], ["--branched"]):
         rc, _ = _run(["covers", "--J", "U", "--k", "1", "--p", "5",

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from tvskein.cyclo import (CycloElem, _axpy, _dot, _norm_steps, constants,
-                           cyclotomic_poly, fold_kappa3, level_d, level_degree,
-                           map_i, map_j, reduce_to_kp, u_element)
+                           cyclotomic_poly, level_d, level_degree, map_i,
+                           map_j, reduce_to_kp, u_element)
 from tvskein.laurent import DELTA, LaurentPoly
-from tvskein.oracles import combine_graded, euclid_inverse
+from tvskein.oracles import euclid_inverse
 
 
 def test_reduction_examples():
@@ -41,8 +41,7 @@ def test_power_table_matches_repeated_multiplication():
             expect = CycloElem.zero(p)
             for e, c in terms.items():
                 expect = expect + (a ** e if e >= 0 else ainv ** -e) * c
-            assert reduce_to_kp(LaurentPoly(terms), p, 2) == \
-                CycloElem(p, expect.coeffs, 2)
+            assert reduce_to_kp(LaurentPoly(terms), p) == expect
 
 
 def test_printed_beta_values():
@@ -65,18 +64,10 @@ def test_constant_pack_invariants():
             for s in range(pack.n):
                 tot = tot + pack.bracket_e[s] * pack.bracket_e[s]
                 s1 = s1 + pack.mu[s] * pack.bracket_e[s] * pack.bracket_e[s]
-            assert pack.eta * pack.eta * tot == CycloElem.one(p)
+            # eta^2 sum <e_s>^2 = 1, with eta^2 = beta^2 kappa^6 = beta^2 u
+            u = u_element(p)
+            assert pack.beta * pack.beta * u * tot == CycloElem.one(p)
             assert pack.beta * s1 == CycloElem.one(p)
-        assert pack.beta * pack.kappa3 == pack.eta
-
-
-def test_grade_discipline():
-    pack = constants(5)
-    with pytest.raises(ValueError):
-        pack.eta + pack.beta          # grade 3 + grade 0
-    x = pack.eta * pack.eta           # grade 6 folds to grade 0 via u
-    assert x.grade == 0
-    assert pack.eta.bar().bar() == pack.eta
 
 
 def test_bar_is_ring_involution():
@@ -84,10 +75,8 @@ def test_bar_is_ring_involution():
     for p in (2, 5, 7, 8):
         deg = level_degree(p)
         for _ in range(50):
-            x = CycloElem(p, tuple(rnd.randint(-3, 3) for _ in range(deg)),
-                          3 * rnd.randint(0, 1))
-            y = CycloElem(p, tuple(rnd.randint(-3, 3) for _ in range(deg)),
-                          x.grade)
+            x = CycloElem(p, tuple(rnd.randint(-3, 3) for _ in range(deg)))
+            y = CycloElem(p, tuple(rnd.randint(-3, 3) for _ in range(deg)))
             assert (x + y).bar() == x.bar() + y.bar()
             assert (x * y).bar() == x.bar() * y.bar()
             assert x.bar().bar() == x
@@ -130,16 +119,12 @@ def test_trace_is_sum_of_embeddings():
             x = CycloElem(p, tuple(Fraction(rnd.randint(-5, 5), rnd.randint(1, 3))
                                    for _ in range(deg)))
             assert abs(x.trace() - sum(x.embed(j) for j in units)) < 1e-9
-    with pytest.raises(ValueError):
-        CycloElem(5, (1,), 3).trace()
 
 
 def test_principal_embedding_values():
     d5 = reduce_to_kp(DELTA, 5)
     assert abs(d5.embed() - (-2 * cmath.cos(2 * cmath.pi / 5))) < 1e-12
     assert abs(CycloElem.a_power(2, 1).embed() - 1j) < 1e-12
-    eta5 = constants(5).eta.embed()
-    assert abs(eta5.imag) < 1e-12 and eta5.real > 0
     with pytest.raises(ValueError):
         CycloElem.one(5).embed(root_index=5)
 
@@ -152,11 +137,6 @@ def test_transfer_maps():
     assert i5 ** 2 == -CycloElem.one(10)          # order four
     with pytest.raises(ValueError):
         map_i(CycloElem.a_power(2, 1), 4)
-    with pytest.raises(ValueError):
-        map_j(constants(5).eta, 5)                # grade 3 rejected
-    # combined grading convention
-    x = combine_graded(constants(2).eta, constants(5).eta, 5)
-    assert x.grade == 3 and x.p == 10
 
 
 def test_map_j_is_multiplicative():
@@ -170,13 +150,6 @@ def test_map_j_is_multiplicative():
                     images[a] * images[b], (p, a, b)
 
 
-def test_kappa_fold_levels():
-    assert fold_kappa3(constants(3).kappa3) == CycloElem.from_int(3, -1)
-    assert fold_kappa3(constants(4).kappa3) == CycloElem.from_int(4, 1)
-    # no folding at generic p
-    assert fold_kappa3(constants(5).kappa3).grade == 3
-
-
 def test_in_ring_denominators():
     assert constants(5).beta.in_ring()
     bad = CycloElem(5, (Fraction(1, 3),))
@@ -185,9 +158,11 @@ def test_in_ring_denominators():
 
 
 def test_cyclo_parse_roundtrip():
-    for x in (constants(5).beta, constants(5).eta, CycloElem.a_power(7, 3),
-              CycloElem.zero(2)):
+    for x in (constants(5).beta, CycloElem.a_power(7, 3), CycloElem.zero(2)):
         assert CycloElem.parse(str(x)) == x
+    # kappa^3 is carried by tqft.BranchedValue, never by an element
+    with pytest.raises(ValueError):
+        CycloElem.parse("(1) * kappa^3 @ p=5")
 
 
 def test_integral_elements_keep_int_coefficients():
@@ -199,7 +174,7 @@ def test_integral_elements_keep_int_coefficients():
         for _ in range(20):
             x = reduce_to_kp(LaurentPoly({rnd.randint(-9, 9): rnd.randint(-3, 3)
                                           for _ in range(4)}), p)
-            y = CycloElem(p, [rnd.randint(-3, 3) for _ in range(3)], 1)
+            y = CycloElem(p, [rnd.randint(-3, 3) for _ in range(3)])
             assert types(x, y, x * y, x + x, -x, x * 3, x.bar()) == {int}
         # A_p is a unit of Z[A]/(phi_2p): its inverse stays integral
         assert types(CycloElem.a_power(p, 1).inv(), u_element(p).inv()) == {int}
@@ -237,21 +212,19 @@ def test_inverse_matches_euclid_oracle():
         deg = level_degree(p)
         one = CycloElem.one(p)
         dens = (1, level_d(p), 2 * p)
-        for grade in range(6):
-            # above p = 17 one draw per grade: the Euclid oracle is slow there
-            draws = [d for d in dens for _ in range(2)] if p < 18 else \
-                [dens[grade % 3]]
-            for den in draws:
-                x = CycloElem(p, [Fraction(rnd.randint(-9, 9), den)
-                                  for _ in range(deg)], grade)
-                if x.is_zero():
-                    continue
-                assert x.inv() == euclid_inverse(x), (p, x)
-                assert x * x.inv() == one, (p, x)
-                checked += 1
-            with pytest.raises(ZeroDivisionError):
-                CycloElem.zero(p, grade).inv()
-    assert checked > 600
+        # above p = 17 one draw per denominator: the Euclid oracle is slow there
+        draws = [d for d in dens for _ in range(4)] if p < 18 else dens
+        for den in draws:
+            x = CycloElem(p, [Fraction(rnd.randint(-9, 9), den)
+                              for _ in range(deg)])
+            if x.is_zero():
+                continue
+            assert x.inv() == euclid_inverse(x), (p, x)
+            assert x * x.inv() == one, (p, x)
+            checked += 1
+        with pytest.raises(ZeroDivisionError):
+            CycloElem.zero(p).inv()
+    assert checked > 230
 
 
 def test_norm_steps_cover_every_unit_once():
@@ -272,30 +245,26 @@ def test_norm_steps_cover_every_unit_once():
 
 def test_ring_operations_match_laurent_reduction():
     # sums, differences and products of reduced elements equal the
-    # reductions of the Laurent results, over unequal denominators and
-    # across the wrap kappa^6 = u
+    # reductions of the Laurent results, over unequal denominators
     rnd = random.Random(6)
     for p in (1, 2, 5, 7, 8, 9, 12, 13):
         u = LaurentPoly({_printed_u_exponent(p): 1})
+        assert u_element(p) == reduce_to_kp(u, p), p
         for _ in range(30):
-            gf, gg = rnd.randint(0, 5), rnd.randint(0, 5)
             f = _random_laurent(rnd, rnd.choice((1, level_d(p), 2 * p)))
             g = _random_laurent(rnd, rnd.choice((1, level_d(p), 2 * p)))
-            x, y = reduce_to_kp(f, p, gf), reduce_to_kp(g, p, gf)
-            assert x + y == reduce_to_kp(f + g, p, gf), (p, f, g)
-            assert x - y == reduce_to_kp(f - g, p, gf), (p, f, g)
-            assert -x == reduce_to_kp(-f, p, gf), (p, f)
-            y = reduce_to_kp(g, p, gg)
-            fg = f * g * u if gf + gg >= 6 else f * g
-            assert x * y == reduce_to_kp(fg, p, gf + gg), (p, f, g, gf, gg)
+            x, y = reduce_to_kp(f, p), reduce_to_kp(g, p)
+            assert x + y == reduce_to_kp(f + g, p), (p, f, g)
+            assert x - y == reduce_to_kp(f - g, p), (p, f, g)
+            assert -x == reduce_to_kp(-f, p), (p, f)
+            assert x * y == reduce_to_kp(f * g, p), (p, f, g)
 
 
 def test_inverse_runs_without_fractions():
     p = 13
     rnd = random.Random(13)
-    xs = [constants(p).beta, constants(p).eta,
-          CycloElem(p, [Fraction(rnd.randint(-9, 9), 2 * p) for _ in range(12)],
-                    5)]
+    xs = [constants(p).beta, u_element(p),
+          CycloElem(p, [Fraction(rnd.randint(-9, 9), 2 * p) for _ in range(12)])]
     seen = set()
 
     def record(frame, event, arg):
@@ -320,38 +289,33 @@ def _naive_dot(p, xs, ys):
 
 
 def _parts(x):
-    return x.num, x.den, x.grade
+    return x.num, x.den
 
 
 def test_dot_matches_naive_sum_of_products():
-    # one grade G per sum, reached by grade pairs that wrap past kappa^6
-    # too; denominators 1, d and 2p; zeros of other grades; int and
-    # Fraction operands; cancelling pairs that leave a zero of grade G
+    # denominators 1, d and 2p; zeros; int and Fraction operands;
+    # cancelling pairs that leave a zero
     rnd = random.Random(19)
-    seen = set()
     for p in range(1, 18):
         deg = level_degree(p)
 
-        def elem(grade, zero=False):
+        def elem(zero=False):
             den = rnd.choice((1, level_d(p), 2 * p))
             return CycloElem(p, [0 if zero else Fraction(rnd.randint(-9, 9), den)
-                                 for _ in range(deg)], grade)
+                                 for _ in range(deg)])
 
         for _ in range(40):
-            target = rnd.randint(0, 5)
             xs, ys = [], []
             for _ in range(rnd.randint(0, 6)):
-                gx = rnd.randint(0, 5)
                 kind = rnd.random()
                 if kind < 0.15:
-                    x, y = rnd.randint(-5, 5), elem(target)
+                    x, y = rnd.randint(-5, 5), elem()
                 elif kind < 0.25:
-                    x, y = elem(target), Fraction(rnd.randint(-5, 5), 2 * p)
+                    x, y = elem(), Fraction(rnd.randint(-5, 5), 2 * p)
                 elif kind < 0.35:
-                    x, y = elem(rnd.randint(0, 5), zero=True), elem(gx)
+                    x, y = elem(zero=True), elem()
                 else:
-                    x, y = elem(gx), elem(target - gx)
-                    seen.add((gx, (target - gx) % 6))
+                    x, y = elem(), elem()
                 xs.append(x)
                 ys.append(y)
             if xs and rnd.random() < 0.2:
@@ -359,58 +323,44 @@ def test_dot_matches_naive_sum_of_products():
                 ys.append(ys[0])
             want = _naive_dot(p, xs, ys)
             assert _parts(_dot(p, xs, ys)) == _parts(want), (p, xs, ys)
-    assert len(seen) == 36
 
 
 def test_axpy_matches_naive_row_update():
-    # x - f * y entry by entry, with f of every grade so that f * y wraps
-    # past kappa^6, denominators 1, d and 2p, and zeros of any grade as x,
-    # as y and as f
+    # x - f * y entry by entry, with denominators 1, d and 2p, and zeros
+    # as x, as y and as f
     rnd = random.Random(22)
-    wraps = set()
     for p in range(1, 18):
         deg = level_degree(p)
 
-        def elem(grade, zero=False):
+        def elem(zero=False):
             den = rnd.choice((1, level_d(p), 2 * p))
             return CycloElem(p, [0 if zero else Fraction(rnd.randint(-9, 9), den)
-                                 for _ in range(deg)], grade)
+                                 for _ in range(deg)])
 
         for _ in range(30):
-            gf = rnd.randint(0, 5)
-            f = elem(gf, zero=rnd.random() < 0.05)
+            f = elem(zero=rnd.random() < 0.05)
             xs, ys = [], []
             for _ in range(rnd.randint(0, 6)):
-                gy = rnd.randint(0, 5)
                 kind = rnd.random()
-                y = elem(gy, zero=kind < 0.15)
+                y = elem(zero=kind < 0.15)
                 if kind < 0.3:
-                    x = elem(rnd.randint(0, 5), zero=True)
+                    x = elem(zero=True)
                 elif kind < 0.4:
-                    x = f * y        # the difference is a zero of grade gf + gy
+                    x = f * y        # the difference is zero
                 else:
-                    x = elem(gf + gy)
-                wraps.add(gf + gy >= 6)
+                    x = elem()
                 xs.append(x)
                 ys.append(y)
             want = [x - f * y for x, y in zip(xs, ys)]
             assert [_parts(z) for z in _axpy(p, xs, f, ys)] == \
                 [_parts(z) for z in want], (p, xs, f, ys)
-        with pytest.raises(ValueError, match="not homogeneous"):
-            _axpy(p, [CycloElem(p, (1,), 1)], CycloElem.one(p),
-                  [CycloElem(p, (1,), 2)])
-    assert wraps == {False, True}
 
 
 def test_dot_edge_cases():
     for p in (1, 2, 7, 12):
         assert _parts(_dot(p, [], [])) == _parts(CycloElem.zero(p))
-        x = CycloElem(p, (2, 1), 2)
-        zero5 = CycloElem.zero(p, 5)
-        assert _parts(_dot(p, [zero5, x], [x, x])) == _parts(x * x)
+        x = CycloElem(p, (2, 1))
+        zero = CycloElem.zero(p)
+        assert _parts(_dot(p, [zero, x], [x, x])) == _parts(x * x)
         assert _parts(_dot(p, [3, Fraction(1, 2)], [Fraction(1, 3), 4])) == \
             _parts(CycloElem.from_int(p, 3))
-        with pytest.raises(ValueError, match="not homogeneous"):
-            _dot(p, [x, x], [x, CycloElem.one(p)])
-        with pytest.raises(ValueError, match="not homogeneous"):
-            _naive_dot(p, [x, x], [x, CycloElem.one(p)])

@@ -254,25 +254,23 @@ def _naive_power_sums(gamma, d_max):
 
 
 def _exact(xs):
-    """Entries with their representation: grade and denominator too."""
-    return [(x.num, x.den, x.grade) if isinstance(x, CycloElem) else x
-            for x in xs]
+    """Entries with their representation: the denominator too."""
+    return [(x.num, x.den) if isinstance(x, CycloElem) else x for x in xs]
 
 
-def _graded_matrix(rnd, ring, grades, col_grades=None):
-    """Entry (i, j) of grade g_i - g_j, over denominators 1, d and 2p, so
-    row-column products wrap past kappa^6 and stay homogeneous; the
-    columns take ``col_grades`` if given.  Over Q the grades are ignored."""
-    cols = grades if col_grades is None else col_grades
+def _random_matrix(rnd, ring, n, m=None):
+    """An n x m matrix (m = n by default), a fifth of its entries zero,
+    over denominators 1, 2, 3 (Q) or 1, p, 2p (k_p)."""
+    cols = range(n if m is None else m)
     if ring is QQ:
         return RingMatrix(QQ, [[Fraction(rnd.randint(-3, 3), rnd.choice((1, 2, 3)))
                                 if rnd.random() < 0.8 else 0 for _ in cols]
-                               for _ in grades])
+                               for _ in range(n)])
     p = ring.p
     return RingMatrix(ring, [[CycloElem(
         p, [Fraction(rnd.randint(-3, 3), rnd.choice((1, p, 2 * p)))
-            for _ in range(level_degree(p))], gi - gj) if rnd.random() < 0.8
-        else CycloElem.zero(p, gi - gj) for gj in cols] for gi in grades])
+            for _ in range(level_degree(p))]) if rnd.random() < 0.8
+        else CycloElem.zero(p) for _ in cols] for _ in range(n)])
 
 
 def _laurent_matrix(rnd, n):
@@ -291,9 +289,7 @@ def test_dot_sites_match_naive_loops(ring):
         elif ring is ZA:
             a, b = _laurent_matrix(rnd, 4), _laurent_matrix(rnd, 4)
         else:
-            grades = [rnd.randint(0, 5) for _ in range(6)]
-            a, b = (_graded_matrix(rnd, ring, grades),
-                    _graded_matrix(rnd, ring, grades))
+            a, b = _random_matrix(rnd, ring, 6), _random_matrix(rnd, ring, 6)
         prod = a * b
         assert [_exact(r) for r in prod.data] == \
             [_exact(r) for r in _naive_product(a, b)]
@@ -344,22 +340,17 @@ def _naive_solve(a, b):
 
 
 def _elimination_inputs(rnd, ring):
-    """(a, row grades, column grades): empty, square, rectangular and
-    rank-deficient matrices, entry (i, j) of grade g_i - g_j over k_p."""
-    def grades(n):
-        return [0 if ring is QQ else rnd.randint(0, 5) for _ in range(n)]
-
-    yield RingMatrix(ring, []), [], []
-    yield RingMatrix(ring, [[] for _ in range(3)]), grades(3), []
+    """Empty, square, rectangular and rank-deficient matrices."""
+    yield RingMatrix(ring, [])
+    yield RingMatrix(ring, [[] for _ in range(3)])
     for _ in range(12):
         n, m = rnd.randint(1, 5), rnd.randint(1, 5)
-        rg, cg = grades(n), grades(m)
-        yield _graded_matrix(rnd, ring, rg), rg, rg
-        yield _graded_matrix(rnd, ring, rg, cg), rg, cg
+        yield _random_matrix(rnd, ring, n)
+        yield _random_matrix(rnd, ring, n, m)
         if min(n, m) > 1:
-            mid = grades(rnd.randint(1, min(n, m) - 1))
-            yield (_graded_matrix(rnd, ring, rg, mid)
-                   * _graded_matrix(rnd, ring, mid, cg)), rg, cg
+            mid = rnd.randint(1, min(n, m) - 1)
+            yield (_random_matrix(rnd, ring, n, mid)
+                   * _random_matrix(rnd, ring, mid, m))
 
 
 @pytest.mark.parametrize("ring", [QQ, kp_field(7), kp_field(12)],
@@ -368,7 +359,7 @@ def test_elimination_matches_naive_gauss_jordan(ring):
     rnd = random.Random(23)
     seen = dict.fromkeys(("deficient", "consistent", "inconsistent",
                           "singular", "invertible"), 0)
-    for a, rg, cg in _elimination_inputs(rnd, ring):
+    for a in _elimination_inputs(rnd, ring):
         red, piv = _gauss_jordan(ring, a.data)
         rows, pivots, invs = _echelon(a)
         assert pivots == piv and rank(a) == len(piv)
@@ -377,12 +368,11 @@ def test_elimination_matches_naive_gauss_jordan(ring):
             assert not any(row[:c]) and row[c] * inv == ring.one
         assert not any(x for row in rows[len(pivots):] for x in row)
         assert _gauss_jordan(ring, rows)[0] == red      # the same row space
-        # right-hand sides of column grades h: a * X for a graded X, which
-        # is consistent, and a random one, which a deficient a may not meet
-        hg = [0 if ring is QQ else rnd.randint(0, 5) for _ in range(2)]
-        image = a * _graded_matrix(rnd, ring, cg, hg) if a.cols else \
+        # right-hand sides a * X, which is consistent, and a random one,
+        # which a deficient a may not meet
+        image = a * _random_matrix(rnd, ring, a.cols, 2) if a.cols else \
             RingMatrix.zero(ring, a.rows, 2)
-        for b in (image, _graded_matrix(rnd, ring, rg, hg)):
+        for b in (image, _random_matrix(rnd, ring, a.rows, 2)):
             want = _naive_solve(a, b)
             if want is None:
                 seen["inconsistent"] += 1

@@ -245,3 +245,16 @@ def test_one_row_update_kernel():
             calls.add(fn.name)
     assert not found, sorted(found)
     assert calls >= {"_echelon", "solve"}, calls
+
+
+def test_kappa_grade_lives_only_on_the_branched_record():
+    # a k_p element is num / den in Q(A_p); kappa^3 is carried only by
+    # tqft.BranchedValue, beside the A-part of <K_d>_p
+    from tvskein.cyclo import CycloElem
+    assert CycloElem.__slots__ == ("p", "num", "den")
+    banned = {"grade", "eta", "kappa3"}
+    found = [f"{path.relative_to(SRC)}:{node.lineno} .{node.attr}"
+             for path in sorted(SRC.rglob("*.py")) if path.name != "tqft.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in banned]
+    assert not found, found

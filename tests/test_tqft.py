@@ -16,8 +16,8 @@ from tvskein.recoupling import unknot_value
 from tvskein.rings import ZA, kp_field
 from tvskein.skein import (KnotScalars, closure_B, pairing_matrix_D,
                            transfer_Q)
-from tvskein.tqft import (ColorData, UnsupportedSpecialization,
-                          branched_colors, branched_series,
+from tvskein.tqft import (BranchedValue, ColorData, UnsupportedSpecialization,
+                          branched_series, brieskorn_value,
                           colored_double_invariant,
                           cover_series, double_invariant, general_double,
                           ordinary, s_kd, seifert_matrix_double,
@@ -259,15 +259,41 @@ def test_branched_tensor_route_equals_colored_sum(p):
     d_max = 12
     for k in (-1, 2, 3):
         expect = [CycloElem.zero(p)] * d_max
-        for c in branched_colors(p):
+        for c in ColorData.at(p).good_colors():
             inv = colored_double_invariant("U", k, p, c)
-            if inv.flat_rank == 0:
+            if c % 2 or inv.flat_rank == 0:
                 continue
             sums = power_sums(inv.gamma, d_max)
             weight = reduce_to_kp(unknot_value(c), p)
             expect = [x + weight * sums[d + 1] for d, x in enumerate(expect)]
         got = branched_series("U", k, p, range(1, d_max + 1))
         assert [rec.normalized for rec in got] == expect, k
+
+
+def test_branched_value_carries_kappa3():
+    # <K_d>_p = beta normalized kappa^3, with kappa^3 folded to a sign
+    # where u = 1; eta = beta kappa^3 is bar-invariant, so the mirror's
+    # record is the record of the barred normalized value
+    for p in (3, 4, 5, 7, 9, 10, 12):
+        pack = constants(p)
+        u = u_element(p)
+        assert pack.beta.bar() == pack.beta * u, p      # bar(eta) = eta
+        for rec in branched_series("U", -1, p, range(1, 7)):
+            if pack.kappa3_fold is None:
+                assert rec.kappa == 3 and rec.value == pack.beta * rec.normalized
+            else:
+                assert rec.kappa == 0 and u == 1
+                assert rec.value == pack.beta * rec.normalized * pack.kappa3_fold
+            mirror = rec.bar()
+            assert mirror.kappa == rec.kappa and mirror.d == rec.d
+            assert mirror.normalized == rec.normalized.bar()
+            assert mirror.value == rec.value.bar() * u ** -(rec.kappa // 3)
+            assert str(BranchedValue.from_normalized(rec.d, mirror.normalized)) \
+                == str(mirror)
+            assert mirror.bar().value == rec.value, (p, rec.d)
+            assert str(rec) == \
+                f"({rec.value.apart_str()}) * kappa^{rec.kappa} @ p={p}"
+        assert str(brieskorn_value(-rec.d, p)) == str(rec.bar())
 
 
 def test_trace_powers_match_newton_on_invariants():
