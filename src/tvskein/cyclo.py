@@ -225,6 +225,12 @@ def _axpy(p, xs, f, ys):
     return out
 
 
+def _galois(p, num, j):
+    """sigma_j(num), A -> A^j, on a reduced vector of k_p: an automorphism
+    for j a unit mod 2p (j = -1 is the bar involution)."""
+    return _monomial_sum(p, ((i * j, c) for i, c in enumerate(num)))
+
+
 @lru_cache(maxsize=None)
 def _norm_steps(p):
     """The tower of (Z/2p)^x that ``CycloElem.inv`` takes the norm through.
@@ -422,8 +428,7 @@ class CycloElem:
         for g, e in _norm_steps(p):
             step = None
             for i in range(1, e):
-                j = pow(g, i, 2 * p)
-                sigma = _monomial_sum(p, ((k * j, c) for k, c in enumerate(norm)))
+                sigma = _galois(p, norm, pow(g, i, 2 * p))
                 step = sigma if step is None else _mul_vec(p, step, sigma)
             conj, norm = _mul_vec(p, conj, step), _mul_vec(p, norm, step)
         if any(norm[1:]):
@@ -442,8 +447,7 @@ class CycloElem:
 
     def bar(self):
         """A -> A^-1; an automorphism keeps num / den in lowest terms."""
-        terms = ((-i, c) for i, c in enumerate(self.num))
-        return CycloElem._raw(self.p, _monomial_sum(self.p, terms), self.den)
+        return CycloElem._raw(self.p, _galois(self.p, self.num, -1), self.den)
 
     def __eq__(self, other):
         other = self._operand(other)

@@ -267,7 +267,11 @@ def flat_decompose(z):
     With r = deg Gamma, the flat part acts on image(Z^(n-r)) in the basis
     of the pivot columns of Z^(n-r).  These are the pivot columns of Z^n
     too, and the matrix is the same, because Z^r commutes with Z and is
-    invertible on the image.  When r = n the flat part is Z itself.
+    invertible on the image; the pivots must number r, and the flat
+    part's charpoly must be Gamma.  When r = n the charpoly's constant
+    term is nonzero, so Z is invertible and is its own flat part: no
+    elimination runs, and the check is that the charpoly's x^(n-1)
+    coefficient is -tr Z.
     """
     if z.rows != z.cols:
         raise ValueError("flat decomposition of a non-square matrix")
@@ -279,21 +283,20 @@ def flat_decompose(z):
     if n == 0 or r == 0:
         flat = RingMatrix(ring, [])
         return FlatDecomposition(0, flat, RingPoly.one(ring), ring.one)
-    zk = z if r == n else z ** (n - r)
+    if r == n:
+        if gamma.coeff(n - 1) != -z.trace():
+            raise InvariantCheckError("charpoly disagrees with the trace")
+        return FlatDecomposition(n, z, gamma, gamma.constant_term())
+    zk = z ** (n - r)
     _, piv, _ = _echelon(zk)
     if len(piv) != r:
         raise InvariantCheckError(
             "flat rank disagrees with normalized charpoly degree")
-    if r == n:
-        # M = Z, whose charpoly is the one computed above
-        m, gamma_flat = z, char
-    else:
-        basis = RingMatrix(ring, [[zk.data[i][c] for c in piv]
-                                  for i in range(n)])
-        # action: Z * basis = basis * M
-        m = solve(basis, z * basis)
-        gamma_flat = berkowitz_charpoly(m)
-    if gamma_flat != gamma:
+    basis = RingMatrix(ring, [[zk.data[i][c] for c in piv]
+                              for i in range(n)])
+    # action: Z * basis = basis * M
+    m = solve(basis, z * basis)
+    if berkowitz_charpoly(m) != gamma:
         raise InvariantCheckError("flat charpoly mismatch")
     d = gamma.constant_term()
     if not d:

@@ -20,7 +20,9 @@ Each oracle below says what it shares with the code it checks.
   checks ``skein.colored_bracket``, which works in the fusion basis, and
   shares the splice kernel but not the 6j-symbols.
 * The inverse in k_p by the extended Euclid against phi_2p
-  (``euclid_inverse``), in ``Fraction``s.
+  (``euclid_inverse``), in ``Fraction``s, and the norm of a polynomial
+  from all of k_p to Q as the product of its conjugates
+  (``full_rational_norm``).
 * Linear algebra: ``berkowitz_det``, the traces of matrix powers
   ``trace_powers`` (against ``polyalg.power_sums``) and the period of the
   flat part by repeated products, ``matrix_period``.
@@ -46,7 +48,7 @@ from .laurent import (ONE, LaurentPoly, QFactored, _as_laurent, _coeff_div,
                       _power, mu_eig, quantum_int)
 from .matring import (RingMatrix, berkowitz_charpoly, flat_decompose,
                       normalized_charpoly, rank)
-from .polyalg import PowerSumSeries
+from .polyalg import PowerSumSeries, RingPoly
 from .recoupling import ColorError, _check_adm
 from .rings import Ring, kp_field
 from .skein import SkeinEngine, _exact_quotient, bracket_word, pairing_matrix_D
@@ -814,6 +816,34 @@ def _poly_sub(a, b):
     n = max(len(a), len(b))
     a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
+
+
+# -- the norm from k_p to Q ----------------------------------------------------------
+
+
+def full_rational_norm(gamma):
+    """The norm of gamma over k_p from all of k_p to Q, as integers low to
+    high, or None when it is not integral: the product of the conjugates
+    sigma_j(gamma), A -> A^j over every unit j mod 2p, multiplied out in
+    k_p[x].  It checks ``polyalg._rational_norm``, which takes the norm
+    from gamma's field of definition through power sums and Newton's
+    identities, and shares only the k_p arithmetic with it."""
+    ring, p = gamma.ring, gamma.ring.p
+    norm = RingPoly.one(ring)
+    for j in range(1, 2 * p):
+        if gcd(j, 2 * p) == 1:
+            norm = norm * RingPoly(ring, [
+                reduce_to_kp(LaurentPoly((i * j, a)
+                                         for i, a in enumerate(c.coeffs)), p)
+                for c in gamma.coeffs])
+    out = []
+    for c in norm.coeffs:
+        if any(c.num[1:]):
+            raise AssertionError(f"the norm of {gamma} is not rational")
+        if c.den != 1:
+            return None
+        out.append(c.num[0])
+    return out
 
 
 # -- levels, counts and Kauffman polynomials --------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import exp, gcd, log
 
-from .cyclo import (CycloElem, InvariantCheckError, cyclotomic_poly,
+from .cyclo import (CycloElem, InvariantCheckError, _galois, cyclotomic_poly,
                     level_degree)
 from .laurent import _power
 from .rings import QQ, CycloField
@@ -424,12 +424,13 @@ def root_periodicity(gamma):
 
     Decided exactly, with no bound on m.  Galois conjugation keeps the
     order of a root of unity, so gamma has the period of its norm
-    N = prod_sigma sigma(gamma) in Q[x], which is tested for being a
-    product of cyclotomic polynomials (Bradford-Davenport, "Effective
-    tests for cyclotomic polynomials", 1988): a non-integral N has a
-    root that is no root of unity; otherwise every Phi_m with
-    phi(m) <= deg is divided out as often as it divides, anything left
-    over means None, and the period is the lcm of the m divided out.
+    N in Q[x] from its field of definition (``_rational_norm``), which is
+    tested for being a product of cyclotomic polynomials
+    (Bradford-Davenport, "Effective tests for cyclotomic polynomials",
+    1988): a non-integral N has a root that is no root of unity;
+    otherwise every Phi_m with phi(m) <= deg is divided out as often as
+    it divides, anything left over means None, and the period is the lcm
+    of the m divided out.
     """
     if not gamma.is_monic() or not gamma.constant_term():
         raise ValueError("periodicity needs a monic polynomial with "
@@ -441,12 +442,16 @@ def root_periodicity(gamma):
 
 
 def _rational_norm(gamma):
-    """Integer coefficients of the norm of gamma to Q, or None.
+    """Integer coefficients of the norm of gamma to Q from its field of
+    definition, or None.
 
-    None means the norm is not integral.  Over k_p the power sums of
-    the norm are t_d = Tr(s_d(gamma)), and Newton's identities
-    k e_k = sum_i (-1)^(i-1) e_(k-i) t_i rebuild it; a non-integral t_d
-    or e_k already shows a non-integral norm.
+    Over k_p, H is the group of units j mod 2p whose sigma_j (A -> A^j)
+    fixes every coefficient of gamma, so gamma lies in K[x] for
+    K = k_p^H, of degree phi(2p) / |H|, and the norm from k_p is
+    N_K(gamma)^|H|: the same roots, so the same period.  The power sums
+    of N_K(gamma) are t_d = Tr_K(s_d(gamma)) = Tr(s_d(gamma)) / |H|, and
+    Newton's identities k e_k = sum_i (-1)^(i-1) e_(k-i) t_i rebuild it;
+    a non-integral t_d or e_k already shows a non-integral norm.
     """
     ring = gamma.ring
     if ring is QQ:
@@ -455,19 +460,33 @@ def _rational_norm(gamma):
         return [int(c) for c in gamma.coeffs]
     if not isinstance(ring, CycloField):
         raise NormUnavailable(f"no norm to Q from {ring.name}")
-    deg = gamma.degree() * level_degree(ring.p)
+    p = ring.p
+    h = _stabiliser_order(p, gamma.coeffs)
+    deg = gamma.degree() * level_degree(p) // h
     sums = power_sums(gamma, deg)
     t, e = [], [1]
     for k in range(1, deg + 1):
         tk = sums[k].trace()
-        if tk.denominator != 1:
+        if tk.denominator != 1 or tk % h:
             return None
-        t.append(int(tk))
+        t.append(tk // h)
         ke = sum((-1) ** (i - 1) * e[k - i] * t[i - 1] for i in range(1, k + 1))
         if ke % k:
             return None
         e.append(ke // k)
     return [(-1) ** (deg - j) * e[deg - j] for j in range(deg + 1)]
+
+
+def _stabiliser_order(p, coeffs):
+    """|H| for the units j mod 2p whose sigma_j fixes every coefficient.
+
+    Rational coefficients are fixed by all of them and j = 1 by
+    definition; a j is dropped at the first coefficient it moves.
+    """
+    moved = [list(c.num) for c in coeffs if any(c.num[1:])]
+    n = 2 * p
+    return 1 + sum(1 for j in range(2, n) if gcd(j, n) == 1 and
+                   all(_galois(p, num, j) == num for num in moved))
 
 
 def _cyclotomic_period(poly):

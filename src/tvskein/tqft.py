@@ -304,10 +304,12 @@ def _twist(p, power=1):
 
 
 def _pattern_product(left, right, diag, beta, ring):
-    """beta * left * diag(diag) * right^T over k_p."""
+    """beta * left * diag(diag) * right^T over k_p, with beta taken into
+    the diagonal: n products rather than n^2 on the result."""
+    diag = [d * beta for d in diag]
     scaled = RingMatrix(ring, [[x * d for x, d in zip(row, diag)]
                                for row in left])
-    return scaled * RingMatrix(ring, right).transpose() * beta
+    return scaled * RingMatrix(ring, right).transpose()
 
 
 def general_L_matrix(j_ref, p):
@@ -329,14 +331,16 @@ def general_B_matrix(j_ref, k, p):
     The sum over the pattern channel s carries <e_s> and <e_s>^-1,
     which cancel, so B = beta U diag(mu(s)^(2k+1)) W^T with
     U[i, s] = sum_r ft(r, i, s) <J_r> and W[j, s] = sum_r ft(r, j, s)^k <J_r>.
+    U is the pairing L, read from ``_pairing``; only W depends on k.
     """
     pack = constants(p)
     basis = range(pack.n)
-    u, w = _channel_sums(_scalars(j_ref), p, ColorData.at(p), basis, basis,
-                         _twist(p), _twist(p, k % (2 * p)))
+    u, _ = _pairing(j_ref, p, 0)
+    w, = _channel_sums(_scalars(j_ref), p, ColorData.at(p), basis, basis,
+                       _twist(p, k % (2 * p)))
     mu_k = _twist(p, 2 * k + 1)
     tw = [mu_k(t, 0, 0) for t in basis]
-    return _pattern_product(u, w, tw, pack.beta, kp_field(p))
+    return _pattern_product(u.data, w, tw, pack.beta, kp_field(p))
 
 
 def double_invariant(j_ref, k, p):
@@ -389,13 +393,15 @@ def general_double(j_ref, k, p):
             raise UnsupportedSpecialization(
                 f"<J_{c}> vanishes at p={p}; the doubled-pattern pairing "
                 f"is singular for J={s.name}")
-    l_inv = _pairing_inverse(j_ref, p, 0)
+    _, l_inv = _pairing(j_ref, p, 0)
     return make_invariant(general_B_matrix(j_ref, k, p) * l_inv, p)
 
 
 @lru_cache(maxsize=None)
-def _pairing_inverse(j_ref, p, c):
-    """L^-1 for color c (0: the general pairing), shared by every twist.
+def _pairing(j_ref, p, c):
+    """(L, L^-1) for color c (0: the general pairing), built once per
+    (J, p, c) and shared by every twist; ``general_B_matrix`` reads L as
+    its U.
 
     A singular pairing L leaves the level undefined.
     """
@@ -404,7 +410,7 @@ def _pairing_inverse(j_ref, p, c):
     else:
         lm = colored_L_matrix(j_ref, p, c)
     try:
-        return inverse(lm)
+        return lm, inverse(lm)
     except ZeroDivisionError:
         raise UnsupportedSpecialization(
             f"the doubled-pattern pairing is singular at p={p}") from None
@@ -471,7 +477,7 @@ def colored_double_invariant(j_ref, k, p, c):
         if not s.at(e, p):
             raise UnsupportedSpecialization(
                 f"<J_{e}> vanishes at p={p} (color-{c} pairing singular)")
-    l_inv = _pairing_inverse(j_ref, p, c)
+    _, l_inv = _pairing(j_ref, p, c)
     return make_invariant(colored_B_matrix(j_ref, k, p, c) * l_inv, p)
 
 

@@ -251,8 +251,9 @@ def test_singular_pairing_exit_code(monkeypatch):
     import tvskein.tqft as tqft
     from tvskein.matring import RingMatrix
     from tvskein.rings import kp_field
-    # L^-1 is cached per (J, p, c); the patched L is read on a cold cache
-    tqft._pairing_inverse.cache_clear()
+    # L and L^-1 are cached per (J, p, c); the patched L is read on a
+    # cold cache
+    tqft._pairing.cache_clear()
     monkeypatch.setattr(tqft, "general_L_matrix",
                         lambda j_ref, p: RingMatrix.zero(kp_field(p), 3, 3))
     rc, _ = _run(["double", "--J", "U", "--k", "1", "--p", "7"])

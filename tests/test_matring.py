@@ -196,6 +196,84 @@ def test_flat_decompose_full_rank_takes_no_power(monkeypatch):
     assert exponents == [2]
 
 
+@pytest.mark.parametrize("ring", [QQ, kp_field(7)], ids=["QQ", "k7"])
+def test_berkowitz_constant_term_decides_full_rank(ring):
+    # flat_decompose reads r = n from the charpoly alone: its constant term
+    # is nonzero exactly when Z has rank n
+    rnd = random.Random(33)
+    seen = {True: 0, False: 0}
+    for n in range(1, 6):
+        for _ in range(4):
+            z = _rand_invertible(rnd, ring, n)
+            mid = rnd.randint(0, n - 1)
+            low = _random_matrix(rnd, ring, n, mid) * \
+                _random_matrix(rnd, ring, mid, n) if mid else \
+                RingMatrix.zero(ring, n, n)
+            for m in (z, low, _random_matrix(rnd, ring, n)):
+                full = rank(m) == n
+                assert bool(berkowitz_charpoly(m).constant_term()) == full
+                seen[full] += 1
+    assert all(seen.values()), seen
+
+
+def test_berkowitz_constant_term_decides_full_rank_of_doubles():
+    from tvskein.tqft import double_invariant
+    seen = {True: 0, False: 0}
+    for p in range(2, 13):
+        for k in range(-p, p):
+            z = double_invariant("U", k, p).matrix
+            full = rank(z) == z.rows
+            assert bool(berkowitz_charpoly(z).constant_term()) == full, (p, k)
+            seen[full] += 1
+    assert all(seen.values()), seen
+
+
+def test_flat_decompose_full_rank_runs_no_elimination(monkeypatch):
+    import tvskein.matring as matring
+    calls = []
+    real = matring._echelon
+
+    def counted(mat):
+        calls.append(mat.rows)
+        return real(mat)
+
+    rnd = random.Random(34)
+    inputs = [_rand_invertible(rnd, ring, n)
+              for ring in (QQ, kp_field(7)) for n in range(1, 5)]
+    monkeypatch.setattr(matring, "_echelon", counted)
+    for z in inputs:
+        fd = flat_decompose(z)
+        assert fd.flat_rank == z.rows and fd.flat_matrix == z
+        assert fd.gamma == berkowitz_charpoly(z)
+    assert calls == []
+    # r < n still eliminates Z^(n-r)
+    flat_decompose(RingMatrix(QQ, [[0, 1, 0], [0, 0, 0], [0, 0, 2]]))
+    assert calls
+
+
+def test_flat_decompose_full_rank_checks_the_trace(monkeypatch):
+    import tvskein.matring as matring
+    from tvskein.polyalg import InvariantCheckError
+    real = matring.berkowitz_charpoly
+
+    def off_by_one(mat):
+        # the x^(n-1) coefficient moved by 1; degree and constant term kept
+        char = real(mat)
+        cs = list(char.coeffs)
+        cs[-2] = cs[-2] + 1
+        return RingPoly(char.ring, cs)
+
+    rnd = random.Random(35)
+    for ring in (QQ, kp_field(7)):
+        for n in (2, 3):
+            z = _rand_invertible(rnd, ring, n)
+            flat_decompose(z)
+            with monkeypatch.context() as m:
+                m.setattr(matring, "berkowitz_charpoly", off_by_one)
+                with pytest.raises(InvariantCheckError, match="trace"):
+                    flat_decompose(z)
+
+
 # -- one dot kernel per ring: naive loops as the reference ---------------------
 
 

@@ -8,7 +8,8 @@ import pytest
 from tvskein import polyalg
 from tvskein.cyclo import CycloElem, cyclotomic_poly
 from tvskein.matring import RingMatrix, berkowitz_charpoly
-from tvskein.oracles import MPoly, MPolyRing, trace_powers
+from tvskein.oracles import (MPoly, MPolyRing, full_rational_norm,
+                             trace_powers)
 from tvskein.polyalg import (InvariantCheckError, NormUnavailable, RingPoly,
                              numeric_roots, power_sums, root_periodicity,
                              tensor_product)
@@ -397,3 +398,81 @@ def test_root_periodicity_divisibility_oracle(j_ref, k, expect):
     assert _divides_unit_power(gamma, m)
     assert not any(_divides_unit_power(gamma, m // q)
                    for q in _prime_divisors(m))
+
+
+# -- the norm from Gamma's field of definition ---------------------------------
+
+
+def _level_gamma(rnd, p, kind, deg=3):
+    """A monic Gamma over k_p with integer coefficients: rational ones,
+    ones in Q(A + A^-1), generic ones in Q(A), or generic ones after a
+    first one in Q(A + A^-1)."""
+    ring = kp_field(p)
+    real = CycloElem.a_power(p, 1) + CycloElem.a_power(p, -1)
+    cs = []
+    for _ in range(deg):
+        a, b, c = (rnd.randint(-3, 3) for _ in range(3))
+        if kind == "rational":
+            cs.append(ring.coerce(a))
+        elif kind == "real":
+            cs.append(real * real * a + real * b + c)
+        else:
+            cs.append(CycloElem.a_power(p, rnd.randint(1, 2 * p - 1)) * a
+                      + CycloElem.a_power(p, 1) * b + c)
+    if kind != "rational":
+        # one coefficient that generates the field of the kind
+        cs[0] = real if kind == "real" else CycloElem.a_power(p, 1)
+    if kind == "mixed":
+        # the first coefficient is fixed by A -> A^-1, the next is not
+        cs = [real] + cs
+    return RingPoly(ring, cs + [ring.one])
+
+
+@pytest.mark.parametrize("p", [5, 7, 8, 9, 12])
+def test_norm_from_field_of_definition_is_a_root_of_the_full_norm(
+        monkeypatch, p):
+    # N_(k_p/Q)(Gamma) = N_(K/Q)(Gamma)^|H| for K = k_p^H, H the units j
+    # with sigma_j fixing Gamma: |H| = phi(2p), 2 and 1 for rational,
+    # real-subfield and generic coefficients (1 also when only the first
+    # coefficient is real), and Newton needs r phi(2p) / |H| power sums
+    rnd = random.Random(70 + p)
+    phi = len(cyclotomic_poly(2 * p)) - 1
+    asked = []
+    real_power_sums = polyalg.power_sums
+
+    def counted(gamma, d_max):
+        asked.append(d_max)
+        return real_power_sums(gamma, d_max)
+
+    monkeypatch.setattr(polyalg, "power_sums", counted)
+    for kind, h in (("rational", phi), ("real", 2), ("generic", 1),
+                    ("mixed", 1)):
+        for deg in (1, 2, 3):
+            gamma = _level_gamma(rnd, p, kind, deg)
+            r = gamma.degree()
+            assert polyalg._stabiliser_order(p, gamma.coeffs) == h, kind
+            del asked[:]
+            norm = polyalg._rational_norm(gamma)
+            assert asked == [r * phi // h], kind
+            assert len(norm) == r * phi // h + 1
+            assert _int_poly(*[norm] * h) == full_rational_norm(gamma), \
+                (kind, deg)
+        # c_0 + 1/2 has the norm (odd) / 2^phi(2p), so the norm of Gamma is
+        # not integral, and neither is the norm from K
+        half = RingPoly(gamma.ring, [gamma.coeffs[0] + Fraction(1, 2)]
+                        + gamma.coeffs[1:])
+        assert full_rational_norm(half) is None, kind
+        assert polyalg._rational_norm(half) is None, kind
+
+
+@pytest.mark.parametrize("j_ref", ["U", "RT", "LT"])
+def test_root_periodicity_matches_full_norm_oracle(j_ref):
+    for p in range(3, 13):
+        for k in range(-p, p):
+            inv = double_invariant(j_ref, k, p)
+            if not inv.flat_rank:
+                continue
+            norm = full_rational_norm(inv.gamma)
+            want = None if norm is None else polyalg._cyclotomic_period(norm)
+            assert inv.period == root_periodicity(inv.gamma) == want, \
+                (j_ref, p, k)

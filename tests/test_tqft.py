@@ -459,12 +459,15 @@ def test_factorised_B_equals_quadruple_sum(monkeypatch, p):
     for seed in (None, 1):
         s = tqft._scalars("U") if seed is None else _SyntheticScalars(seed)
         monkeypatch.setattr(tqft, "_scalars", lambda ref, s=s: s)
+        # U = L is cached per (J, p, c); the patched scalars build it cold
+        tqft._pairing.cache_clear()
         for k in (-3, 2, p + 1):
             assert _entries(general_B_matrix("U", k, p)) == \
                 _literal_general_B(s, k, p), (p, seed, k)
         for k in (-1, 3):
             assert _entries(colored_B_matrix("U", k, p, 2)) == \
                 _literal_colored_B(s, k, p, 2), (p, seed, k)
+    tqft._pairing.cache_clear()
 
 
 def test_numeric_eigen_lazy(monkeypatch):
@@ -539,8 +542,9 @@ def test_tensor_split_at_level_14():
 
 def test_singular_pairing_is_unsupported(monkeypatch):
     import tvskein.tqft as tqft
-    # L^-1 is cached per (J, p, c); the patched L is read on a cold cache
-    tqft._pairing_inverse.cache_clear()
+    # L and L^-1 are cached per (J, p, c); the patched L is read on a
+    # cold cache
+    tqft._pairing.cache_clear()
     monkeypatch.setattr(tqft, "general_L_matrix",
                         lambda j_ref, p: RingMatrix.zero(
                             kp_field(p), constants(p).n, constants(p).n))
@@ -632,7 +636,7 @@ def test_colored_double_forms_no_QA_value(monkeypatch):
     want = [colored_double_invariant("U", k, 9, 2).gamma for k in (-1, 2)]
     theta.cache_clear()
     tet.cache_clear()
-    tqft._pairing_inverse.cache_clear()
+    tqft._pairing.cache_clear()
 
     def refuse(*args):
         raise AssertionError("Q(A) on the colored path")
@@ -647,7 +651,7 @@ def test_colored_pairing_built_once_per_level_and_color(monkeypatch):
     # L does not depend on the twist: two twists at (p, c) = (7, 2) build
     # it once, and the cached L^-1 gives the values of a cold build
     import tvskein.tqft as tqft
-    tqft._pairing_inverse.cache_clear()
+    tqft._pairing.cache_clear()
     real, calls = tqft.colored_L_matrix, []
 
     def counted(j_ref, p, c):
@@ -658,9 +662,31 @@ def test_colored_pairing_built_once_per_level_and_color(monkeypatch):
     warm = [colored_double_invariant("U", k, 7, 2).gamma for k in (1, 2)]
     assert calls == [(7, 2)]
     for k, gamma in zip((1, 2), warm):
-        tqft._pairing_inverse.cache_clear()
+        tqft._pairing.cache_clear()
         assert colored_double_invariant("U", k, 7, 2).gamma == gamma
     assert calls == [(7, 2)] * 3
+
+
+def test_general_pairing_built_once_per_level(monkeypatch):
+    # U in B = beta U diag W^T is the pairing L: from a cold cache the
+    # twists at one level sum L's channels once and each W's once
+    import tvskein.tqft as tqft
+    tqft._pairing.cache_clear()
+    real, calls = tqft._channel_sums, []
+
+    def counted(*args):
+        calls.append(len(args) - 5)
+        return real(*args)
+
+    monkeypatch.setattr(tqft, "_channel_sums", counted)
+    twists = range(-7, 7)
+    got = [double_invariant("RT", k, 7).gamma for k in twists]
+    assert calls == [1] * (1 + len(twists))
+    tqft._pairing.cache_clear()
+    monkeypatch.undo()
+    for k, gamma in zip(twists, got):
+        tqft._pairing.cache_clear()
+        assert double_invariant("RT", k, 7).gamma == gamma, k
 
 
 def test_level_brackets_are_reduced_once_per_color(monkeypatch):
