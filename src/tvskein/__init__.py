@@ -1,7 +1,7 @@
 """Exact skein-theoretic quantum invariants of links in S^1 x S^2,
 twisted doubles, and their cyclic and branched cyclic covers."""
 
-from .cyclo import CycloElem, constants, map_i, map_j, reduce_to_kp
+from .cyclo import CycloElem, constants, reduce_to_kp
 from .diagram import KnotRef, PDCode, SliceWord
 from .laurent import LaurentPoly
 from .matring import RingMatrix
@@ -17,7 +17,6 @@ __all__ = [
     "UnsupportedSpecialization", "bracket_pd", "bracket_word",
     "branched_series", "closure_B", "colored_double_invariant",
     "connected_sum", "constants", "cover_series", "double_invariant",
-    "knot_scalars", "map_i", "map_j", "reduce_to_kp", "tangle_invariant",
-    "transfer_Q",
+    "knot_scalars", "reduce_to_kp", "tangle_invariant", "transfer_Q",
 ]
 __version__ = "0.1.0"

@@ -333,14 +333,6 @@ class CycloElem:
     def __bool__(self):
         return any(self.num)
 
-    def in_ring(self):
-        """True if the denominator divides a power of d (honest k_p element)."""
-        q = self.den
-        for r in _prime_factors(level_d(self.p)):
-            while q % r == 0:
-                q //= r
-        return q == 1
-
     # -- arithmetic ------------------------------------------------------
 
     def _operand(self, other):
@@ -641,33 +633,3 @@ def _embedding(p, root_index):
     if gcd(root_index, 2 * p) != 1:
         raise ValueError(f"root index {root_index} is not coprime to 2p={2 * p}")
     return cmath.exp(1j * cmath.pi * root_index / p)
-
-
-# -- transfer maps between levels -----------------------------------------
-
-
-def map_i(x, p):
-    """i_p : k_2 -> k_2p (p odd), determined by A_2 -> A_2p^(p^2)."""
-    if p % 2 == 0 or p < 3:
-        raise ValueError("i_p requires odd p >= 3")
-    if x.p != 2:
-        raise ValueError("i_p is defined on k_2")
-    terms = ((i * p * p, c) for i, c in enumerate(x.coeffs))
-    return CycloElem(2 * p, _monomial_sum(2 * p, terms))
-
-
-def map_j(x, p):
-    """j_p : k_p -> k_2p (p odd), determined by A_p -> A_2p^e.
-
-    e is the residue mod 4p with e = 1 (mod p) and e = 2 (mod 4): p + 1
-    for p = 1 (mod 4) and 3p + 1 for p = 3 (mod 4).  Then gcd(e, 4p) = 2,
-    so A_2p^e is a primitive 2p-th root of unity and j_p is a ring map;
-    p + 1 alone fails that for p = 3 (mod 4).
-    """
-    if p % 2 == 0 or p < 3:
-        raise ValueError("j_p requires odd p >= 3")
-    if x.p != p:
-        raise ValueError(f"j_p at p={p} is defined on k_{p}")
-    e = p + 1 if p % 4 == 1 else 3 * p + 1
-    terms = ((i * e, c) for i, c in enumerate(x.coeffs))
-    return CycloElem(2 * p, _monomial_sum(2 * p, terms))

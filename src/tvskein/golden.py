@@ -19,7 +19,7 @@ from .polyalg import RingPoly, power_sums, tensor_product
 from .rings import kp_field
 from .skein import closure_B, transfer_Q
 from .tqft import (branched_series, colored_double_invariant, connected_sum,
-                   cover_series, double_invariant, make_invariant, s_kd)
+                   cover_series, double_invariant, make_invariant)
 
 
 def _kp(p, text):
@@ -72,6 +72,14 @@ RT_COVER_CYCLE = ["-A^4", "A^3", "2*A^2", "A", "-1", "-2*A^-1", "A^3", "-A^2",
 
 COVERS_81_D17 = "188 + 152*A + 136*A^2"
 BRANCHED_81_D17 = "1175 + 762*A + 1123*A^2"
+
+
+def s_kd(k, d):
+    """The printed level-2 and level-6 cover table: the d-th power sum of
+    the level-2 polynomial of D_k(J)."""
+    if k % 2 == 0:
+        return 1
+    return {0: 2, 1: 1, 2: -1, 3: -2, 4: -1, 5: 1}[d % 6]
 
 
 def _perm_variants(mat):

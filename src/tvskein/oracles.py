@@ -20,10 +20,11 @@ Each oracle below says what it shares with the code it checks.
   checks ``skein.colored_bracket``, which works in the fusion basis, and
   shares the splice kernel but not the 6j-symbols.
 * The inverse in k_p by the extended Euclid against phi_2p
-  (``euclid_inverse``), in ``Fraction``s, and the norm of a polynomial
-  from all of k_p to Q as the product of its conjugates
-  (``full_rational_norm``).
-* Linear algebra: ``berkowitz_det``, the traces of matrix powers
+  (``euclid_inverse``), in ``Fraction``s, the test that a denominator is
+  a unit of k_p (``in_ring``), and the norm of a polynomial from all of
+  k_p to Q as the product of its conjugates (``full_rational_norm``).
+* Linear algebra: ``berkowitz_det``, a polynomial at a matrix
+  (``eval_matrix``, for Cayley-Hamilton), the traces of matrix powers
   ``trace_powers`` (against ``polyalg.power_sums``) and the period of the
   flat part by repeated products, ``matrix_period``.
 * The full twist ``full_twist`` as a Laurent monomial (``tqft`` builds
@@ -33,6 +34,11 @@ Each oracle below says what it shares with the code it checks.
   (``ordinary_det_test``), the torus-bundle matrices (``witten_check``),
   the d = 1 branched trace identity, the period 6p of the Brieskorn
   spheres and tau_5 of a branched cover.
+* The double's closed forms and splitting, which ``tqft`` once used as
+  routes and now checks its one general sum against: the Prop 5.9
+  matrix (``z5_matrix``) and color-2 scalar (``z5_color2_scalar``) at
+  p = 5, and the tensor splitting at p = 2p' with p' odd
+  (``tensor_double``) through the level maps ``map_i`` and ``map_j``.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-from .cyclo import CycloElem, constants, cyclotomic_poly, reduce_to_kp
+from .cyclo import (CycloElem, _monomial_sum, _prime_factors, constants,
+                    cyclotomic_poly, level_d, reduce_to_kp)
 from .diagram import ATLAS_BRAIDS, DiagramError, SliceWord, braid_closure
 from .laurent import (ONE, LaurentPoly, QFactored, _as_laurent, _coeff_div,
                       _power, mu_eig, quantum_int)
@@ -51,9 +58,10 @@ from .matring import (RingMatrix, berkowitz_charpoly, flat_decompose,
 from .polyalg import PowerSumSeries, RingPoly
 from .recoupling import ColorError, _check_adm
 from .rings import Ring, kp_field
-from .skein import SkeinEngine, _exact_quotient, bracket_word, pairing_matrix_D
-from .tqft import (branched_series, double_invariant, seifert_matrix_double,
-                   total_signature)
+from .skein import (SkeinEngine, _exact_quotient, bracket_word, knot_scalars,
+                    pairing_matrix_D)
+from .tqft import (branched_series, double_invariant, make_invariant,
+                   seifert_matrix_double, total_signature)
 
 
 # -- Q(A): the fraction field -------------------------------------------------
@@ -748,6 +756,15 @@ def berkowitz_det(mat):
     return ct if mat.rows % 2 == 0 else -ct
 
 
+def eval_matrix(poly, mat):
+    """poly(mat) for a square RingMatrix, by Horner (Cayley-Hamilton)."""
+    ident = RingMatrix.identity(poly.ring, mat.rows)
+    acc = RingMatrix.zero(poly.ring, mat.rows, mat.rows)
+    for c in reversed(poly.coeffs):
+        acc = acc * mat + ident * c
+    return acc
+
+
 def trace_powers(mat, d_max):
     """s_d = trace(A^d) for d = 1..d_max (Cayley-Hamilton-free, direct)."""
     if mat.rows != mat.cols:
@@ -789,6 +806,16 @@ def euclid_inverse(x):
         a, b, s0, s1 = b, r, s1, _poly_sub(s0, _poly_mul(q, s1))
     # a is now the gcd, a nonzero constant
     return CycloElem(x.p, [_coeff_div(c * x.den, a[0]) for c in s0])
+
+
+def in_ring(x):
+    """True if the denominator of x divides a power of d (an honest k_p
+    element)."""
+    q = x.den
+    for r in _prime_factors(level_d(x.p)):
+        while q % r == 0:
+            q //= r
+    return q == 1
 
 
 def _poly_divmod(a, b):
@@ -989,3 +1016,84 @@ def tau5_value(j_ref, k, d):
     binv_val = sum(complex(c) * a_val ** i for i, c in enumerate(binv.coeffs))
     sigma_alpha = 3 * sig
     return binv_val * v ** (-9 - 3 * sigma_alpha) * val
+
+
+# -- the double's closed forms and its tensor splitting --------------------------
+
+
+def _mu1_power(k):
+    """mu(1)^(2k+1) = (-A^3)^(2k+1) in k_5."""
+    return -CycloElem.a_power(5, 3 * (2 * k + 1))
+
+
+def z5_matrix(j_ref, k):
+    """Prop-5.9 matrix: beta [[1, <J>], [mu^(2k+1) <J>, mu^(2k+1) b_k]]
+    with b_k(J) = A^(2k) [[J]] + A^(-6k).  It shares <J> and [[J]] with
+    ``tqft.general_matrix``, and none of its channel sums."""
+    s = knot_scalars(j_ref)
+    br = s.at(1, 5)
+    bk = CycloElem.a_power(5, 2 * k) * s.at(2, 5) + CycloElem.a_power(5, -6 * k)
+    mk = _mu1_power(k)
+    beta = constants(5).beta
+    return RingMatrix(kp_field(5), [
+        [beta, beta * br],
+        [beta * mk * br, beta * mk * bk],
+    ])
+
+
+def z5_color2_scalar(j_ref, k):
+    """The level-5 color-2 scalar (A + Abar)(beta(1 + mu^(2k+1) b_k(J)) - 1).
+
+    Derived from the branched d = 1 identity together with the level-5
+    trace formula; the alternative parenthesization
+    (A + Abar)(beta(1 + mu^(2k+1)) b_k(J) - 1) fails the printed color-2
+    values, which the test suite records.
+    """
+    s = knot_scalars(j_ref)
+    a = CycloElem.a_power(5, 1)
+    abar = CycloElem.a_power(5, -1)
+    bk = CycloElem.a_power(5, 2 * k) * s.at(2, 5) + CycloElem.a_power(5, -6 * k)
+    one = CycloElem.one(5)
+    inner = constants(5).beta * (one + _mu1_power(k) * bk) - one
+    return (a + abar) * inner
+
+
+def map_i(x, p):
+    """i_p : k_2 -> k_2p (p odd), determined by A_2 -> A_2p^(p^2)."""
+    if p % 2 == 0 or p < 3:
+        raise ValueError("i_p requires odd p >= 3")
+    if x.p != 2:
+        raise ValueError("i_p is defined on k_2")
+    terms = ((i * p * p, c) for i, c in enumerate(x.coeffs))
+    return CycloElem(2 * p, _monomial_sum(2 * p, terms))
+
+
+def map_j(x, p):
+    """j_p : k_p -> k_2p (p odd), determined by A_p -> A_2p^e.
+
+    e is the residue mod 4p with e = 1 (mod p) and e = 2 (mod 4): p + 1
+    for p = 1 (mod 4) and 3p + 1 for p = 3 (mod 4).  Then gcd(e, 4p) = 2,
+    so A_2p^e is a primitive 2p-th root of unity and j_p is a ring map;
+    p + 1 alone fails that for p = 3 (mod 4).
+    """
+    if p % 2 == 0 or p < 3:
+        raise ValueError("j_p requires odd p >= 3")
+    if x.p != p:
+        raise ValueError(f"j_p at p={p} is defined on k_{p}")
+    e = p + 1 if p % 4 == 1 else 3 * p + 1
+    terms = ((i * e, c) for i, c in enumerate(x.coeffs))
+    return CycloElem(2 * p, _monomial_sum(2 * p, terms))
+
+
+def tensor_double(j_ref, k, p):
+    """Z_2p'(K) = i(Z_2(K)) (x) j(Z_p'(K)) for odd p' = p/2 >= 3, from
+    the splitting V_2p' = V_2 (x) V_p' (Blanchet-Habegger-Masbaum-Vogel,
+    Topology 34, 1995).  It shares the doubles at levels 2 and p' with
+    ``tqft``, not the level-p sum it checks."""
+    ph = p // 2
+    inv2 = double_invariant(j_ref, k, 2)
+    invh = double_invariant(j_ref, k, ph)
+    ring = kp_field(p)
+    g2 = inv2.flat_matrix.map(lambda x: map_i(x, ph), ring)
+    gh = invh.flat_matrix.map(lambda x: map_j(x, ph), ring)
+    return make_invariant(g2.kron(gh), p)

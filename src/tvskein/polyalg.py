@@ -134,14 +134,6 @@ class RingPoly:
             acc = acc * value + c
         return acc
 
-    def eval_matrix(self, mat):
-        """Evaluate at a square RingMatrix (Cayley-Hamilton checks)."""
-        from .matring import RingMatrix
-        acc = RingMatrix.zero(self.ring, mat.rows, mat.rows)
-        for c in reversed(self.coeffs):
-            acc = acc * mat + RingMatrix.identity(self.ring, mat.rows) * c
-        return acc
-
     def divmod(self, other):
         """Polynomial division; requires a field-like coefficient ring."""
         other = self._co(other)

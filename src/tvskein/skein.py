@@ -32,7 +32,7 @@ from functools import lru_cache
 from .cyclo import InvariantCheckError, reduce_to_kp
 from .diagram import (ATLAS_BRAIDS, DiagramError, KnotRef, PDCode,
                       _components, braid_closure, pd_to_braid)
-from .laurent import DELTA, LaurentPoly, QFactored, bracket_e, mu_eig
+from .laurent import DELTA, ONE, LaurentPoly, QFactored, bracket_e, mu_eig
 from .matring import RingMatrix
 from .recoupling import braid_block, factored_e, half_twist
 from .rings import ZA
@@ -337,12 +337,15 @@ def colored_bracket(strands, gens, color):
     (Kauffman-Lins 1994, ch. 10; Masbaum-Vogel 1994).  The closure weighs
     each diagonal entry by <e_(a_(n-1))>, and mu(c)^-w undoes the writhe.
     One exact division ends it; an inexact one raises
-    ``InvariantCheckError``.
+    ``InvariantCheckError``.  At c = 0 the closure is the empty diagram,
+    so <J_0> = 1 with no walk.
     """
     if color < 0:
         raise DiagramError("negative color")
     if any(not 0 < abs(g) < strands for g in gens):
         raise DiagramError(f"a generator of {gens} is off {strands} strands")
+    if color == 0:
+        return ONE
     c = color
     labels = [(c,)]
     for _ in range(strands - 1):

@@ -4,12 +4,14 @@ From a tangle word this module produces the level-free invariants
 (transfer matrix, normalized characteristic polynomial Gamma, constant
 term D, similarity data) and their specializations to the cyclotomic
 levels k_p; from a twisted double D_k(J) it produces the level-p
-invariant through the closed matrix forms at p = 2, 5, 6, the tensor
-splitting at p = 2p' with p' odd, and the general small-admissible-sum
-construction otherwise; and from those it assembles quantum invariants
-of cyclic and branched cyclic covers, exact signature bookkeeping, and
-the Brieskorn sphere values.  Its cross-checks (the torus-bundle
-matrices, the Brieskorn period, tau_5) are in ``oracles``.
+invariant by one route per level: the identity at p = 1, the closed
+matrix form at p = 2, and the general small-admissible doubled-pattern
+sum, read as L^-1 B, at every p >= 3 (at p = 5 that is the matrix of
+Prop 5.9); and from those it assembles quantum invariants of cyclic and
+branched cyclic covers, exact signature bookkeeping, and the Brieskorn
+sphere values.  Its cross-checks (the Prop 5.9 matrix, the tensor
+splitting at p = 2p', the torus-bundle matrices, the Brieskorn period,
+tau_5) are in ``oracles``.
 
 Levels where the pairing matrix D(n) degenerates (p special with
 respect to n) are rejected with ``UnsupportedSpecialization`` rather
@@ -21,11 +23,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .cyclo import (CycloElem, UnsupportedSpecialization, constants, map_i,
-                    map_j, reduce_to_kp, u_exponent)
+from .cyclo import (CycloElem, UnsupportedSpecialization, constants,
+                    reduce_to_kp, u_exponent)
 from .diagram import DiagramError, KnotRef
-from .matring import (RingMatrix, flat_decompose, inverse, normalized_charpoly,
-                      similarity_invariants)
+from .matring import (RingMatrix, berkowitz_charpoly, flat_decompose, inverse,
+                      normalized_charpoly, similarity_invariants)
 from .polyalg import (InvariantCheckError, RingPoly, numeric_roots,
                       power_sums, root_periodicity, tensor_product)
 from .recoupling import ColorError, tet, theta, unknot_value
@@ -258,21 +260,6 @@ def z2_matrix(j_ref, k):
     return m
 
 
-def z5_matrix(j_ref, k):
-    """Prop-5.9 matrix: beta [[1, <J>], [mu^(2k+1) <J>, mu^(2k+1) b_k]]."""
-    ring = kp_field(5)
-    pack = constants(5)
-    s = _scalars(j_ref)
-    br = s.at(1, 5)
-    bk = CycloElem.a_power(5, 2 * k) * s.at(2, 5) + CycloElem.a_power(5, -6 * k)
-    mk = _twist(5, 2 * k + 1)(1, 0, 0)
-    beta = pack.beta
-    return RingMatrix(ring, [
-        [beta, beta * br],
-        [beta * mk * br, beta * mk * bk],
-    ])
-
-
 def _channel_sums(s, p, cd, left, right, *weights):
     """Channel sums of the doubled pattern, one matrix per weight.
 
@@ -316,8 +303,9 @@ def general_L_matrix(j_ref, p):
     """L(J): pairing matrix of the e-basis through the doubled pattern.
 
     For J = U the printed small-admissible sum; otherwise the same sum
-    with the channel loop replaced by the channel-colored bracket of J
-    (verified against the level-5 closed form in the test suite).
+    with the channel loop replaced by the channel-colored bracket of J.
+    The general route reads only whether it is nonsingular (``_pairing``);
+    the test suite checks L (L^-1 B) against the printed quadruple sum B.
     """
     cd = ColorData.at(p)
     basis = range(constants(p).n)
@@ -325,26 +313,31 @@ def general_L_matrix(j_ref, p):
     return RingMatrix(kp_field(p), lm)
 
 
-def general_B_matrix(j_ref, k, p):
-    """B(J, k): the twisted side of the general doubled-pattern pairing.
+def general_matrix(j_ref, k, p):
+    """L^-1 B(J, k): the general doubled-pattern matrix, formed without L.
 
     The sum over the pattern channel s carries <e_s> and <e_s>^-1,
     which cancel, so B = beta U diag(mu(s)^(2k+1)) W^T with
     U[i, s] = sum_r ft(r, i, s) <J_r> and W[j, s] = sum_r ft(r, j, s)^k <J_r>.
-    U is the pairing L, read from ``_pairing``; only W depends on k.
+    U is the pairing L, so Z = B L^-1 is similar to
+    L^-1 B = beta diag(mu(s)^(2k+1)) W^T, and a twist sums only W's
+    channels.  W = W^T (ft and small admissibility are symmetric in j
+    and s), so row s is W's row s times beta mu(s)^(2k+1).  At p = 5
+    this is the matrix of Prop 5.9.
     """
     pack = constants(p)
     basis = range(pack.n)
-    u, _ = _pairing(j_ref, p, 0)
     w, = _channel_sums(_scalars(j_ref), p, ColorData.at(p), basis, basis,
                        _twist(p, k % (2 * p)))
     mu_k = _twist(p, 2 * k + 1)
-    tw = [mu_k(t, 0, 0) for t in basis]
-    return _pattern_product(u.data, w, tw, pack.beta, kp_field(p))
+    diag = [pack.beta * mu_k(s, 0, 0) for s in basis]
+    return RingMatrix(kp_field(p), [[d * x for x in row]
+                                    for d, row in zip(diag, w)])
 
 
 def double_invariant(j_ref, k, p):
-    """Z_p(D_k(J)) as a TVInvariant."""
+    """Z_p(D_k(J)) as a TVInvariant: the identity at p = 1, the closed
+    form at p = 2, and the general doubled-pattern sum at every p >= 3."""
     if isinstance(j_ref, str):
         j_ref = KnotRef.parse(j_ref)
     if p < 1:
@@ -353,34 +346,7 @@ def double_invariant(j_ref, k, p):
         return trivial_invariant(p)
     if p == 2:
         return make_invariant(z2_matrix(j_ref, k), 2)
-    if p == 5:
-        return make_invariant(z5_matrix(j_ref, k), 5)
-    if p == 6:
-        m2 = z2_matrix(j_ref, k)
-        m6 = m2.map(lambda x: map_i(x, 3), kp_field(6))
-        return make_invariant(m6, 6)
-    if p % 2 == 0 and (p // 2) % 2 == 1:
-        return tensor_double(j_ref, k, p)
     return general_double(j_ref, k, p)
-
-
-def tensor_double(j_ref, k, p):
-    """Z_2p'(K) = i(Z_2(K)) (x) j(Z_p'(K)) for odd p' = p/2 >= 3."""
-    ph = p // 2
-    inv2 = make_invariant(z2_matrix(j_ref, k), 2)
-    invh = double_invariant(j_ref, k, ph)
-    ring = kp_field(p)
-    g2 = inv2.flat_matrix.map(lambda x: map_i(x, ph), ring)
-    gh = invh.flat_matrix.map(lambda x: map_j(x, ph), ring)
-    m = g2.kron(gh)
-    inv = make_invariant(m, p)
-    # Gamma must agree with the composed product of the level polynomials
-    gam2 = RingPoly(ring, [map_i(c, ph) for c in inv2.gamma.coeffs])
-    gamh = RingPoly(ring, [map_j(c, ph) for c in invh.gamma.coeffs])
-    if inv.gamma != tensor_product(gam2, gamh):
-        raise InvariantCheckError(
-            "tensor splitting disagrees with the composed product")
-    return inv
 
 
 def general_double(j_ref, k, p):
@@ -393,27 +359,28 @@ def general_double(j_ref, k, p):
             raise UnsupportedSpecialization(
                 f"<J_{c}> vanishes at p={p}; the doubled-pattern pairing "
                 f"is singular for J={s.name}")
-    _, l_inv = _pairing(j_ref, p, 0)
-    return make_invariant(general_B_matrix(j_ref, k, p) * l_inv, p)
+    _pairing(j_ref, p, 0)           # raises if L is singular
+    return make_invariant(general_matrix(j_ref, k, p), p)
 
 
 @lru_cache(maxsize=None)
 def _pairing(j_ref, p, c):
-    """(L, L^-1) for color c (0: the general pairing), built once per
-    (J, p, c) and shared by every twist; ``general_B_matrix`` reads L as
-    its U.
+    """L^-1 for a color c >= 2, built once per (J, p, c) and shared by
+    every twist.  The general pairing (c = 0) is never inverted: the
+    cache holds None once Berkowitz's constant term, det L up to sign,
+    shows L nonsingular.
 
     A singular pairing L leaves the level undefined.
     """
-    if c == 0:
-        lm = general_L_matrix(j_ref, p)
-    else:
-        lm = colored_L_matrix(j_ref, p, c)
-    try:
-        return lm, inverse(lm)
-    except ZeroDivisionError:
-        raise UnsupportedSpecialization(
-            f"the doubled-pattern pairing is singular at p={p}") from None
+    if c:
+        try:
+            return inverse(colored_L_matrix(j_ref, p, c))
+        except ZeroDivisionError:
+            pass
+    elif berkowitz_charpoly(general_L_matrix(j_ref, p)).constant_term():
+        return None
+    raise UnsupportedSpecialization(
+        f"the doubled-pattern pairing is singular at p={p}")
 
 
 # -- colored doubles ---------------------------------------------------------------
@@ -433,9 +400,9 @@ def colored_L_matrix(j_ref, p, c):
 
 
 def colored_B_matrix(j_ref, k, p, c):
-    """The twisted side of the colored pairing, factorised like
-    ``general_B_matrix``: beta T1 diag(<e_s> mu(s)^(2k+1)) C2^T over the
-    pattern channels s with (c, s, s) small admissible."""
+    """The twisted side of the colored pairing, factorised like the
+    general one (``general_matrix``): beta T1 diag(<e_s> mu(s)^(2k+1)) C2^T
+    over the pattern channels s with (c, s, s) small admissible."""
     cd = ColorData.at(p)
     pack = constants(p)
     S = cd.S(c)
@@ -469,34 +436,13 @@ def colored_double_invariant(j_ref, k, p, c):
         return make_invariant(RingMatrix(kp_field(p), []), p)
     if c == 0:
         return double_invariant(j_ref, k, p)
-    if p == 5 and c == 2:
-        return make_invariant(
-            RingMatrix(kp_field(5), [[z5_color2_scalar(j_ref, k)]]), 5)
     s = _scalars(j_ref)
     for e in cd.S(c):
         if not s.at(e, p):
             raise UnsupportedSpecialization(
                 f"<J_{e}> vanishes at p={p} (color-{c} pairing singular)")
-    _, l_inv = _pairing(j_ref, p, c)
-    return make_invariant(colored_B_matrix(j_ref, k, p, c) * l_inv, p)
-
-
-def z5_color2_scalar(j_ref, k):
-    """The level-5 color-2 scalar (A + Abar)(beta(1 + mu^(2k+1) b_k(J)) - 1).
-
-    Derived from the branched d = 1 identity together with the level-5
-    trace formula; the alternative parenthesization
-    (A + Abar)(beta(1 + mu^(2k+1)) b_k(J) - 1) fails the printed color-2
-    values, which the test suite records.
-    """
-    pack = constants(5)
-    s = _scalars(j_ref)
-    a = CycloElem.a_power(5, 1)
-    abar = CycloElem.a_power(5, -1)
-    bk = CycloElem.a_power(5, 2 * k) * s.at(2, 5) + CycloElem.a_power(5, -6 * k)
-    one = CycloElem.one(5)
-    inner = pack.beta * (one + _twist(5, 2 * k + 1)(1, 0, 0) * bk) - one
-    return (a + abar) * inner
+    return make_invariant(
+        colored_B_matrix(j_ref, k, p, c) * _pairing(j_ref, p, c), p)
 
 
 # -- connected sums -----------------------------------------------------------------
@@ -544,13 +490,6 @@ def connected_sum(left, right, p, outer_color=0):
 
 
 # -- cyclic covers ------------------------------------------------------------------
-
-
-def s_kd(k, d):
-    """The level-6 cover table: power sums of the level-2 polynomial."""
-    if k % 2 == 0:
-        return 1
-    return {0: 2, 1: 1, 2: -1, 3: -2, 4: -1, 5: 1}[d % 6]
 
 
 class CoverValue:
@@ -773,12 +712,6 @@ def branched_series(j_ref, k, p, d_range):
     if isinstance(j_ref, str):
         j_ref = KnotRef.parse(j_ref)
     d_max = max(d_range)
-    if p % 2 == 0 and (p // 2) % 2 == 1 and p > 6:
-        # eta_2p^-1 <K_d>_2p = s(d, k) j(eta_p'^-1 <K_d>_p')
-        ph = p // 2
-        return [BranchedValue.from_normalized(
-                    rec.d, map_j(rec.normalized, ph) * s_kd(k, rec.d))
-                for rec in branched_series(j_ref, k, ph, d_range)]
     series = {}
     for c in ColorData.at(p).good_colors():
         if c % 2:

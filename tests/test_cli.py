@@ -205,13 +205,14 @@ def test_check_suite():
 def test_failed_internal_check_exit_code(monkeypatch, capsys):
     import tvskein.tqft as tqft
     from tvskein.polyalg import RingPoly
-    # a composed product that cannot match Gamma fails the tensor split
+    # a composed product that cannot match Gamma fails the connected sum
     monkeypatch.setattr(tqft, "tensor_product",
                         lambda f, g: RingPoly(f.ring, [f.ring.one] * 2))
-    rc, _ = _run(["double", "--J", "U", "--k", "1", "--p", "10"])
+    rc, _ = _run(["sum", "--left", "D(1,U)", "--right", "D(1,U)",
+                  "--p", "5"])
     assert rc == 4
     err = capsys.readouterr().err
-    assert err.startswith("internal check failed: tensor splitting")
+    assert err.startswith("internal check failed: connected sum")
     assert err.count("\n") == 1
 
 
@@ -251,8 +252,8 @@ def test_singular_pairing_exit_code(monkeypatch):
     import tvskein.tqft as tqft
     from tvskein.matring import RingMatrix
     from tvskein.rings import kp_field
-    # L and L^-1 are cached per (J, p, c); the patched L is read on a
-    # cold cache
+    # the pairing's verdict is cached per (J, p, c); the patched L is
+    # read on a cold cache
     tqft._pairing.cache_clear()
     monkeypatch.setattr(tqft, "general_L_matrix",
                         lambda j_ref, p: RingMatrix.zero(kp_field(p), 3, 3))

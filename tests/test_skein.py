@@ -335,6 +335,27 @@ def test_colored_bracket_small():
         colored_bracket(2, (1,), -1)
 
 
+def test_zero_color_bracket_is_one_without_a_walk(monkeypatch):
+    # the 0-colored closure is the empty diagram, so <J_0> = 1 and the
+    # fusion-basis walk (its braid blocks and half twists) never runs
+    import tvskein.skein as skein
+
+    def refuse(*args):
+        raise AssertionError("fusion-basis walk at color 0")
+
+    for name in ("braid_block", "half_twist", "factored_e"):
+        monkeypatch.setattr(skein, name, refuse)
+    braids = [ATLAS_BRAIDS[name] for name in ("U", "RT", "LT", "F8")]
+    braids += RANDOM_KNOTS + random_braid_knots(random.Random(9), 6, (4, 5), 9)
+    for braid in braids:
+        assert colored_bracket(*braid, 0) == LaurentPoly.one(), braid
+    for name in ("U", "RT", "LT", "F8"):
+        s = KnotScalars(name, braid=ATLAS_BRAIDS[name])
+        assert s.colored(0) == LaurentPoly.one(), name
+    with pytest.raises(DiagramError):
+        colored_bracket(2, (1, 2), 0)
+
+
 def test_fusion_basis_matches_cable_oracle():
     # the random 2- and 3-strand knots at c <= 3, and 4-strand knots at
     # c <= 2 (the cable of a 4-strand closure at c = 3 has a 24-point

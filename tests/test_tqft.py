@@ -3,16 +3,16 @@ import random
 
 import pytest
 
-from tvskein.cyclo import (CycloElem, constants, map_j, reduce_to_kp,
-                           u_element)
+from tvskein.cyclo import CycloElem, constants, reduce_to_kp, u_element
 from tvskein.diagram import ATLAS_BRAIDS, SliceWord
+from tvskein.golden import s_kd
 from tvskein.laurent import LaurentPoly
 from tvskein.matring import RingMatrix, flat_decompose
 from tvskein.oracles import (QA, LaurentFrac, berkowitz_det, catalan,
-                             full_twist, ordinary_det_test, tau5_value,
-                             witten_check)
+                             full_twist, map_j, ordinary_det_test,
+                             tau5_value, tensor_double, z5_color2_scalar,
+                             z5_matrix)
 from tvskein.polyalg import RingPoly, numeric_roots, power_sums
-from tvskein.recoupling import unknot_value
 from tvskein.rings import ZA, kp_field
 from tvskein.skein import (KnotScalars, closure_B, pairing_matrix_D,
                            transfer_Q)
@@ -20,9 +20,8 @@ from tvskein.tqft import (BranchedValue, ColorData, UnsupportedSpecialization,
                           branched_series, brieskorn_value,
                           colored_double_invariant,
                           cover_series, double_invariant, general_double,
-                          ordinary, s_kd, seifert_matrix_double,
-                          signature_at, tangle_invariant, total_signature,
-                          z5_color2_scalar)
+                          make_invariant, ordinary, seifert_matrix_double,
+                          signature_at, tangle_invariant, total_signature)
 
 from test_skein import rand_word
 
@@ -101,12 +100,25 @@ def test_double_trivial_levels():
 
 
 def test_general_matches_closed_form_level5():
-    for j_name in ("U", "RT"):
-        for k in (0, 2):
-            gen = general_double(j_name, k, 5)
-            fast = double_invariant(j_name, k, 5)
-            assert gen.gamma == fast.gamma
-            assert gen.constant_term == fast.constant_term
+    # at p = 5 the general sum, read as L^-1 B, is the Prop 5.9 matrix
+    # entry for entry, for every twist class
+    for j_name in ("U", "RT", "LT", "F8", "RT#LT"):
+        for k in range(-5, 5):
+            assert double_invariant(j_name, k, 5).matrix == \
+                z5_matrix(j_name, k), (j_name, k)
+
+
+def test_colored_level5_has_the_color2_scalar():
+    # S(2) = [2] at p = 5, so the colored sum is a 1 x 1 matrix; its
+    # Gamma is that of the derived color-2 scalar
+    k5 = kp_field(5)
+    for j_name in ("U", "RT", "LT", "F8", "RT#LT"):
+        for k in range(5):
+            want = make_invariant(
+                RingMatrix(k5, [[z5_color2_scalar(j_name, k)]]), 5)
+            got = colored_double_invariant(j_name, k, 5, 2)
+            assert (got.gamma, got.flat_rank) == \
+                (want.gamma, want.flat_rank), (j_name, k)
 
 
 def test_twist_periodicity_in_k():
@@ -235,7 +247,6 @@ def test_tensor_consistency_level10():
     inv5 = double_invariant("U", 3, 5)
     ps10 = power_sums(inv10.gamma, 8)
     ps5 = power_sums(inv5.gamma, 8)
-    from tvskein.tqft import s_kd
     for d in range(1, 9):
         assert ps10[d] == map_j(ps5[d], 5) * s_kd(3, d)
 
@@ -254,18 +265,14 @@ def test_branched_unsupported_level():
 
 @pytest.mark.parametrize("p", [10, 14])
 def test_branched_tensor_route_equals_colored_sum(p):
-    # at p = 2p' with p' odd, branched_series goes through level p'; the
-    # general colored sum sum_c <c> s_d(Gamma_c) at p itself is the oracle
+    # at p = 2p' with p' odd, branched_series sums the colors at p; the
+    # splitting eta_2p^-1 <K_d>_2p = s(d, k) j(eta_p'^-1 <K_d>_p') is the
+    # oracle
     d_max = 12
+    ph = p // 2
     for k in (-1, 2, 3):
-        expect = [CycloElem.zero(p)] * d_max
-        for c in ColorData.at(p).good_colors():
-            inv = colored_double_invariant("U", k, p, c)
-            if c % 2 or inv.flat_rank == 0:
-                continue
-            sums = power_sums(inv.gamma, d_max)
-            weight = reduce_to_kp(unknot_value(c), p)
-            expect = [x + weight * sums[d + 1] for d, x in enumerate(expect)]
+        half = branched_series("U", k, ph, range(1, d_max + 1))
+        expect = [map_j(rec.normalized, ph) * s_kd(k, rec.d) for rec in half]
         got = branched_series("U", k, p, range(1, d_max + 1))
         assert [rec.normalized for rec in got] == expect, k
 
@@ -454,15 +461,17 @@ def _entries(m):
 
 @pytest.mark.parametrize("p", [7, 8, 9])
 def test_factorised_B_equals_quadruple_sum(monkeypatch, p):
+    # the general route forms Z = L^-1 B without L, so L Z is the printed B
     import tvskein.tqft as tqft
-    from tvskein.tqft import colored_B_matrix, general_B_matrix
+    from tvskein.tqft import colored_B_matrix, general_L_matrix, general_matrix
     for seed in (None, 1):
         s = tqft._scalars("U") if seed is None else _SyntheticScalars(seed)
         monkeypatch.setattr(tqft, "_scalars", lambda ref, s=s: s)
-        # U = L is cached per (J, p, c); the patched scalars build it cold
+        # L^-1 is cached per (J, p, c); the patched scalars build it cold
         tqft._pairing.cache_clear()
+        lm = general_L_matrix("U", p)
         for k in (-3, 2, p + 1):
-            assert _entries(general_B_matrix("U", k, p)) == \
+            assert _entries(lm * general_matrix("U", k, p)) == \
                 _literal_general_B(s, k, p), (p, seed, k)
         for k in (-1, 3):
             assert _entries(colored_B_matrix("U", k, p, 2)) == \
@@ -488,19 +497,29 @@ def test_numeric_eigen_lazy(monkeypatch):
     assert len(calls) == 1
 
 
-def test_named_checks_in_tensor_split_and_connected_sum(monkeypatch):
+def test_named_check_in_connected_sum(monkeypatch):
     import tvskein.tqft as tqft
     from tvskein.polyalg import InvariantCheckError
-    from tvskein.tqft import connected_sum, tensor_double
+    from tvskein.tqft import connected_sum
     blocks = {c: colored_double_invariant("U", 1, 5, c)
               for c in ColorData.at(5).good_colors()}
     # a composed product that cannot match Gamma
     monkeypatch.setattr(tqft, "tensor_product",
                         lambda f, g: RingPoly(f.ring, [f.ring.one] * 2))
-    with pytest.raises(InvariantCheckError, match="tensor splitting"):
-        tensor_double("U", 1, 10)
     with pytest.raises(InvariantCheckError, match="connected sum"):
         connected_sum(blocks, blocks, 5)
+
+
+@pytest.mark.parametrize("p", [6, 10, 14])
+def test_general_sum_equals_tensor_split(p):
+    # the splitting V_2p' = V_2 (x) V_p' is the oracle of the general sum
+    # at p = 2p': Gamma, and the similarity class of the flat part
+    for j_name in ("U", "RT", "F8"):
+        for k in range(-2, 4):
+            got = double_invariant(j_name, k, p)
+            want = tensor_double(j_name, k, p)
+            assert (got.gamma, got.invariant_factors) == \
+                (want.gamma, want.invariant_factors), (j_name, k)
 
 
 def test_tangle_gamma_and_wrapping_match_QA_oracles():
@@ -542,8 +561,8 @@ def test_tensor_split_at_level_14():
 
 def test_singular_pairing_is_unsupported(monkeypatch):
     import tvskein.tqft as tqft
-    # L and L^-1 are cached per (J, p, c); the patched L is read on a
-    # cold cache
+    # the pairing's verdict is cached per (J, p, c); the patched L is
+    # read on a cold cache
     tqft._pairing.cache_clear()
     monkeypatch.setattr(tqft, "general_L_matrix",
                         lambda j_ref, p: RingMatrix.zero(
@@ -668,8 +687,9 @@ def test_colored_pairing_built_once_per_level_and_color(monkeypatch):
 
 
 def test_general_pairing_built_once_per_level(monkeypatch):
-    # U in B = beta U diag W^T is the pairing L: from a cold cache the
-    # twists at one level sum L's channels once and each W's once
+    # L^-1 B = beta diag W^T needs L only to know it is nonsingular: from
+    # a cold cache the twists at one level sum L's channels once and each
+    # W's once
     import tvskein.tqft as tqft
     tqft._pairing.cache_clear()
     real, calls = tqft._channel_sums, []
