@@ -12,16 +12,21 @@ gives a float.
 
 The involution ``bar`` sends A to A^-1 and fixes the rationals.
 
-``QFactored`` is a Laurent polynomial times quantum integers [k] to
-signed powers: theta and Tet with ``p=None``, and the fusion-basis
-colored brackets, are exact in it without a gcd.  The fraction field
-Q(A) is ``oracles.LaurentFrac``: only the oracles divide there.
+``QFactored`` is a Laurent polynomial P times the coprime factors
+Phi_d(A^4) of the quantum integers to signed powers,
+[k] = A^(2-2k) prod_(d | k, d > 1) Phi_d(A^4): theta and Tet with
+``p=None``, and the fusion-basis colored brackets, are exact in it
+without a gcd.  A sum lifts its terms once, to the least common
+denominator, and ``reduced`` cancels each Phi_d of the denominator that
+divides P.  The fraction field Q(A) is ``oracles.LaurentFrac``: only the
+oracles divide there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 
 def _coeff(c):
@@ -194,25 +199,23 @@ class LaurentPoly:
             raise ZeroDivisionError("division by zero Laurent polynomial")
         if self.is_zero():
             return LaurentPoly()
-        num = dict(self.terms)
+        # a dense remainder from the top down: num[i] holds A^(low + i)
+        low, top = self.min_exp(), self.max_exp()
+        num = [0] * (top - low + 1)
+        for e, c in self.terms.items():
+            num[e - low] = c
         lead = other.max_exp()
         lead_c = other.terms[lead]
-        low_bound = self.min_exp() - other.min_exp()
+        span = lead - other.min_exp()
+        rest = [(e - lead, c) for e, c in other.terms.items() if e != lead]
         quot = {}
-        while num:
-            e = max(num)
-            q = _coeff_div(num[e], lead_c)
-            qe = e - lead
-            if qe < low_bound:
-                raise ValueError("Laurent division is not exact")
-            quot[qe] = q
-            for e2, c2 in other.terms.items():
-                en = qe + e2
-                s = num.get(en, 0) - q * c2
-                if s:
-                    num[en] = s
-                elif en in num:
-                    del num[en]
+        for i in range(top - low, span - 1, -1):
+            if num[i]:
+                q = quot[low + i - lead] = _coeff_div(num[i], lead_c)
+                for off, c in rest:
+                    num[i + off] -= q * c
+        if any(num[:span]):
+            raise ValueError("Laurent division is not exact")
         return LaurentPoly(quot)
 
     def __eq__(self, other):
@@ -329,53 +332,104 @@ def mu_eig(s):
 
 
 @lru_cache(maxsize=None)
-def _qint_power(k, e):
-    return quantum_int(k) ** e
+def _phi4(d):
+    """Phi_d(A^4) for d > 1: A^(2d-2) [d] over the Phi_e(A^4) of the
+    divisors 1 < e < d of d."""
+    out = LaurentPoly({2 * d - 2: 1}) * quantum_int(d)
+    for e in range(2, d):
+        if not d % e:
+            out = out.exact_div(_phi4(e))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _phi4_power(d, e):
+    return _phi4(d) ** e
+
+
+@lru_cache(maxsize=None)
+def _phi4_product(exps):
+    """prod Phi_d(A^4)^e over the sorted (d, e) pairs, every e > 0."""
+    out = ONE
+    for d, e in exps:
+        out = out * _phi4_power(d, e)
+    return out
+
+
+def _lift(poly, exps):
+    """poly times Phi_d(A^4)^e over the (d, e) pairs, every e >= 0."""
+    exps = tuple(sorted((d, e) for d, e in exps if e))
+    return poly * _phi4_product(exps) if exps else poly
 
 
 class QFactored:
-    """P * prod_k [k]^e_k, the e_k signed: theta, Tet and <e_k> are so.
+    """P * prod_d Phi_d(A^4)^e_d over d > 1, the e_d signed.
 
-    A product adds exponents; a sum lifts both terms to the least exponent
-    of each [k].  ``num`` has the [k] of positive exponent multiplied in,
-    ``den`` is the product of the others; only a unit P can be inverted.
+    [k] = A^(2-2k) prod_(d | k, d > 1) Phi_d(A^4), so theta, Tet and
+    <e_k> are of this form with the monomial folded into P.  The
+    Phi_d(A^4) are coprime, so ``sum`` lifts its terms once, to the least
+    exponent of each Phi_d: the true least common denominator.
+    ``reduced`` cancels the Phi_d of negative exponent that divide P.
+    ``num`` has the Phi_d of positive exponent multiplied in, ``den`` is
+    the product of the others; only a unit P can be inverted.
     """
 
     __slots__ = ("poly", "exps")
 
     def __init__(self, poly, exps=()):
         self.poly = _as_laurent(poly)
-        self.exps = ({k: e for k, e in dict(exps).items() if e and k > 1}
+        self.exps = ({d: e for d, e in dict(exps).items() if e and d > 1}
                      if self.poly else {})
 
     @staticmethod
     def of(x):
         return x if isinstance(x, QFactored) else QFactored(x)
 
-    def _lifted(self, low):
-        """P times [k]^(e_k - low_k), for low_k <= e_k."""
-        out = self.poly
-        for k in self.exps.keys() | low.keys():
-            e = self.exps.get(k, 0) - low.get(k, 0)
-            if e:
-                out = out * _qint_power(k, e)
-        return out
+    @staticmethod
+    def sum(terms):
+        """The sum of ``terms``, QFactored or Laurent, with one lift.
+
+        Terms of one exponent vector add first; each group then lifts to
+        the least exponent of each Phi_d over all terms (0 where a term
+        has no Phi_d).
+        """
+        terms = [t for t in map(QFactored.of, terms) if t.poly]
+        if len(terms) < 2:
+            return terms[0] if terms else QFactored(0)
+        groups = {}
+        for t in terms:
+            groups.setdefault(frozenset(t.exps.items()),
+                              []).extend(t.poly.terms.items())
+        keys = [dict(k) for k in groups]
+        low = {d: min(k.get(d, 0) for k in keys) for d in set().union(*keys)}
+        lifted = (_lift(LaurentPoly(group),
+                        [(d, k.get(d, 0) - e) for d, e in low.items()])
+                  for k, group in zip(keys, groups.values()))
+        return QFactored(LaurentPoly(chain.from_iterable(
+            poly.terms.items() for poly in lifted)), low)
+
+    def reduced(self):
+        """The same value with every Phi_d of negative exponent that
+        divides P cancelled from both."""
+        poly, exps = self.poly, dict(self.exps)
+        for d, e in self.exps.items():
+            while e < 0:
+                try:
+                    poly = poly.exact_div(_phi4(d))
+                except ValueError:
+                    break
+                e += 1
+            exps[d] = e
+        return QFactored(poly, exps)
 
     def __mul__(self, other):
         other, exps = QFactored.of(other), dict(self.exps)
-        for k, e in other.exps.items():
-            exps[k] = exps.get(k, 0) + e
+        for d, e in other.exps.items():
+            exps[d] = exps.get(d, 0) + e
         return QFactored(self.poly * other.poly, exps)
 
     def __add__(self, other):
-        other = QFactored.of(other)
-        if not other.poly or self.exps == other.exps:
-            return QFactored(self.poly + other.poly, self.exps)
-        if not self.poly:
-            return other
-        low = {k: min(self.exps.get(k, 0), other.exps.get(k, 0))
-               for k in self.exps.keys() | other.exps.keys()}
-        return QFactored(self._lifted(low) + other._lifted(low), low)
+        return QFactored.sum((self, other))
 
     def __neg__(self):
         return QFactored(-self.poly, self.exps)
@@ -387,19 +441,19 @@ class QFactored:
         if len(self.poly.terms) != 1:
             raise ValueError(f"{self.poly} is not a unit of Z[A,A^-1]")
         return QFactored(self.poly ** -1,
-                         {k: -e for k, e in self.exps.items()})
+                         {d: -e for d, e in self.exps.items()})
 
     def __truediv__(self, other):
         return self * QFactored.of(other).inv()
 
     @property
     def num(self):
-        return self._lifted({k: min(e, 0) for k, e in self.exps.items()})
+        return _lift(self.poly, [(d, e) for d, e in self.exps.items()
+                                 if e > 0])
 
     @property
     def den(self):
-        neg = {k: -e for k, e in self.exps.items() if e < 0}
-        return QFactored(ONE, neg).num
+        return _lift(ONE, [(d, -e) for d, e in self.exps.items() if e < 0])
 
     def __eq__(self, other):
         if not isinstance(other, (QFactored, LaurentPoly, int)):

@@ -1,19 +1,23 @@
 """Recoupling coefficients and braid generators in the fusion basis.
 
-The theta net and the tetrahedral net are closed formulas, written once
-over a table of quantum factorials [k]! and evaluated either level-free
-as a ``QFactored`` (``p=None``, a Laurent polynomial times signed powers
-of quantum integers, with no gcd) or at a level k_p, from one factorial
-table built per level; a [k]! that vanishes at the level makes a
-numerator zero and a denominator raise ``UnsupportedSpecialization``.
-Their oracles, web evaluations with literal Jones-Wenzl projectors, are
+The theta net and the tetrahedral net are closed formulas in quantum
+factorials [k]!, written once through ``_factorials`` and evaluated
+either level-free (``p=None``) or at a level k_p.  Level-free a ratio of
+factorials is a ``QFactored`` built from an integer vector, since
+[n]! = A^(n-n^2) prod_(1 < d <= n) Phi_d(A^4)^(n // d); Tet's z-sum is
+one ``QFactored.sum``, and Tet is reduced once and cached.  At a level
+the factorials come from one table built per level, Tet's z-sum is one
+``kp_field(p).dot``, and a [k]! that vanishes makes a numerator zero and
+a denominator raise ``UnsupportedSpecialization``.  Their oracles, web
+evaluations with literal Jones-Wenzl projectors, are
 ``oracles.theta_web`` and ``oracles.tet_web``.
 
 The tetrahedron tet(A,B,E; D,C,F) has vertex triples (A,B,E), (A,C,F),
 (B,C,D), (E,F,D); a zero on the first edge degenerates it to a theta.
 The level-free values give the matrices of braid generators in the
-fusion basis, ``braid_block``, from which ``skein.colored_bracket``
-evaluates the colored brackets of braid closures.
+fusion basis, ``braid_block``, with every entry reduced and cached, from
+which ``skein.colored_bracket`` evaluates the colored brackets of braid
+closures.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from functools import lru_cache
 
 from .cyclo import CycloElem, UnsupportedSpecialization, reduce_to_kp
 from .laurent import LaurentPoly, QFactored, bracket_e, quantum_int
+from .rings import kp_field
 
 
 class ColorError(ValueError):
@@ -62,30 +67,21 @@ def _level_inv_qfacts(p):
     return tuple(reversed(out))
 
 
-def qfact(n, p=None):
-    """Quantum factorial [n]!, a ``QFactored`` for p None and in k_p otherwise.
+def qfact(n, p):
+    """Quantum factorial [n]! in k_p.
 
     At a level p >= 3, [p] = 0, so [n]! vanishes for every n >= p (and
     from [p/2]! on when p is even).
     """
-    if p is None:
-        return QFactored(1, {k: 1 for k in range(2, n + 1)})
     table = _level_qfacts(p)
     return table[n] if n < len(table) else CycloElem.zero(p)
 
 
 def _qfact_inv(ns, p):
-    """(prod of [n]! over ns)^-1, for the denominator of a closed formula.
-
-    Without a level the exponents of the factorials turn negative; at a
-    level a product of entries of the inverse-factorial table, where a
+    """(prod of [n]! over ns)^-1 in k_p, for the denominator of a closed
+    formula: a product of entries of the inverse-factorial table, where a
     factorial that vanishes raises ``UnsupportedSpecialization``.
     """
-    if p is None:
-        den = qfact(0)
-        for n in ns:
-            den = den * qfact(n)
-        return den.inv()
     table = _level_inv_qfacts(p)
     out = CycloElem.one(p)
     for n in ns:
@@ -97,6 +93,29 @@ def _qfact_inv(ns, p):
     return out
 
 
+def _factorials(top, bottom, p, sign=1):
+    """sign * prod [n]! over top / prod [n]! over bottom.
+
+    Level-free it is a ``QFactored`` built from an integer vector:
+    [n]! = A^(n-n^2) prod_(1 < d <= n) Phi_d(A^4)^(n // d).  At a level
+    it is a product of table entries; the denominator is formed first, so
+    that one which vanishes raises even where the numerator is zero.
+    """
+    if p is not None:
+        out = _qfact_inv(bottom, p)
+        for n in top:
+            out = out * qfact(n, p)
+        return -out if sign < 0 else out
+    vec = [0] * (max((*top, *bottom, 1)) + 1)
+    shift = 0
+    for ns, s in ((top, 1), (bottom, -1)):
+        for n in ns:
+            shift += s * (n - n * n)
+            for d in range(2, n + 1):
+                vec[d] += s * (n // d)
+    return QFactored(LaurentPoly({shift: sign}), enumerate(vec))
+
+
 @lru_cache(maxsize=None)
 def theta(a, b, c, p=None):
     """Theta net value, a ``QFactored`` (p None) or in k_p."""
@@ -104,18 +123,17 @@ def theta(a, b, c, p=None):
     x = (a + b - c) // 2
     y = (b + c - a) // 2
     z = (a + c - b) // 2
-    num = qfact(x + y + z + 1, p) * qfact(x, p) * qfact(y, p) * qfact(z, p)
-    val = num * _qfact_inv((x + y, y + z, x + z), p)
-    if (x + y + z) % 2:
-        val = -val
-    return val
+    return _factorials((x + y + z + 1, x, y, z), (x + y, y + z, x + z), p,
+                       -1 if (x + y + z) % 2 else 1)
 
 
 @lru_cache(maxsize=None)
 def tet(A, B, E, D, C, F, p=None):
     """Tetrahedral net value, a ``QFactored`` (p None) or in k_p.
 
-    Vertex triples: (A,B,E), (A,C,F), (B,C,D), (E,F,D).
+    Vertex triples: (A,B,E), (A,C,F), (B,C,D), (E,F,D).  The z-sum is
+    one ``QFactored.sum`` level-free, reduced with the prefactor, and one
+    ``dot`` at a level.
     """
     tris = ((A, B, E), (A, C, F), (B, C, D), (E, F, D))
     for tri in tris:
@@ -123,19 +141,20 @@ def tet(A, B, E, D, C, F, p=None):
     a_list = [sum(t) // 2 for t in tris]
     total = A + B + C + D + E + F
     b_list = [(total - A - D) // 2, (total - B - F) // 2, (total - C - E) // 2]
-    one = qfact(0, p)
-    interior = one
-    for bj in b_list:
-        for ai in a_list:
-            interior = interior * qfact(bj - ai, p)
-    acc = one - one
-    for z in range(max(a_list), min(b_list) + 1):
-        term = qfact(z + 1, p) * _qfact_inv(
-            [z - ai for ai in a_list] + [bj - z for bj in b_list], p)
-        if z % 2:
-            term = -term
-        acc = acc + term
-    return interior * _qfact_inv((A, B, C, D, E, F), p) * acc
+    zs = range(max(a_list), min(b_list) + 1)
+    bottoms = [[z - ai for ai in a_list] + [bj - z for bj in b_list]
+               for z in zs]
+    signs = [-1 if z % 2 else 1 for z in zs]
+    if p is None:
+        acc = QFactored.sum(_factorials((z + 1,), bottom, None, s)
+                            for z, bottom, s in zip(zs, bottoms, signs))
+    else:
+        acc = kp_field(p).dot([qfact(z + 1, p) for z in zs],
+                              [_factorials((), bottom, p, s)
+                               for bottom, s in zip(bottoms, signs)])
+    val = _factorials([bj - ai for bj in b_list for ai in a_list],
+                      (A, B, C, D, E, F), p) * acc
+    return val if p is not None else val.reduced()
 
 
 # -- braid generators in the fusion basis -------------------------------------
@@ -149,8 +168,10 @@ def half_twist(c, j):
 
 
 def factored_e(j):
-    """<e_j> = (-1)^j [j+1] as a ``QFactored``."""
-    return QFactored(-1 if j % 2 else 1, {j + 1: 1})
+    """<e_j> = (-1)^j [j+1] as a ``QFactored``: [j+1] is A^-2j times the
+    Phi_d(A^4) of the divisors d > 1 of j+1."""
+    return QFactored(LaurentPoly({-2 * j: -1 if j % 2 else 1}),
+                     {d: 1 for d in range(2, j + 2) if not (j + 1) % d})
 
 
 @lru_cache(maxsize=None)
@@ -163,20 +184,24 @@ def braid_block(c, a, d, sign):
         F_xj = Tet(x,c,a,j,c,d) <e_j> / (theta(c,c,j) theta(a,j,d)),
         G_jx = Tet(x,c,a,j,c,d) <e_x> / (theta(a,c,x) theta(x,c,d))
     change the basis there and back (G F = 1: no inverse is formed).
+    F and G are reduced, each entry is one sum over j, lifted once, and
+    the entry is reduced before the block is cached.
     Returns {x: ((y, (F diag G)_xy), ...)}.
     """
     xs = [x for x in range(abs(a - c), a + c + 1, 2)
           if abs(x - c) <= d <= x + c]
-    out = {(x, y): QFactored(0) for x in xs for y in xs}
+    terms = {(x, y): [] for x in xs for y in xs}
     for j in range(abs(a - d), min(a + d, 2 * c) + 1, 2):
         fj = factored_e(j) * half_twist(c, j) ** sign \
             / (theta(c, c, j) * theta(a, j, d))
-        f = {x: tet(x, c, a, j, c, d) * fj for x in xs}
+        f = {x: (tet(x, c, a, j, c, d) * fj).reduced() for x in xs}
         for y in xs:
             g = tet(y, c, a, j, c, d) * factored_e(y) / (theta(a, c, y)
                                                         * theta(y, c, d))
+            g = g.reduced()
             for x in xs:
-                out[x, y] = f[x] * g + out[x, y]
+                terms[x, y].append(f[x] * g)
+    out = {xy: QFactored.sum(ts).reduced() for xy, ts in terms.items()}
     return {x: tuple((y, out[x, y]) for y in xs if out[x, y].poly) for x in xs}
 
 

@@ -334,9 +334,11 @@ def colored_bracket(strands, gens, color):
     A vector of the left-comb fusion basis is a label sequence a_0 = c,
     a_1, ..., a_(n-1) with each (a_(i-1), c, a_i) admissible.  sigma_1
     is diagonal, lambda(a_1); sigma_i acts on a_(i-1) by ``braid_block``
-    (Kauffman-Lins 1994, ch. 10; Masbaum-Vogel 1994).  The closure weighs
-    each diagonal entry by <e_(a_(n-1))>, and mu(c)^-w undoes the writhe.
-    One exact division ends it; an inexact one raises
+    (Kauffman-Lins 1994, ch. 10; Masbaum-Vogel 1994).  Each generator
+    collects the terms of every label and sums them once, a
+    ``QFactored.sum``.  The closure weighs each diagonal entry by
+    <e_(a_(n-1))> and sums once, and mu(c)^-w undoes the writhe.  One
+    exact division ends it; an inexact one raises
     ``InvariantCheckError``.  At c = 0 the closure is the empty diagram,
     so <J_0> = 1 with no walk.
     """
@@ -351,23 +353,25 @@ def colored_bracket(strands, gens, color):
     for _ in range(strands - 1):
         labels = [lab + (x,) for lab in labels
                   for x in range(abs(lab[-1] - c), lab[-1] + c + 1, 2)]
-    total = QFactored(0)
+    last, closure = len(gens) - 1, []
     for start in labels:
+        # row ``start`` of the braid's matrix, each entry one sum per
+        # generator; of the last product only the diagonal entry counts
         row = {start: QFactored(1)}
-        for g in gens:
+        for k, g in enumerate(gens):
             i, sign = abs(g), 1 if g > 0 else -1
             out = {}
             for lab, v in row.items():
-                if i == 1:
-                    out[lab] = v * half_twist(c, lab[1]) ** sign
-                    continue
-                block = braid_block(c, lab[i - 2], lab[i], sign)
-                for y, m in block[lab[i - 1]]:
+                moves = (braid_block(c, lab[i - 2], lab[i], sign)[lab[i - 1]]
+                         if i > 1 else ((c, half_twist(c, lab[1]) ** sign),))
+                for y, m in moves:
                     key = lab[:i - 1] + (y,) + lab[i:]
-                    out[key] = v * m + out[key] if key in out else v * m
-            row = out
+                    if k < last or key == start:
+                        out.setdefault(key, []).append(v * m)
+            row = {key: QFactored.sum(terms) for key, terms in out.items()}
         if start in row:
-            total = total + factored_e(start[-1]) * row[start]
+            closure.append(factored_e(start[-1]) * row[start])
+    total = QFactored.sum(closure)
     w = sum(1 if g > 0 else -1 for g in gens)
     return _exact_quotient(total.num, total.den,
                            f"the {c}-colored bracket") * mu_eig(c) ** -w

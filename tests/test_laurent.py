@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from tvskein.cyclo import CycloElem
-from tvskein.laurent import (A, DELTA, MU, LaurentPoly, _power, bracket_e,
-                             mu_eig, quantum_int)
+from tvskein.cyclo import CycloElem, cyclotomic_poly
+from tvskein.laurent import (A, DELTA, MU, LaurentPoly, QFactored, _phi4,
+                             _power, bracket_e, mu_eig, quantum_int)
 from tvskein.matring import RingMatrix
 from tvskein.oracles import LaurentFrac, poly_gcd
 from tvskein.polyalg import RingPoly
@@ -160,3 +160,72 @@ def test_power_matches_repeated_products():
     for base, _ in cases[2:]:
         with pytest.raises(ValueError, match="negative power"):
             base ** -2
+
+
+def _phi4_oracle(d):
+    """Phi_d(A^4) from the cyclotomic coefficients of the level rings."""
+    return LaurentPoly({4 * i: c for i, c in enumerate(cyclotomic_poly(d))})
+
+
+def test_quantum_integers_factor_over_phi_d():
+    # [k] = A^(2-2k) prod_(d | k, d > 1) Phi_d(A^4)
+    for k in range(1, 41):
+        prod = LaurentPoly({2 - 2 * k: 1})
+        for d in range(2, k + 1):
+            if not k % d:
+                prod = prod * _phi4_oracle(d)
+        assert prod == quantum_int(k), k
+        if k > 1:
+            assert _phi4(k) == _phi4_oracle(k), k
+
+
+def _rand_qfactored(rnd, ds=range(2, 9)):
+    poly = LaurentPoly({rnd.randint(-8, 8): rnd.randint(-3, 3)
+                        for _ in range(rnd.randint(0, 4))})
+    return QFactored(poly, {d: rnd.randint(-3, 3)
+                            for d in rnd.sample(ds, rnd.randint(0, 4))})
+
+
+def _same_value(x, y):
+    return x.num * y.den == y.num * x.den
+
+
+def test_sum_is_the_fold_of_binary_adds():
+    rnd = random.Random(26)
+    for _ in range(60):
+        terms = [_rand_qfactored(rnd) for _ in range(rnd.randint(0, 6))]
+        fold = QFactored(0)
+        for t in terms:
+            fold = fold + t
+        total = QFactored.sum(terms)
+        assert _same_value(total, fold)
+        # and the sum of the fractions num / den over their product
+        common = LaurentPoly.one()
+        for t in terms:
+            common = common * t.den
+        expect = LaurentPoly()
+        for t in terms:
+            expect = expect + t.num * common.exact_div(t.den)
+        assert total.num * common == expect * total.den
+        # the lift is to the least exponent of each Phi_d over the terms
+        for d, e in total.exps.items():
+            assert e == min(t.exps.get(d, 0) for t in terms if t.poly), d
+
+
+def test_reduction_keeps_the_value_and_cancels_every_factor_it_can():
+    rnd = random.Random(27)
+    cancelled = 0
+    for _ in range(60):
+        x = _rand_qfactored(rnd)
+        # plant Phi_d factors in P, more or fewer than the denominator has
+        for d, e in x.exps.items():
+            planted = _phi4_oracle(d) ** rnd.randint(0, abs(e) + 1)
+            x = QFactored(x.poly * planted, x.exps)
+        r = x.reduced()
+        assert _same_value(r, x)
+        cancelled += r.exps != x.exps
+        for d, e in r.exps.items():
+            if e < 0:
+                with pytest.raises(ValueError):
+                    r.poly.exact_div(_phi4_oracle(d))
+    assert cancelled > 10, cancelled

@@ -9,6 +9,7 @@ from tvskein.oracles import (LaurentFrac, full_twist, jones_wenzl, poly_gcd,
                              tet_web, theta_web, tl_compose, tl_e,
                              tl_identity, tl_trace)
 from tvskein.recoupling import ColorError, qfact, tet, theta
+from tvskein.tqft import ColorData
 
 
 def adm(a, b, c):
@@ -131,3 +132,31 @@ def test_inverse_factorial_table():
     assert qfact(4, 8).is_zero() and not qfact(3, 8).is_zero()
     with pytest.raises(UnsupportedSpecialization):
         _qfact_inv((1, 4), 8)
+
+
+def test_level_free_and_level_branches_agree():
+    # one closed formula, two branches: the level-free value, reduced to
+    # k_p as num * den^-1, is the value at the level wherever the level's
+    # denominator does not vanish
+    def agree(fn, args, p):
+        try:
+            at_level = fn(*args, p)
+        except UnsupportedSpecialization:
+            return 0
+        free = fn(*args)
+        assert reduce_to_kp(free.num, p) * reduce_to_kp(free.den, p).inv() \
+            == at_level, (fn.__name__, args, p)
+        return 1
+
+    for p in (5, 7, 8, 9):
+        small = ColorData.at(p).small
+        triples = [t for t in itertools.product(range(4), repeat=3)
+                   if small(*t)]
+        checked = sum(agree(theta, t, p) for t in triples)
+        tets = [cs for cs in itertools.product(range(4), repeat=6)
+                if all(small(*t) for t in ((cs[0], cs[1], cs[2]),
+                                           (cs[0], cs[4], cs[5]),
+                                           (cs[1], cs[4], cs[3]),
+                                           (cs[2], cs[5], cs[3])))]
+        checked += sum(agree(tet, cs, p) for cs in tets)
+        assert checked > len(triples), p

@@ -171,15 +171,20 @@ def _is_product(expr, names=()):
 
 
 def _accumulates_product(node, names):
-    """``acc = acc + a * b``, ``acc = acc - a * b`` or ``acc += a * b``,
-    also where the sum is one arm of a conditional expression."""
+    """``acc = acc + a * b``, ``acc = a * b + acc``, ``acc = acc - a * b``
+    or ``acc += a * b``, also where the sum is one arm of a conditional
+    expression."""
     def update(value, target):
         if isinstance(value, ast.IfExp):
             return update(value.body, target) or update(value.orelse, target)
-        return (isinstance(value, ast.BinOp)
-                and isinstance(value.op, (ast.Add, ast.Sub))
-                and ast.unparse(value.left) == target
-                and _is_product(value.right, names))
+        if not (isinstance(value, ast.BinOp)
+                and isinstance(value.op, (ast.Add, ast.Sub))):
+            return False
+        return (ast.unparse(value.left) == target
+                and _is_product(value.right, names)
+                or isinstance(value.op, ast.Add)
+                and ast.unparse(value.right) == target
+                and _is_product(value.left, names))
 
     if isinstance(node, ast.AugAssign):
         return (isinstance(node.op, (ast.Add, ast.Sub))
@@ -189,17 +194,12 @@ def _accumulates_product(node, names):
     return False
 
 
-def test_one_dot_kernel_per_ring():
-    # every sum of products over a ring goes through ``ring.dot``: no
-    # helper of its own and no loop that accumulates products
-    sites = {"matring.py": {"berkowitz_charpoly"},
-             "polyalg.py": {"__mul__", "power_sums", "tensor_product"},
-             "tqft.py": {"_channel_sums", "branched_series"}}
+def _pairwise_product_sums(sites):
+    """Loops in the named functions that accumulate products pairwise,
+    and the (module, function) pairs found."""
     found, seen = set(), set()
     for module, funcs in sites.items():
         for node in ast.walk(ast.parse((SRC / module).read_text())):
-            if isinstance(node, ast.FunctionDef) and node.name == "_row_dot":
-                found.add(f"{module} defines _row_dot")
             if not (isinstance(node, ast.FunctionDef) and node.name in funcs):
                 continue
             seen.add((module, node.name))
@@ -212,9 +212,33 @@ def test_one_dot_kernel_per_ring():
                       if isinstance(loop, (ast.For, ast.While))
                       for n in ast.walk(loop)
                       if _accumulates_product(n, names)}
-    assert not found, sorted(found)
     assert seen == {(m, f) for m, fs in sites.items() for f in fs}
+    return sorted(found)
+
+
+def test_one_dot_kernel_per_ring():
+    # every sum of products over a ring goes through ``ring.dot``: no
+    # helper of its own and no loop that accumulates products
+    sites = {"matring.py": {"berkowitz_charpoly"},
+             "polyalg.py": {"__mul__", "power_sums", "tensor_product"},
+             "tqft.py": {"_channel_sums", "branched_series"}}
+    found = _pairwise_product_sums(sites)
+    found += [f"{module} defines _row_dot" for module in sites
+              for node in ast.walk(ast.parse((SRC / module).read_text()))
+              if isinstance(node, ast.FunctionDef) and node.name == "_row_dot"]
+    assert not found, found
     assert "_row_dot" not in (SRC / "matring.py").read_text()
+
+
+def test_fusion_sums_lift_once():
+    # a fusion-basis sum collects its terms and lifts them once, in
+    # ``QFactored.sum``: the j-sum of a braid block, each label's sum per
+    # generator and the closure of ``colored_bracket``, and Tet's z-sum
+    # (its level branch is one ``kp_field(p).dot``)
+    sites = {"recoupling.py": {"braid_block", "tet"},
+             "skein.py": {"colored_bracket"}}
+    found = _pairwise_product_sums(sites)
+    assert not found, found
 
 
 def _is_row_update(node):
