@@ -83,17 +83,16 @@ def _level_data(p):
     return len(phi) - 1, phi
 
 
-@lru_cache(maxsize=None)
-def _a_powers(p):
-    """The reduced coefficient vectors of A_p^e for e = 0 .. 2p - 1.
+def _shifts(p, vec):
+    """The reduced vectors of vec * A_p^e for e = 0 .. 2p - 1, from a
+    reduced integer vector vec (a tuple).
 
-    Built by shift-and-reduce: A^(e+1) is A^e shifted up one place, with
-    the overflowing top coefficient folded back through
-    A^deg = -sum_(i < deg) phi_i A^i.  The entries are integers, since
-    phi_2p is monic over Z.
+    Built by shift-and-fold: vec A^(e+1) is vec A^e shifted up one place,
+    with the overflowing top coefficient folded back through
+    A^deg = -sum_(i < deg) phi_i A^i.  Integer vectors stay integer,
+    since phi_2p is monic over Z.
     """
-    deg, phi = _level_data(p)
-    vec = (1,) + (0,) * (deg - 1)
+    phi = _level_data(p)[1]
     out = [vec]
     for _ in range(2 * p - 1):
         top = vec[-1]
@@ -102,6 +101,12 @@ def _a_powers(p):
             vec = tuple(v - top * phi[i] for i, v in enumerate(vec))
         out.append(vec)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _a_powers(p):
+    """The reduced coefficient vectors of A_p^e for e = 0 .. 2p - 1."""
+    return _shifts(p, (1,) + (0,) * (level_degree(p) - 1))
 
 
 def _monomial_sum(p, terms):

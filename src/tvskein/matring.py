@@ -13,7 +13,10 @@ the automorphism induced on the image of its powers; the normalized
 characteristic polynomial of that automorphism, and its constant term,
 are the central invariants of the engine.  The image is taken at the
 Fitting index: with r = deg Gamma the nilpotent part has index at most
-n - r, so the image is image(Z^(n-r)), and Z itself when r = n.
+n - r, so the image is image(Z^(n-r)), and Z itself when r = n.  Below
+full rank, Z^(n-r) is formed by products from Z, and one forward
+elimination of [Z^(n-r) | Z^(n-r+1)] gives both the flat basis and the
+matrix of Z on it.
 """
 
 from __future__ import annotations
@@ -265,13 +268,16 @@ def flat_decompose(z):
     """Split Z into nilpotent and invertible parts over a field ring.
 
     With r = deg Gamma, the flat part acts on image(Z^(n-r)) in the basis
-    of the pivot columns of Z^(n-r).  These are the pivot columns of Z^n
-    too, and the matrix is the same, because Z^r commutes with Z and is
-    invertible on the image; the pivots must number r, and the flat
-    part's charpoly must be Gamma.  When r = n the charpoly's constant
-    term is nonzero, so Z is invertible and is its own flat part: no
-    elimination runs, and the check is that the charpoly's x^(n-1)
-    coefficient is -tr Z.
+    B of the pivot columns of P = Z^(n-r).  These are the pivot columns of
+    Z^n too, and the matrix is the same, because Z^r commutes with Z and
+    is invertible on the image.  P comes from n - r - 1 products by Z, and
+    one forward elimination of [P | ZP] gives both the pivots, which must
+    number r and all lie in the left half (image(ZP) lies in image(P)),
+    and M with B M = Z B, by back substitution against the columns of ZP
+    at the pivots; the charpoly of M must be Gamma, and its constant term
+    nonzero.  When r = n the charpoly's constant term is nonzero, so Z is
+    invertible and is its own flat part: no elimination runs, and the
+    check is that the charpoly's x^(n-1) coefficient is -tr Z.
     """
     if z.rows != z.cols:
         raise ValueError("flat decomposition of a non-square matrix")
@@ -287,15 +293,25 @@ def flat_decompose(z):
         if gamma.coeff(n - 1) != -z.trace():
             raise InvariantCheckError("charpoly disagrees with the trace")
         return FlatDecomposition(n, z, gamma, gamma.constant_term())
-    zk = z ** (n - r)
-    _, piv, _ = _echelon(zk)
-    if len(piv) != r:
+    zk = z
+    for _ in range(n - r - 1):
+        zk = zk * z
+    zk1 = zk * z
+    red, piv, invs = _echelon(RingMatrix(
+        ring, [a + b for a, b in zip(zk.data, zk1.data)]))
+    if len(piv) != r or piv[-1] >= n:
         raise InvariantCheckError(
             "flat rank disagrees with normalized charpoly degree")
-    basis = RingMatrix(ring, [[zk.data[i][c] for c in piv]
-                              for i in range(n)])
-    # action: Z * basis = basis * M
-    m = solve(basis, z * basis)
+    # action: Z B = B M, with Z B the columns of Z^(n-r+1) at the pivots;
+    # back substitution as in ``solve``, on the pivot columns only
+    m = [None] * r
+    for a in reversed(range(r)):
+        row = [red[a][n + c] for c in piv]
+        for b in range(a + 1, r):
+            if red[a][piv[b]]:
+                row = ring.axpy(row, red[a][piv[b]], m[b])
+        m[a] = [x * invs[a] for x in row]
+    m = RingMatrix(ring, m)
     if berkowitz_charpoly(m) != gamma:
         raise InvariantCheckError("flat charpoly mismatch")
     d = gamma.constant_term()

@@ -38,7 +38,10 @@ Each oracle below says what it shares with the code it checks.
   routes and now checks its one general sum against: the Prop 5.9
   matrix (``z5_matrix``) and color-2 scalar (``z5_color2_scalar``) at
   p = 5, and the tensor splitting at p = 2p' with p' odd
-  (``tensor_double``) through the level maps ``map_i`` and ``map_j``.
+  (``tensor_double``) through the level maps ``map_i`` and ``map_j``;
+  and the plain channel sums L and X by dot products
+  (``plain_sums_by_dot``), the route the shift table of ``tqft``
+  replaced.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ from .recoupling import ColorError, _check_adm
 from .rings import Ring, kp_field
 from .skein import (SkeinEngine, _exact_quotient, bracket_word, knot_scalars,
                     pairing_matrix_D)
-from .tqft import (branched_series, double_invariant, make_invariant,
-                   seifert_matrix_double, total_signature)
+from .tqft import (ColorData, branched_series, double_invariant,
+                   make_invariant, seifert_matrix_double, total_signature)
 
 
 # -- Q(A): the fraction field -------------------------------------------------
@@ -1056,6 +1059,27 @@ def z5_color2_scalar(j_ref, k):
     one = CycloElem.one(5)
     inner = constants(5).beta * (one + _mu1_power(k) * bk) - one
     return (a + abar) * inner
+
+
+def plain_sums_by_dot(j_ref, k, p):
+    """L(J) and X(J, k) = diag(mu(s)^(2k+1)) W^T, with L^-1 B = beta X,
+    by the dot-product route ``tqft`` took before its shift table: each
+    entry one ``ring.dot`` of full-twist monomials, from the Laurent
+    ``full_twist``, against the <J_r>_p.  It shares <J_r>_p
+    (``KnotScalars.at``) and ``ColorData`` with ``tqft``, not the table."""
+    s, cd, ring = knot_scalars(j_ref), ColorData.at(p), kp_field(p)
+    basis = range(constants(p).n)
+
+    def sums(power, i, t):
+        rs = [r for r in cd.colors() if cd.small(i, r, t)]
+        return ring.dot([reduce_to_kp(full_twist(r, i, t) ** power, p)
+                         for r in rs], [s.at(r, p) for r in rs])
+
+    mu = [reduce_to_kp(mu_eig(i), p) ** ((2 * k + 1) % (2 * p))
+          for i in basis]
+    return (RingMatrix(ring, [[sums(1, i, t) for t in basis] for i in basis]),
+            RingMatrix(ring, [[mu[i] * sums(k % (2 * p), i, t)
+                               for t in basis] for i in basis]))
 
 
 def map_i(x, p):

@@ -23,8 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .cyclo import (CycloElem, UnsupportedSpecialization, constants,
-                    reduce_to_kp, u_exponent)
+from .cyclo import (CycloElem, UnsupportedSpecialization, _shifts,
+                    constants, reduce_to_kp, u_exponent)
 from .diagram import DiagramError, KnotRef
 from .matring import (RingMatrix, berkowitz_charpoly, flat_decompose, inverse,
                       normalized_charpoly, similarity_invariants)
@@ -260,34 +260,68 @@ def z2_matrix(j_ref, k):
     return m
 
 
+@lru_cache(maxsize=None)
+def _shifted(s, r, p):
+    """Row r of the shift table of J at level p: <J_r>_p A_p^e for
+    e = 0 .. 2p - 1, made on first read by shift-and-fold through
+    phi_2p (``cyclo._shifts``).  <J_r> lies in Z[A^+-1], so the row is
+    integral."""
+    x = s.at(r, p)
+    if x.den != 1:
+        raise InvariantCheckError(f"<{s.name}_{r}> is not integral at p={p}")
+    return tuple(CycloElem._raw(p, v, 1) for v in _shifts(p, x.num))
+
+
+@lru_cache(maxsize=None)
+def _channels(cd, i, t):
+    """The colors r with (i, r, t) small admissible."""
+    return tuple(r for r in cd.colors() if cd.small(i, r, t))
+
+
 def _channel_sums(s, p, cd, left, right, *weights):
     """Channel sums of the doubled pattern, one matrix per weight.
 
-    Entry (i, t) of the matrix for ``weight`` is the sum, over the colors
-    r with (i, r, t) small admissible, of weight(r, i, t) <J_r> in k_p.
-    Only the colors some sum reaches are read: a color beyond them costs
-    a colored bracket (seconds for F8 at 6).
+    Entry (i, t) of the matrix for ``weight`` sums a term per color r
+    with (i, r, t) small admissible, read from row r of the shift table
+    (``_shifted``).  A plain weight gives an exponent e, any sign folded
+    in through A_p^p = -1, and the term is the table entry <J_r> A_p^e
+    itself: the entry is a sum of integer vectors, with no product.  A
+    colored weight gives its value w in k_p, and the entry is one
+    ``ring.dot`` of the w against the <J_r>.  Only the colors some sum
+    reaches get a row: a color beyond them costs a colored bracket
+    (0.17 s for F8 at 6).
     """
-    dot = kp_field(p).dot
+    dot, mod = kp_field(p).dot, 2 * p
     out = [[[None] * len(right) for _ in left] for _ in weights]
     for a, i in enumerate(left):
         for b, t in enumerate(right):
-            rs = [r for r in cd.colors() if cd.small(i, r, t)]
-            brs = [s.at(r, p) for r in rs]
+            rs = _channels(cd, i, t)
+            rows = [_shifted(s, r, p) for r in rs]
             for w, weight in enumerate(weights):
-                out[w][a][b] = dot([weight(r, i, t) for r in rs], brs)
+                ws = [weight(r, i, t) for r in rs]
+                if ws and type(ws[0]) is int:
+                    nums = [row[e % mod].num for row, e in zip(rows, ws)]
+                    out[w][a][b] = CycloElem._raw(
+                        p, [sum(c) for c in zip(*nums)], 1)
+                else:
+                    out[w][a][b] = dot(ws, [row[0] for row in rows])
     return out
 
 
+def _twist_exp(p, power=1):
+    """The full twist ft^power as an exponent of A_p, for ``_channel_sums``:
+    ft = mu(r) / (mu(i) mu(t)) = (-1)^(r+i+t) A^(r(r+2) - i(i+2) - t(t+2)),
+    with the sign folded in as A_p^p = -1.  At (t, 0, 0) it is mu(t)^power."""
+    def exp(r, i, t):
+        return (power * (r * (r + 2) - i * (i + 2) - t * (t + 2))
+                + p * ((r + i + t) * power % 2))
+    return exp
+
+
 def _twist(p, power=1):
-    """The weight (r, i, t) -> ft^power in k_p, for the full twist
-    ft = mu(r) / (mu(i) mu(t)) = (-1)^(r+i+t) A^(r(r+2) - i(i+2) - t(t+2)).
-    At (t, 0, 0) it is the monomial mu(t)^power."""
-    def weight(r, i, t):
-        x = CycloElem.a_power(
-            p, power * (r * (r + 2) - i * (i + 2) - t * (t + 2)))
-        return -x if (r + i + t) * power % 2 else x
-    return weight
+    """The weight (r, i, t) -> ft^power in k_p, a signed monomial."""
+    exp = _twist_exp(p, power)
+    return lambda r, i, t: CycloElem.a_power(p, exp(r, i, t))
 
 
 def _pattern_product(left, right, diag, beta, ring):
@@ -309,30 +343,38 @@ def general_L_matrix(j_ref, p):
     """
     cd = ColorData.at(p)
     basis = range(constants(p).n)
-    lm, = _channel_sums(_scalars(j_ref), p, cd, basis, basis, _twist(p))
+    lm, = _channel_sums(_scalars(j_ref), p, cd, basis, basis, _twist_exp(p))
     return RingMatrix(kp_field(p), lm)
 
 
-def general_matrix(j_ref, k, p):
-    """L^-1 B(J, k): the general doubled-pattern matrix, formed without L.
+def _pattern_matrix(j_ref, k, p):
+    """X = diag(mu(s)^(2k+1)) W^T, so that L^-1 B(J, k) = beta X.
 
     The sum over the pattern channel s carries <e_s> and <e_s>^-1,
     which cancel, so B = beta U diag(mu(s)^(2k+1)) W^T with
     U[i, s] = sum_r ft(r, i, s) <J_r> and W[j, s] = sum_r ft(r, j, s)^k <J_r>.
-    U is the pairing L, so Z = B L^-1 is similar to
-    L^-1 B = beta diag(mu(s)^(2k+1)) W^T, and a twist sums only W's
-    channels.  W = W^T (ft and small admissibility are symmetric in j
-    and s), so row s is W's row s times beta mu(s)^(2k+1).  At p = 5
-    this is the matrix of Prop 5.9.
+    U is the pairing L, so Z = B L^-1 is similar to L^-1 B = beta X, and
+    a twist sums only W's channels.  W = W^T (ft and small admissibility
+    are symmetric in j and s), so entry (s, j) of X is the sum over r of
+    <J_r> A^e with mu(s)^(2k+1) ft(r, s, j)^k = A^e: a sum of shift-table
+    entries, integral, with no product.
     """
-    pack = constants(p)
-    basis = range(pack.n)
-    w, = _channel_sums(_scalars(j_ref), p, ColorData.at(p), basis, basis,
-                       _twist(p, k % (2 * p)))
-    mu_k = _twist(p, 2 * k + 1)
-    diag = [pack.beta * mu_k(s, 0, 0) for s in basis]
-    return RingMatrix(kp_field(p), [[d * x for x in row]
-                                    for d, row in zip(diag, w)])
+    mu_k, ft_k = _twist_exp(p, 2 * k + 1), _twist_exp(p, k)
+
+    def weight(r, s, j):
+        return mu_k(s, 0, 0) + ft_k(r, s, j)
+
+    basis = range(constants(p).n)
+    x, = _channel_sums(_scalars(j_ref), p, ColorData.at(p), basis, basis,
+                       weight)
+    return RingMatrix(kp_field(p), x)
+
+
+def general_matrix(j_ref, k, p):
+    """L^-1 B(J, k) = beta X: the general doubled-pattern matrix, formed
+    without L (``_pattern_matrix``).  At p = 5 this is the matrix of
+    Prop 5.9."""
+    return _pattern_matrix(j_ref, k, p) * constants(p).beta
 
 
 def double_invariant(j_ref, k, p):
@@ -350,7 +392,15 @@ def double_invariant(j_ref, k, p):
 
 
 def general_double(j_ref, k, p):
-    """The general small-admissible-sum path (p >= 3)."""
+    """The general small-admissible-sum path (p >= 3).
+
+    X (``_pattern_matrix``) is integral, so it is flat-decomposed rather
+    than Z = beta X, and the split is scaled once: with
+    Gamma_X = sum c_i x^i of degree r, Gamma_Z has coefficients
+    c_i beta^(r-i), D_Z = beta^r D_X, and the flat matrix is Z at r = n
+    and beta M_X at r < n (the pivot columns of Z^(n-r) are those of
+    X^(n-r), scaled by beta^(n-r)).
+    """
     if isinstance(j_ref, str):
         j_ref = KnotRef.parse(j_ref)
     s = _scalars(j_ref)
@@ -360,7 +410,22 @@ def general_double(j_ref, k, p):
                 f"<J_{c}> vanishes at p={p}; the doubled-pattern pairing "
                 f"is singular for J={s.name}")
     _pairing(j_ref, p, 0)           # raises if L is singular
-    return make_invariant(general_matrix(j_ref, k, p), p)
+    x = _pattern_matrix(j_ref, k, p)
+    fd = flat_decompose(x)
+    r, powers = fd.flat_rank, _beta_powers(p)
+    z = x * powers[1]
+    gamma = RingPoly(x.ring, [c * powers[r - i]
+                              for i, c in enumerate(fd.gamma.coeffs)])
+    return TVInvariant(p, z, gamma, gamma.constant_term(), r,
+                       z if r == x.rows else fd.flat_matrix * powers[1],
+                       root_periodicity(gamma) if r else None)
+
+
+@lru_cache(maxsize=None)
+def _beta_powers(p):
+    """beta^0 .. beta^n at level p, n the size of the general matrix."""
+    pack = constants(p)
+    return tuple(pack.beta ** i for i in range(pack.n + 1))
 
 
 @lru_cache(maxsize=None)

@@ -177,24 +177,76 @@ def test_flat_decompose_at_fitting_index(ring):
 
 
 def test_flat_decompose_full_rank_takes_no_power(monkeypatch):
-    exponents = []
-    power = RingMatrix.__pow__
+    # r = n forms no power and eliminates nothing; r < n forms Z^(n-r) by
+    # products from Z, with no __pow__, and eliminates [Z^(n-r) | Z^(n-r+1)]
+    # once, for the pivots and M together
+    import tvskein.matring as matring
+    calls = []
+    power, echelon = RingMatrix.__pow__, matring._echelon
 
-    def counted(self, k):
-        exponents.append(k)
+    def counted_power(self, k):
+        calls.append(("pow", k))
         return power(self, k)
 
-    monkeypatch.setattr(RingMatrix, "__pow__", counted)
+    def counted_echelon(mat):
+        calls.append(("echelon", mat.rows, mat.cols))
+        return echelon(mat)
+
     rnd = random.Random(32)
-    for ring in (QQ, kp_field(7)):
-        z = _rand_invertible(rnd, ring, 4)
+    inputs = [_rand_invertible(rnd, ring, 4) for ring in (QQ, kp_field(7))]
+    monkeypatch.setattr(RingMatrix, "__pow__", counted_power)
+    monkeypatch.setattr(matring, "_echelon", counted_echelon)
+    for z in inputs:
         fd = flat_decompose(z)
         assert fd.flat_matrix == z and fd.flat_rank == 4
-    assert exponents == []
-    # a rank-deficient Z is raised to its Fitting index n - r only
+    assert calls == []
     z = RingMatrix(QQ, [[0, 1, 0], [0, 0, 0], [0, 0, 2]])
     assert flat_decompose(z).flat_rank == 1
-    assert exponents == [2]
+    assert calls == [("echelon", 3, 6)]
+
+
+def test_flat_decompose_checks_its_pivots(monkeypatch):
+    # below full rank the one elimination must give exactly r pivots, all
+    # in the Z^(n-r) half: a pivot lost, or one in the Z^(n-r+1) half,
+    # raises rather than reading a wrong flat matrix
+    import tvskein.matring as matring
+    from tvskein.polyalg import InvariantCheckError
+    z = RingMatrix(QQ, [[0, 1, 0], [0, 0, 0], [0, 0, 2]])
+    real = matring._echelon
+    for bad in (lambda piv: piv[:-1], lambda piv: piv[:-1] + [3]):
+        def broken(mat, bad=bad):
+            red, piv, invs = real(mat)
+            return red, bad(piv), invs
+        with monkeypatch.context() as m:
+            m.setattr(matring, "_echelon", broken)
+            with pytest.raises(InvariantCheckError, match="flat rank"):
+                flat_decompose(z)
+    assert flat_decompose(z).flat_rank == 1
+
+
+def test_flat_decompose_of_a_scalar_multiple():
+    # the general double splits X and scales by beta: for c != 0 the split
+    # of c X is that of X with Gamma's x^i coefficient times c^(r-i), D
+    # times c^r, and the flat matrix c X at r = n and c M_X at r < n
+    ring = kp_field(7)
+    rnd = random.Random(36)
+    seen = set()
+    for n in range(1, 6):
+        for r in (0, rnd.randint(1, n - 1) if n > 1 else 0, n):
+            nil = RingMatrix.zero(ring, n - r, n - r)
+            for i in range(n - r - 1):
+                nil[i, i + 1] = ring.one
+            u = _rand_unimodular(rnd, ring, n)
+            x = u * nil.direct_sum(_rand_invertible(rnd, ring, r)) * inverse(u)
+            c = _rand_entry(rnd, ring) or ring.one
+            fx, fc = flat_decompose(x), flat_decompose(x * c)
+            assert fx.flat_rank == fc.flat_rank == r
+            assert fc.gamma == RingPoly(ring, [a * c ** (r - i) for i, a in
+                                               enumerate(fx.gamma.coeffs)])
+            assert fc.constant_term == fx.constant_term * c ** r
+            assert fc.flat_matrix == (x * c if r == n else fx.flat_matrix * c)
+            seen.add((r == 0, 0 < r < n, r == n))
+    assert len(seen) == 3
 
 
 @pytest.mark.parametrize("ring", [QQ, kp_field(7)], ids=["QQ", "k7"])

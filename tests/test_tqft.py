@@ -10,8 +10,8 @@ from tvskein.laurent import LaurentPoly
 from tvskein.matring import RingMatrix, flat_decompose
 from tvskein.oracles import (QA, LaurentFrac, berkowitz_det, catalan,
                              full_twist, map_j, ordinary_det_test,
-                             tau5_value, tensor_double, z5_color2_scalar,
-                             z5_matrix)
+                             plain_sums_by_dot, tau5_value, tensor_double,
+                             z5_color2_scalar, z5_matrix)
 from tvskein.polyalg import RingPoly, numeric_roots, power_sums
 from tvskein.rings import ZA, kp_field
 from tvskein.skein import (KnotScalars, closure_B, pairing_matrix_D,
@@ -687,26 +687,78 @@ def test_colored_pairing_built_once_per_level_and_color(monkeypatch):
 
 
 def test_general_pairing_built_once_per_level(monkeypatch):
-    # L^-1 B = beta diag W^T needs L only to know it is nonsingular: from
-    # a cold cache the twists at one level sum L's channels once and each
-    # W's once
+    # L^-1 B = beta X needs L only to know it is nonsingular, and X is a
+    # sum of shift-table entries: from cold caches the twists at one level
+    # build L once and each table row once, and forming X for a twist
+    # takes no k_p product
+    import tvskein.cyclo as cyclo
+    import tvskein.rings as rings
     import tvskein.tqft as tqft
     tqft._pairing.cache_clear()
-    real, calls = tqft._channel_sums, []
+    tqft._shifted.cache_clear()
+    real_l, real_shifts = tqft.general_L_matrix, tqft._shifts
+    levels, rows = [], []
 
-    def counted(*args):
-        calls.append(len(args) - 5)
-        return real(*args)
+    def counted_l(j_ref, p):
+        levels.append(p)
+        return real_l(j_ref, p)
 
-    monkeypatch.setattr(tqft, "_channel_sums", counted)
+    def counted_shifts(p, vec):
+        rows.append(vec)
+        return real_shifts(p, vec)
+
+    monkeypatch.setattr(tqft, "general_L_matrix", counted_l)
+    monkeypatch.setattr(tqft, "_shifts", counted_shifts)
     twists = range(-7, 7)
     got = [double_invariant("RT", k, 7).gamma for k in twists]
-    assert calls == [1] * (1 + len(twists))
-    tqft._pairing.cache_clear()
+    assert levels == [7]
+    # p = 7: the basis colors 0..2 reach the channels r = 0..4
+    s = tqft._scalars("RT")
+    assert sorted(rows) == sorted(s.at(r, 7).num for r in range(5))
+
+    def refuse(*args):
+        raise AssertionError("a k_p product in a plain twist")
+
+    for mod, name in ((cyclo, "_dot"), (rings, "_dot"), (cyclo, "_mul_vec")):
+        monkeypatch.setattr(mod, name, refuse)
+    xs = [tqft._pattern_matrix("RT", k, 7) for k in twists]
     monkeypatch.undo()
-    for k, gamma in zip(twists, got):
+    assert len(rows) == 5
+    for k, gamma, x in zip(twists, got, xs):
         tqft._pairing.cache_clear()
+        tqft._shifted.cache_clear()
         assert double_invariant("RT", k, 7).gamma == gamma, k
+        assert x * constants(7).beta == tqft.general_matrix("RT", k, 7), k
+
+
+def test_shift_table_rows_are_lazy(monkeypatch):
+    # a row is made only for a color some sum reaches: at p = 5 the basis
+    # colors 0, 1 reach r <= 2, so <F8_3> (a color below q = 4) is never
+    # computed, and the answers are those of the shared scalars
+    import tvskein.tqft as tqft
+    want = [double_invariant("F8", k, 5) for k in range(-5, 5)]
+    s = KnotScalars("F8", braid=ATLAS_BRAIDS["F8"])
+    monkeypatch.setattr(tqft, "_scalars", lambda ref: s)
+    tqft._pairing.cache_clear()
+    got = [double_invariant("F8", k, 5) for k in range(-5, 5)]
+    tqft._pairing.cache_clear()
+    assert sorted(s._colored) == [0, 1, 2]
+    assert [(g.matrix, g.gamma) for g in got] == \
+        [(w.matrix, w.gamma) for w in want]
+
+
+@pytest.mark.parametrize("j_name, top", [
+    ("U", 12), ("RT", 12), ("LT", 12), ("F8", 10), ("RT#LT", 10)])
+def test_shift_table_equals_dot_route(j_name, top):
+    # L and X from the shift table, entry for entry against the dot
+    # products of the full-twist monomials with the <J_r>_p
+    from tvskein.tqft import _pattern_matrix, general_L_matrix
+    for p in range(3, top + 1):
+        for k in range(-p, p):
+            lm, x = plain_sums_by_dot(j_name, k, p)
+            assert general_L_matrix(j_name, p) == lm, (p, k)
+            assert _pattern_matrix(j_name, k, p) == x, (p, k)
+            assert all(e.den == 1 for row in x.data for e in row), (p, k)
 
 
 def test_level_brackets_are_reduced_once_per_color(monkeypatch):
