@@ -39,8 +39,10 @@ Each oracle below says what it shares with the code it checks.
   matrix (``z5_matrix``) and color-2 scalar (``z5_color2_scalar``) at
   p = 5, and the tensor splitting at p = 2p' with p' odd
   (``tensor_double``) through the level maps ``map_i`` and ``map_j``;
-  and the plain channel sums L and X by dot products
+  the plain channel sums L and X by dot products
   (``plain_sums_by_dot``), the route the shift table of ``tqft``
+  replaced; and the colored double as B L_c^-1 with L_c inverted
+  (``colored_double_by_inverse``), the route ``tqft.colored_matrix``
   replaced.
 """
 
@@ -57,14 +59,15 @@ from .diagram import ATLAS_BRAIDS, DiagramError, SliceWord, braid_closure
 from .laurent import (ONE, LaurentPoly, QFactored, _as_laurent, _coeff_div,
                       _power, mu_eig, quantum_int)
 from .matring import (RingMatrix, berkowitz_charpoly, flat_decompose,
-                      normalized_charpoly, rank)
+                      inverse, normalized_charpoly, rank)
 from .polyalg import PowerSumSeries, RingPoly
-from .recoupling import ColorError, _check_adm
+from .recoupling import ColorError, _check_adm, tet, theta
 from .rings import Ring, kp_field
 from .skein import (SkeinEngine, _exact_quotient, bracket_word, knot_scalars,
                     pairing_matrix_D)
-from .tqft import (ColorData, branched_series, double_invariant,
-                   make_invariant, seifert_matrix_double, total_signature)
+from .tqft import (ColorData, _channel_sums, _twist, branched_series,
+                   colored_L_matrix, double_invariant, make_invariant,
+                   seifert_matrix_double, total_signature)
 
 
 # -- Q(A): the fraction field -------------------------------------------------
@@ -1080,6 +1083,29 @@ def plain_sums_by_dot(j_ref, k, p):
     return (RingMatrix(ring, [[sums(1, i, t) for t in basis] for i in basis]),
             RingMatrix(ring, [[mu[i] * sums(k % (2 * p), i, t)
                                for t in basis] for i in basis]))
+
+
+def colored_double_by_inverse(j_ref, k, p, c):
+    """Z_p(D_k(J), c) = B L_c^-1 for an even color c >= 2, the route
+    ``tqft.colored_matrix`` replaced: B = beta T1 diag(<e_t> mu(t)^(2k+1))
+    C2^T over the channels t with (c, t, t) small admissible, with the
+    first channel sum T1 formed, and L_c inverted.  It shares the channel
+    sums and L_c with ``tqft``, not the simple current that maps T1 onto
+    L_c."""
+    cd, pack, ring, s = ColorData.at(p), constants(p), kp_field(p), \
+        knot_scalars(j_ref)
+    S = cd.S(c)
+    chans = [t for t in range(pack.n) if cd.small(c, t, t)]
+    ft, ft_k, mu_k = _twist(p), _twist(p, k % (2 * p)), _twist(p, 2 * k + 1)
+    t1 = _channel_sums(s, p, cd, S, chans, lambda r, i, t: ft(r, i, t)
+                       / theta(r, i, t, p) * tet(c, i, i, r, t, t, p))
+    c2 = _channel_sums(s, p, cd, S, chans, lambda r, j, t: ft_k(r, j, t)
+                       * tet(c, j, j, r, t, t, p) / theta(r, j, t, p)
+                       / theta(c, t, t, p))
+    diag = [pack.beta * pack.bracket_e[t] * mu_k(t, 0, 0) for t in chans]
+    b = RingMatrix(ring, [[x * d for x, d in zip(row, diag)] for row in t1]) \
+        * RingMatrix(ring, c2).transpose()
+    return make_invariant(b * inverse(colored_L_matrix(j_ref, p, c)), p)
 
 
 def map_i(x, p):

@@ -7,11 +7,12 @@ levels k_p; from a twisted double D_k(J) it produces the level-p
 invariant by one route per level: the identity at p = 1, the closed
 matrix form at p = 2, and the general small-admissible doubled-pattern
 sum, read as L^-1 B, at every p >= 3 (at p = 5 that is the matrix of
-Prop 5.9); and from those it assembles quantum invariants of cyclic and
+Prop 5.9), with each colored part read as L_c^-1 B too, so no pairing is
+inverted; and from those it assembles quantum invariants of cyclic and
 branched cyclic covers, exact signature bookkeeping, and the Brieskorn
 sphere values.  Its cross-checks (the Prop 5.9 matrix, the tensor
-splitting at p = 2p', the torus-bundle matrices, the Brieskorn period,
-tau_5) are in ``oracles``.
+splitting at p = 2p', the colored B L_c^-1 with L_c inverted, the
+torus-bundle matrices, the Brieskorn period, tau_5) are in ``oracles``.
 
 Levels where the pairing matrix D(n) degenerates (p special with
 respect to n) are rejected with ``UnsupportedSpecialization`` rather
@@ -26,11 +27,11 @@ from functools import cached_property, lru_cache
 from .cyclo import (CycloElem, UnsupportedSpecialization, _shifts,
                     constants, reduce_to_kp, u_exponent)
 from .diagram import DiagramError, KnotRef
-from .matring import (RingMatrix, berkowitz_charpoly, flat_decompose, inverse,
+from .matring import (RingMatrix, berkowitz_charpoly, flat_decompose,
                       normalized_charpoly, similarity_invariants)
 from .polyalg import (InvariantCheckError, RingPoly, numeric_roots,
                       power_sums, root_periodicity, tensor_product)
-from .recoupling import ColorError, tet, theta, unknot_value
+from .recoupling import ColorError, qfact, tet, theta, unknot_value
 from .rings import kp_field
 from .skein import knot_scalars, transfer_Q
 
@@ -278,33 +279,30 @@ def _channels(cd, i, t):
     return tuple(r for r in cd.colors() if cd.small(i, r, t))
 
 
-def _channel_sums(s, p, cd, left, right, *weights):
-    """Channel sums of the doubled pattern, one matrix per weight.
+def _channel_sums(s, p, cd, left, right, weight):
+    """A channel sum of the doubled pattern, as a list of rows.
 
-    Entry (i, t) of the matrix for ``weight`` sums a term per color r
-    with (i, r, t) small admissible, read from row r of the shift table
-    (``_shifted``).  A plain weight gives an exponent e, any sign folded
-    in through A_p^p = -1, and the term is the table entry <J_r> A_p^e
-    itself: the entry is a sum of integer vectors, with no product.  A
-    colored weight gives its value w in k_p, and the entry is one
-    ``ring.dot`` of the w against the <J_r>.  Only the colors some sum
-    reaches get a row: a color beyond them costs a colored bracket
-    (0.17 s for F8 at 6).
+    Entry (i, t) sums a term per color r with (i, r, t) small
+    admissible, read from row r of the shift table (``_shifted``).  A
+    plain weight gives an exponent e, any sign folded in through
+    A_p^p = -1, and the term is the table entry <J_r> A_p^e itself: the
+    entry is a sum of integer vectors, with no product.  A colored weight
+    gives its value w in k_p, and the entry is one ``ring.dot`` of the w
+    against the <J_r>.  Only the colors some sum reaches get a row: a
+    color beyond them costs a colored bracket (0.17 s for F8 at 6).
     """
     dot, mod = kp_field(p).dot, 2 * p
-    out = [[[None] * len(right) for _ in left] for _ in weights]
+    out = [[None] * len(right) for _ in left]
     for a, i in enumerate(left):
         for b, t in enumerate(right):
             rs = _channels(cd, i, t)
             rows = [_shifted(s, r, p) for r in rs]
-            for w, weight in enumerate(weights):
-                ws = [weight(r, i, t) for r in rs]
-                if ws and type(ws[0]) is int:
-                    nums = [row[e % mod].num for row, e in zip(rows, ws)]
-                    out[w][a][b] = CycloElem._raw(
-                        p, [sum(c) for c in zip(*nums)], 1)
-                else:
-                    out[w][a][b] = dot(ws, [row[0] for row in rows])
+            ws = [weight(r, i, t) for r in rs]
+            if ws and type(ws[0]) is int:
+                nums = [row[e % mod].num for row, e in zip(rows, ws)]
+                out[a][b] = CycloElem._raw(p, [sum(c) for c in zip(*nums)], 1)
+            else:
+                out[a][b] = dot(ws, [row[0] for row in rows])
     return out
 
 
@@ -324,15 +322,6 @@ def _twist(p, power=1):
     return lambda r, i, t: CycloElem.a_power(p, exp(r, i, t))
 
 
-def _pattern_product(left, right, diag, beta, ring):
-    """beta * left * diag(diag) * right^T over k_p, with beta taken into
-    the diagonal: n products rather than n^2 on the result."""
-    diag = [d * beta for d in diag]
-    scaled = RingMatrix(ring, [[x * d for x, d in zip(row, diag)]
-                               for row in left])
-    return scaled * RingMatrix(ring, right).transpose()
-
-
 def general_L_matrix(j_ref, p):
     """L(J): pairing matrix of the e-basis through the doubled pattern.
 
@@ -343,7 +332,7 @@ def general_L_matrix(j_ref, p):
     """
     cd = ColorData.at(p)
     basis = range(constants(p).n)
-    lm, = _channel_sums(_scalars(j_ref), p, cd, basis, basis, _twist_exp(p))
+    lm = _channel_sums(_scalars(j_ref), p, cd, basis, basis, _twist_exp(p))
     return RingMatrix(kp_field(p), lm)
 
 
@@ -365,8 +354,8 @@ def _pattern_matrix(j_ref, k, p):
         return mu_k(s, 0, 0) + ft_k(r, s, j)
 
     basis = range(constants(p).n)
-    x, = _channel_sums(_scalars(j_ref), p, ColorData.at(p), basis, basis,
-                       weight)
+    x = _channel_sums(_scalars(j_ref), p, ColorData.at(p), basis, basis,
+                      weight)
     return RingMatrix(kp_field(p), x)
 
 
@@ -430,19 +419,12 @@ def _beta_powers(p):
 
 @lru_cache(maxsize=None)
 def _pairing(j_ref, p, c):
-    """L^-1 for a color c >= 2, built once per (J, p, c) and shared by
-    every twist.  The general pairing (c = 0) is never inverted: the
-    cache holds None once Berkowitz's constant term, det L up to sign,
-    shows L nonsingular.
-
-    A singular pairing L leaves the level undefined.
-    """
-    if c:
-        try:
-            return inverse(colored_L_matrix(j_ref, p, c))
-        except ZeroDivisionError:
-            pass
-    elif berkowitz_charpoly(general_L_matrix(j_ref, p)).constant_term():
+    """Raise unless the pairing L of color c is nonsingular at level p.
+    L (``general_L_matrix``, or ``colored_L_matrix`` at c >= 2) is built
+    once per (J, p, c) and never inverted, and the cache holds None once
+    Berkowitz's constant term, det L up to sign, shows it nonsingular."""
+    lm = colored_L_matrix(j_ref, p, c) if c else general_L_matrix(j_ref, p)
+    if berkowitz_charpoly(lm).constant_term():
         return None
     raise UnsupportedSpecialization(
         f"the doubled-pattern pairing is singular at p={p}")
@@ -460,31 +442,49 @@ def colored_L_matrix(j_ref, p, c):
     def weight(r, i, j):
         return twist(r, i, j) / theta(r, i, j, p) * tet(c, j, j, r, i, i, p)
 
-    lm, = _channel_sums(_scalars(j_ref), p, cd, S, S, weight)
+    lm = _channel_sums(_scalars(j_ref), p, cd, S, S, weight)
     return RingMatrix(kp_field(p), lm)
 
 
-def colored_B_matrix(j_ref, k, p, c):
-    """The twisted side of the colored pairing, factorised like the
-    general one (``general_matrix``): beta T1 diag(<e_s> mu(s)^(2k+1)) C2^T
-    over the pattern channels s with (c, s, s) small admissible."""
-    cd = ColorData.at(p)
-    pack = constants(p)
-    S = cd.S(c)
-    chans = [t for t in range(pack.n) if cd.small(c, t, t)]
-    twist, twist_k = _twist(p), _twist(p, k % (2 * p))
+def _current_scale(p, c, t):
+    """D_t: column t of the first channel sum T1[i, t] = sum_r ft(r, i, t)
+    Tet(c, i, i, r, t, t) / theta(r, i, t) <J_r> is D_t L_c[i, sigma(t)].
+    For t in S(c), sigma(t) = t and D_t = 1, since Tet(c, i, i, r, t, t) =
+    Tet(c, t, t, r, i, i).  An odd t at odd p maps term for term to
+    sigma(t) = p - 2 - t under the simple current r -> p - 2 - r: ft keeps
+    its value, mu(p - 2 - r) = mu(r), <J_(p-2-r)>_p = <J_r>_p (Kirby-Melvin,
+    Invent. Math. 105, 1991), and theta and Tet change by one factor,
+        D_t = (-1)^(c/2) [t + c/2 + 1]! [t - c/2]! / ([t]! [t + 1]!)
+            = [c]! theta(c, t, t) / ([c/2]!^2 <e_t>).
+    """
+    if p % 2 == 0 or t % 2 == 0:
+        return CycloElem.one(p)
+    h = qfact(c // 2, p)
+    return qfact(c, p) * theta(c, t, t, p) / (h * h * constants(p).bracket_e[t])
 
-    def first(r, i, t):
-        return twist(r, i, t) / theta(r, i, t, p) * tet(c, i, i, r, t, t, p)
+
+def colored_matrix(j_ref, k, p, c):
+    """L_c^-1 B(J, k) for an even color c >= 2, formed without L_c as
+    ``general_matrix`` forms beta X.  B = beta T1 diag(<e_t> mu(t)^(2k+1))
+    C2^T over the channels t with (c, t, t) small admissible, T1 = L_c M
+    with M[sigma(t), t] = D_t (``_current_scale``), and sigma is one to one
+    onto S(c).  So row sigma(t) of L_c^-1 B is beta <e_t> mu(t)^(2k+1) D_t
+    times column t of C2, and Z = B L_c^-1 is similar to it."""
+    cd, pack = ColorData.at(p), constants(p)
+    S = cd.S(c)
+    # sigma^-1: s < n is its own channel; at odd p, s >= n is p - 2 - s
+    chans = [s if s < pack.n else p - 2 - s for s in S]
+    twist_k, mu_k = _twist(p, k % (2 * p)), _twist(p, 2 * k + 1)
 
     def second(r, j, t):
         return tet(c, j, j, r, t, t, p) / theta(r, j, t, p) \
             / theta(c, t, t, p) * twist_k(r, j, t)
 
-    t1, c2 = _channel_sums(_scalars(j_ref), p, cd, S, chans, first, second)
-    mu_k = _twist(p, 2 * k + 1)
-    tw = [pack.bracket_e[t] * mu_k(t, 0, 0) for t in chans]
-    return _pattern_product(t1, c2, tw, pack.beta, kp_field(p))
+    c2 = _channel_sums(_scalars(j_ref), p, cd, S, chans, second)
+    scales = [pack.beta * pack.bracket_e[t] * mu_k(t, 0, 0)
+              * _current_scale(p, c, t) for t in chans]
+    return RingMatrix(kp_field(p), [[w * row[a] for row in c2]
+                                    for a, w in enumerate(scales)])
 
 
 def colored_double_invariant(j_ref, k, p, c):
@@ -506,8 +506,8 @@ def colored_double_invariant(j_ref, k, p, c):
         if not s.at(e, p):
             raise UnsupportedSpecialization(
                 f"<J_{e}> vanishes at p={p} (color-{c} pairing singular)")
-    return make_invariant(
-        colored_B_matrix(j_ref, k, p, c) * _pairing(j_ref, p, c), p)
+    _pairing(j_ref, p, c)           # raises if L_c is singular
+    return make_invariant(colored_matrix(j_ref, k, p, c), p)
 
 
 # -- connected sums -----------------------------------------------------------------

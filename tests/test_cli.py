@@ -42,10 +42,13 @@ def test_double_from_pd_file(tmp_path):
 
 def test_colored_trefoil_double_at_level_7():
     # <RT_c> for c <= 5 come from the fusion basis in milliseconds; by
-    # cable and Jones-Wenzl projector this command took minutes
+    # cable and Jones-Wenzl projector this command took minutes.  The Gamma
+    # printed is that of B L_c^-1 with L_c inverted
+    from tvskein.oracles import colored_double_by_inverse
     rc, out = _run(["double", "--J", "RT", "--k", "0", "--p", "7",
                     "--color", "2"])
-    assert rc == 0 and "Gamma" in out, out
+    want = colored_double_by_inverse("RT", 0, 7, 2).gamma
+    assert rc == 0 and f"Gamma = {want}\n" in out, out
 
 
 def test_tangle_command(tmp_path):

@@ -4,18 +4,19 @@ import random
 import pytest
 
 from tvskein.cyclo import CycloElem, constants, reduce_to_kp, u_element
-from tvskein.diagram import ATLAS_BRAIDS, SliceWord
+from tvskein.diagram import ATLAS_BRAIDS, ATLAS_PD, SliceWord
 from tvskein.golden import s_kd
 from tvskein.laurent import LaurentPoly
 from tvskein.matring import RingMatrix, flat_decompose
 from tvskein.oracles import (QA, LaurentFrac, berkowitz_det, catalan,
-                             full_twist, map_j, ordinary_det_test,
+                             colored_double_by_inverse, full_twist, map_j,
+                             ordinary_det_test,
                              plain_sums_by_dot, tau5_value, tensor_double,
                              z5_color2_scalar, z5_matrix)
 from tvskein.polyalg import RingPoly, numeric_roots, power_sums
 from tvskein.rings import ZA, kp_field
-from tvskein.skein import (KnotScalars, closure_B, pairing_matrix_D,
-                           transfer_Q)
+from tvskein.skein import (KnotScalars, closure_B, knot_scalars,
+                           pairing_matrix_D, transfer_Q)
 from tvskein.tqft import (BranchedValue, ColorData, UnsupportedSpecialization,
                           branched_series, brieskorn_value,
                           colored_double_invariant,
@@ -23,7 +24,7 @@ from tvskein.tqft import (BranchedValue, ColorData, UnsupportedSpecialization,
                           make_invariant, ordinary, seifert_matrix_double,
                           signature_at, tangle_invariant, total_signature)
 
-from test_skein import rand_word
+from test_skein import RANDOM_KNOTS, rand_word
 
 
 def test_ordinary_closed_form_vs_det():
@@ -365,13 +366,19 @@ def test_invariant_factors_stable_under_shift():
 
 
 class _SyntheticScalars(KnotScalars):
-    """Stand-in companion data: <J_r> is an arbitrary Laurent polynomial."""
+    """Stand-in companion data: <J_r> is an arbitrary Laurent polynomial.
 
-    def __init__(self, seed):
+    With ``current`` an odd level p it keeps the simple-current symmetry
+    <J_(p-2-r)> = <J_r> of every knot, which the colored route reads.
+    """
+
+    def __init__(self, seed, current=None):
         super().__init__("synthetic", colored_fn=self._random)
-        self.seed = seed
+        self.seed, self.current = seed, current
 
     def _random(self, r):
+        if self.current is not None:
+            r = min(r, self.current - 2 - r)
         rnd = random.Random(self.seed * 100 + r)
         return LaurentPoly({rnd.randint(-12, 12): rnd.randint(-4, 4)
                             for _ in range(4)} or {0: 1})
@@ -461,22 +468,105 @@ def _entries(m):
 
 @pytest.mark.parametrize("p", [7, 8, 9])
 def test_factorised_B_equals_quadruple_sum(monkeypatch, p):
-    # the general route forms Z = L^-1 B without L, so L Z is the printed B
+    # the doubles form Z = L^-1 B without L, so L Z is the printed B.  The
+    # colored route maps the channels onto L_c through <J_(p-2-r)> = <J_r>
+    # at odd p, so its synthetic scalars keep that symmetry; without it
+    # the colored product misses the printed B
     import tvskein.tqft as tqft
-    from tvskein.tqft import colored_B_matrix, general_L_matrix, general_matrix
+    from tvskein.tqft import (colored_L_matrix, colored_matrix,
+                              general_L_matrix, general_matrix)
+    real = tqft._scalars("U")
+
+    def use(s):
+        monkeypatch.setattr(tqft, "_scalars", lambda ref: s)
+        return s
+
     for seed in (None, 1):
-        s = tqft._scalars("U") if seed is None else _SyntheticScalars(seed)
-        monkeypatch.setattr(tqft, "_scalars", lambda ref, s=s: s)
-        # L^-1 is cached per (J, p, c); the patched scalars build it cold
-        tqft._pairing.cache_clear()
+        s = use(real if seed is None else _SyntheticScalars(seed))
         lm = general_L_matrix("U", p)
         for k in (-3, 2, p + 1):
             assert _entries(lm * general_matrix("U", k, p)) == \
                 _literal_general_B(s, k, p), (p, seed, k)
+        if seed is not None and p % 2:
+            lc = colored_L_matrix("U", p, 2)
+            assert _entries(lc * colored_matrix("U", -1, p, 2)) != \
+                _literal_colored_B(s, -1, p, 2), p
+            s = use(_SyntheticScalars(seed, p))
+        lc = colored_L_matrix("U", p, 2)
         for k in (-1, 3):
-            assert _entries(colored_B_matrix("U", k, p, 2)) == \
+            assert _entries(lc * colored_matrix("U", k, p, 2)) == \
                 _literal_colored_B(s, k, p, 2), (p, seed, k)
-    tqft._pairing.cache_clear()
+
+
+@pytest.mark.parametrize("j_name, levels", [
+    ("U", (5, 7, 8, 9, 10, 11, 13)), ("RT", (5, 7, 8, 9, 10, 11, 13)),
+    ("LT", (5, 7, 8, 9, 10, 11, 13)), ("F8", range(5, 11)),
+    ("RT#LT", range(5, 11))])
+def test_colored_matrix_equals_inverse_oracle(j_name, levels):
+    # L_c^-1 B, formed without L_c, against B L_c^-1 with the first
+    # channel sum formed and L_c inverted: Gamma, D, flat rank and period
+    # for every even color, and the similarity class of the flat part
+    # wherever it is at most 6 x 6
+    for p in levels:
+        for c in range(2, ColorData.at(p).q, 2):
+            for k in (-p, -1, 2, p + 1):
+                got = colored_double_invariant(j_name, k, p, c)
+                want = colored_double_by_inverse(j_name, k, p, c)
+                assert (got.gamma, got.constant_term, got.flat_rank,
+                        got.period) == (want.gamma, want.constant_term,
+                                        want.flat_rank, want.period), \
+                    (p, c, k)
+                if got.flat_rank <= 6:
+                    assert got.invariant_factors == \
+                        want.invariant_factors, (p, c, k)
+
+
+def test_simple_current_symmetry_and_channel_scale():
+    # the colored route reads <J_(p-2-r)>_p = <J_r>_p at odd p for the
+    # atlas knots, their PD codes, RT#LT and random braid knots: at every
+    # odd p <= 13 on 1 and 2 strands, and at p <= 9 on 3 strands (p = 11
+    # asks for colors 8 and 9 there, and would triple the test's time)
+    knots = [knot_scalars(name) for name in (*ATLAS_BRAIDS, "RT#LT")]
+    knots += [knot_scalars(pd) for pd in ATLAS_PD.values()]
+    knots += [KnotScalars("<braid>", braid=braid)
+              for braid in dict.fromkeys(RANDOM_KNOTS)]
+    for s in knots:
+        top = 13 if s.braid is None or s.braid[0] <= 2 else 9
+        for p in range(3, top + 1, 2):
+            for r in range(p - 1):
+                assert s.at(r, p) == s.at(p - 2 - r, p), (s.name, p, r)
+    # every term of the first channel sum is D_t times the term of L_c at
+    # the simple-current image (r, i, t) -> (p - 2 - r, i, p - 2 - t) of
+    # an odd channel t at odd p, and the same term of L_c (D_t = 1) at an
+    # even t or an even p, whose channels are the colors of S(c)
+    from tvskein.recoupling import qfact, tet, theta
+    from tvskein.tqft import _current_scale, _twist
+    for p in range(3, 14):
+        cd, ft = ColorData.at(p), _twist(p)
+        for c in range(2, cd.q, 2):
+            S = cd.S(c)
+            chans = [t for t in range(constants(p).n) if cd.small(c, t, t)]
+            image = {t: t if t in S else p - 2 - t for t in chans}
+            assert sorted(image.values()) == S, (p, c)
+            for t, u in image.items():
+                scale, h = _current_scale(p, c, t), c // 2
+                if u != t:
+                    form = qfact(t + h + 1, p) * qfact(t - h, p) \
+                        / (qfact(t, p) * qfact(t + 1, p))
+                    assert scale == (-form if h % 2 else form), (p, c, t)
+                else:
+                    assert scale == CycloElem.one(p), (p, c, t)
+                for i in S:
+                    rs = [r for r in cd.colors() if cd.small(i, r, t)]
+                    assert [r for r in cd.colors() if cd.small(i, r, u)] == \
+                        sorted(r if u == t else p - 2 - r for r in rs)
+                    for r in rs:
+                        v = r if u == t else p - 2 - r
+                        first = ft(r, i, t) / theta(r, i, t, p) \
+                            * tet(c, i, i, r, t, t, p)
+                        pair = ft(v, i, u) / theta(v, i, u, p) \
+                            * tet(c, u, u, v, i, i, p)
+                        assert first == scale * pair, (p, c, t, i, r)
 
 
 def test_numeric_eigen_lazy(monkeypatch):
@@ -576,28 +666,28 @@ def test_singular_pairing_is_unsupported(monkeypatch):
 
 
 def _recorded_colored_weights(monkeypatch, p, c, k):
-    """(kind, value, (r, i, t)) for every weight that colored_L_matrix
-    and colored_B_matrix evaluate at (p, c, k)."""
+    """(caller, value, (r, i, t)) for every weight that colored_L_matrix
+    and colored_matrix evaluate at (p, c, k), labelled by the function
+    that passed it to _channel_sums."""
+    import sys
+
     import tvskein.tqft as tqft
     real = tqft._channel_sums
     seen = []
 
-    def recorded(kind, weight):
+    def spy(s, p, cd, left, right, weight):
+        caller = sys._getframe(1).f_code.co_name
+
         def call(r, i, t):
             val = weight(r, i, t)
-            seen.append((kind, val, (r, i, t)))
+            seen.append((caller, val, (r, i, t)))
             return val
-        return call
-
-    def spy(s, p, cd, left, right, *weights):
-        kinds = ("L",) if len(weights) == 1 else ("first", "second")
-        return real(s, p, cd, left, right,
-                    *(recorded(n, w) for n, w in zip(kinds, weights)))
+        return real(s, p, cd, left, right, call)
 
     with monkeypatch.context() as m:
         m.setattr(tqft, "_channel_sums", spy)
         tqft.colored_L_matrix("U", p, c)
-        tqft.colored_B_matrix("U", k, p, c)
+        tqft.colored_matrix("U", k, p, c)
     return seen
 
 
@@ -613,20 +703,22 @@ def test_level_recoupling_equals_QA_then_reduce(monkeypatch):
             for kind, val, (r, i, t) in _recorded_colored_weights(
                     monkeypatch, p, c, k):
                 th = (r, i, t)
-                te = (c, t, t, r, i, i) if kind == "L" else (c, i, i, r, t, t)
-                assert theta(*th, p) == _frac_to_kp(theta(*th), p), (p, th)
-                assert tet(*te, p) == _frac_to_kp(tet(*te), p), (p, te)
-                if kind == "second":
-                    qa = tet(*te) / theta(*th) / theta(c, t, t)
-                    twist = full_twist(r, i, t) ** (k % (2 * p))
-                else:
+                if kind == "colored_L_matrix":
+                    te = (c, t, t, r, i, i)
                     qa = LaurentFrac(full_twist(r, i, t)) / theta(*th) \
                         * tet(*te)
                     twist = LaurentPoly.one()
+                else:
+                    assert kind == "colored_matrix", kind
+                    te = (c, i, i, r, t, t)
+                    qa = tet(*te) / theta(*th) / theta(c, t, t)
+                    twist = full_twist(r, i, t) ** (k % (2 * p))
+                assert theta(*th, p) == _frac_to_kp(theta(*th), p), (p, th)
+                assert tet(*te, p) == _frac_to_kp(tet(*te), p), (p, te)
                 want = _frac_to_kp(qa, p) * reduce_to_kp(twist, p)
                 assert val == want, (p, c, kind, r, i, t)
                 checked.add((p, c, kind, r, i, t))
-    assert len(checked) == 168
+    assert len(checked) == 112
 
 
 def test_twist_weights_are_monomials():
@@ -668,7 +760,8 @@ def test_colored_double_forms_no_QA_value(monkeypatch):
 
 def test_colored_pairing_built_once_per_level_and_color(monkeypatch):
     # L does not depend on the twist: two twists at (p, c) = (7, 2) build
-    # it once, and the cached L^-1 gives the values of a cold build
+    # it once, and the cached verdict that it is nonsingular gives the
+    # values of a cold build
     import tvskein.tqft as tqft
     tqft._pairing.cache_clear()
     real, calls = tqft.colored_L_matrix, []
