@@ -223,7 +223,7 @@ def suite_tensor512():
 
 
 def suite_appendixA():
-    from .oracles import MPoly, MPolyRing
+    from .mpoly import MPoly, MPolyRing
     out = []
     r4 = MPolyRing(4)
     a0, a1, b0, b1 = (MPoly.var(4, i) for i in range(4))

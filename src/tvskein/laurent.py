@@ -154,15 +154,18 @@ class LaurentPoly:
         return _as_laurent(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return LaurentPoly()
-            out = LaurentPoly.__new__(LaurentPoly)
-            out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
-        other = _as_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not LaurentPoly:
+            # LaurentPoly first: isinstance against Fraction runs the ABC
+            # machinery
+            if isinstance(other, (int, Fraction)):
+                if not other:
+                    return LaurentPoly()
+                out = LaurentPoly.__new__(LaurentPoly)
+                out.terms = {e: c * other for e, c in self.terms.items()}
+                return out
+            other = _as_laurent(other)
+            if other is NotImplemented:
+                return NotImplemented
         d = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

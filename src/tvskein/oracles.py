@@ -8,8 +8,9 @@ Each oracle below says what it shares with the code it checks.
   construction by ``poly_gcd`` (a primitive PRS over Z), and its ring
   descriptor ``QA``.  The tests redo linear algebra over it, and the web
   evaluations divide in it.
-* ``MPoly``, polynomials over Q in a few variables, for the symbolic
-  composed products of Appendix A.
+* ``MPoly`` and ``MPolyRing``, polynomials over Q in a few variables for
+  the symbolic composed products, re-exported from ``mpoly``, where the
+  ``appendixA`` suite of ``golden`` reads them without this module.
 * The Temperley-Lieb algebra TL_n over Z[A,A^-1], the Jones-Wenzl
   projectors (``jones_wenzl``) and the web evaluations ``theta_web`` and
   ``tet_web`` of the closed theta and Tet formulas in ``recoupling``.
@@ -60,6 +61,7 @@ from .laurent import (ONE, LaurentPoly, QFactored, _as_laurent, _coeff_div,
                       _power, mu_eig, quantum_int)
 from .matring import (RingMatrix, berkowitz_charpoly, flat_decompose,
                       inverse, normalized_charpoly, rank)
+from .mpoly import MPoly, MPolyRing  # noqa: F401 (re-exported)
 from .polyalg import PowerSumSeries, RingPoly
 from .recoupling import ColorError, _check_adm, tet, theta
 from .rings import Ring, kp_field
@@ -308,148 +310,6 @@ class LaurentFracField(Ring):
 
 
 QA = LaurentFracField()
-
-
-# -- polynomials in several variables -----------------------------------------
-
-
-class MPoly:
-    """Sparse multivariate polynomial over Q, for symbolic identities."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        d = {}
-        if terms:
-            for m, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = Fraction(c)
-                if m in d:
-                    c = d[m] + c
-                if c:
-                    d[m] = c
-                elif m in d:
-                    del d[m]
-        self.terms = d
-
-    @staticmethod
-    def var(nvars, i):
-        m = tuple(1 if j == i else 0 for j in range(nvars))
-        return MPoly(nvars, {m: 1})
-
-    @staticmethod
-    def const(nvars, c):
-        return MPoly(nvars, {tuple([0] * nvars): c})
-
-    def _co(self, other):
-        if isinstance(other, MPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MPoly.const(self.nvars, other)
-        return None
-
-    def __add__(self, other):
-        other = self._co(other)
-        if other is None:
-            return NotImplemented
-        d = dict(self.terms)
-        for m, c in other.terms.items():
-            s = d.get(m, 0) + c
-            if s:
-                d[m] = s
-            elif m in d:
-                del d[m]
-        out = MPoly(self.nvars)
-        out.terms = d
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = MPoly(self.nvars)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        other = self._co(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._co(other) - self
-
-    def __mul__(self, other):
-        other = self._co(other)
-        if other is None:
-            return NotImplemented
-        d = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = d.get(m, 0) + c1 * c2
-                if s:
-                    d[m] = s
-                elif m in d:
-                    del d[m]
-        out = MPoly(self.nvars)
-        out.terms = d
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = self._co(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = "abcdefgh"
-        parts = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            mono = "*".join(f"{names[i]}^{e}" if e > 1 else names[i]
-                            for i, e in enumerate(m) if e)
-            if mono:
-                parts.append(f"{c}*{mono}" if c != 1 else mono)
-            else:
-                parts.append(str(c))
-        return " + ".join(parts)
-
-
-class MPolyRing(Ring):
-    is_field = False
-
-    def __init__(self, nvars):
-        self.nvars = nvars
-        self.name = f"Q[{nvars} vars]"
-
-    @property
-    def zero(self):
-        return MPoly(self.nvars)
-
-    @property
-    def one(self):
-        return MPoly.const(self.nvars, 1)
-
-    def coerce(self, x):
-        if isinstance(x, MPoly):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return MPoly.const(self.nvars, x)
-        raise TypeError(f"cannot coerce {x!r}")
 
 
 # -- Temperley-Lieb algebra over Z[A,A^-1] ------------------------------------

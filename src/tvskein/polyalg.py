@@ -20,8 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import exp, gcd, log
 
-from .cyclo import (CycloElem, InvariantCheckError, _galois, cyclotomic_poly,
-                    level_degree)
+from .cyclo import (CycloElem, InvariantCheckError, _a_powers, _galois,
+                    _mul_vec, cyclotomic_poly, level_degree)
 from .laurent import _power
 from .rings import QQ, CycloField
 
@@ -414,23 +414,62 @@ def _numeric_simple(gamma):
 def root_periodicity(gamma):
     """Least m with every root of gamma an m-th root of unity, else None.
 
-    Decided exactly, with no bound on m.  Galois conjugation keeps the
-    order of a root of unity, so gamma has the period of its norm
-    N in Q[x] from its field of definition (``_rational_norm``), which is
-    tested for being a product of cyclotomic polynomials
-    (Bradford-Davenport, "Effective tests for cyclotomic polynomials",
-    1988): a non-integral N has a root that is no root of unity;
-    otherwise every Phi_m with phi(m) <= deg is divided out as often as
-    it divides, anything left over means None, and the period is the lcm
-    of the m divided out.
+    Decided exactly, with no bound on m.  Over k_p two necessary
+    conditions on gamma's own coefficients c_0 .. c_r come first
+    (``_unit_roots_possible``); most gamma without a period fail one of
+    them, and get None with no power sum:
+
+    1. c_0 = A_p^e for some e: c_0 is (-1)^r times the product of the
+       roots, a root of unity in k_p = Q(A_p), and those are exactly
+       the A_p^e.  Roots of unity are algebraic integers, so every c_i
+       is integral too.
+    2. bar(c_i) = A_p^-e c_(r-i): under every embedding bar is complex
+       conjugation, which sends a root of unity lambda to 1 / lambda,
+       so bar(gamma) = x^r gamma(1/x) / c_0.
+
+    Otherwise Galois conjugation keeps the order of a root of unity, so
+    gamma has the period of its norm N in Q[x] from its field of
+    definition (``_rational_norm``), which is tested for being a product
+    of cyclotomic polynomials (Bradford-Davenport, "Effective tests for
+    cyclotomic polynomials", 1988): a non-integral N has a root that is
+    no root of unity; otherwise every Phi_m with phi(m) <= deg is divided
+    out as often as it divides, anything left over means None, and the
+    period is the lcm of the m divided out.
     """
     if not gamma.is_monic() or not gamma.constant_term():
         raise ValueError("periodicity needs a monic polynomial with "
                          "nonzero constant term")
+    if isinstance(gamma.ring, CycloField) and \
+            not _unit_roots_possible(gamma.ring.p, gamma.coeffs):
+        return None
     norm = _rational_norm(gamma)
     if norm is None:
         return None
     return _cyclotomic_period(norm)
+
+
+def _unit_roots_possible(p, coeffs):
+    """Conditions 1 and 2 of ``root_periodicity`` on a monic gamma over
+    k_p: c_0 = A_p^e, and bar(c_i) = A_p^-e c_(r-i) over integral pairs
+    for 1 <= i <= r / 2 (the pairs with i > r / 2 are their bars).  The
+    coefficient pairs are multiplied only once c_0 has passed."""
+    c0 = coeffs[0]
+    e = _unit_exponents(p).get(c0.num) if c0.den == 1 else None
+    if e is None:
+        return False
+    unit, r = _a_powers(p)[-e % (2 * p)], len(coeffs) - 1
+    for i in range(1, r // 2 + 1):
+        a, b = coeffs[i], coeffs[r - i]
+        if a.den != 1 or b.den != 1 or \
+                _galois(p, a.num, -1) != _mul_vec(p, unit, b.num):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _unit_exponents(p):
+    """{reduced vector of A_p^e: e} for e = 0 .. 2p - 1."""
+    return {vec: e for e, vec in enumerate(_a_powers(p))}
 
 
 def _rational_norm(gamma):

@@ -6,8 +6,8 @@ a descriptor only supplies the ring constants, coercion from integers,
 ``axpy``, the one row update of elimination.
 This keeps the polynomial and matrix code generic over Q, Z[A,A^-1] and
 the cyclotomic levels k_p.
-The oracles add Q(A) and polynomials in several variables
-(``oracles.QA``, ``oracles.MPolyRing``).
+The oracles add Q(A) (``oracles.QA``), and ``mpoly`` polynomials in
+several variables (``mpoly.MPolyRing``).
 """
 
 from __future__ import annotations

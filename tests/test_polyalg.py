@@ -1,12 +1,13 @@
 import cmath
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from tvskein import polyalg
 from tvskein.cyclo import CycloElem, cyclotomic_poly
+from tvskein.data import example45_word
 from tvskein.matring import RingMatrix, berkowitz_charpoly
 from tvskein.oracles import (MPoly, MPolyRing, full_rational_norm,
                              trace_powers)
@@ -14,7 +15,7 @@ from tvskein.polyalg import (InvariantCheckError, NormUnavailable, RingPoly,
                              numeric_roots, power_sums, root_periodicity,
                              tensor_product)
 from tvskein.rings import QQ, kp_field
-from tvskein.tqft import double_invariant
+from tvskein.tqft import double_invariant, tangle_invariant
 
 
 def test_power_sums_symbolic():
@@ -386,18 +387,81 @@ def _prime_divisors(m):
             if m % q == 0 and all(q % r for r in range(2, q))]
 
 
-@pytest.mark.parametrize("j_ref,k,expect", [("U", 4, 15), ("U", 1, 10),
-                                            ("RT", 0, None)])
-def test_root_periodicity_divisibility_oracle(j_ref, k, expect):
-    gamma = double_invariant(j_ref, k, 5).gamma
+# period-less Gamma: every Gamma_5 table double, U at the two classes of
+# the levels workload without a period, and Example 4.5 at p = 7
+PERIODLESS = ([(j, k, 5) for j in ("RT", "LT", "F8", "RT#LT")
+               for k in range(5)]
+              + [("U", 3, 5), ("U", 3, 7), ("example45", None, 7)])
+PERIOD_CASES = ([("U", 4, 5, 15), ("U", 1, 5, 10)]
+                + [case + (None,) for case in PERIODLESS])
+
+
+# ids name the level only where it is not 5
+@pytest.mark.parametrize("j_ref,k,p,expect", PERIOD_CASES, ids=[
+    "-".join(map(str, (j, k) + ((f"p{p}",) if p != 5 else ()) + (m,)))
+    for j, k, p, m in PERIOD_CASES])
+def test_root_periodicity_divisibility_oracle(j_ref, k, p, expect):
+    if j_ref == "example45":
+        gamma = tangle_invariant(example45_word(), p)[1].gamma
+    else:
+        gamma = double_invariant(j_ref, k, p).gamma
     m = root_periodicity(gamma)
     assert m == expect
     if m is None:
         assert not any(_divides_unit_power(gamma, n) for n in range(1, 41))
+        # rejected from its own coefficients, before the norm
+        assert not polyalg._unit_roots_possible(p, gamma.coeffs)
         return
     assert _divides_unit_power(gamma, m)
     assert not any(_divides_unit_power(gamma, m // q)
                    for q in _prime_divisors(m))
+
+
+def test_period_less_companion_doubles_need_no_norm(monkeypatch):
+    # the 20 doubles of the Gamma_5 tables have no period, and conditions
+    # 1 and 2 of root_periodicity show it without the norm
+    def no_norm(gamma):
+        raise AssertionError("the norm was taken")
+
+    monkeypatch.setattr(polyalg, "_rational_norm", no_norm)
+    for j_ref in ("RT", "LT", "F8", "RT#LT"):
+        for k in range(5):
+            assert double_invariant(j_ref, k, 5).period is None, (j_ref, k)
+
+
+def _unit_root_gamma(rnd, p):
+    """A random monic Gamma over k_p whose roots are roots of unity, from
+    factors x - A^e, x^2 - (A^a + A^-a) x + 1 and Phi_m(x), and the lcm
+    of the orders of its roots."""
+    ring, n = kp_field(p), 2 * p
+    gamma, period = RingPoly.one(ring), 1
+    for _ in range(rnd.randint(1, 3)):
+        kind = rnd.randrange(3)
+        if kind == 2:
+            m = rnd.choice([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12])
+            factor, order = RingPoly(ring, cyclotomic_poly(m)), m
+        else:
+            a = rnd.randrange(n)
+            u, ubar = CycloElem.a_power(p, a), CycloElem.a_power(p, -a)
+            factor = (RingPoly(ring, [-u, ring.one]) if kind == 0 else
+                      RingPoly(ring, [ring.one, -(u + ubar), ring.one]))
+            order = n // gcd(a, n)
+        gamma, period = gamma * factor, lcm(period, order)
+    return gamma, period
+
+
+@pytest.mark.parametrize("p", range(1, 14))
+def test_unit_root_gamma_passes_the_coefficient_conditions(p):
+    rnd = random.Random(290 + p)
+    for _ in range(6):
+        gamma, period = _unit_root_gamma(rnd, p)
+        assert polyalg._unit_roots_possible(p, gamma.coeffs), str(gamma)
+        assert root_periodicity(gamma) == period, str(gamma)
+    # integral and reciprocal with c_0 = 1: it passes both conditions, and
+    # only the norm shows its real roots (3 +- sqrt 5) / 2 off the circle
+    gamma = RingPoly(kp_field(p), [1, -3, 1])
+    assert polyalg._unit_roots_possible(p, gamma.coeffs)
+    assert root_periodicity(gamma) is None
 
 
 # -- the norm from Gamma's field of definition ---------------------------------

@@ -123,6 +123,19 @@ def test_double_command_loads_neither_numpy_nor_golden():
     assert res.stdout.splitlines()[-1] == "0 []", res.stdout
 
 
+def test_appendix_a_check_loads_no_oracles():
+    # the symbolic composed products need MPoly alone, not the compile of
+    # the oracles module, which sets the peak memory of a check command
+    code = ("import io, sys, tvskein.cli\n"
+            "code = tvskein.cli.run(['check', '--suite', 'appendixA'], "
+            "io.StringIO())\n"
+            "print(code, 'tvskein.oracles' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    res = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines()[-1] == "0 False", res.stdout
+
+
 def test_golden_import_loads_no_oracles():
     # the library benchmark workers import golden; the oracles, the largest
     # module, load only inside the suites that use them
