@@ -355,7 +355,7 @@ def suite_eigen76():
 
 
 def suite_branched8():
-    from .oracles import branched_d1_identity
+    from .identities import branched_d1_identity
     out = []
     a = CycloElem.a_power(5, 1)
     ab = CycloElem.a_power(5, -1)
@@ -414,7 +414,7 @@ def suite_branched8():
 
 
 def suite_witten11():
-    from .oracles import witten_check
+    from .identities import witten_check
     out = []
     for r in (3, 4, 5, 6, 7):
         res = witten_check(r)

@@ -14,8 +14,9 @@ Each oracle below says what it shares with the code it checks.
 * The Temperley-Lieb algebra TL_n over Z[A,A^-1], the Jones-Wenzl
   projectors (``jones_wenzl``) and the web evaluations ``theta_web`` and
   ``tet_web`` of the closed theta and Tet formulas in ``recoupling``.
-  They share the splice kernel ``skein.SkeinEngine`` with the brackets,
-  and none of the quantum-factorial code they check.
+  They share the splice kernel ``skein.SkeinEngine``, and its
+  process-wide splice memo, with the brackets, and none of the
+  quantum-factorial code they check.
 * The cabled colored bracket ``cable_colored_bracket``: the blackboard
   cable of a zero-writhe slice word with one projector inserted.  It
   checks ``skein.colored_bracket``, which works in the fusion basis, and
@@ -32,9 +33,10 @@ Each oracle below says what it shares with the code it checks.
   it in k_p), the Catalan numbers, and <J> and [[J]] from a Kauffman
   polynomial (``scalars_from_kauffman``).
 * Identities of the pipeline: D(n) nonsingular at a level by its rank
-  (``ordinary_det_test``), the torus-bundle matrices (``witten_check``),
-  the d = 1 branched trace identity, the period 6p of the Brieskorn
-  spheres and tau_5 of a branched cover.
+  (``ordinary_det_test``), the period 6p of the Brieskorn spheres and
+  tau_5 of a branched cover.  The torus-bundle matrices
+  (``witten_check``) and the d = 1 branched trace identity, which the
+  golden suites check, are in ``identities``.
 * The double's closed forms and splitting, which ``tqft`` once used as
   routes and now checks its one general sum against: the Prop 5.9
   matrix (``z5_matrix``) and color-2 scalar (``z5_color2_scalar``) at
@@ -60,7 +62,7 @@ from .diagram import ATLAS_BRAIDS, DiagramError, SliceWord, braid_closure
 from .laurent import (ONE, LaurentPoly, QFactored, _as_laurent, _coeff_div,
                       _power, mu_eig, quantum_int)
 from .matring import (RingMatrix, berkowitz_charpoly, flat_decompose,
-                      inverse, normalized_charpoly, rank)
+                      inverse, rank)
 from .mpoly import MPoly, MPolyRing  # noqa: F401 (re-exported)
 from .polyalg import PowerSumSeries, RingPoly
 from .recoupling import ColorError, _check_adm, tet, theta
@@ -316,12 +318,10 @@ QA = LaurentFracField()
 # An element of TL_n is a dict {diagram: LaurentPoly} where a diagram is a
 # matching of 2n points: 0..n-1 the inputs (left to right), n..2n-1 the
 # outputs (left to right).  Products, traces, projectors and the web
-# oracles run on one shared skein engine, and so share its splice memo.
+# oracles run on skein engines, which share the process-wide splice memo.
 # Bending the inputs round to the left puts a diagram on a frontier of 2n
 # points, inputs n-1..0 then outputs 0..n-1, and a diagram acting on the
 # outputs is then a splice block at position n.
-
-_ENGINE = SkeinEngine()
 
 
 def _refold(x, n):
@@ -356,7 +356,7 @@ def tl_e(n, i):
 
 def tl_compose(x, y, n):
     """Stack y after x (x's outputs glued to y's inputs)."""
-    return _refold(_ENGINE.insert(_refold(x, n), n, n, y.items()), n)
+    return _refold(SkeinEngine().insert(_refold(x, n), n, n, y.items()), n)
 
 
 @lru_cache(maxsize=None)
@@ -377,9 +377,10 @@ def jones_wenzl(n):
     prev, prev_den = jones_wenzl(n - 1)
     prev = prev.items()
     # f_(n-1) on the first n-1 strands, then e_(n-1) and f_(n-1) again
-    emb = _ENGINE.insert(_refold(tl_identity(n), n), n, n - 1, prev)
-    mid = _ENGINE.cup(_ENGINE.cap(emb, 2 * n - 2), 2 * n - 2)
-    mid = _ENGINE.insert(mid, n, n - 1, prev)
+    eng = SkeinEngine()
+    emb = eng.insert(_refold(tl_identity(n), n), n, n - 1, prev)
+    mid = eng.cup(eng.cap(emb, 2 * n - 2), 2 * n - 2)
+    mid = eng.insert(mid, n, n - 1, prev)
     # loop value of f_k is (-1)^k [k+1], so the Wenzl coefficient
     # -Delta_(n-2)/Delta_(n-1) comes out as +[n-1]/[n]
     scale, coef = prev_den * quantum_int(n), quantum_int(n - 1)
@@ -399,9 +400,9 @@ def jones_wenzl(n):
 
 def tl_trace(x, n):
     """Markov trace: close all strands around."""
-    states = _refold(x, n)
+    eng, states = SkeinEngine(), _refold(x, n)
     for pos in range(n - 1, -1, -1):
-        states = _ENGINE.cap(states, pos)
+        states = eng.cap(states, pos)
     return states.get((), LaurentPoly())
 
 
@@ -473,18 +474,17 @@ def _project(states, den, pos, n):
     if not n:
         return states, den
     terms, f_den = jones_wenzl(n)
-    return _ENGINE.insert(states, pos, n, terms.items()), den * f_den
+    return SkeinEngine().insert(states, pos, n, terms.items()), den * f_den
 
 
 def theta_web(a, b, c):
     """Theta net value by literal web evaluation, in Q(A)."""
     _check_adm(a, b, c)
-    den = LaurentPoly.one()
-    states = _ENGINE.apply_block({(): den}, 0, 0, a + b + c,
-                                 create_block(a, b, c))
+    eng, den = SkeinEngine(), LaurentPoly.one()
+    states = eng.apply_block({(): den}, 0, 0, a + b + c, create_block(a, b, c))
     for pos, col in ((0, a), (a, b), (a + b, c)):
         states, den = _project(states, den, pos, col)
-    states = _ENGINE.apply_block(states, 0, a + b + c, 0, create_block(a, b, c))
+    states = eng.apply_block(states, 0, a + b + c, 0, create_block(a, b, c))
     return LaurentFrac(states.get((), LaurentPoly()), den)
 
 
@@ -492,17 +492,16 @@ def tet_web(A, B, E, D, C, F):
     """Tetrahedral net by literal web evaluation, in Q(A)."""
     for tri in ((A, B, E), (A, C, F), (B, C, D), (E, F, D)):
         _check_adm(*tri)
-    den = LaurentPoly.one()
-    states = _ENGINE.apply_block({(): den}, 0, 0, B + A + E,
-                                 create_block(B, A, E))
+    eng, den = SkeinEngine(), LaurentPoly.one()
+    states = eng.apply_block({(): den}, 0, 0, B + A + E, create_block(B, A, E))
     for pos, col in ((0, B), (B, A), (B + A, E)):
         states, den = _project(states, den, pos, col)
-    states = _ENGINE.apply_block(states, B, A, C + F, split_block(A, C, F))
+    states = eng.apply_block(states, B, A, C + F, split_block(A, C, F))
     for pos, col in ((B, C), (B + C, F)):
         states, den = _project(states, den, pos, col)
-    states = _ENGINE.apply_block(states, 0, B + C, D, merge_block(B, C, D))
+    states = eng.apply_block(states, 0, B + C, D, merge_block(B, C, D))
     states, den = _project(states, den, 0, D)
-    states = _ENGINE.apply_block(states, 0, D + F + E, 0, create_block(D, F, E))
+    states = eng.apply_block(states, 0, D + F + E, 0, create_block(D, F, E))
     return LaurentFrac(states.get((), LaurentPoly()), den)
 
 
@@ -797,12 +796,6 @@ def ordinary_det_test(p, n):
     return rank(dp) == dp.rows
 
 
-def branched_d1_identity(j_ref, k, p):
-    """The d = 1 restriction: the colored traces weighted by <e_2i> sum to 1."""
-    recs = branched_series(j_ref, k, p, [1])
-    return recs[0].normalized == CycloElem.one(p)
-
-
 def brieskorn_periodicity(p, window):
     """Check <Sigma(2,3,c)>_p = <Sigma(2,3,c + 6p)>_p over c in window."""
     period = 6 * p
@@ -813,56 +806,6 @@ def brieskorn_periodicity(p, window):
     by_d = {rec.d: rec.value for rec in series}
     bad = [c for c in window if by_d[c] != by_d[c + period]]
     return period, bad
-
-
-def witten_matrix(knot, r):
-    """The torus-bundle monodromy matrices over k_2r (r >= 3).
-
-    ``knot`` is "RT" or "F8"; entries are indexed 1 <= j, l <= r - 1 and
-    carry the Gauss-sum prefactor.
-    """
-    p = 2 * r
-    ring = kp_field(p)
-    gauss = CycloElem.zero(p)
-    for m in range(1, 4 * r + 1):
-        gauss = gauss + CycloElem.a_power(p, -(m * m))
-    sign = 1 if (r + 1) % 2 == 0 else -1
-    if knot == "RT":
-        pref = CycloElem.a_power(p, 4 - r * r) * Fraction(sign, 4 * r) * gauss
-    elif knot == "F8":
-        pref = CycloElem.a_power(p, -(r * r)) * Fraction(sign, 4 * r) * gauss
-    else:
-        raise ValueError("witten matrices are tabulated for RT and F8")
-    rows = []
-    for j in range(1, r):
-        row = []
-        for l in range(1, r):
-            inner = CycloElem.a_power(p, 2 * l * j) - \
-                CycloElem.a_power(p, -2 * l * j)
-            if knot == "RT":
-                phase = _neg_a_power(p, -(l * l))
-            else:
-                phase = _neg_a_power(p, j * j + 2 * l * l)
-            row.append(pref * phase * inner)
-        rows.append(row)
-    return RingMatrix(ring, rows)
-
-
-def _neg_a_power(p, e):
-    """(-A)^e in k_p."""
-    v = CycloElem.a_power(p, e)
-    return -v if e % 2 else v
-
-
-def witten_check(r):
-    """charpoly(w_r(K)) vs Gamma_2r(K) for K in {RT, F8}."""
-    out = {}
-    for knot, (jref, k) in (("RT", ("U", -1)), ("F8", ("U", 1))):
-        w = witten_matrix(knot, r)
-        cp = normalized_charpoly(w)
-        gam = double_invariant(jref, k, 2 * r).gamma
-        out[knot] = (cp == gam, cp, gam)
-    return out
 
 
 def tau5_value(j_ref, k, d):

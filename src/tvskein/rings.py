@@ -3,7 +3,8 @@
 Elements themselves carry the arithmetic through operator overloading;
 a descriptor only supplies the ring constants, coercion from integers,
 (for field-like rings) inversion, ``dot``, the one sum of products, and
-``axpy``, the one row update of elimination.
+``axpy``, the one row update of elimination.  Z[A,A^-1] and k_p have
+their own fused ``dot``.
 This keeps the polynomial and matrix code generic over Q, Z[A,A^-1] and
 the cyclotomic levels k_p.
 The oracles add Q(A) (``oracles.QA``), and ``mpoly`` polynomials in
@@ -15,11 +16,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclo import CycloElem, _axpy, _dot
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _as_laurent
 
 
 class Ring:
-    """The generic ``dot`` and ``axpy``; k_p has its own kernels."""
+    """The generic ``dot`` and ``axpy``; Z[A,A^-1] has its own ``dot``,
+    and k_p its own kernels."""
 
     def dot(self, xs, ys):
         """sum x * y over the pairs, skipping zero factors."""
@@ -80,6 +82,26 @@ class LaurentRing(Ring):
 
     def bar(self, x):
         return x.bar()
+
+    def dot(self, xs, ys):
+        """sum x * y over the pairs, every product added into one
+        exponent -> coefficient dict and the zeros dropped at the end."""
+        acc = {}
+        get = acc.get
+        for x, y in zip(xs, ys):
+            xt = (x if type(x) is LaurentPoly else _as_laurent(x)).terms
+            if not xt:
+                continue
+            yt = (y if type(y) is LaurentPoly else _as_laurent(y)).terms
+            if not yt:
+                continue
+            for e1, c1 in xt.items():
+                for e2, c2 in yt.items():
+                    e = e1 + e2
+                    acc[e] = get(e, 0) + c1 * c2
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.terms = {e: c for e, c in acc.items() if c}
+        return out
 
 
 class CycloField:

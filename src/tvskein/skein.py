@@ -5,12 +5,14 @@ current frontier, with coefficients in Z[A,A^-1].  Every event -- cup,
 cap, crossing, Jones-Wenzl insertion, a Temperley-Lieb product or trace,
 a closure against a mirrored matching -- is one ``splice`` against the
 frontier through ``SkeinEngine.apply_block``, the one place that
-resolves closed loops into factors of delta = -A^2 - A^-2.  A linear
-combination of blocks (a crossing, a projector, any TL_n element) is
-applied by ``SkeinEngine.insert``.  A knot's colored brackets come from
-its braid in the fusion basis, with no cable and no projector; the
-cable with a Jones-Wenzl projector is their oracle,
-``oracles.cable_colored_bracket``.
+resolves closed loops into factors of delta = -A^2 - A^-2.  ``splice``
+is pure, so its results and the powers of delta are memoised once for
+the whole process, and every engine shares them.  A linear combination
+of blocks (a crossing, a projector, any TL_n element) is applied by
+``SkeinEngine.insert``, which adds every term into one dict.  A knot's
+colored brackets come from its braid in the fusion basis, with no cable
+and no projector; the cable with a Jones-Wenzl projector is their
+oracle, ``oracles.cable_colored_bracket``.
 
 The crossing convention is fixed by the engine's twist bookkeeping:
 
@@ -148,31 +150,37 @@ _CROSS_TERMS = {True: ((_ID2, _A), (_TURN, _Ainv)),
                 False: ((_ID2, _Ainv), (_TURN, _A))}
 
 
+# The splice memo of every engine: for each (p, c_in, c_out, block), a
+# matching -> (spliced matching, loop count) dict.  Like the
+# ``braid_block``, theta and Tet caches it is unbounded.
+_SPLICES = {}
+_DELTA_POWERS = [LaurentPoly.one(), DELTA]
+
+
+def _delta_power(k):
+    while len(_DELTA_POWERS) <= k:
+        _DELTA_POWERS.append(_DELTA_POWERS[-1] * DELTA)
+    return _DELTA_POWERS[k]
+
+
 class SkeinEngine:
     """Evaluate slice programs over Z[A,A^-1].
 
-    ``splice`` is a pure function, so the engine remembers its result for
-    each (matching, block) it has met, and delta^k for each loop count k;
-    both go away with the engine.
+    Every engine reads and fills the process-wide splice memo and powers
+    of delta, so a word splices only the (matching, block) pairs that no
+    engine has met before.
     """
 
-    def __init__(self):
-        self._delta_powers = [LaurentPoly.one(), DELTA]
-        self._splices = {}
+    def apply_block(self, states, p, c_in, c_out, block, factor=None, *,
+                    out=None):
+        """Splice ``block`` into every state, times ``factor``.
 
-    def _merge(self, states, matching, coeff):
-        cur = states.get(matching)
-        states[matching] = coeff if cur is None else cur + coeff
-
-    def _delta_power(self, k):
-        powers = self._delta_powers
-        while len(powers) <= k:
-            powers.append(powers[-1] * powers[1])
-        return powers[k]
-
-    def apply_block(self, states, p, c_in, c_out, block, factor=None):
-        spliced = self._splices.setdefault((p, c_in, c_out, block), {})
-        out = {}
+        The spliced states are added into the dict ``out`` when it is
+        given (``insert`` sums its terms so), and ``out`` is returned.
+        """
+        spliced = _SPLICES.setdefault((p, c_in, c_out, block), {})
+        if out is None:
+            out = {}
         for m, coeff in states.items():
             hit = spliced.get(m)
             if hit is None:
@@ -182,22 +190,21 @@ class SkeinEngine:
             if factor is not None:
                 val = val * factor
             if loops:
-                val = val * self._delta_power(loops)
+                val = val * _delta_power(loops)
             if val:
-                self._merge(out, nm, val)
+                cur = out.get(nm)
+                out[nm] = val if cur is None else cur + val
         return out
 
     def insert(self, states, pos, n, terms):
         """Apply sum c * block over the (block, c) pairs of a TL_n element.
 
         Each block consumes the n frontier points from ``pos`` on and
-        produces n new ones in their place.
+        produces n new ones in their place; every term adds into one dict.
         """
         out = {}
         for block, coeff in terms:
-            for m, c in self.apply_block(states, pos, n, n, block,
-                                         coeff).items():
-                self._merge(out, m, c)
+            self.apply_block(states, pos, n, n, block, coeff, out=out)
         return {m: c for m, c in out.items() if c}
 
     def cap(self, states, pos):

@@ -9,7 +9,7 @@ from tvskein.laurent import (A, DELTA, MU, LaurentPoly, QFactored, _phi4,
 from tvskein.matring import RingMatrix
 from tvskein.oracles import LaurentFrac, poly_gcd
 from tvskein.polyalg import RingPoly
-from tvskein.rings import QQ, kp_field
+from tvskein.rings import QQ, ZA, Ring, kp_field
 
 
 def test_binomial_square():
@@ -55,6 +55,41 @@ def test_ring_axioms_random():
         assert (x * y) * z == x * (y * z)
         assert x.bar().bar() == x
         assert (x * y).bar() == x.bar() * y.bar()
+
+
+def test_fused_dot_equals_the_generic_sum():
+    # ZA.dot adds every product into one exponent -> coefficient dict; it
+    # must equal the generic sum of products, with zero, int and Fraction
+    # entries among the polynomials
+    rnd = random.Random(7)
+
+    def coeff():
+        c = rnd.randint(-4, 4)
+        return Fraction(c, rnd.randint(1, 3)) if rnd.random() < 0.3 else c
+
+    def entry():
+        kind = rnd.randrange(6)
+        if kind == 0:
+            return LaurentPoly()
+        if kind == 1:
+            return rnd.randint(-3, 3)
+        if kind == 2:
+            return coeff()
+        return LaurentPoly({rnd.randint(-6, 6): coeff()
+                            for _ in range(rnd.randint(1, 4))})
+
+    for _ in range(400):
+        n = rnd.randint(0, 6)
+        xs, ys = [entry() for _ in range(n)], [entry() for _ in range(n)]
+        got = ZA.dot(xs, ys)
+        assert type(got) is LaurentPoly and all(got.terms.values())
+        assert got == Ring.dot(ZA, xs, ys), (xs, ys)
+    # terms that cancel leave no zero coefficient behind
+    x = LaurentPoly({-2: 3, 1: Fraction(1, 2)})
+    for xs, ys in (([x, -x], [A, A]), ([A, -1], [A ** -1, 1]),
+                   ([Fraction(1, 2), Fraction(1, 2), -1], [x, x, x]),
+                   ([0, x], [x, 0]), ([], [])):
+        assert ZA.dot(xs, ys).terms == {}
 
 
 def test_exact_div():

@@ -508,8 +508,9 @@ def test_transfer_vs_statesum_corpus():
 
 
 def test_splice_memo_matches_direct_splices(monkeypatch):
-    # one engine, its splice memo shared across 50 random words and run
-    # twice, against an engine per token, whose splices all run afresh
+    # the process-wide splice memo, shared across 50 random words, against
+    # an empty memo per token, whose splices all run afresh; a second pass
+    # over the words splices nothing
     import tvskein.skein as skein
     calls = []
     real = skein.splice
@@ -526,16 +527,20 @@ def test_splice_memo_matches_direct_splices(monkeypatch):
     for w in words:
         states = {m: ZA.one for m in matchings(w.bottom // 2)}
         for tok in w.tokens:
+            monkeypatch.setattr(skein, "_SPLICES", {})
             states = SkeinEngine().run_tokens(states, [tok])
         direct.append(states)
     n_direct = len(calls)
-    eng = SkeinEngine()
+    monkeypatch.setattr(skein, "_SPLICES", {})
+    counts = []
     for _ in range(2):
         for w, want in zip(words, direct):
             start = {m: ZA.one for m in matchings(w.bottom // 2)}
-            assert eng.run_tokens(start, w.tokens) == want
-    assert len(calls) - n_direct < n_direct
-    assert len(calls) - n_direct == len(set(calls[n_direct:]))
+            assert SkeinEngine().run_tokens(start, w.tokens) == want
+        counts.append(len(calls) - n_direct - sum(counts))
+    assert 0 < counts[0] < n_direct
+    assert counts[0] == len(set(calls[n_direct:]))
+    assert counts[1] == 0
 
 
 def all_pairings(points):

@@ -124,27 +124,33 @@ def test_double_command_loads_neither_numpy_nor_golden():
 
 
 def test_appendix_a_check_loads_no_oracles():
-    # the symbolic composed products need MPoly alone, not the compile of
-    # the oracles module, which sets the peak memory of a check command
-    code = ("import io, sys, tvskein.cli\n"
-            "code = tvskein.cli.run(['check', '--suite', 'appendixA'], "
+    # no check suite compiles the oracles module, which sets the peak
+    # memory of a check command: the symbolic composed products need MPoly
+    # alone, and branched8 and witten11 read ``identities``
+    code = ("import io, sys, tvskein.cli, tvskein.golden\n"
+            "for name in tvskein.golden.SUITES:\n"
+            "    code = tvskein.cli.run(['check', '--suite', name], "
             "io.StringIO())\n"
-            "print(code, 'tvskein.oracles' in sys.modules)\n")
+            "    print(name, code, 'tvskein.oracles' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     res = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                          capture_output=True, text=True, check=True)
-    assert res.stdout.splitlines()[-1] == "0 False", res.stdout
+    from tvskein.golden import SUITES
+    assert res.stdout.splitlines() == [f"{name} 0 False" for name in SUITES], \
+        res.stdout
 
 
 def test_golden_import_loads_no_oracles():
     # the library benchmark workers import golden; the oracles, the largest
-    # module, load only inside the suites that use them
+    # module, and the helpers of the check suites load only inside the
+    # suites that use them
     code = ("import sys, tvskein.golden\n"
-            "print('tvskein.oracles' in sys.modules)\n")
+            "print(sorted({'tvskein.oracles', 'tvskein.identities',\n"
+            "              'tvskein.mpoly'} & set(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     res = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                          capture_output=True, text=True, check=True)
-    assert res.stdout.splitlines()[-1] == "False", res.stdout
+    assert res.stdout.splitlines()[-1] == "[]", res.stdout
 
 
 def test_names_perfbench_reads_exist(monkeypatch):
@@ -241,6 +247,13 @@ def test_one_dot_kernel_per_ring():
               if isinstance(node, ast.FunctionDef) and node.name == "_row_dot"]
     assert not found, found
     assert "_row_dot" not in (SRC / "matring.py").read_text()
+
+
+def test_laurent_ring_has_its_own_dot():
+    # Berkowitz over Z[A,A^-1] sums its products in one dict, not one new
+    # LaurentPoly per product and partial sum as the generic dot does
+    from tvskein.rings import LaurentRing
+    assert "dot" in vars(LaurentRing)
 
 
 def test_fusion_sums_lift_once():
