@@ -4,10 +4,10 @@ twisted doubles, and their cyclic and branched cyclic covers."""
 from .cyclo import CycloElem, constants, reduce_to_kp
 from .diagram import KnotRef, PDCode, SliceWord
 from .laurent import LaurentPoly
-from .matring import RingMatrix
+from .matring import RingMatrix, TVInvariant
 from .polyalg import InvariantCheckError, PowerSumSeries, RingPoly
 from .skein import bracket_pd, bracket_word, closure_B, knot_scalars, transfer_Q
-from .tqft import (TVInvariant, UnsupportedSpecialization, branched_series,
+from .tqft import (UnsupportedSpecialization, branched_series,
                    colored_double_invariant, connected_sum, cover_series,
                    double_invariant, tangle_invariant)
 

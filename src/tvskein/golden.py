@@ -15,11 +15,12 @@ from math import comb
 
 from .cyclo import CycloElem, reduce_to_kp
 from .laurent import LaurentPoly
+from .matring import flat_decompose
 from .polyalg import RingPoly, power_sums, tensor_product
 from .rings import kp_field
 from .skein import closure_B, transfer_Q
 from .tqft import (branched_series, colored_double_invariant, connected_sum,
-                   cover_series, double_invariant, make_invariant)
+                   cover_series, double_invariant)
 
 
 def _kp(p, text):
@@ -322,7 +323,7 @@ def suite_eigen76():
 
     rt = color_map(-1)
     f8 = color_map(1)
-    lt = {c: make_invariant(inv.matrix.bar(), 5) for c, inv in rt.items()}
+    lt = {c: flat_decompose(inv.matrix.bar()) for c, inv in rt.items()}
     cases = {
         "RT#LT": (connected_sum(rt, lt, 5),
                   RingPoly(k5, [-one, one]) ** 3 * RingPoly(k5, [one, one, one]),

@@ -99,10 +99,6 @@ class LaurentPoly:
     def const(c):
         return LaurentPoly({0: c})
 
-    @staticmethod
-    def monomial(exp, coeff=1):
-        return LaurentPoly({exp: coeff})
-
     # -- structure ----------------------------------------------------
 
     def is_zero(self):

@@ -9,22 +9,24 @@ back-substitute.  Every row update is the ring's ``axpy`` and every
 pivot is inverted once.
 
 ``flat_decompose`` splits an endomorphism Z into its nilpotent part and
-the automorphism induced on the image of its powers; the normalized
-characteristic polynomial of that automorphism, and its constant term,
-are the central invariants of the engine.  The image is taken at the
-Fitting index: with r = deg Gamma the nilpotent part has index at most
-n - r, so the image is image(Z^(n-r)), and Z itself when r = n.  Below
-full rank, Z^(n-r) is formed by products from Z, and one forward
-elimination of [Z^(n-r) | Z^(n-r+1)] gives both the flat basis and the
-matrix of Z on it.
+the automorphism induced on the image of its powers, and returns the
+one invariant record, ``TVInvariant``: Z, the normalized characteristic
+polynomial Gamma of that automorphism, and its matrix.  The image is
+taken at the Fitting index: with r = deg Gamma the nilpotent part has
+index at most n - r, so the image is image(Z^(n-r)), and Z itself when
+r = n.  Below full rank, Z^(n-r) is formed by products from Z, and one
+forward elimination of [Z^(n-r) | Z^(n-r+1)] gives both the flat basis
+and the matrix of Z on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .laurent import _power
-from .polyalg import InvariantCheckError, RingPoly
+from .polyalg import (InvariantCheckError, RingPoly, numeric_roots,
+                      power_sums, root_periodicity)
 from .rings import Ring
 
 
@@ -242,26 +244,66 @@ def solve(mat, rhs):
 # -- flat decomposition -----------------------------------------------------
 
 
-class FlatDecomposition:
-    """Nilpotent/automorphism splitting of a square matrix over a field.
+class TVInvariant:
+    """The invariant of an endomorphism Z over a field: its flat part.
 
-    ``flat_matrix`` is the action on a column basis of image(Z^(n-r)),
-    ``gamma`` the normalized (monic) charpoly and ``constant_term`` its
-    constant term D.
+    ``flat_matrix`` is the action of Z on a column basis of
+    image(Z^(n-r)), and ``gamma`` its normalized (monic) charpoly.  What
+    Gamma determines is read from it: the flat rank r = deg Gamma and the
+    constant term D = Gamma(0).  ``p`` is the level of a matrix over k_p,
+    None over any other ring.  The period, the numeric eigenvalues and the
+    similarity invariants are computed on first read.
     """
 
-    __slots__ = ("flat_rank", "flat_matrix", "gamma", "constant_term")
-
-    def __init__(self, flat_rank, flat_matrix, gamma, constant_term):
-        self.flat_rank = flat_rank
-        self.flat_matrix = flat_matrix
+    def __init__(self, matrix, gamma, flat_matrix):
+        self.matrix = matrix
         self.gamma = gamma
-        self.constant_term = constant_term
+        self.flat_matrix = flat_matrix
 
     def __repr__(self):
-        return (f"FlatDecomposition(flat_rank={self.flat_rank!r}, "
-                f"flat_matrix={self.flat_matrix!r}, gamma={self.gamma!r}, "
-                f"constant_term={self.constant_term!r})")
+        return (f"TVInvariant(matrix={self.matrix!r}, gamma={self.gamma!r}, "
+                f"flat_matrix={self.flat_matrix!r})")
+
+    @property
+    def p(self):
+        return getattr(self.matrix.ring, "p", None)
+
+    @property
+    def flat_rank(self):
+        return self.gamma.degree()
+
+    @property
+    def constant_term(self):
+        return self.gamma.constant_term()
+
+    def power_sums(self, d_max):
+        return power_sums(self.gamma, d_max)
+
+    @cached_property
+    def period(self):
+        """The certified period of the roots of Gamma at a level, or None."""
+        if self.p is None or not self.flat_rank:
+            return None
+        return root_periodicity(self.gamma)
+
+    @cached_property
+    def invariant_factors(self):
+        """Similarity invariants of the flat part.
+
+        The paper's invariant is the similarity class of the flat
+        (non-nilpotent) part of Z(E), which Gamma alone does not fix; these
+        factors are that class, and test_invariant_factors_stable_under_shift
+        checks the theorem with them.  They stay out of the JSON output
+        because a Smith form can take minutes (14 x 14 at a level).
+        """
+        return similarity_invariants(self.flat_matrix) if self.flat_rank else []
+
+    @cached_property
+    def numeric_eigen(self):
+        """Roots of Gamma under A_p -> exp(pi i / p)."""
+        if self.p is None or not self.flat_rank:
+            return []
+        return numeric_roots(self.gamma)
 
 
 def flat_decompose(z):
@@ -287,12 +329,11 @@ def flat_decompose(z):
     gamma = char.normalized()
     r = gamma.degree()
     if n == 0 or r == 0:
-        flat = RingMatrix(ring, [])
-        return FlatDecomposition(0, flat, RingPoly.one(ring), ring.one)
+        return TVInvariant(z, RingPoly.one(ring), RingMatrix(ring, []))
     if r == n:
         if gamma.coeff(n - 1) != -z.trace():
             raise InvariantCheckError("charpoly disagrees with the trace")
-        return FlatDecomposition(n, z, gamma, gamma.constant_term())
+        return TVInvariant(z, gamma, z)
     zk = z
     for _ in range(n - r - 1):
         zk = zk * z
@@ -314,10 +355,9 @@ def flat_decompose(z):
     m = RingMatrix(ring, m)
     if berkowitz_charpoly(m) != gamma:
         raise InvariantCheckError("flat charpoly mismatch")
-    d = gamma.constant_term()
-    if not d:
+    if not gamma.constant_term():
         raise InvariantCheckError("normalized charpoly has zero constant term")
-    return FlatDecomposition(r, m, gamma, d)
+    return TVInvariant(z, gamma, m)
 
 
 # -- similarity invariants ---------------------------------------------------

@@ -70,8 +70,8 @@ from .rings import Ring, kp_field
 from .skein import (SkeinEngine, _exact_quotient, bracket_word, knot_scalars,
                     pairing_matrix_D)
 from .tqft import (ColorData, _channel_sums, _twist, branched_series,
-                   colored_L_matrix, double_invariant, make_invariant,
-                   seifert_matrix_double, total_signature)
+                   colored_L_matrix, double_invariant, seifert_matrix_double,
+                   total_signature)
 
 
 # -- Q(A): the fraction field -------------------------------------------------
@@ -838,7 +838,7 @@ def _mu1_power(k):
 def z5_matrix(j_ref, k):
     """Prop-5.9 matrix: beta [[1, <J>], [mu^(2k+1) <J>, mu^(2k+1) b_k]]
     with b_k(J) = A^(2k) [[J]] + A^(-6k).  It shares <J> and [[J]] with
-    ``tqft.general_matrix``, and none of its channel sums."""
+    ``tqft._pattern_matrix``, and none of its channel sums."""
     s = knot_scalars(j_ref)
     br = s.at(1, 5)
     bk = CycloElem.a_power(5, 2 * k) * s.at(2, 5) + CycloElem.a_power(5, -6 * k)
@@ -908,7 +908,7 @@ def colored_double_by_inverse(j_ref, k, p, c):
     diag = [pack.beta * pack.bracket_e[t] * mu_k(t, 0, 0) for t in chans]
     b = RingMatrix(ring, [[x * d for x, d in zip(row, diag)] for row in t1]) \
         * RingMatrix(ring, c2).transpose()
-    return make_invariant(b * inverse(colored_L_matrix(j_ref, p, c)), p)
+    return flat_decompose(b * inverse(colored_L_matrix(j_ref, p, c)))
 
 
 def map_i(x, p):
@@ -949,4 +949,4 @@ def tensor_double(j_ref, k, p):
     ring = kp_field(p)
     g2 = inv2.flat_matrix.map(lambda x: map_i(x, ph), ring)
     gh = invh.flat_matrix.map(lambda x: map_j(x, ph), ring)
-    return make_invariant(g2.kron(gh), p)
+    return flat_decompose(g2.kron(gh))

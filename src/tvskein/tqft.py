@@ -14,6 +14,10 @@ sphere values.  Its cross-checks (the Prop 5.9 matrix, the tensor
 splitting at p = 2p', the colored B L_c^-1 with L_c inverted, the
 torus-bundle matrices, the Brieskorn period, tau_5) are in ``oracles``.
 
+Every level-p invariant is the record of ``matring.flat_decompose``,
+``TVInvariant``; the value records ``CoverValue`` and ``BranchedValue``
+store only what they are made from, and read the rest from it.
+
 Levels where the pairing matrix D(n) degenerates (p special with
 respect to n) are rejected with ``UnsupportedSpecialization`` rather
 than guessed at.
@@ -22,15 +26,14 @@ than guessed at.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .cyclo import (CycloElem, UnsupportedSpecialization, _shifts,
                     constants, reduce_to_kp, u_exponent)
 from .diagram import DiagramError, KnotRef
-from .matring import (RingMatrix, berkowitz_charpoly, flat_decompose,
-                      normalized_charpoly, similarity_invariants)
-from .polyalg import (InvariantCheckError, RingPoly, numeric_roots,
-                      power_sums, root_periodicity, tensor_product)
+from .matring import (RingMatrix, TVInvariant, berkowitz_charpoly,
+                      flat_decompose, normalized_charpoly)
+from .polyalg import InvariantCheckError, RingPoly, power_sums, tensor_product
 from .recoupling import ColorError, qfact, tet, theta, unknot_value
 from .rings import kp_field
 from .skein import knot_scalars, transfer_Q
@@ -102,75 +105,6 @@ def ordinary(p, n):
     return p > n + 1
 
 
-# -- invariant records ----------------------------------------------------------
-
-
-class TVInvariant:
-    """Bundled result of a flat decomposition at (or before) a level.
-
-    ``p`` is None before specialization; ``period`` is the certified
-    period of the roots of Gamma, or None.
-    """
-
-    def __init__(self, p, matrix, gamma, constant_term, flat_rank,
-                 flat_matrix, period=None):
-        self.p = p
-        self.matrix = matrix
-        self.gamma = gamma
-        self.constant_term = constant_term
-        self.flat_rank = flat_rank
-        self.flat_matrix = flat_matrix
-        self.period = period
-
-    def __repr__(self):
-        return (f"TVInvariant(p={self.p!r}, matrix={self.matrix!r}, "
-                f"gamma={self.gamma!r}, constant_term={self.constant_term!r}, "
-                f"flat_rank={self.flat_rank!r}, "
-                f"flat_matrix={self.flat_matrix!r}, period={self.period!r})")
-
-    def power_sums(self, d_max):
-        return power_sums(self.gamma, d_max)
-
-    @cached_property
-    def invariant_factors(self):
-        """Similarity invariants of the flat part, computed on first read.
-
-        The paper's invariant is the similarity class of the flat
-        (non-nilpotent) part of Z(E), which Gamma alone does not fix; these
-        factors are that class, and test_invariant_factors_stable_under_shift
-        checks the theorem with them.  They stay out of the JSON output
-        because a Smith form can take minutes (14 x 14 at a level).
-        """
-        return similarity_invariants(self.flat_matrix) if self.flat_rank else []
-
-    @cached_property
-    def numeric_eigen(self):
-        """Roots of Gamma under A_p -> exp(pi i / p), computed on first read."""
-        if self.p is None or not self.flat_rank:
-            return []
-        return numeric_roots(self.gamma)
-
-
-def make_invariant(matrix, p=None):
-    """Flat-decompose a transfer matrix and bundle the invariants."""
-    fd = flat_decompose(matrix)
-    gamma = fd.gamma
-    period = None
-    if p is not None and fd.flat_rank:
-        period = root_periodicity(gamma)
-    return TVInvariant(p=p, matrix=matrix, gamma=gamma,
-                       constant_term=fd.constant_term,
-                       flat_rank=fd.flat_rank, flat_matrix=fd.flat_matrix,
-                       period=period)
-
-
-def trivial_invariant(p):
-    """The class of the identity on a free rank-one module."""
-    ring = kp_field(p)
-    m = RingMatrix.identity(ring, 1)
-    return make_invariant(m, p)
-
-
 # -- tangle invariants -----------------------------------------------------------
 
 
@@ -234,7 +168,7 @@ def tangle_invariant(word, p=None):
         raise UnsupportedSpecialization(f"D(L) vanishes at p={p}")
     ring = kp_field(p)
     qp = q.map(lambda x: reduce_to_kp(x, p), ring)
-    return out, make_invariant(qp, p)
+    return out, flat_decompose(qp)
 
 
 # -- twisted doubles --------------------------------------------------------------
@@ -359,13 +293,6 @@ def _pattern_matrix(j_ref, k, p):
     return RingMatrix(kp_field(p), x)
 
 
-def general_matrix(j_ref, k, p):
-    """L^-1 B(J, k) = beta X: the general doubled-pattern matrix, formed
-    without L (``_pattern_matrix``).  At p = 5 this is the matrix of
-    Prop 5.9."""
-    return _pattern_matrix(j_ref, k, p) * constants(p).beta
-
-
 def double_invariant(j_ref, k, p):
     """Z_p(D_k(J)) as a TVInvariant: the identity at p = 1, the closed
     form at p = 2, and the general doubled-pattern sum at every p >= 3."""
@@ -374,9 +301,9 @@ def double_invariant(j_ref, k, p):
     if p < 1:
         raise ValueError("p >= 1")
     if p == 1:
-        return trivial_invariant(p)
+        return flat_decompose(RingMatrix.identity(kp_field(1), 1))
     if p == 2:
-        return make_invariant(z2_matrix(j_ref, k), 2)
+        return flat_decompose(z2_matrix(j_ref, k))
     return general_double(j_ref, k, p)
 
 
@@ -405,9 +332,8 @@ def general_double(j_ref, k, p):
     z = x * powers[1]
     gamma = RingPoly(x.ring, [c * powers[r - i]
                               for i, c in enumerate(fd.gamma.coeffs)])
-    return TVInvariant(p, z, gamma, gamma.constant_term(), r,
-                       z if r == x.rows else fd.flat_matrix * powers[1],
-                       root_periodicity(gamma) if r else None)
+    return TVInvariant(z, gamma,
+                       z if r == x.rows else fd.flat_matrix * powers[1])
 
 
 @lru_cache(maxsize=None)
@@ -465,7 +391,7 @@ def _current_scale(p, c, t):
 
 def colored_matrix(j_ref, k, p, c):
     """L_c^-1 B(J, k) for an even color c >= 2, formed without L_c as
-    ``general_matrix`` forms beta X.  B = beta T1 diag(<e_t> mu(t)^(2k+1))
+    the plain double forms beta X (``_pattern_matrix``).  B = beta T1 diag(<e_t> mu(t)^(2k+1))
     C2^T over the channels t with (c, t, t) small admissible, T1 = L_c M
     with M[sigma(t), t] = D_t (``_current_scale``), and sigma is one to one
     onto S(c).  So row sigma(t) of L_c^-1 B is beta <e_t> mu(t)^(2k+1) D_t
@@ -498,7 +424,7 @@ def colored_double_invariant(j_ref, k, p, c):
     if not 0 <= c < cd.q:
         raise ColorError(f"color {c} is outside 0..{cd.q - 1} at p={p}")
     if c % 2 == 1:
-        return make_invariant(RingMatrix(kp_field(p), []), p)
+        return flat_decompose(RingMatrix(kp_field(p), []))
     if c == 0:
         return double_invariant(j_ref, k, p)
     s = _scalars(j_ref)
@@ -507,7 +433,7 @@ def colored_double_invariant(j_ref, k, p, c):
             raise UnsupportedSpecialization(
                 f"<J_{e}> vanishes at p={p} (color-{c} pairing singular)")
     _pairing(j_ref, p, c)           # raises if L_c is singular
-    return make_invariant(colored_matrix(j_ref, k, p, c), p)
+    return flat_decompose(colored_matrix(j_ref, k, p, c))
 
 
 # -- connected sums -----------------------------------------------------------------
@@ -540,11 +466,11 @@ def connected_sum(left, right, p, outer_color=0):
             blocks.append(fl.kron(fr))
             gammas.append(tensor_product(left[j].gamma, right[k].gamma))
     if not blocks:
-        return make_invariant(RingMatrix(ring, []), p)
+        return flat_decompose(RingMatrix(ring, []))
     m = blocks[0]
     for b in blocks[1:]:
         m = m.direct_sum(b)
-    inv = make_invariant(m, p)
+    inv = flat_decompose(m)
     gam = RingPoly.one(ring)
     for g in gammas:
         gam = gam * g
@@ -558,19 +484,24 @@ def connected_sum(left, right, p, outer_color=0):
 
 
 class CoverValue:
-    """<S^3(K)_d>_p with the induced structure (``value``), the total
-    d-signature ``sigma_d`` of the double, and ``corrected``, the value
-    normalised by kappa^(-3 sigma_d)."""
+    """<S^3(K)_d>_p with the induced structure (``value``) and the total
+    d-signature ``sigma_d`` of the double; ``corrected`` is the value
+    normalised by kappa^(-3 sigma_d) = u^(-sigma_d / 2)."""
 
-    __slots__ = ("d", "value", "sigma_d", "corrected")
+    __slots__ = ("d", "value", "sigma_d")
 
-    def __init__(self, d, value, sigma_d, corrected):
-        self.d, self.value = d, value
-        self.sigma_d, self.corrected = sigma_d, corrected
+    def __init__(self, d, value, sigma_d):
+        self.d, self.value, self.sigma_d = d, value, sigma_d
+
+    @property
+    def corrected(self):
+        p = self.value.p
+        return self.value * CycloElem.a_power(
+            p, -self.sigma_d // 2 * u_exponent(p))
 
     def __repr__(self):
         return (f"CoverValue(d={self.d!r}, value={self.value!r}, "
-                f"sigma_d={self.sigma_d!r}, corrected={self.corrected!r})")
+                f"sigma_d={self.sigma_d!r})")
 
 
 def cover_series(j_ref, k, p, d_range):
@@ -585,9 +516,7 @@ def cover_series(j_ref, k, p, d_range):
         sig = total_signature(seifert, d)
         if sig % 2:
             raise InvariantCheckError(f"odd total signature {sig} at d={d}")
-        # kappa^(-3 sigma_d) = u^(-sigma_d / 2)
-        corr = vals[d] * CycloElem.a_power(p, -sig // 2 * u_exponent(p))
-        out.append(CoverValue(d=d, value=vals[d], sigma_d=sig, corrected=corr))
+        out.append(CoverValue(d, vals[d], sig))
     return out
 
 
@@ -727,46 +656,43 @@ def total_signature(v, d):
 
 
 class BranchedValue:
-    """<K_d>_p = value * kappa^kappa and eta^-1 <K_d>_p (``normalized``).
+    """<K_d>_p = value * kappa^kappa, from eta^-1 <K_d>_p (``normalized``).
 
-    ``value`` is the A-part beta * normalized, an element of Q(A_p).  The
-    kappa exponent is 3, or 0 at p in {1, 3, 4}, where u = 1 and kappa^3
-    folds into ``value`` as the sign ``kappa3_fold``.  This is the one
-    quantity of the pipeline whose kappa-grade is not 0.
+    ``value`` is the A-part beta * normalized, an element of Q(A_p), and
+    both it and the kappa exponent are read from ``constants(p)``: the
+    exponent is 3, or 0 at p in {1, 3, 4}, where u = 1 and kappa^3 folds
+    into ``value`` as the sign ``kappa3_fold``.  This is the one quantity
+    of the pipeline whose kappa-grade is not 0.
     """
 
-    __slots__ = ("d", "normalized", "value", "kappa")
+    __slots__ = ("d", "normalized")
 
-    def __init__(self, d, normalized, value, kappa):
-        self.d, self.normalized, self.value = d, normalized, value
-        self.kappa = kappa
+    def __init__(self, d, normalized):
+        self.d, self.normalized = d, normalized
 
-    @staticmethod
-    def from_normalized(d, normalized):
-        """The record of eta^-1 <K_d>_p = normalized."""
-        pack = constants(normalized.p)
-        value = pack.beta * normalized
-        if pack.kappa3_fold is None:
-            return BranchedValue(d, normalized, value, 3)
-        return BranchedValue(d, normalized, value * pack.kappa3_fold, 0)
+    @property
+    def value(self):
+        pack = constants(self.normalized.p)
+        value = pack.beta * self.normalized
+        return value if pack.kappa3_fold is None else value * pack.kappa3_fold
+
+    @property
+    def kappa(self):
+        return 3 if constants(self.normalized.p).kappa3_fold is None else 0
 
     def bar(self):
-        """The value of the mirror: A -> A^-1 and kappa -> kappa^-1, where
-        bar(kappa^3) = u^-1 kappa^3.  bar(eta) = eta, so ``normalized``
-        is barred too."""
-        p = self.value.p
-        value = self.value.bar()
-        if self.kappa:
-            value = value * CycloElem.a_power(p, -u_exponent(p))
-        return BranchedValue(self.d, self.normalized.bar(), value, self.kappa)
+        """The value of the mirror: A -> A^-1 and kappa -> kappa^-1.
+        eta = beta kappa^3 is bar-invariant, so the mirror's record is
+        that of the barred ``normalized``."""
+        return BranchedValue(self.d, self.normalized.bar())
 
     def __str__(self):
         return (f"({self.value.apart_str()}) * kappa^{self.kappa} "
-                f"@ p={self.value.p}")
+                f"@ p={self.normalized.p}")
 
     def __repr__(self):
-        return (f"BranchedValue(d={self.d!r}, normalized={self.normalized!r}, "
-                f"value={self.value!r}, kappa={self.kappa!r})")
+        return (f"BranchedValue(d={self.d!r}, "
+                f"normalized={self.normalized!r})")
 
 
 def branched_series(j_ref, k, p, d_range):
@@ -785,8 +711,8 @@ def branched_series(j_ref, k, p, d_range):
         if inv.flat_rank:
             series[c] = power_sums(inv.gamma, d_max)
     loops = [reduce_to_kp(unknot_value(c), p) for c in series]
-    return [BranchedValue.from_normalized(
-                d, kp_field(p).dot(loops, [s[d] for s in series.values()]))
+    return [BranchedValue(d, kp_field(p).dot(loops,
+                                             [s[d] for s in series.values()]))
             for d in d_range]
 
 

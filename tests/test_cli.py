@@ -230,13 +230,13 @@ def test_sum_with_large_gamma_coefficients():
 
 
 def test_failed_root_check_prints_nothing(monkeypatch, capsys):
-    import tvskein.tqft as tqft
+    import tvskein.matring as matring
     from tvskein.polyalg import InvariantCheckError
 
     def failing(gamma):
         raise InvariantCheckError("root polishing failed")
 
-    monkeypatch.setattr(tqft, "numeric_roots", failing)
+    monkeypatch.setattr(matring, "numeric_roots", failing)
     rc, out = _run(["double", "--J", "U", "--k", "1", "--p", "5"])
     assert rc == 4 and out == ""
     assert capsys.readouterr().err == \

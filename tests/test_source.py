@@ -324,3 +324,28 @@ def test_one_route_per_level_for_the_double():
                    for name in names(node) if name in moved)
     found += sorted(moved & set(tvskein.__all__))
     assert not found, found
+
+
+def test_one_invariant_record():
+    # ``flat_decompose`` builds the one invariant record, which stores Z,
+    # Gamma and the flat part and reads the flat rank and D from Gamma; the
+    # value records store only what they are made from.  No copy of the
+    # record and no second constructor is left
+    import inspect
+
+    from tvskein import matring, tqft
+    gone = {"make_invariant", "trivial_invariant", "general_matrix",
+            "from_normalized"}
+    tree = ast.parse((SRC / "tqft.py").read_text())
+    found = sorted(f"tqft.py:{node.lineno} {name}" for node in ast.walk(tree)
+                   for name in names(node) if name in gone)
+    found += [f"{path.relative_to(SRC)}:{node.lineno} FlatDecomposition"
+              for path in sorted(SRC.rglob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if "FlatDecomposition" in names(node)]
+    assert not found, found
+    assert tqft.TVInvariant is tvskein.TVInvariant is matring.TVInvariant
+    assert list(inspect.signature(matring.TVInvariant).parameters) == \
+        ["matrix", "gamma", "flat_matrix"]
+    assert tqft.BranchedValue.__slots__ == ("d", "normalized")
+    assert tqft.CoverValue.__slots__ == ("d", "value", "sigma_d")

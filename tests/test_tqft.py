@@ -17,11 +17,11 @@ from tvskein.polyalg import RingPoly, numeric_roots, power_sums
 from tvskein.rings import ZA, kp_field
 from tvskein.skein import (KnotScalars, closure_B, knot_scalars,
                            pairing_matrix_D, transfer_Q)
-from tvskein.tqft import (BranchedValue, ColorData, UnsupportedSpecialization,
+from tvskein.tqft import (ColorData, UnsupportedSpecialization,
                           branched_series, brieskorn_value,
                           colored_double_invariant,
                           cover_series, double_invariant, general_double,
-                          make_invariant, ordinary, seifert_matrix_double,
+                          ordinary, seifert_matrix_double,
                           signature_at, tangle_invariant, total_signature)
 
 from test_skein import RANDOM_KNOTS, rand_word
@@ -115,8 +115,8 @@ def test_colored_level5_has_the_color2_scalar():
     k5 = kp_field(5)
     for j_name in ("U", "RT", "LT", "F8", "RT#LT"):
         for k in range(5):
-            want = make_invariant(
-                RingMatrix(k5, [[z5_color2_scalar(j_name, k)]]), 5)
+            want = flat_decompose(
+                RingMatrix(k5, [[z5_color2_scalar(j_name, k)]]))
             got = colored_double_invariant(j_name, k, 5, 2)
             assert (got.gamma, got.flat_rank) == \
                 (want.gamma, want.flat_rank), (j_name, k)
@@ -224,8 +224,7 @@ def test_mirror_symmetry_of_invariants():
     assert inv.gamma.bar() == inv.gamma
     # bar of the trefoil class is the mirror class
     rt = double_invariant("U", -1, 5)
-    from tvskein.tqft import make_invariant
-    lt = make_invariant(rt.matrix.bar(), 5)
+    lt = flat_decompose(rt.matrix.bar())
     assert lt.gamma == rt.gamma.bar()
 
 
@@ -296,8 +295,6 @@ def test_branched_value_carries_kappa3():
             assert mirror.kappa == rec.kappa and mirror.d == rec.d
             assert mirror.normalized == rec.normalized.bar()
             assert mirror.value == rec.value.bar() * u ** -(rec.kappa // 3)
-            assert str(BranchedValue.from_normalized(rec.d, mirror.normalized)) \
-                == str(mirror)
             assert mirror.bar().value == rec.value, (p, rec.d)
             assert str(rec) == \
                 f"({rec.value.apart_str()}) * kappa^{rec.kappa} @ p={p}"
@@ -329,7 +326,7 @@ def test_matrix_periods_exact_powering():
 
 
 def test_invariant_factors_lazy(monkeypatch):
-    import tvskein.tqft as tqft
+    import tvskein.matring as matring
     from tvskein.matring import flat_decompose, similarity_invariants
     calls = []
 
@@ -337,7 +334,7 @@ def test_invariant_factors_lazy(monkeypatch):
         calls.append(mat)
         return similarity_invariants(mat)
 
-    monkeypatch.setattr(tqft, "similarity_invariants", counted)
+    monkeypatch.setattr(matring, "similarity_invariants", counted)
     inv = double_invariant("U", 1, 7)
     assert calls == []
     expect = similarity_invariants(flat_decompose(inv.matrix).flat_matrix)
@@ -473,8 +470,8 @@ def test_factorised_B_equals_quadruple_sum(monkeypatch, p):
     # at odd p, so its synthetic scalars keep that symmetry; without it
     # the colored product misses the printed B
     import tvskein.tqft as tqft
-    from tvskein.tqft import (colored_L_matrix, colored_matrix,
-                              general_L_matrix, general_matrix)
+    from tvskein.tqft import (_pattern_matrix, colored_L_matrix,
+                              colored_matrix, general_L_matrix)
     real = tqft._scalars("U")
 
     def use(s):
@@ -485,7 +482,8 @@ def test_factorised_B_equals_quadruple_sum(monkeypatch, p):
         s = use(real if seed is None else _SyntheticScalars(seed))
         lm = general_L_matrix("U", p)
         for k in (-3, 2, p + 1):
-            assert _entries(lm * general_matrix("U", k, p)) == \
+            z = _pattern_matrix("U", k, p) * constants(p).beta
+            assert _entries(lm * z) == \
                 _literal_general_B(s, k, p), (p, seed, k)
         if seed is not None and p % 2:
             lc = colored_L_matrix("U", p, 2)
@@ -570,21 +568,37 @@ def test_simple_current_symmetry_and_channel_scale():
 
 
 def test_numeric_eigen_lazy(monkeypatch):
-    import tvskein.tqft as tqft
-    calls = []
+    # the numeric eigenvalues and the period are computed on first read:
+    # the series, a connected sum of colored blocks and a double read
+    # neither
+    import tvskein.matring as matring
+    from tvskein.polyalg import root_periodicity
+    from tvskein.tqft import connected_sum
+    calls, periods = [], []
 
     def counted(gamma):
         calls.append(gamma)
         return numeric_roots(gamma)
 
-    monkeypatch.setattr(tqft, "numeric_roots", counted)
+    def counted_period(gamma):
+        periods.append(gamma)
+        return root_periodicity(gamma)
+
+    monkeypatch.setattr(matring, "numeric_roots", counted)
+    monkeypatch.setattr(matring, "root_periodicity", counted_period)
     cover_series("U", 1, 7, range(1, 4))
     branched_series("U", 1, 5, [1, 2])
+    blocks = {c: colored_double_invariant("U", -1, 5, c)
+              for c in ColorData.at(5).good_colors()}
+    total = connected_sum(blocks, blocks, 5)
     inv = double_invariant("U", 1, 5)
-    assert calls == []
+    assert calls == [] and periods == []
     eig = inv.numeric_eigen
     assert inv.numeric_eigen is eig and len(eig) == inv.flat_rank
     assert len(calls) == 1
+    assert inv.period == 10 and inv.period == 10
+    assert len(periods) == 1
+    assert total.flat_rank and periods == [inv.gamma]
 
 
 def test_named_check_in_connected_sum(monkeypatch):
@@ -821,7 +835,7 @@ def test_general_pairing_built_once_per_level(monkeypatch):
         tqft._pairing.cache_clear()
         tqft._shifted.cache_clear()
         assert double_invariant("RT", k, 7).gamma == gamma, k
-        assert x * constants(7).beta == tqft.general_matrix("RT", k, 7), k
+        assert x == tqft._pattern_matrix("RT", k, 7), k
 
 
 def test_shift_table_rows_are_lazy(monkeypatch):
