@@ -83,15 +83,21 @@ def validate_invariant_json(obj):
     return True
 
 
+def _gamma_json(gamma):
+    return [{"xExp": k, "coeff": str(c)} for k, c in enumerate(gamma.coeffs)]
+
+
+def _matrix_json(mat):
+    return [[str(a) for a in row] for row in mat.data]
+
+
 def invariant_to_json(inv):
     obj = {
         "p": inv.p,
-        "gamma": [{"xExp": k, "coeff": str(c)}
-                  for k, c in enumerate(inv.gamma.coeffs)],
+        "gamma": _gamma_json(inv.gamma),
         "D": str(inv.constant_term),
         "flatRank": inv.flat_rank,
-        "matrix": [[str(inv.matrix[i, j]) for j in range(inv.matrix.cols)]
-                   for i in range(inv.matrix.rows)],
+        "matrix": _matrix_json(inv.matrix),
         "eigen": [{"re": z.real, "im": z.imag} for z in inv.numeric_eigen],
         "period": inv.period,
     }
@@ -158,10 +164,8 @@ def cmd_tangle(args, out):
     if args.format == "json":
         obj = {
             "n": d.bottom // 2,
-            "Q": [[str(ti.q_matrix[i, j]) for j in range(ti.q_matrix.cols)]
-                  for i in range(ti.q_matrix.rows)],
-            "gamma": [{"xExp": k, "coeff": str(c)}
-                      for k, c in enumerate(ti.gamma.coeffs)],
+            "Q": _matrix_json(ti.q_matrix),
+            "gamma": _gamma_json(ti.gamma),
             "D": str(ti.constant_term),
             "flatRank": ti.flat_rank,
             "trace": str(ti.trace),

@@ -126,6 +126,21 @@ def _monomial_sum(p, terms):
     return acc
 
 
+def _reduced(p, terms):
+    """(num, den) in lowest terms for sum c * A_p^e over (e, c) pairs of
+    ints and Fractions: the pairs are brought to one denominator and
+    reduced once."""
+    terms = list(terms)
+    dens = [c.denominator for _, c in terms if type(c) is not int]
+    if not dens:
+        return tuple(_monomial_sum(p, terms)), 1
+    den = lcm(*dens)
+    num = _monomial_sum(p, ((e, c.numerator * (den // c.denominator))
+                            for e, c in terms))
+    g = gcd(den, *num)
+    return tuple([c // g for c in num]), den // g
+
+
 def level_degree(p):
     return _level_data(p)[0]
 
@@ -275,16 +290,8 @@ class CycloElem:
     __slots__ = ("p", "num", "den")
 
     def __init__(self, p, coeffs):
-        den = 1
-        for c in coeffs:
-            if type(c) is not int:
-                den = lcm(den, c.denominator)
-        num = _monomial_sum(p, ((i, c.numerator * (den // c.denominator))
-                                for i, c in enumerate(coeffs)))
-        g = gcd(den, *num)
         self.p = p
-        self.num = tuple([c // g for c in num])
-        self.den = den // g
+        self.num, self.den = _reduced(p, enumerate(coeffs))
 
     @staticmethod
     def _raw(p, num, den):
@@ -471,24 +478,7 @@ class CycloElem:
     # -- text form --------------------------------------------------------
 
     def apart_str(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            neg = c < 0
-            c = abs(c)
-            if i == 0:
-                body = str(c)
-            else:
-                var = "A" if i == 1 else f"A^{i}"
-                body = var if c == 1 else f"{c}*{var}"
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts)
+        return str(LaurentPoly(enumerate(self.coeffs)))
 
     def __str__(self):
         return f"({self.apart_str()}) * kappa^0 @ p={self.p}"
@@ -564,7 +554,7 @@ def reduce_to_kp(x, p):
     """Reduce a LaurentPoly (or scalar) to its unique k_p representative."""
     if isinstance(x, (int, Fraction)):
         return CycloElem(p, (x,))
-    return CycloElem(p, _monomial_sum(p, x.terms.items()))
+    return CycloElem._raw(p, *_reduced(p, x.terms.items()))
 
 
 # -- constants ----------------------------------------------------------
@@ -606,9 +596,7 @@ def constants(p):
         # the printed special value beta_2 = (1 - A)/2
         beta = CycloElem(2, (Fraction(1, 2), Fraction(-1, 2)))
     else:
-        s1 = CycloElem.zero(p)
-        for s in range(n):
-            s1 = s1 + mu[s] * br[s] * br[s]
+        s1 = _dot(p, mu, [b * b for b in br])
         if s1.is_zero():
             raise ArithmeticError(f"sum mu(s)<e_s>^2 vanishes at p={p}; "
                                   "beta is not determined")
@@ -620,10 +608,7 @@ def constants(p):
         fold = -1 if p == 3 else 1
     # consistency: eta^2 sum <e_s>^2 = beta^2 u sum <e_s>^2 = 1 for p >= 3
     if p >= 3 and n >= 1:
-        tot = CycloElem.zero(p)
-        for s in range(n):
-            tot = tot + br[s] * br[s]
-        if beta * beta * u_element(p) * tot != one:
+        if beta * beta * u_element(p) * _dot(p, br, br) != one:
             raise InvariantCheckError(f"eta normalisation failed at p={p}")
     return ConstantPack(p=p, n=n, mu=mu, bracket_e=br, beta=beta,
                         kappa3_fold=fold)

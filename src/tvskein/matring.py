@@ -4,9 +4,9 @@ The characteristic polynomial is computed by the Berkowitz scheme, which
 is division-free and therefore valid over Z[A,A^-1] and over the k_p
 levels.  Rank, image bases, solves and inverses come from forward
 elimination over a field, pivoting on the first nonzero entry so that
-every run reproduces the same flat basis; solves and inverses then
-back-substitute.  Every row update is the ring's ``axpy`` and every
-pivot is inverted once.
+every run reproduces the same flat basis; solves, inverses, the flat
+matrix and minimal polynomials of vectors then back-substitute.  Every
+row update is the ring's ``axpy`` and every pivot is inverted once.
 
 ``flat_decompose`` splits an endomorphism Z into its nilpotent part and
 the automorphism induced on the image of its powers, and returns the
@@ -27,7 +27,6 @@ from functools import cached_property
 from .laurent import _power
 from .polyalg import (InvariantCheckError, RingPoly, numeric_roots,
                       power_sums, root_periodicity)
-from .rings import Ring
 
 
 class RingMatrix:
@@ -232,13 +231,27 @@ def solve(mat, rhs):
     if piv and piv[-1] >= n:
         raise ZeroDivisionError("inconsistent linear system")
     out = RingMatrix.zero(ring, n, rhs.cols)
-    for r in reversed(range(len(piv))):
-        row = red[r][n:]
-        for c in piv[r + 1:]:
-            if red[r][c]:
-                row = ring.axpy(row, red[r][c], out.data[c])
-        out.data[piv[r]] = [x * invs[r] for x in row]
+    for c, row in zip(piv, _back_substitute(ring, red, piv, invs,
+                                            [r[n:] for r in red])):
+        out.data[c] = row
     return out
+
+
+def _back_substitute(ring, red, piv, invs, rhs):
+    """Rows x_0 .. x_(t-1), t = len(piv), with sum_b red[a][piv[b]] x_b =
+    rhs[a] for a forward elimination (red, piv, invs).
+
+    From the last pivot row up, each rhs row takes ``ring.axpy`` by the
+    rows solved below it and one product by its pivot inverse.
+    """
+    xs = [None] * len(piv)
+    for a in reversed(range(len(piv))):
+        row = rhs[a]
+        for b in range(a + 1, len(piv)):
+            if red[a][piv[b]]:
+                row = ring.axpy(row, red[a][piv[b]], xs[b])
+        xs[a] = [x * invs[a] for x in row]
+    return xs
 
 
 # -- flat decomposition -----------------------------------------------------
@@ -292,9 +305,10 @@ class TVInvariant:
 
         The paper's invariant is the similarity class of the flat
         (non-nilpotent) part of Z(E), which Gamma alone does not fix; these
-        factors are that class, and test_invariant_factors_stable_under_shift
-        checks the theorem with them.  They stay out of the JSON output
-        because a Smith form can take minutes (14 x 14 at a level).
+        factors are that class, from the cyclic decomposition of
+        ``similarity_invariants``, and
+        test_invariant_factors_stable_under_shift checks the theorem with
+        them.  They are not yet part of the JSON output.
         """
         return similarity_invariants(self.flat_matrix) if self.flat_rank else []
 
@@ -343,16 +357,9 @@ def flat_decompose(z):
     if len(piv) != r or piv[-1] >= n:
         raise InvariantCheckError(
             "flat rank disagrees with normalized charpoly degree")
-    # action: Z B = B M, with Z B the columns of Z^(n-r+1) at the pivots;
-    # back substitution as in ``solve``, on the pivot columns only
-    m = [None] * r
-    for a in reversed(range(r)):
-        row = [red[a][n + c] for c in piv]
-        for b in range(a + 1, r):
-            if red[a][piv[b]]:
-                row = ring.axpy(row, red[a][piv[b]], m[b])
-        m[a] = [x * invs[a] for x in row]
-    m = RingMatrix(ring, m)
+    # action: Z B = B M, with Z B the columns of Z^(n-r+1) at the pivots
+    m = RingMatrix(ring, _back_substitute(
+        ring, red, piv, invs, [[row[n + c] for c in piv] for row in red[:r]]))
     if berkowitz_charpoly(m) != gamma:
         raise InvariantCheckError("flat charpoly mismatch")
     if not gamma.constant_term():
@@ -366,94 +373,78 @@ def flat_decompose(z):
 def similarity_invariants(mat):
     """Invariant factors of xI - A over F[x], each dividing the next.
 
-    Returns a list of n monic polynomials (units normalised to 1); two
-    square matrices over a field are similar iff their lists agree.
+    Returns a list of n monic polynomials, the leading ones equal to 1;
+    two square matrices over a field are similar iff their lists agree.
+    They come from a cyclic decomposition (Hoffman-Kunze, *Linear
+    Algebra*, ch. 7): a vector v whose minimal polynomial f is A's own
+    gives the last factor f, and its cyclic subspace K(v) has an
+    A-invariant complement, so the factors before f are those of A on
+    V / K(v).  One ``solve`` against the Krylov basis of v and the unit
+    vectors off its pivots gives that matrix, and the loop runs again.
     """
     if mat.rows != mat.cols:
         raise ValueError("similarity invariants of a non-square matrix")
     ring = mat.ring
-    n = mat.rows
-    if n == 0:
-        return []
-    x = RingPoly.x(ring)
-    m = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            p = RingPoly(ring, [-mat.data[i][j]])
-            if i == j:
-                p = p + x
-            row.append(p)
-        m.append(row)
-    factors = _smith_polys(m, ring)
-    factors = [f.monic() if not f.is_zero() else f for f in factors]
-    # canonical order: each divides the next
-    return factors
-
-
-def _smith_polys(m, ring):
-    n = len(m)
-    out = []
-    size = n
-    while size > 0:
-        # find the nonzero entry of least degree
-        best = None
-        for i in range(size):
-            for j in range(size):
-                if not m[i][j].is_zero():
-                    if best is None or m[i][j].degree() < m[best[0]][best[1]].degree():
-                        best = (i, j)
-        if best is None:
-            out.extend([RingPoly.zero(ring)] * size)
+    factors, ones = [], 0
+    while mat.rows:
+        n = mat.rows
+        vs, f = _maximal_vector(mat)
+        d = f.degree()
+        factors.insert(0, f)
+        ones += d - 1
+        if d == n:
             break
-        bi, bj = best
-        m[0], m[bi] = m[bi], m[0]
-        for row in m[:size]:
-            row[0], row[bj] = row[bj], row[0]
-        again = True
-        while again:
-            again = False
-            pivot = m[0][0]
-            for i in range(1, size):
-                if not m[i][0].is_zero():
-                    q, r = m[i][0].divmod(pivot)
-                    m[i] = Ring.axpy(m[i][:size], q, m[0][:size])
-                    if not r.is_zero():
-                        m[0], m[i] = m[i], m[0]
-                        again = True
-                        break
-            if again:
-                continue
-            for j in range(1, size):
-                if not m[0][j].is_zero():
-                    q, r = m[0][j].divmod(pivot)
-                    col = Ring.axpy([row[j] for row in m[:size]], q,
-                                    [row[0] for row in m[:size]])
-                    for row, x in zip(m, col):
-                        row[j] = x
-                    if not r.is_zero():
-                        for row in m[:size]:
-                            row[0], row[j] = row[j], row[0]
-                        again = True
-                        break
-        # ensure pivot divides the rest; else absorb and retry
-        pivot = m[0][0]
-        clean = True
-        for i in range(1, size):
-            for j in range(1, size):
-                _, r = m[i][j].divmod(pivot)
-                if not r.is_zero():
-                    m[0] = [a + b for a, b in zip(m[0][:size], m[i][:size])]
-                    clean = False
-                    break
-            if not clean:
-                break
-        if not clean:
-            mm = [row[:size] for row in m[:size]]
-            rest = _smith_polys(mm, ring)
-            out.extend(rest)
-            return out
-        out.append(pivot)
-        m = [row[1:size] for row in m[1:size]]
-        size -= 1
-    return out
+        units = RingMatrix.identity(ring, n).data
+        piv = _echelon(RingMatrix(ring, vs[:d]))[1]
+        off = [j for j in range(n) if j not in piv]
+        basis = RingMatrix(ring, zip(*vs[:d], *(units[j] for j in off)))
+        mat = RingMatrix(ring, solve(basis, RingMatrix(
+            ring, [[row[j] for j in off] for row in mat.data])).data[d:])
+    return [RingPoly.one(ring)] * ones + factors
+
+
+def _krylov(mat, v):
+    """(v, Mv, .., M^n v) and the minimal polynomial f of a vector v != 0.
+
+    In one forward elimination of the columns [v | Mv | .. | M^n v] the
+    pivots are the columns 0 .. d - 1, d = deg f: M^d v is the first
+    column that depends on those before it, and back substitution writes
+    it in them.
+    """
+    vs = [v]
+    for _ in range(mat.rows):
+        vs.append([mat.ring.dot(row, vs[-1]) for row in mat.data])
+    red, piv, invs = _echelon(RingMatrix(mat.ring, zip(*vs)))
+    d = len(piv)
+    xs = _back_substitute(mat.ring, red, piv, invs, [[row[d]] for row in red])
+    return vs, RingPoly(mat.ring, [-x for x, in xs] + [mat.ring.one])
+
+
+def _maximal_vector(mat):
+    """``_krylov`` of a vector whose minimal polynomial f is mat's own.
+
+    f is the lcm of the minimal polynomials of unit vectors, folded in one
+    at a time with gcds and exact divisions only; it is M's own once their
+    Krylov vectors span V, and each next unit vector is off the pivots of
+    that span, so outside it.  When the unit vector w with minimal polynomial g
+    brings primes where g's power exceeds f's, b is the part of g on those
+    primes and h = gcd(f, b): a = f / h and b are coprime with
+    a b = lcm(f, g), and h(M) v + (g / b)(M) w has minimal polynomial a b.
+    """
+    ring, n = mat.ring, mat.rows
+    units = RingMatrix.identity(ring, n).data
+    vs, f = _krylov(mat, units[0])
+    span, piv, _ = _echelon(RingMatrix(ring, vs[:f.degree()]))
+    while len(piv) < n:
+        ws, g = _krylov(mat, units[min(set(range(n)) - set(piv))])
+        span, piv, _ = _echelon(RingMatrix(
+            ring, span[:len(piv)] + ws[:g.degree()]))
+        b = c = g.divmod(g.gcd(f))[0]
+        while c.degree():               # b takes all of g on its primes
+            c = g.divmod(b)[0].gcd(b)
+            b = b * c
+        if b.degree():                  # else g divides f
+            h, gb = f.gcd(b).coeffs, g.divmod(b)[0].coeffs
+            vs, f = _krylov(mat, [ring.dot(h, x) + ring.dot(gb, y)
+                                  for x, y in zip(zip(*vs), zip(*ws))])
+    return vs, f

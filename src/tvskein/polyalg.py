@@ -44,16 +44,8 @@ class RingPoly:
         self.coeffs = cs
 
     @staticmethod
-    def zero(ring):
-        return RingPoly(ring, [])
-
-    @staticmethod
     def one(ring):
         return RingPoly(ring, [ring.one])
-
-    @staticmethod
-    def x(ring):
-        return RingPoly(ring, [ring.zero, ring.one])
 
     def degree(self):
         return len(self.coeffs) - 1
@@ -127,12 +119,7 @@ class RingPoly:
 
     def __call__(self, value):
         """Horner evaluation at a ring element (or compatible object)."""
-        if not self.coeffs:
-            return self.ring.zero
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * value + c
-        return acc
+        return _value(self.coeffs, value) if self.coeffs else self.ring.zero
 
     def divmod(self, other):
         """Polynomial division; requires a field-like coefficient ring."""
@@ -255,8 +242,12 @@ def tensor_product(p, q):
 
 
 def derivative(poly):
-    return RingPoly(poly.ring, [poly.coeffs[k] * k
-                                for k in range(1, len(poly.coeffs))])
+    return RingPoly(poly.ring, _derivative(poly.coeffs))
+
+
+def _derivative(cs):
+    """The coefficients k c_k, k >= 1, of the derivative of sum c_k x^k."""
+    return [cs[k] * k for k in range(1, len(cs))]
 
 
 def numeric_roots(gamma):
@@ -293,16 +284,10 @@ def _root_key(z):
 
 
 def _value(cs, z):
+    """Horner's rule: sum cs[k] z^k for a non-empty cs."""
     acc = cs[-1]
     for c in reversed(cs[:-1]):
         acc = acc * z + c
-    return acc
-
-
-def _slope(cs, z):
-    acc = 0
-    for k in range(len(cs) - 1, 0, -1):
-        acc = acc * z + k * cs[k]
     return acc
 
 
@@ -319,12 +304,12 @@ def _aberth(cs):
     sweeps stop when no guess moves by more than 1e-12 (1 + |z|), or after
     _ABERTH_SWEEPS.  Newton polishing follows in ``_numeric_simple``.
     """
-    zs = _start(cs)
+    zs, ds = _start(cs), _derivative(cs)
     for _ in range(_ABERTH_SWEEPS):
         moved = False
         for i, z in enumerate(zs):
             f = _value(cs, z)
-            den = _slope(cs, z) - f * sum(1 / (z - w)
+            den = _value(ds, z) - f * sum(1 / (z - w)
                                           for j, w in enumerate(zs) if j != i)
             if f == 0 or den == 0:
                 continue
@@ -382,10 +367,10 @@ def _numeric_simple(gamma):
           for c in gamma.coeffs]
     if len(cs) == 1:
         return []
-    polished = []
+    polished, ds = [], _derivative(cs)
     for z in _aberth(cs):
         for _ in range(50):
-            d = _slope(cs, z)
+            d = _value(ds, z)
             if abs(d) < 1e-14:
                 break
             step = _value(cs, z) / d

@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclo import CycloElem, UnsupportedSpecialization, reduce_to_kp
-from .laurent import LaurentPoly, QFactored, bracket_e, quantum_int
+from .laurent import LaurentPoly, QFactored, quantum_int
 from .rings import kp_field
 
 
@@ -203,8 +203,3 @@ def braid_block(c, a, d, sign):
                 terms[x, y].append(f[x] * g)
     out = {xy: QFactored.sum(ts).reduced() for xy, ts in terms.items()}
     return {x: tuple((y, out[x, y]) for y in xs if out[x, y].poly) for x in xs}
-
-
-def unknot_value(r):
-    """<r> = (-1)^r [r+1], the r-colored unknot."""
-    return bracket_e(r)

@@ -231,10 +231,6 @@ class SkeinEngine:
                 raise DiagramError(f"unknown token {kind!r}")
         return states
 
-    def run_word(self, word, start=None):
-        states = start or {tuple(): LaurentPoly.one()}
-        return self.run_tokens(states, word.tokens)
-
 
 # -- pairing matrix and transfer matrices -----------------------------------
 
@@ -286,7 +282,8 @@ def bracket_word(word):
     """Kauffman bracket of a closed slice word (<empty> = 1)."""
     if not word.is_closed():
         raise DiagramError("bracket needs a closed diagram")
-    return SkeinEngine().run_word(word).get((), LaurentPoly())
+    return SkeinEngine().run_tokens({(): LaurentPoly.one()},
+                                    word.tokens).get((), LaurentPoly())
 
 
 # -- planar-diagram brackets -------------------------------------------------
@@ -298,7 +295,6 @@ def bracket_pd_statesum(pd):
     if c > 14:
         raise DiagramError("state-sum oracle limited to 14 crossings")
     total = LaurentPoly()
-    delta_powers = [LaurentPoly.one()]
     for mask in range(1 << c):
         # an A-smoothing (a set bit) joins (a, b) and (c, d) and weighs A,
         # a B-smoothing joins (b, c) and (d, a) and weighs A^-1
@@ -308,9 +304,7 @@ def bracket_pd_statesum(pd):
                          else ((b, cc), (d, a))))
         exp = 2 * bin(mask).count("1") - c
         loops = len(set(comp.values())) + pd.free_loops
-        while len(delta_powers) <= loops:
-            delta_powers.append(delta_powers[-1] * DELTA)
-        total = total + LaurentPoly({exp: 1}) * delta_powers[loops]
+        total = total + LaurentPoly({exp: 1}) * _delta_power(loops)
     return total
 
 

@@ -31,10 +31,11 @@ from functools import lru_cache
 from .cyclo import (CycloElem, UnsupportedSpecialization, _shifts,
                     constants, reduce_to_kp, u_exponent)
 from .diagram import DiagramError, KnotRef
+from .laurent import bracket_e
 from .matring import (RingMatrix, TVInvariant, berkowitz_charpoly,
                       flat_decompose, normalized_charpoly)
 from .polyalg import InvariantCheckError, RingPoly, power_sums, tensor_product
-from .recoupling import ColorError, qfact, tet, theta, unknot_value
+from .recoupling import ColorError, qfact, tet, theta
 from .rings import kp_field
 from .skein import knot_scalars, transfer_Q
 
@@ -180,8 +181,8 @@ def _scalars(j_ref):
     return knot_scalars(j_ref.symbol if hasattr(j_ref, "symbol") else j_ref)
 
 
-def z2_matrix(j_ref, k):
-    """The level-2 transfer matrix of D_k(J) on the basis {1, z}."""
+def z2_matrix(k):
+    """The level-2 transfer matrix of D_k(J), any J, on the basis {1, z}."""
     ring = kp_field(2)
     pack = constants(2)
     a = CycloElem.a_power(2, 1)
@@ -303,7 +304,7 @@ def double_invariant(j_ref, k, p):
     if p == 1:
         return flat_decompose(RingMatrix.identity(kp_field(1), 1))
     if p == 2:
-        return flat_decompose(z2_matrix(j_ref, k))
+        return flat_decompose(z2_matrix(k))
     return general_double(j_ref, k, p)
 
 
@@ -710,7 +711,7 @@ def branched_series(j_ref, k, p, d_range):
         inv = colored_double_invariant(j_ref, k, p, c)
         if inv.flat_rank:
             series[c] = power_sums(inv.gamma, d_max)
-    loops = [reduce_to_kp(unknot_value(c), p) for c in series]
+    loops = [reduce_to_kp(bracket_e(c), p) for c in series]
     return [BranchedValue(d, kp_field(p).dot(loops,
                                              [s[d] for s in series.values()]))
             for d in d_range]

@@ -92,6 +92,53 @@ def test_similarity_conjugation_invariance():
         trials += 1
 
 
+def _companion(ring, f):
+    """The companion matrix of a monic f, with minimal polynomial f."""
+    d = f.degree()
+    return RingMatrix(ring, [[ring.one if i == j + 1 else ring.zero
+                              for j in range(d - 1)] + [-f.coeff(i)]
+                             for i in range(d)])
+
+
+@pytest.mark.parametrize("p", [None, 5, 7, 8])
+def test_similarity_invariants_of_known_structure(p):
+    # a direct sum of companion matrices of a divisor chain s_1 | .. | s_t
+    # has the invariant factors 1, .., 1, s_1, .., s_t; its repeated blocks
+    # make it non-cyclic, and conjugation by a random invertible matrix
+    # must give the same chain back
+    rnd = random.Random(31 if p is None else p)
+    ring = QQ if p is None else kp_field(p)
+
+    def scalar():
+        if p is None:
+            return Fraction(rnd.randint(-3, 3))
+        return CycloElem(p, tuple(rnd.randint(-2, 2)
+                                  for _ in range(level_degree(p))))
+
+    def monic(d):
+        return RingPoly(ring, [scalar() for _ in range(d)] + [ring.one])
+
+    for _ in range(6):
+        chain = [monic(rnd.randint(1, 2))]
+        while sum(f.degree() for f in chain) < 5:
+            chain.append(chain[-1] * monic(rnd.choice((0, 0, 1))))
+        m = _companion(ring, chain[0])
+        for f in chain[1:]:
+            m = m.direct_sum(_companion(ring, f))
+        n = m.rows
+        while True:
+            s = RingMatrix(ring, [[scalar() for _ in range(n)]
+                                  for _ in range(n)])
+            try:
+                s_inv = inverse(s)
+            except ZeroDivisionError:
+                continue
+            break
+        want = [RingPoly.one(ring)] * (n - len(chain)) + chain
+        assert similarity_invariants(m) == want
+        assert similarity_invariants(s * m * s_inv) == want
+
+
 def test_trace_powers_matches_newton():
     rnd = random.Random(8)
     for _ in range(100):

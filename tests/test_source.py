@@ -238,7 +238,8 @@ def _pairwise_product_sums(sites):
 def test_one_dot_kernel_per_ring():
     # every sum of products over a ring goes through ``ring.dot``: no
     # helper of its own and no loop that accumulates products
-    sites = {"matring.py": {"berkowitz_charpoly"},
+    sites = {"cyclo.py": {"constants"},
+             "matring.py": {"berkowitz_charpoly"},
              "polyalg.py": {"__mul__", "power_sums", "tensor_product"},
              "tqft.py": {"_channel_sums", "branched_series"}}
     found = _pairwise_product_sums(sites)
@@ -294,7 +295,18 @@ def test_one_row_update_kernel():
                for n in ast.walk(fn)):
             calls.add(fn.name)
     assert not found, sorted(found)
-    assert calls >= {"_echelon", "solve"}, calls
+    assert calls >= {"_echelon", "_back_substitute"}, calls
+
+
+def test_one_name_per_job():
+    # the similarity class comes from the elimination kernel, Horner's rule
+    # is written once, and no engine method or alias is left unused
+    gone = {"matring.py": "_smith_polys", "polyalg.py": "_slope",
+            "skein.py": "run_word", "recoupling.py": "unknot_value"}
+    found = [f"{module} {name}" for module, name in gone.items()
+             if name in {n for node in ast.walk(ast.parse(
+                 (SRC / module).read_text())) for n in names(node)}]
+    assert not found, found
 
 
 def test_kappa_grade_lives_only_on_the_branched_record():

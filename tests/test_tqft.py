@@ -1,5 +1,6 @@
 import cmath
 import random
+import time
 
 import pytest
 
@@ -599,6 +600,24 @@ def test_numeric_eigen_lazy(monkeypatch):
     assert inv.period == 10 and inv.period == 10
     assert len(periods) == 1
     assert total.flat_rank and periods == [inv.gamma]
+
+
+def test_similarity_class_of_the_14x14_connected_sum():
+    # D(-1, U) # D(1, U) at p = 7 has a cyclic 14 x 14 flat part: its
+    # invariant factors are 13 ones and Gamma, and they take well under
+    # a second
+    from tvskein.tqft import connected_sum
+
+    def blocks(k):
+        return {c: colored_double_invariant("U", k, 7, c)
+                for c in ColorData.at(7).good_colors()}
+
+    total = connected_sum(blocks(-1), blocks(1), 7)
+    assert total.flat_matrix.rows == 14
+    start = time.perf_counter()
+    factors = total.invariant_factors
+    assert time.perf_counter() - start < 1.0
+    assert factors == [RingPoly.one(kp_field(7))] * 13 + [total.gamma]
 
 
 def test_named_check_in_connected_sum(monkeypatch):
