@@ -145,21 +145,14 @@ def level_degree(p):
     return _level_data(p)[0]
 
 
-def level_d(p):
-    if p in (3, 4):
-        return 1
-    if p == 6:
-        return 2
-    return p
-
-
 @lru_cache(maxsize=None)
 def _fold_rows(p):
-    """Sparse rows (i, t) of A_p^deg .. A_p^(2 deg - 2): where the high
-    coefficients of a product of two reduced vectors fold back."""
+    """Sparse rows (i, t) of A_p^deg .. A_p^(2 deg - 2), and on to
+    A_p^(p-1): where the high coefficients of a product of two reduced
+    vectors, or of a polynomial folded through A^p = -1, fold back."""
     deg = level_degree(p)
     return tuple(tuple((i, t) for i, t in enumerate(row) if t)
-                 for row in _a_powers(p)[deg:2 * deg - 1])
+                 for row in _a_powers(p)[deg:max(2 * deg - 1, p)])
 
 
 def _mul_vec(p, a, b):
@@ -242,6 +235,20 @@ def _axpy(p, xs, f, ys):
             for j, b in ynz:
                 vec[i + j] += a * b
         out.append(CycloElem._make(p, _fold(p, vec), den))
+    return out
+
+
+def _from_powers(p, coeffs):
+    """The reduced vector of sum c_e A_p^e over the pairs {e: c_e},
+    0 <= e < p."""
+    rows, out = _fold_rows(p), [0] * level_degree(p)
+    deg = len(out)
+    for e, c in coeffs.items():
+        if e < deg:
+            out[e] += c
+        else:
+            for i, t in rows[e - deg]:
+                out[i] += c * t
     return out
 
 

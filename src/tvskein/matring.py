@@ -2,11 +2,14 @@
 
 The characteristic polynomial is computed by the Berkowitz scheme, which
 is division-free and therefore valid over Z[A,A^-1] and over the k_p
-levels.  Rank, image bases, solves and inverses come from forward
-elimination over a field, pivoting on the first nonzero entry so that
-every run reproduces the same flat basis; solves, inverses, the flat
-matrix and minimal polynomials of vectors then back-substitute.  Every
-row update is the ring's ``axpy`` and every pivot is inverted once.
+levels.  Over Z[A,A^-1] and k_p it and the matrix product run on the
+ring's integer image, A -> 2^b with b from a proven l1 bound (Kronecker
+substitution, von zur Gathen-Gerhard, *Modern Computer Algebra*, 8.4).
+Rank, image bases, solves and inverses come
+from forward elimination over a field, pivoting on the first nonzero
+entry so that every run reproduces the same flat basis; solves, inverses,
+the flat matrix and minimal polynomials of vectors then back-substitute.
+Every row update is the ring's ``axpy`` and every pivot is inverted once.
 
 ``flat_decompose`` splits an endomorphism Z into its nilpotent part and
 the automorphism induced on the image of its powers, and returns the
@@ -22,7 +25,10 @@ and the matrix of Z on it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain, count
+from math import prod
+from operator import lshift, mul
 
 from .laurent import _power
 from .polyalg import (InvariantCheckError, RingPoly, numeric_roots,
@@ -73,10 +79,12 @@ class RingMatrix:
         if isinstance(other, RingMatrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch in *")
+            if hasattr(self.ring, "image"):
+                return _image_product(self.ring, self.data, other.data)
             dot = self.ring.dot
             bt = list(zip(*other.data))
-            return RingMatrix(self.ring, [[dot(r, c) for c in bt]
-                                          for r in self.data])
+            return _matrix(self.ring, [[dot(r, c) for c in bt]
+                                       for r in self.data])
         if isinstance(other, int):
             other = self.ring.coerce(other)
         return RingMatrix(self.ring, [[a * other for a in r] for r in self.data])
@@ -141,33 +149,106 @@ class RingMatrix:
         return f"RingMatrix({self.rows}x{self.cols} over {self.ring.name})"
 
 
+def _matrix(ring, rows):
+    """A RingMatrix on rows of ring elements, taken as they are."""
+    out = RingMatrix.__new__(RingMatrix)
+    out.ring, out.data, out.rows = ring, rows, len(rows)
+    out.cols = len(rows[0]) if rows else 0
+    return out
+
+
+# -- the integer image --------------------------------------------------------
+
+
+def _int_dot(xs, ys):
+    return sum(map(mul, xs, ys))
+
+
+def _mod_dot(m, xs, ys):
+    return sum(map(mul, xs, ys)) % m
+
+
+def _row_l1(row):
+    """The sum of the l1 norms of a row of integer polynomials."""
+    return sum(map(abs, chain.from_iterable(row)))
+
+
+def _at(polys, b):
+    """The ints f(2^b) of a matrix of integer polynomials f."""
+    return [[sum(map(lshift, f, count(0, b))) for f in row] for row in polys]
+
+
+def _image_product(ring, left, right):
+    """The product of two matrices over a ring with an integer image.
+
+    With left = F / (d A^s) and right = G / (e A^t), the product is
+    FG / (d e A^(s+t)).  By ||fg||_1 <= ||f||_1 ||g||_1 (the l1 norm sums
+    the coefficients' absolute values), ||(FG)_jk||_1 <= R_j max ||G_lk||_1,
+    R_j the sum of the l1 norms of row j of F: below 2^(b-1) for
+    b = bit_length(max_j R_j max ||G_lk||_1) + 1, as ``from_image`` needs.
+    """
+    dl, sl, fl = ring.image(left)
+    dr, sr, fr = ring.image(right)
+    gmax = max((sum(map(abs, g)) for row in fr for g in row), default=0)
+    b = (max(map(_row_l1, fl), default=0) * gmax).bit_length() + 1
+    den, shift = dl * dr, sl + sr
+    cols = list(zip(*_at(fr, b)))
+    return _matrix(ring, [[ring.from_image(_int_dot(r, c), b, den, shift)
+                           for c in cols] for r in _at(fl, b)])
+
+
 # -- characteristic polynomial (division-free) ---------------------------
+
+
+def _berkowitz(rows, dot, one):
+    """Coefficients 1, c_1, .., c_n of det(xI - M), highest first, from
+    ``dot``, negation and ``one``: c_i is homogeneous of degree i."""
+    n = len(rows)
+    char = [one]                      # descending coefficients, 0x0 -> [1]
+    for k in range(1, n + 1):
+        a = rows[k - 1][k - 1]
+        row = rows[k - 1][:k - 1]
+        block = [r[:k - 1] for r in rows[:k - 1]]
+        v = [r[k - 1] for r in rows[:k - 1]]
+        t = [one, -a]
+        for _ in range(k - 1):
+            t.append(-dot(row, v))
+            if len(t) == k + 1:
+                break
+            v = [dot(r, v) for r in block]
+        # len(t) = k + 1 > len(char) = k: the product of t and char
+        char = [dot(char, t[i::-1]) for i in range(k + 1)]
+    return char
 
 
 def berkowitz_charpoly(mat):
     """Characteristic polynomial det(xI - A) by the Berkowitz scheme.
 
     Division-free, so valid over any commutative coefficient ring; the
-    0 x 0 matrix has characteristic polynomial 1.
+    0 x 0 matrix has characteristic polynomial 1.  Over a ring with an
+    integer image the matrix is F / (d A^s), with c_i = c_i(F) / (d A^s)^i,
+    and Berkowitz runs on the ints F(2^b), modulo ``image_modulus(b)``
+    where the ring has one (over k_p: every int stays at p b bits).
+
+    The bound: c_i(F) is (-1)^i times the sum of the principal i x i
+    minors of F, and a minor on the rows S sums signed products of one
+    entry per row, so by ||fg||_1 <= ||f||_1 ||g||_1 its l1 norm is at
+    most prod_(j in S) R_j, R_j the sum of the l1 norms of row j of F.
+    So ||c_i(F)||_1 <= e_i(R_1, .., R_n) <= prod_j (1 + R_j) < 2^(b-1) for
+    b = bit_length(prod_j (1 + R_j)) + 1, as ``from_image`` needs.
     """
     if mat.rows != mat.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    ring, n = mat.ring, mat.rows
-    dot, one = ring.dot, ring.one
-    char = [one]                      # descending coefficients, 0x0 -> [1]
-    for k in range(1, n + 1):
-        a = mat.data[k - 1][k - 1]
-        row = mat.data[k - 1][:k - 1]
-        v = [mat.data[i][k - 1] for i in range(k - 1)]
-        t = [one, -a]
-        for _ in range(k - 1):
-            t.append(-dot(row, v))
-            if len(t) == k + 1:
-                break
-            v = [dot(mat.data[i][:k - 1], v) for i in range(k - 1)]
-        # len(t) = k + 1 > len(char) = k: the product of t and char
-        char = [dot(char, t[i::-1]) for i in range(k + 1)]
-    return RingPoly(ring, list(reversed(char)))
+    ring = mat.ring
+    if not hasattr(ring, "image"):
+        return RingPoly(ring, _berkowitz(mat.data, ring.dot, ring.one)[::-1])
+    den, shift, polys = ring.image(mat.data)
+    b = prod(1 + _row_l1(row) for row in polys).bit_length() + 1
+    m = ring.image_modulus(b)
+    char = _berkowitz(_at(polys, b),
+                      _int_dot if m is None else partial(_mod_dot, m), 1)
+    return RingPoly(ring, [ring.from_image(c, b, den ** i, shift * i)
+                           for i, c in enumerate(char)][::-1])
 
 
 def normalized_charpoly(mat):

@@ -57,7 +57,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .cyclo import (CycloElem, _monomial_sum, _prime_factors, constants,
-                    cyclotomic_poly, level_d, reduce_to_kp)
+                    cyclotomic_poly, reduce_to_kp)
 from .diagram import ATLAS_BRAIDS, DiagramError, SliceWord, braid_closure
 from .laurent import (ONE, LaurentPoly, QFactored, _as_laurent, _coeff_div,
                       _power, mu_eig, quantum_int)
@@ -671,6 +671,15 @@ def euclid_inverse(x):
         a, b, s0, s1 = b, r, s1, _poly_sub(s0, _poly_mul(q, s1))
     # a is now the gcd, a nonzero constant
     return CycloElem(x.p, [_coeff_div(c * x.den, a[0]) for c in s0])
+
+
+def level_d(p):
+    """The d of k_p = Z[1/d, A, kappa]/(phi_2p(A), kappa^6 - u)."""
+    if p in (3, 4):
+        return 1
+    if p == 6:
+        return 2
+    return p
 
 
 def in_ring(x):

@@ -3,25 +3,56 @@
 Elements themselves carry the arithmetic through operator overloading;
 a descriptor only supplies the ring constants, coercion from integers,
 (for field-like rings) inversion, ``dot``, the one sum of products, and
-``axpy``, the one row update of elimination.  Z[A,A^-1] and k_p have
-their own fused ``dot``.
+``axpy``, the one row update of elimination.  k_p has its own fused
+``dot``.
 This keeps the polynomial and matrix code generic over Q, Z[A,A^-1] and
 the cyclotomic levels k_p.
 The oracles add Q(A) (``oracles.QA``), and ``mpoly`` polynomials in
 several variables (``mpoly.MPolyRing``).
+
+Z[A,A^-1] and k_p also have an integer image for ``matring``'s dense
+kernels: ``image`` writes a matrix's entries as integer polynomials f in
+A, coefficients low to high, x = f(A) / (den A^shift) for one den and
+one shift.  ``from_image(v, b, den, shift)`` reads f(A) / (den A^shift)
+back from v = f(2^b), given ||f||_1 < 2^(b-1), and from v modulo
+``image_modulus(b)`` where that is not None.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 
-from .cyclo import CycloElem, _axpy, _dot
-from .laurent import LaurentPoly, _as_laurent
+from .cyclo import CycloElem, _axpy, _dot, _from_powers
+from .laurent import LaurentPoly, _coeff_div
+
+
+def _digits(v, b):
+    """The nonzero coefficients {k: c_k} of the integer polynomial f with
+    v = f(2^b) and every c_k in [-2^(b-1), 2^(b-1)): unique signed digits,
+    the lowest v's residue mod 2^b in that range, the rest those of
+    (v - c_0) / 2^b.  A run of zero digits is skipped at v's lowest bit."""
+    mask, half, full = (1 << b) - 1, 1 << (b - 1), 1 << b
+    out, k = {}, 0
+    while v:
+        d = v & mask
+        if not d:
+            z = ((v & -v).bit_length() - 1) // b
+            k += z
+            v >>= b * z
+            continue
+        v >>= b
+        if d >= half:
+            d -= full
+            v += 1
+        out[k] = d
+        k += 1
+    return out
 
 
 class Ring:
-    """The generic ``dot`` and ``axpy``; Z[A,A^-1] has its own ``dot``,
-    and k_p its own kernels."""
+    """The generic ``dot`` and ``axpy``; k_p has its own kernels."""
 
     def dot(self, xs, ys):
         """sum x * y over the pairs, skipping zero factors."""
@@ -83,24 +114,36 @@ class LaurentRing(Ring):
     def bar(self, x):
         return x.bar()
 
-    def dot(self, xs, ys):
-        """sum x * y over the pairs, every product added into one
-        exponent -> coefficient dict and the zeros dropped at the end."""
-        acc = {}
-        get = acc.get
-        for x, y in zip(xs, ys):
-            xt = (x if type(x) is LaurentPoly else _as_laurent(x)).terms
-            if not xt:
-                continue
-            yt = (y if type(y) is LaurentPoly else _as_laurent(y)).terms
-            if not yt:
-                continue
-            for e1, c1 in xt.items():
-                for e2, c2 in yt.items():
-                    e = e1 + e2
-                    acc[e] = get(e, 0) + c1 * c2
+    def image(self, rows):
+        """Rational coefficients only: den clears every denominator, and
+        A^shift brings the least exponent to 0."""
+        terms = [x.terms for row in rows for x in row]
+        exps = list(chain.from_iterable(terms))
+        shift = -min(exps, default=0)
+        width = max(exps, default=0) + shift + 1
+        den = lcm(*{c.denominator for t in terms for c in t.values()})
+        polys = []
+        for row in rows:
+            out = []
+            for x in row:
+                if not x.terms:
+                    out.append(())
+                    continue
+                f = [0] * width
+                for e, c in x.terms.items():
+                    f[e + shift] = c if den == 1 else \
+                        c.numerator * (den // c.denominator)
+                out.append(f)
+            polys.append(out)
+        return den, shift, polys
+
+    def image_modulus(self, b):
+        return None
+
+    def from_image(self, v, b, den, shift):
         out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {e: c for e, c in acc.items() if c}
+        out.terms = {e - shift: c if den == 1 else _coeff_div(c, den)
+                     for e, c in _digits(v, b).items()}
         return out
 
 
@@ -139,6 +182,29 @@ class CycloField:
 
     def dot(self, xs, ys):
         return _dot(self.p, xs, ys)
+
+    def image(self, rows):
+        """shift = 0: the power basis has no negative exponent."""
+        den = lcm(*(x.den for row in rows for x in row))
+        return den, 0, [[x.num if x.den == den
+                         else [c * (den // x.den) for c in x.num]
+                         for x in row] for row in rows]
+
+    def image_modulus(self, b):
+        """2^(bp) + 1, the image of A^p + 1, which phi_2p divides."""
+        return (1 << (b * self.p)) + 1
+
+    def from_image(self, v, b, den, shift):
+        """With m = 2^(bp) + 1, the image of A^p + 1, v = g(2^b) modulo m
+        for g = f mod (A^p + 1).  ||g||_1 <= ||f||_1 < 2^(b-1) and
+        deg g < p give |g(2^b)| < 2^(bp-1) < m / 2, so g(2^b) is v's least
+        residue; g's p digits then reduce through phi_2p."""
+        p = self.p
+        m = self.image_modulus(b)
+        v %= m
+        if v > m >> 1:
+            v -= m
+        return CycloElem._make(p, _from_powers(p, _digits(v, b)), den)
 
     def axpy(self, xs, f, ys):
         return _axpy(self.p, xs, f, ys)

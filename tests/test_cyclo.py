@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from tvskein.cyclo import (CycloElem, _axpy, _dot, _norm_steps, constants,
-                           cyclotomic_poly, level_d, level_degree,
-                           reduce_to_kp, u_element)
+                           cyclotomic_poly, level_degree, reduce_to_kp,
+                           u_element)
 from tvskein.laurent import DELTA, LaurentPoly
-from tvskein.oracles import euclid_inverse, in_ring, map_i, map_j
+from tvskein.oracles import euclid_inverse, in_ring, level_d, map_i, map_j
 
 
 def test_reduction_examples():

@@ -5,13 +5,14 @@ import pytest
 
 from tvskein.cyclo import CycloElem, level_degree, reduce_to_kp
 from tvskein.laurent import DELTA, LaurentPoly
-from tvskein.matring import (RingMatrix, _echelon, berkowitz_charpoly,
-                             flat_decompose, inverse, normalized_charpoly,
-                             rank, similarity_invariants, solve)
+from tvskein.matring import (RingMatrix, _berkowitz, _echelon,
+                             berkowitz_charpoly, flat_decompose, inverse,
+                             normalized_charpoly, rank, similarity_invariants,
+                             solve)
 from tvskein.oracles import (berkowitz_det, eval_matrix, matrix_period,
                              trace_powers)
 from tvskein.polyalg import RingPoly, power_sums
-from tvskein.rings import QQ, ZA, kp_field
+from tvskein.rings import QQ, ZA, _digits, kp_field
 
 
 def _rand_matrix(rnd, n, lo=-3, hi=3):
@@ -480,6 +481,98 @@ def test_dot_sites_match_naive_loops(ring):
         if ring is not ZA:
             assert _exact(power_sums(char, 20).values) == \
                 _exact(_naive_power_sums(char, 20))
+
+
+# -- the integer image against the ring.dot kernels ----------------------------
+
+
+def _dot_charpoly(mat):
+    return _exact(_berkowitz(mat.data, mat.ring.dot, mat.ring.one)[::-1])
+
+
+def _dot_product(a, b):
+    return [_exact([a.ring.dot(r, c) for c in zip(*b.data)]) for r in a.data]
+
+
+def _check_image_kernels(a, b):
+    assert _exact(berkowitz_charpoly(a).coeffs) == _dot_charpoly(a)
+    assert [_exact(r) for r in (a * b).data] == _dot_product(a, b)
+
+
+@pytest.mark.parametrize("p", [*range(3, 14), 21, 105])
+def test_image_kernels_match_dot_kernels_over_kp(p):
+    # denominators 1, p, 2p, negative coefficients, and zero rows; at
+    # p = 105 (degree 48) the read-back folds A^95 .. A^104 too
+    rnd = random.Random(p)
+    ring = kp_field(p)
+    for n in (0, 1, 1, 2, 3, 5) if p < 100 else (1, 2):
+        a = _random_matrix(rnd, ring, n)
+        b = _random_matrix(rnd, ring, n, rnd.randint(0, 3))
+        if n and rnd.random() < 0.5:
+            a.data[rnd.randrange(n)] = [ring.zero] * n
+        _check_image_kernels(a, b)
+
+
+def _laurent_entry(rnd):
+    """Zero, or up to four terms at exponents -6..6 with Fraction
+    coefficients over denominators 1, 2 and 3."""
+    if rnd.random() < 0.2:
+        return LaurentPoly()
+    return LaurentPoly({rnd.randint(-6, 6): Fraction(rnd.randint(-4, 4),
+                                                     rnd.choice((1, 1, 2, 3)))
+                        for _ in range(rnd.randint(1, 4))})
+
+
+def test_image_kernels_match_dot_kernels_over_za():
+    rnd = random.Random(33)
+    for n in (0, 1, 1, 2, 3, 4, 5):
+        for _ in range(4):
+            m = rnd.randint(0, 3)
+            a = RingMatrix(ZA, [[_laurent_entry(rnd) for _ in range(n)]
+                                for _ in range(n)])
+            b = RingMatrix(ZA, [[_laurent_entry(rnd) for _ in range(m)]
+                                for _ in range(n)])
+            if n and rnd.random() < 0.5:
+                a.data[rnd.randrange(n)] = [ZA.zero] * n
+            _check_image_kernels(a, b)
+    # all exponents positive: the image shifts them down to 0
+    a = RingMatrix(ZA, [[LaurentPoly({3: 1, 5: -2}), LaurentPoly({4: 1})],
+                        [LaurentPoly({7: Fraction(1, 2)}), LaurentPoly()]])
+    _check_image_kernels(a, a)
+
+
+def test_image_kernels_near_the_l1_bound():
+    # diag(-R, .., -R) has charpoly (x + R)^n, whose top coefficient R^n
+    # is within a factor (1 + 1/R)^n of the bound (1 + R)^n; with R =
+    # 2^20 - 2, R^3 sits just under 2^60, the digit range of b = 61.  A row
+    # of R's times a column of R's reaches the product bound itself.
+    r = 2 ** 20 - 2
+    for ring, x in ((kp_field(7), CycloElem.from_int(7, r)),
+                    (kp_field(21), CycloElem.from_int(21, r)),
+                    (ZA, LaurentPoly({-2: r}))):
+        for sign in (-1, 1):
+            a = RingMatrix(ring, [[x * sign if i == j else ring.zero
+                                   for j in range(3)] for i in range(3)])
+            row = RingMatrix(ring, [[x * sign] * 4])
+            _check_image_kernels(a, a)
+            assert [_exact(y) for y in (row * row.transpose()).data] == \
+                _dot_product(row, row.transpose())
+            assert berkowitz_charpoly(a).constant_term() == -(x * sign) ** 3
+    a = RingMatrix(kp_field(7), [[r, 0, 0], [0, r, 0], [0, 0, r]])
+    assert berkowitz_charpoly(a).constant_term() == -r ** 3
+
+
+def test_digits_read_every_signed_digit():
+    rnd = random.Random(8)
+    for b in (1, 2, 3, 8, 61):
+        half = 1 << (b - 1)
+        for count in (1, 2, 5, 40):
+            for _ in range(30):
+                ds = [rnd.choice((-half, half - 1, 0,
+                                  rnd.randrange(-half, half)))
+                      for _ in range(count)]
+                v = sum(d << (b * k) for k, d in enumerate(ds))
+                assert _digits(v, b) == {k: d for k, d in enumerate(ds) if d}
 
 
 # -- elimination: a naive Gauss-Jordan as the reference ------------------------

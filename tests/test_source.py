@@ -239,7 +239,7 @@ def test_one_dot_kernel_per_ring():
     # every sum of products over a ring goes through ``ring.dot``: no
     # helper of its own and no loop that accumulates products
     sites = {"cyclo.py": {"constants"},
-             "matring.py": {"berkowitz_charpoly"},
+             "matring.py": {"_berkowitz", "berkowitz_charpoly"},
              "polyalg.py": {"__mul__", "power_sums", "tensor_product"},
              "tqft.py": {"_channel_sums", "branched_series"}}
     found = _pairwise_product_sums(sites)
@@ -250,11 +250,58 @@ def test_one_dot_kernel_per_ring():
     assert "_row_dot" not in (SRC / "matring.py").read_text()
 
 
-def test_laurent_ring_has_its_own_dot():
-    # Berkowitz over Z[A,A^-1] sums its products in one dict, not one new
-    # LaurentPoly per product and partial sum as the generic dot does
-    from tvskein.rings import LaurentRing
-    assert "dot" in vars(LaurentRing)
+def test_dense_kernels_run_on_the_integer_image(monkeypatch):
+    # over Z[A,A^-1] and k_p, Berkowitz and the matrix product run on
+    # Python ints (``ring.image``), not on ``ring.dot``, and Z[A,A^-1] has
+    # no fused dot of its own
+    from tvskein.cyclo import CycloElem
+    from tvskein.laurent import A
+    from tvskein.matring import RingMatrix, berkowitz_charpoly
+    from tvskein.rings import ZA, CycloField, LaurentRing, Ring, kp_field
+    assert "dot" not in vars(LaurentRing)
+
+    def no_dot(*args):
+        raise AssertionError("ring.dot called")
+
+    monkeypatch.setattr(Ring, "dot", no_dot)
+    monkeypatch.setattr(CycloField, "dot", no_dot)
+    for ring, x in ((ZA, A), (kp_field(7), CycloElem.a_power(7, 1))):
+        m = RingMatrix(ring, [[x, 1], [2, x]])
+        assert berkowitz_charpoly(m).degree() == 2
+        assert (m * m)[0, 1] == x * 2
+
+
+def test_timed_operations_import_no_module():
+    # a tvskein module first imported inside a timed benchmark operation
+    # is compiled there and shows up only as a slower run: after the
+    # worker's own import, one operation of each kind of every library
+    # workload imports nothing more of tvskein
+    code = (
+        "import sys, worker, workloads\n"
+        "mods = worker._import_program()\n"
+        "before = {m for m in sys.modules if m.split('.')[0] == 'tvskein'}\n"
+        "ops = {}\n"
+        "for wl in workloads.LIBRARY_WORKLOADS:\n"
+        "    for op in workloads.library_ops(wl, 1):\n"
+        "        ops.setdefault((op.kind, op.params.get('p') is None), op)\n"
+        "worker._inputs(list(ops.values()))\n"
+        "for op in ops.values():\n"
+        "    try:\n"
+        "        worker._execute(mods, op)\n"
+        "    except Exception:\n"
+        "        if not op.expect_failure:\n"
+        "            raise\n"
+        "print(sorted(k for k, _ in ops))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'tvskein'\n"
+        "             and m not in before))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join((str(SRC.parent), str(PERFBENCH))))
+    res = subprocess.run([sys.executable, "-c", code], env=env, timeout=300,
+                         capture_output=True, text=True, check=True)
+    kinds, new = res.stdout.splitlines()[-2:]
+    assert kinds == str(["colored", "double", "pd_scalar", "tangle",
+                         "tangle"]), res.stdout
+    assert new == "[]", res.stdout
 
 
 def test_fusion_sums_lift_once():
