@@ -8,6 +8,15 @@ kappa^(-3 sigma) is the monomial u^(-sigma/2).  Only eta = beta kappa^3
 has another grade, so kappa^3 is carried by the one record built from
 it, ``tqft.BranchedValue``, as an exponent beside its A-part.
 
+An element is an integer vector in the power basis 1, A, .., A^(deg-1),
+deg = deg phi_2p (phi_2p is ``laurent.cyclotomic_poly(2p)``), over one
+denominator.  ``_a_powers(p)`` holds A_p^e for e = 0 .. 2p - 1; its rows
+from A_p^deg on, kept sparse as ``_fold_rows(p)``, fold every exponent
+modulo 2p back to the basis in one step.  ``_monomial_sum`` reduces any
+sum of A_p powers through them (``reduce_to_kp``, ``bar`` and the other
+Galois maps, ``rings.CycloField.from_image``), and ``_fold`` is its
+dense twin for products (``_mul_vec``, ``_dot``, ``_axpy``).
+
 Per level p the ring data is
 
     d = p (p != 3,4,6),  1 (p = 3,4),  2 (p = 6)
@@ -35,7 +44,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .laurent import LaurentPoly, _coeff_div, _power, bracket_e, mu_eig
+from .laurent import (LaurentPoly, _coeff_div, _mobius, _power, bracket_e,
+                      cyclotomic_poly, mu_eig)
 
 
 class InvariantCheckError(ArithmeticError):
@@ -46,41 +56,7 @@ class UnsupportedSpecialization(ValueError):
     """Specialization the theory leaves undefined (special p, D(L)_p = 0)."""
 
 
-# -- cyclotomic polynomials -------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(n):
-    """Coefficients (low->high) of the n-th cyclotomic polynomial.
-
-    For n > 1, phi_n = prod_(d | n) (1 - x^d)^mu(n/d), expanded in exact
-    integers as a power series modulo x^(deg + 1); divisors d > deg act
-    trivially there.
-    """
-    if n == 1:
-        return (-1, 1)
-    deg = n
-    for q in _prime_factors(n):
-        deg = deg // q * (q - 1)
-    out = [1] + [0] * deg
-    for d in range(1, deg + 1):
-        if n % d:
-            continue
-        mu = _mobius(n // d)
-        if mu == 1:
-            for i in range(deg, d - 1, -1):
-                out[i] -= out[i - d]
-        elif mu == -1:
-            for i in range(d, deg + 1):
-                out[i] += out[i - d]
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _level_data(p):
-    """(degree, phi coefficients) for k_p."""
-    phi = cyclotomic_poly(2 * p)
-    return len(phi) - 1, phi
+# -- the power basis of k_p -----------------------------------------
 
 
 def _shifts(p, vec):
@@ -92,7 +68,7 @@ def _shifts(p, vec):
     A^deg = -sum_(i < deg) phi_i A^i.  Integer vectors stay integer,
     since phi_2p is monic over Z.
     """
-    phi = _level_data(p)[1]
+    phi = cyclotomic_poly(2 * p)
     out = [vec]
     for _ in range(2 * p - 1):
         top = vec[-1]
@@ -109,21 +85,33 @@ def _a_powers(p):
     return _shifts(p, (1,) + (0,) * (level_degree(p) - 1))
 
 
+@lru_cache(maxsize=None)
+def level_degree(p):
+    """deg phi_2p, the dimension of k_p over Q; cached, because every
+    ``_dot`` and ``_axpy`` reads it."""
+    return len(cyclotomic_poly(2 * p)) - 1
+
+
+@lru_cache(maxsize=None)
+def _fold_rows(p):
+    """Sparse rows (i, t) of A_p^deg .. A_p^(2p - 1): every exponent
+    modulo 2p folds back to the power basis in one step."""
+    return tuple(tuple((i, t) for i, t in enumerate(row) if t)
+                 for row in _a_powers(p)[level_degree(p):])
+
+
 def _monomial_sum(p, terms):
     """sum c * A_p^e over (e, c) pairs, as a coefficient list."""
-    n = 2 * p
-    by_class = {}
+    n, deg, rows = 2 * p, level_degree(p), _fold_rows(p)
+    out = [0] * deg
     for e, c in terms:
-        if c:
-            e %= n
-            by_class[e] = by_class.get(e, 0) + c
-    table = _a_powers(p)
-    acc = [0] * level_degree(p)
-    for e, c in by_class.items():
-        for i, t in enumerate(table[e]):
-            if t:
-                acc[i] += c * t
-    return acc
+        e %= n
+        if e < deg:
+            out[e] += c
+        elif c:
+            for i, t in rows[e - deg]:
+                out[i] += c * t
+    return out
 
 
 def _reduced(p, terms):
@@ -141,20 +129,6 @@ def _reduced(p, terms):
     return tuple([c // g for c in num]), den // g
 
 
-def level_degree(p):
-    return _level_data(p)[0]
-
-
-@lru_cache(maxsize=None)
-def _fold_rows(p):
-    """Sparse rows (i, t) of A_p^deg .. A_p^(2 deg - 2), and on to
-    A_p^(p-1): where the high coefficients of a product of two reduced
-    vectors, or of a polynomial folded through A^p = -1, fold back."""
-    deg = level_degree(p)
-    return tuple(tuple((i, t) for i, t in enumerate(row) if t)
-                 for row in _a_powers(p)[deg:max(2 * deg - 1, p)])
-
-
 def _mul_vec(p, a, b):
     """The reduced product of two reduced integer vectors of k_p."""
     vec = [0] * (2 * len(a) - 1)
@@ -167,7 +141,8 @@ def _mul_vec(p, a, b):
 
 
 def _fold(p, vec):
-    """An unreduced vector of length 2 deg - 1 reduced through phi_2p."""
+    """An unreduced vector of length 2 deg - 1 reduced through phi_2p:
+    the dense twin of ``_monomial_sum``, over the same ``_fold_rows``."""
     out = vec[:(len(vec) + 1) // 2]
     for row, c in zip(_fold_rows(p), vec[len(out):]):
         if c:
@@ -235,20 +210,6 @@ def _axpy(p, xs, f, ys):
             for j, b in ynz:
                 vec[i + j] += a * b
         out.append(CycloElem._make(p, _fold(p, vec), den))
-    return out
-
-
-def _from_powers(p, coeffs):
-    """The reduced vector of sum c_e A_p^e over the pairs {e: c_e},
-    0 <= e < p."""
-    rows, out = _fold_rows(p), [0] * level_degree(p)
-    deg = len(out)
-    for e, c in coeffs.items():
-        if e < deg:
-            out[e] += c
-        else:
-            for i, t in rows[e - deg]:
-                out[i] += c * t
     return out
 
 
@@ -508,14 +469,6 @@ class CycloElem:
         return reduce_to_kp(LaurentPoly.parse(inner[1:-1]), p)
 
 
-def _mobius(n):
-    primes = _prime_factors(n)
-    prod = 1
-    for q in primes:
-        prod *= q
-    return 0 if prod != n else (-1) ** len(primes)
-
-
 @lru_cache(maxsize=None)
 def _trace_vector(p):
     """Tr(A^i) from k_p to Q for the power basis: Ramanujan sums c_2p(i)."""
@@ -525,20 +478,6 @@ def _trace_vector(p):
         g = gcd(n, i)
         out.append(sum(_mobius(n // d) * d
                        for d in range(1, g + 1) if g % d == 0))
-    return tuple(out)
-
-
-def _prime_factors(n):
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
     return tuple(out)
 
 

@@ -366,6 +366,9 @@ class PDCode:
     def __init__(self, crossings, free_loops=0):
         # crossings: ((a, b, c, d, sign), ...) with sign in {+1, -1}
         self.crossings, self.free_loops = crossings, free_loops
+        if type(free_loops) is not int or free_loops < 0:
+            raise DiagramError(f"free_loops must be an integer >= 0, not "
+                               f"{free_loops!r}")
         seen = {}
         for idx, x in enumerate(crossings):
             if len(x) != 5 or x[4] not in (1, -1):
@@ -434,11 +437,7 @@ class PDCode:
                 raise DiagramError(f"PD row {row!r}: the sign must be "
                                    "'+', '-', 1 or -1")
             crossings.append((a, b, c, d, 1 if s in ("+", 1) else -1))
-        try:
-            free_loops = int(obj.get("free_loops", 0))
-        except (TypeError, ValueError):
-            raise DiagramError("PD 'free_loops' must be an integer") from None
-        return PDCode(tuple(crossings), free_loops)
+        return PDCode(tuple(crossings), obj.get("free_loops", 0))
 
 
 def pd_add_kink(pd, sign):

@@ -48,19 +48,12 @@ def witten_matrix(knot, r):
         for l in range(1, r):
             inner = CycloElem.a_power(p, 2 * l * j) - \
                 CycloElem.a_power(p, -2 * l * j)
-            if knot == "RT":
-                phase = _neg_a_power(p, -(l * l))
-            else:
-                phase = _neg_a_power(p, j * j + 2 * l * l)
+            # (-A)^e, with the sign folded in as A_p^p = -1
+            e = -(l * l) if knot == "RT" else j * j + 2 * l * l
+            phase = CycloElem.a_power(p, e + p * (e % 2))
             row.append(pref * phase * inner)
         rows.append(row)
     return RingMatrix(ring, rows)
-
-
-def _neg_a_power(p, e):
-    """(-A)^e in k_p."""
-    v = CycloElem.a_power(p, e)
-    return -v if e % 2 else v
 
 
 def witten_check(r):

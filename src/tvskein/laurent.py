@@ -12,6 +12,11 @@ gives a float.
 
 The involution ``bar`` sends A to A^-1 and fixes the rationals.
 
+The cyclotomic polynomials live here too, as integer coefficient
+tuples: ``cyclotomic_poly(n)`` is the one construction of Phi_n.  The
+level rings k_p reduce modulo Phi_2p, and ``_phi4(d)`` reads Phi_d(A^4)
+off Phi_d.
+
 ``QFactored`` is a Laurent polynomial P times the coprime factors
 Phi_d(A^4) of the quantum integers to signed powers,
 [k] = A^(2-2k) prod_(d | k, d > 1) Phi_d(A^4): theta and Tet with
@@ -330,15 +335,62 @@ def mu_eig(s):
     return LaurentPoly({s * s + 2 * s: -1 if s % 2 else 1})
 
 
+# -- cyclotomic polynomials -------------------------------------------
+
+
+def _prime_factors(n):
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
+def _mobius(n):
+    primes = _prime_factors(n)
+    prod = 1
+    for q in primes:
+        prod *= q
+    return 0 if prod != n else (-1) ** len(primes)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_poly(n):
+    """Coefficients (low->high) of the n-th cyclotomic polynomial.
+
+    For n > 1, phi_n = prod_(d | n) (1 - x^d)^mu(n/d), expanded in exact
+    integers as a power series modulo x^(deg + 1); divisors d > deg act
+    trivially there.
+    """
+    if n == 1:
+        return (-1, 1)
+    deg = n
+    for q in _prime_factors(n):
+        deg = deg // q * (q - 1)
+    out = [1] + [0] * deg
+    for d in range(1, deg + 1):
+        if n % d:
+            continue
+        mu = _mobius(n // d)
+        if mu == 1:
+            for i in range(deg, d - 1, -1):
+                out[i] -= out[i - d]
+        elif mu == -1:
+            for i in range(d, deg + 1):
+                out[i] += out[i - d]
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def _phi4(d):
-    """Phi_d(A^4) for d > 1: A^(2d-2) [d] over the Phi_e(A^4) of the
-    divisors 1 < e < d of d."""
-    out = LaurentPoly({2 * d - 2: 1}) * quantum_int(d)
-    for e in range(2, d):
-        if not d % e:
-            out = out.exact_div(_phi4(e))
-    return out
+    """Phi_d(A^4) for d > 1, read off ``cyclotomic_poly(d)``."""
+    return LaurentPoly({4 * i: c for i, c in enumerate(cyclotomic_poly(d))})
 
 
 @lru_cache(maxsize=None)

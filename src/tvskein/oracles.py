@@ -56,11 +56,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-from .cyclo import (CycloElem, _monomial_sum, _prime_factors, constants,
-                    cyclotomic_poly, reduce_to_kp)
+from .cyclo import CycloElem, _monomial_sum, constants, reduce_to_kp
 from .diagram import ATLAS_BRAIDS, DiagramError, SliceWord, braid_closure
 from .laurent import (ONE, LaurentPoly, QFactored, _as_laurent, _coeff_div,
-                      _power, mu_eig, quantum_int)
+                      _power, _prime_factors, cyclotomic_poly, mu_eig,
+                      quantum_int)
 from .matring import (RingMatrix, berkowitz_charpoly, flat_decompose,
                       inverse, rank)
 from .mpoly import MPoly, MPolyRing  # noqa: F401 (re-exported)

@@ -21,8 +21,8 @@ from functools import lru_cache
 from math import exp, gcd, log
 
 from .cyclo import (CycloElem, InvariantCheckError, _a_powers, _galois,
-                    _mul_vec, cyclotomic_poly, level_degree)
-from .laurent import _power
+                    _mul_vec, level_degree)
+from .laurent import _power, cyclotomic_poly
 from .rings import QQ, CycloField
 
 

@@ -168,10 +168,8 @@ def half_twist(c, j):
 
 
 def factored_e(j):
-    """<e_j> = (-1)^j [j+1] as a ``QFactored``: [j+1] is A^-2j times the
-    Phi_d(A^4) of the divisors d > 1 of j+1."""
-    return QFactored(LaurentPoly({-2 * j: -1 if j % 2 else 1}),
-                     {d: 1 for d in range(2, j + 2) if not (j + 1) % d})
+    """<e_j> = (-1)^j [j+1] = (-1)^j [j+1]! / [j]! as a ``QFactored``."""
+    return _factorials((j + 1,), (j,), None, -1 if j % 2 else 1)
 
 
 @lru_cache(maxsize=None)

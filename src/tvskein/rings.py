@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 
-from .cyclo import CycloElem, _axpy, _dot, _from_powers
+from .cyclo import CycloElem, _axpy, _dot, _monomial_sum
 from .laurent import LaurentPoly, _coeff_div
 
 
@@ -204,7 +204,8 @@ class CycloField:
         v %= m
         if v > m >> 1:
             v -= m
-        return CycloElem._make(p, _from_powers(p, _digits(v, b)), den)
+        return CycloElem._make(p, _monomial_sum(p, _digits(v, b).items()),
+                               den)
 
     def axpy(self, xs, f, ys):
         return _axpy(self.p, xs, f, ys)

@@ -110,23 +110,26 @@ def ordinary(p, n):
 
 
 class TangleInvariant:
-    """Level-free data of an even tangle in S^1 x S^2.
+    """Level-free data of an even tangle in S^1 x S^2, from its word,
+    Q(T) and Gamma(L).
 
-    ``trace`` is the Hoste-Przytycki image of the closed link, and
-    ``wrapping`` the certified wrapping number, or None.  The fields stay
-    in ``__dict__`` (no slots): the checks of ``perfbench`` copy them with
-    ``vars``.
+    The rest is derived here: D(L) and the flat rank from Gamma, ``trace``
+    (the Hoste-Przytycki image of the closed link) from Q(T), and
+    ``wrapping``, the certified wrapping number 2n where Gamma has the full
+    degree c(n) and n >= 2, else None.  The fields stay in ``__dict__`` (no
+    slots): the checks of ``perfbench`` copy them with ``vars``.
     """
 
-    def __init__(self, word, q_matrix, gamma, constant_term, flat_rank,
-                 trace, wrapping):
+    def __init__(self, word, q_matrix, gamma):
         self.word = word
         self.q_matrix = q_matrix
         self.gamma = gamma
-        self.constant_term = constant_term
-        self.flat_rank = flat_rank
-        self.trace = trace
-        self.wrapping = wrapping
+        self.constant_term = gamma.constant_term()
+        self.flat_rank = gamma.degree()
+        self.trace = q_matrix.trace()
+        n = word.bottom // 2
+        self.wrapping = (2 * n if n >= 2 and self.flat_rank == q_matrix.rows
+                         else None)
 
     def __repr__(self):
         return (f"TangleInvariant(word={self.word!r}, "
@@ -149,23 +152,14 @@ def tangle_invariant(word, p=None):
         raise DiagramError("even tangles only")
     n = word.bottom // 2
     q = transfer_Q(word)
-    gamma = normalized_charpoly(q)
-    flat_rank = gamma.degree()
-    d_l = gamma.constant_term()
-    trace = q.trace()
-    wrapping = None
-    if n >= 2 and flat_rank == q.rows:
-        wrapping = 2 * n
-    out = TangleInvariant(word=word, q_matrix=q, gamma=gamma,
-                          constant_term=d_l, flat_rank=flat_rank,
-                          trace=trace, wrapping=wrapping)
+    out = TangleInvariant(word, q, normalized_charpoly(q))
     if p is None:
         return out
     if not ordinary(p, n):
         raise UnsupportedSpecialization(
             f"p={p} is special with respect to n={n}")
-    dlp = reduce_to_kp(d_l, p)
-    if flat_rank > 0 and dlp.is_zero():
+    dlp = reduce_to_kp(out.constant_term, p)
+    if out.flat_rank > 0 and dlp.is_zero():
         raise UnsupportedSpecialization(f"D(L) vanishes at p={p}")
     ring = kp_field(p)
     qp = q.map(lambda x: reduce_to_kp(x, p), ring)

@@ -276,6 +276,9 @@ LT_PD = [[1, 4, 2, 5, "-"], [3, 6, 4, 1, "-"], [5, 2, 6, 3, "-"]]
     [1, 2],
     {"crossings": 5},
     "abc",
+    {"crossings": [], "free_loops": -1},
+    {"crossings": [], "free_loops": True},
+    {"crossings": LT_PD, "free_loops": 2.9},
 ])
 def test_malformed_pd_exit_code(tmp_path, capsys, body):
     f = tmp_path / "bad.pd"

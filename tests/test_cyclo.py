@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from tvskein.cyclo import (CycloElem, _axpy, _dot, _norm_steps, constants,
-                           cyclotomic_poly, level_degree, reduce_to_kp,
-                           u_element)
-from tvskein.laurent import DELTA, LaurentPoly
+from tvskein.cyclo import (CycloElem, _a_powers, _axpy, _dot, _monomial_sum,
+                           _norm_steps, constants, level_degree,
+                           reduce_to_kp, u_element)
+from tvskein.laurent import DELTA, LaurentPoly, cyclotomic_poly
 from tvskein.oracles import euclid_inverse, in_ring, level_d, map_i, map_j
 
 
@@ -22,7 +22,6 @@ def test_reduction_examples():
 
 
 def test_power_table_matches_repeated_multiplication():
-    from tvskein.cyclo import _a_powers
     for p in (5, 7, 9, 12):
         a = CycloElem(p, (0, 1))
         ainv = a.inv()
@@ -68,6 +67,28 @@ def test_constant_pack_invariants():
             u = u_element(p)
             assert pack.beta * pack.beta * u * tot == CycloElem.one(p)
             assert pack.beta * s1 == CycloElem.one(p)
+
+
+def test_monomial_sum_equals_the_power_table_sum():
+    # _monomial_sum folds each exponent in one step, through the sparse rows
+    # of A_p^deg .. A_p^(2p - 1); the oracle adds whole rows of the dense
+    # power table.  Exponents run negative and past 2p, and repeat; at
+    # p = 105, p > 2 deg - 1, so rows past the product range are read too
+    rnd = random.Random(34)
+    for p in [*range(1, 14), 21, 25, 105]:
+        n, deg, table = 2 * p, level_degree(p), _a_powers(p)
+        for _ in range(12):
+            terms = [(rnd.randint(-3 * n, 3 * n), rnd.randint(-9, 9))
+                     for _ in range(rnd.randint(0, 2 * n))]
+            terms += [(e + n * rnd.randint(-2, 2), rnd.randint(-9, 9))
+                      for e, _ in terms[:4]]
+            want = [0] * deg
+            for e, c in terms:
+                for i, t in enumerate(table[e % n]):
+                    want[i] += c * t
+            got = _monomial_sum(p, terms)
+            assert got == want, p
+            assert all(type(c) is int for c in got), p
 
 
 def test_bar_is_ring_involution():

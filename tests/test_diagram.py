@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from tvskein.diagram import (ATLAS_PD, DiagramError, KnotRef, PDCode,
@@ -59,6 +61,16 @@ def test_pd_validation():
     assert hopf.component_count() == 2
     with pytest.raises(DiagramError):
         normalize_writhe(hopf)
+
+
+@pytest.mark.parametrize("free", [-1, True, 2.9, 1.0, "1", None])
+def test_free_loops_is_a_nonnegative_int(free):
+    # a negative count would index a wrong cached power of delta, and
+    # neither a bool nor a float is a count of loops
+    with pytest.raises(DiagramError, match="free_loops"):
+        PDCode((), free)
+    with pytest.raises(DiagramError, match="free_loops"):
+        PDCode.parse(json.dumps({"crossings": [], "free_loops": free}))
 
 
 def test_pd_json_roundtrip():

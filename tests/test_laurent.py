@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from tvskein.cyclo import CycloElem, cyclotomic_poly
+from tvskein.cyclo import CycloElem
 from tvskein.laurent import (A, DELTA, MU, LaurentPoly, QFactored, _phi4,
-                             _power, bracket_e, mu_eig, quantum_int)
+                             _power, bracket_e, cyclotomic_poly, mu_eig,
+                             quantum_int)
 from tvskein.matring import RingMatrix
 from tvskein.oracles import LaurentFrac, poly_gcd
 from tvskein.polyalg import RingPoly
@@ -215,6 +216,17 @@ def test_quantum_integers_factor_over_phi_d():
         assert prod == quantum_int(k), k
         if k > 1:
             assert _phi4(k) == _phi4_oracle(k), k
+
+
+def test_phi4_is_the_quantum_integer_over_its_smaller_factors():
+    # Phi_d(A^4), read off the cyclotomic coefficients, against the exact
+    # quotient A^(2d-2) [d] / prod Phi_e(A^4) over the divisors 1 < e < d
+    for d in range(2, 41):
+        want = LaurentPoly({2 * d - 2: 1}) * quantum_int(d)
+        for e in range(2, d):
+            if not d % e:
+                want = want.exact_div(_phi4(e))
+        assert _phi4(d) == want, d
 
 
 def _rand_qfactored(rnd, ds=range(2, 9)):

@@ -6,8 +6,9 @@ from math import gcd, lcm
 import pytest
 
 from tvskein import polyalg
-from tvskein.cyclo import CycloElem, cyclotomic_poly
+from tvskein.cyclo import CycloElem
 from tvskein.data import example45_word
+from tvskein.laurent import cyclotomic_poly
 from tvskein.matring import RingMatrix, berkowitz_charpoly
 from tvskein.oracles import (MPoly, MPolyRing, full_rational_norm,
                              trace_powers)

@@ -353,6 +353,24 @@ def test_one_name_per_job():
     found = [f"{module} {name}" for module, name in gone.items()
              if name in {n for node in ast.walk(ast.parse(
                  (SRC / module).read_text())) for n in names(node)}]
+    # each cyclotomic object has one construction: Phi_n is
+    # laurent.cyclotomic_poly, Phi_d(A^4) is read off it, every sum of A_p
+    # powers folds through cyclo._fold_rows, and (-A)^e is an A_p power
+    gone_anywhere = {"_from_powers", "_level_data", "_neg_a_power"}
+    trees = {path.relative_to(SRC): ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.rglob("*.py"))}
+    found += [f"{path}:{node.lineno} {name}" for path, tree in trees.items()
+              for node in ast.walk(tree) for name in names(node)
+              if name in gone_anywhere]
+    defs = [(str(path), node) for path, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and node.name in ("cyclotomic_poly", "_phi4")]
+    assert sorted((path, node.name) for path, node in defs) == \
+        [("laurent.py", "_phi4"), ("laurent.py", "cyclotomic_poly")], \
+        [f"{path}:{node.lineno} {node.name}" for path, node in defs]
+    found += [f"laurent.py:{sub.lineno} _phi4 divides"
+              for _, node in defs if node.name == "_phi4"
+              for sub in ast.walk(node) if "exact_div" in names(sub)]
     assert not found, found
 
 
@@ -388,8 +406,8 @@ def test_one_route_per_level_for_the_double():
 def test_one_invariant_record():
     # ``flat_decompose`` builds the one invariant record, which stores Z,
     # Gamma and the flat part and reads the flat rank and D from Gamma; the
-    # value records store only what they are made from.  No copy of the
-    # record and no second constructor is left
+    # value records and the tangle record are made only from what fixes
+    # them.  No copy of the record and no second constructor is left
     import inspect
 
     from tvskein import matring, tqft
@@ -406,5 +424,8 @@ def test_one_invariant_record():
     assert tqft.TVInvariant is tvskein.TVInvariant is matring.TVInvariant
     assert list(inspect.signature(matring.TVInvariant).parameters) == \
         ["matrix", "gamma", "flat_matrix"]
+    # the tangle record, too, derives what its word, Q(T) and Gamma fix
+    assert list(inspect.signature(tqft.TangleInvariant).parameters) == \
+        ["word", "q_matrix", "gamma"]
     assert tqft.BranchedValue.__slots__ == ("d", "normalized")
     assert tqft.CoverValue.__slots__ == ("d", "value", "sigma_d")
